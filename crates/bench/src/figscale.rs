@@ -12,7 +12,7 @@
 //!   that is logically dead but physically retained. Every churn row
 //!   reports the physical waiter residue on the shutdown broadcast after
 //!   the storm (must be 0) and the monadic threads left after drain
-//!   (must be 0 — the orphan-pump class of leak).
+//!   (must be 0).
 //! * **herd** — a thundering herd: the zipfian KV workload collapsed to a
 //!   single key over 8 shards, so one shard gate takes every hit. The
 //!   `hot_shard_lock_wait_ns` column concentrates there while the other

@@ -896,8 +896,7 @@ pub struct ScaleRunResult {
     /// regression signal: ended sessions must have withdrawn physically.
     pub shutdown_physical_waiters: usize,
     /// Monadic threads still alive after shutdown + drain + run-to-
-    /// quiescence. Anything nonzero is a leaked thread (the orphan-pump
-    /// class of bug).
+    /// quiescence. Anything nonzero is a leaked thread.
     pub live_threads_after: i64,
     /// Live heap bytes per held-open connection (resident scenario only;
     /// whole-system: client thread + socket pair + server session). Zero
@@ -1012,7 +1011,7 @@ pub struct SlowlorisParams {
 /// server sessions while `busy` clients echo through the same server. The
 /// idle deadline must reap every squatter (`idle_reaped == slow`) without
 /// disturbing live traffic, and a reaped session must unwind completely —
-/// no orphan pump thread, no residual registrations.
+/// no orphan thread, no residual registrations.
 pub fn slowloris_run(p: &SlowlorisParams) -> ScaleRunResult {
     assert!(p.idle_timeout > 0);
     let (sim, server, stack) = scale_rig(p.cpus, p.idle_timeout);

@@ -64,11 +64,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use eveth_core::event::{choose, readiness_evt, sync, timeout_evt, Signal};
 use eveth_core::net::{
-    send_all, send_all_vectored, send_all_within_vectored, Conn, Endpoint, NetStack, SendInput,
+    send_all, send_all_vectored, send_all_within_vectored, Conn, Endpoint, NetError, NetStack,
+    SendInput,
 };
 use eveth_core::reactor::Interest;
 use eveth_core::service::{Server, ServerConfig, ServerStats as FrameworkStats, Service, Step};
-use eveth_core::syscall::{sys_fork, sys_time};
+use eveth_core::syscall::sys_time;
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::telemetry::Telemetry;
 use eveth_core::time::Nanos;
@@ -225,11 +226,7 @@ impl RouterShared {
 
     /// Sends the assembled client reply, bounded by the configured send
     /// timeout when one is set (mirrors the KV server's reply path).
-    fn send_client(
-        &self,
-        conn: &Arc<dyn Conn>,
-        bufs: Vec<Bytes>,
-    ) -> ThreadM<Result<(), eveth_core::net::NetError>> {
+    fn send_client(&self, conn: &Arc<dyn Conn>, bufs: Vec<Bytes>) -> ThreadM<Result<(), NetError>> {
         match self.lifecycle.get() {
             Some(lc) if lc.send_timeout > 0 => {
                 let framework = Arc::clone(&lc.framework);
@@ -238,9 +235,9 @@ impl RouterShared {
                         SendInput::Done(r) => r,
                         SendInput::Timeout => {
                             framework.send_timeouts.incr();
-                            Err(eveth_core::net::NetError::Timeout)
+                            Err(NetError::Timeout)
                         }
-                        SendInput::Shutdown => Err(eveth_core::net::NetError::Closed),
+                        SendInput::Shutdown => Err(NetError::Closed),
                     },
                 )
             }
@@ -732,9 +729,6 @@ fn ensure_conn(
 /// What woke the fan-in `choose`.
 enum Wake {
     Ready(usize),
-    /// A readiness-less lane 0's pumped receive completed with this
-    /// result (the helper already performed the `recv`).
-    Pumped(Result<Bytes, eveth_core::net::NetError>),
     Timeout,
 }
 
@@ -801,7 +795,7 @@ fn settle_lane(
     st: Arc<Mutex<BatchState>>,
     mut pending: Vec<PendingEp>,
     i: usize,
-    got: Result<Bytes, eveth_core::net::NetError>,
+    got: Result<Bytes, NetError>,
     now: Nanos,
 ) -> ThreadM<Loop<Vec<PendingEp>, ()>> {
     let healthy = match got {
@@ -839,61 +833,19 @@ fn fan_in(
         // Compose the wait: declaration order is the deterministic
         // tie-break, so lane order (first-use order) decides races.
         let mut evts = Vec::with_capacity(pending.len() + 1);
-        let mut all_fds = true;
         for (i, p) in pending.iter().enumerate() {
-            match p.conn.readiness_fd() {
-                Some(fd) => {
-                    evts.push(readiness_evt(&fd, Interest::Read).wrap(move |()| Wake::Ready(i)))
-                }
-                None => {
-                    all_fds = false;
-                    break;
-                }
-            }
+            let Some(fd) = p.conn.readiness_fd() else {
+                // No descriptor, no way to wait on the lane: write the
+                // backend off like any other transport failure.
+                let err = NetError::Protocol("backend exposes no readiness descriptor".into());
+                return settle_lane(shared, pool, st, pending, i, Err(err), now);
+            };
+            evts.push(readiness_evt(&fd, Interest::Read).wrap(move |()| Wake::Ready(i)));
         }
-        let wake = if all_fds {
-            if shared.cfg.backend_timeout > 0 {
-                evts.push(timeout_evt(shared.cfg.backend_timeout).wrap(|()| Wake::Timeout));
-            }
-            sync(choose(evts))
-        } else if shared.cfg.backend_timeout > 0 {
-            // Readiness-less transport with a deadline: the receive
-            // itself cannot join the choose, so pump lane 0's blocking
-            // recv through a one-shot helper thread and race its
-            // completion signal against the timer (the free-function
-            // pattern of `session_input`). If the timer wins, the
-            // timeout branch below closes the conns, which completes
-            // the stranded recv — the helper then stores into a slot
-            // nobody reads and exits; nothing blocks forever.
-            let slot: Arc<Mutex<Option<Result<Bytes, eveth_core::net::NetError>>>> =
-                Arc::new(Mutex::new(None));
-            let done = Signal::new();
-            let conn = Arc::clone(&pending[0].conn);
-            let chunk_max = shared.cfg.recv_chunk;
-            let tx_slot = Arc::clone(&slot);
-            let tx_done = done.clone();
-            sys_fork(conn.recv(chunk_max).map(move |got| {
-                *tx_slot.lock() = Some(got);
-                tx_done.fire();
-            }))
-            .bind({
-                let timeout = shared.cfg.backend_timeout;
-                move |()| {
-                    sync(choose(vec![
-                        done.wait_evt().wrap(move |()| {
-                            Wake::Pumped(slot.lock().take().expect("pump fired after storing"))
-                        }),
-                        timeout_evt(timeout).wrap(|()| Wake::Timeout),
-                    ]))
-                }
-            })
-        } else {
-            // Readiness-less with no deadline: degrade to serving lane 0
-            // with a plain blocking recv (mirrors `session_input`'s
-            // documented fd-less fallback).
-            ThreadM::pure(Wake::Ready(0))
-        };
-        wake.bind(move |wake| match wake {
+        if shared.cfg.backend_timeout > 0 {
+            evts.push(timeout_evt(shared.cfg.backend_timeout).wrap(|()| Wake::Timeout));
+        }
+        sync(choose(evts)).bind(move |wake| match wake {
             Wake::Timeout => {
                 // Every still-pending backend is written off at once; the
                 // deadline is per-wait inactivity, not per-byte pacing.
@@ -910,7 +862,6 @@ fn fan_in(
                 conn.recv(chunk_max)
                     .bind(move |got| settle_lane(shared, pool, st, pending, i, got, now))
             }
-            Wake::Pumped(got) => settle_lane(shared, pool, st, pending, 0, got, now),
         })
     })
 }

@@ -1,35 +1,40 @@
 //! A minimal inline executor: Claessen's original "poor man's concurrency"
 //! scheduler.
 //!
-//! [`LocalExecutor`] interprets the non-I/O subset of the trace language on
-//! the calling thread with a round-robin queue — exactly the paper's
-//! Figure 11 scheduler, extended with exceptions. It exists for unit tests,
-//! doctests and pedagogy; anything touching devices (epoll, AIO, parking)
-//! needs a full runtime and is reported as an exception here.
+//! [`LocalExecutor`] drives [`engine::run_task`](crate::engine::run_task)
+//! — the one trace interpreter — on the calling thread over a round-robin
+//! ready list ([`CountingCtx`]): exactly the paper's Figure 11 scheduler,
+//! extended with exceptions. It exists for unit tests, doctests and
+//! pedagogy. Parking primitives (mutexes, channels, events) work as on any
+//! runtime; timers fire immediately and blocking jobs run inline, and a
+//! thread still parked when the ready list drains simply never resumes.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::engine::testing::CountingCtx;
+use crate::engine::{run_task, RuntimeCtx};
 use crate::exception::Exception;
-use crate::task::{Task, TaskId};
+use crate::task::TaskId;
 use crate::thread::ThreadM;
 use crate::trace::Trace;
 
 /// Outcome of draining a [`LocalExecutor`].
 #[derive(Debug)]
 pub struct LocalReport {
-    /// Trace nodes interpreted.
+    /// Scheduler actions metered so far (one per charged trace node; see
+    /// [`CostKind`](crate::engine::CostKind)).
     pub steps: u64,
     /// Threads that ran to completion.
     pub completed: u64,
-    /// Exceptions that escaped their threads, in occurrence order.
+    /// Exceptions that escaped their threads since the previous report,
+    /// in occurrence order.
     pub uncaught: Vec<(TaskId, Exception)>,
 }
 
 /// A deterministic, single-threaded, cooperative scheduler for monadic
-/// threads that perform no device I/O.
+/// threads: a thread runs until it yields, blocks or exits.
 ///
 /// # Examples
 ///
@@ -42,107 +47,42 @@ pub struct LocalReport {
 /// assert_eq!(report.completed, 2);
 /// ```
 pub struct LocalExecutor {
-    queue: VecDeque<Task>,
-    next_tid: u64,
-    steps: u64,
-    completed: u64,
-    uncaught: Vec<(TaskId, Exception)>,
-    clock: u64,
+    ctx: Arc<CountingCtx>,
+    /// Uncaught exceptions already handed out in an earlier report.
+    reported: usize,
 }
 
 impl LocalExecutor {
     /// Creates an empty executor.
     pub fn new() -> Self {
         LocalExecutor {
-            queue: VecDeque::new(),
-            next_tid: 1,
-            steps: 0,
-            completed: 0,
-            uncaught: Vec::new(),
-            clock: 0,
+            ctx: Arc::new(CountingCtx::new()),
+            reported: 0,
         }
     }
 
     /// Enqueues a monadic program as a new thread; returns its id.
     pub fn spawn(&mut self, m: ThreadM<()>) -> TaskId {
-        let tid = TaskId(self.next_tid);
-        self.next_tid += 1;
-        self.queue.push_back(Task::from_thread(tid, m));
-        tid
-    }
-
-    fn fresh_tid(&mut self) -> TaskId {
-        let tid = TaskId(self.next_tid);
-        self.next_tid += 1;
-        tid
+        self.ctx.spawn(m)
     }
 
     /// Runs until the ready queue drains or `stop` returns `true` (checked
     /// between scheduling turns).
     pub fn run_until(&mut self, mut stop: impl FnMut() -> bool) -> LocalReport {
-        while let Some(mut task) = self.queue.pop_front() {
-            let mut node = task.force();
-            loop {
-                self.steps += 1;
-                self.clock += 1;
-                match node {
-                    Trace::Ret => {
-                        self.completed += 1;
-                        break;
-                    }
-                    Trace::Nbio(f) => node = f(),
-                    Trace::Fork(child, parent) => {
-                        let tid = self.fresh_tid();
-                        self.queue.push_back(Task::from_thunk(tid, child));
-                        node = parent();
-                    }
-                    Trace::Yield(k) | Trace::Sleep(_, k) | Trace::Cpu(_, k) => {
-                        // Sleeps and modelled CPU are instantaneous here; a
-                        // yield keeps round-robin fairness.
-                        task.set_next(k);
-                        self.queue.push_back(task);
-                        break;
-                    }
-                    Trace::Throw(e) => match task.shell_mut().pop_handler() {
-                        Some(h) => node = h(e),
-                        None => {
-                            self.uncaught.push((task.tid(), e));
-                            break;
-                        }
-                    },
-                    Trace::Catch { body, handler } => {
-                        task.shell_mut().push_handler(handler);
-                        node = body();
-                    }
-                    Trace::CatchPop(k) => {
-                        task.shell_mut().pop_handler();
-                        node = k();
-                    }
-                    Trace::GetTime(f) => node = f(self.clock),
-                    // Span names need a telemetry hub; none exists here.
-                    Trace::Annotate(_, k) => node = k(),
-                    unsupported @ (Trace::EpollWait(_, _, _)
-                    | Trace::AioRead(_, _)
-                    | Trace::AioWrite(_, _)
-                    | Trace::Blio(_)
-                    | Trace::Park(_, _)) => {
-                        // Device I/O needs a full runtime; surface the
-                        // mistake through the thread's own handler stack.
-                        let kind = unsupported.kind();
-                        node = Trace::Throw(Exception::new(format!(
-                            "{kind} requires a full runtime (LocalExecutor is I/O-free)"
-                        )));
-                    }
-                }
-            }
+        let ctx: Arc<dyn RuntimeCtx> = Arc::clone(&self.ctx) as Arc<dyn RuntimeCtx>;
+        while let Some(task) = self.ctx.pop_ready() {
+            // Cooperative: no preemption slice.
+            run_task(&ctx, task, usize::MAX);
             if stop() {
                 break;
             }
         }
+        let uncaught = self.ctx.uncaught().split_off(self.reported);
+        self.reported += uncaught.len();
         LocalReport {
-            steps: self.steps,
-            completed: self.completed,
-            uncaught: std::mem::take(&mut self.uncaught),
+            steps: self.ctx.charges().len() as u64,
+            completed: self.ctx.exited().len() as u64,
+            uncaught,
         }
     }
 
@@ -161,8 +101,8 @@ impl Default for LocalExecutor {
 impl std::fmt::Debug for LocalExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalExecutor")
-            .field("queued", &self.queue.len())
-            .field("steps", &self.steps)
+            .field("queued", &self.ctx.ready_count())
+            .field("steps", &self.ctx.charges().len())
             .finish()
     }
 }
@@ -251,9 +191,20 @@ mod tests {
     }
 
     #[test]
-    fn io_syscalls_become_exceptions() {
+    fn park_based_sync_runs_under_run_local() {
+        // The reader parks through `sys_park` on the empty channel; the
+        // shared interpreter resumes it when the forked writer delivers.
+        let ch: crate::sync::Chan<u32> = crate::sync::Chan::new();
+        let tx = ch.clone();
+        let got = run_local(crate::do_m! {
+            sys_fork(tx.write(41));
+            let v <- ch.read();
+            ThreadM::pure(v + 1)
+        });
+        assert_eq!(got.unwrap(), 42);
+        // A park nobody answers ends the run without a value.
         let err = run_local(sys_park(|_u| {})).unwrap_err();
-        assert!(err.message().contains("SYS_PARK"));
+        assert!(err.message().contains("without producing"));
     }
 
     #[test]

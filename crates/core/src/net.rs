@@ -17,8 +17,7 @@ use crate::event::{
     Signal,
 };
 use crate::reactor::{AcceptQueue, Interest};
-use crate::sync::Chan;
-use crate::syscall::{sys_fork, sys_time};
+use crate::syscall::sys_time;
 use crate::thread::{loop_m, Loop, ThreadM};
 use crate::time::Nanos;
 
@@ -95,18 +94,17 @@ pub trait Conn: Send + Sync {
     /// is available. An empty buffer signals end-of-stream.
     fn recv(&self, max: usize) -> ThreadM<Result<Bytes, NetError>>;
 
-    /// The connection's readiness descriptor, if the transport exposes
-    /// one. With it, a server races I/O against timers and shutdown
-    /// signals in a single
-    /// [`choose`]:
+    /// The connection's readiness descriptor — the one thing every wait on
+    /// a connection goes through. A server races I/O against timers and
+    /// shutdown signals in a single [`choose`]:
     /// `readiness_evt(&fd, Interest::Read)` commits when `recv` would not
-    /// block (data, EOF or error), after which `recv` completes promptly.
-    /// Both bundled socket stacks return `Some`; `None` disables
-    /// event-composed waiting (callers fall back to plain blocking
-    /// `recv`).
-    fn readiness_fd(&self) -> Option<crate::reactor::Fd> {
-        None
-    }
+    /// block (data, EOF or error), after which `recv` completes promptly;
+    /// `Interest::Write` is the send-side twin. Both bundled socket stacks
+    /// return `Some`. There is no second way to wait: the composed helpers
+    /// ([`session_input`], [`send_all_within`],
+    /// [`send_all_within_vectored`]) answer `None` with a
+    /// [`NetError::Protocol`] instead of blocking or forking a helper.
+    fn readiness_fd(&self) -> Option<crate::reactor::Fd>;
 
     /// Sends a prefix of `data`, blocking until at least one byte is
     /// accepted; returns the number of bytes taken.
@@ -129,29 +127,8 @@ pub trait Conn: Send + Sync {
         }
     }
 
-    /// The send-side event: ready when `send` would accept at least one
-    /// byte without blocking (window space, peer close, or error), so a
-    /// write can race timers and shutdown broadcasts in one
-    /// [`choose`] instead of committing to a
-    /// blocking `send` against a zero-window peer — see
-    /// [`send_all_within`]. Derived from [`Conn::readiness_fd`]; `None`
-    /// on transports without a readiness descriptor. Like
-    /// [`readiness_evt`], a commit is a level-style hint: perform the
-    /// actual `send` afterwards.
-    fn send_evt(&self) -> Option<Event<()>> {
-        self.readiness_fd()
-            .map(|fd| readiness_evt(&fd, Interest::Write))
-    }
-
     /// Closes the sending direction (further `recv`s by the peer will see
     /// end-of-stream once in-flight data drains).
-    ///
-    /// Transports without a readiness descriptor should also complete any
-    /// *pending local* `recv` with [`NetError::Closed`] once the
-    /// connection is fully closed: the fd-less receive pump of
-    /// [`SessionIo`] sits in a blocking `recv`, and close waking it is
-    /// what lets the pump observe its stop signal and exit instead of
-    /// blocking forever on a connection nobody will write to again.
     fn close(&self) -> ThreadM<()>;
 
     /// The remote endpoint.
@@ -262,27 +239,9 @@ pub enum SessionInput {
 /// Branch order is the deterministic tie-break and doubles as policy: at
 /// equal virtual time, pending bytes beat shutdown beat the idle
 /// deadline, so a shutting-down server still drains input that has
-/// already arrived.
-///
-/// # Transports without a readiness descriptor
-///
-/// When [`Conn::readiness_fd`] is `None` the receive itself cannot join
-/// the `choose`. The fallback is explicit rather than silent:
-///
-/// * with `idle_timeout == 0`, the call degrades to a plain blocking
-///   `recv` — no idle reaping, and shutdown is observed only between
-///   receives;
-/// * with `idle_timeout > 0`, the blocking `recv` is pumped through a
-///   one-shot helper thread and its completion channel races a
-///   *timer-only* `choose` (idle deadline + shutdown broadcast), so both
-///   deadlines are still honored exactly. If the deadline or the
-///   broadcast wins, the in-flight `recv` is abandoned and its eventual
-///   result discarded. Because the helper is forked per *call*, a session
-///   that ends on one of those outcomes strands it, blocked in `recv`
-///   forever — one leaked thread per reaped connection. Servers therefore
-///   use [`SessionIo`], which keeps a single cancellable pump for the
-///   whole session; this free function remains for one-shot waits where
-///   the session owns the connection's full lifetime.
+/// already arrived. A connection without a readiness descriptor cannot
+/// join the `choose` and is answered with a transport error
+/// ([`SessionInput::Data`] of `Err`).
 pub fn session_input(
     conn: &Arc<dyn Conn>,
     recv_chunk: usize,
@@ -290,20 +249,7 @@ pub fn session_input(
     shutdown: &Signal,
 ) -> ThreadM<SessionInput> {
     let Some(fd) = conn.readiness_fd() else {
-        if idle_timeout == 0 {
-            return conn.recv(recv_chunk).map(SessionInput::Data);
-        }
-        let pump: Chan<Result<Bytes, NetError>> = Chan::new();
-        let tx = pump.clone();
-        let recv = Arc::clone(conn);
-        let shutdown = shutdown.clone();
-        return sys_fork(recv.recv(recv_chunk).bind(move |r| tx.write(r))).bind(move |_| {
-            sync(choose(vec![
-                pump.read_evt().wrap(SessionInput::Data),
-                shutdown.wait_evt().wrap(|()| SessionInput::Shutdown),
-                timeout_evt(idle_timeout).wrap(|()| SessionInput::IdleTimeout),
-            ]))
-        });
+        return ThreadM::pure(SessionInput::Data(Err(no_readiness_fd())));
     };
     #[derive(Clone, Copy)]
     enum Wake {
@@ -329,171 +275,10 @@ pub fn session_input(
     })
 }
 
-/// A session's input endpoint: [`session_input`] composed once per
-/// *session* instead of once per call.
-///
-/// For fd-backed transports (and fd-less ones with no idle deadline) this
-/// is exactly the free function — nothing is forked, so nothing can leak.
-/// The difference is the fd-less fallback with an idle deadline: the free
-/// function forks a fresh receive helper on every call and strands it
-/// when the deadline or the shutdown broadcast wins, leaking one
-/// permanently-blocked thread per idle-reaped connection. `SessionIo`
-/// forks **one** pump, lazily on the first wait, reuses its completion
-/// channel across every subsequent [`input`](SessionIo::input), and tells
-/// it to stop via [`finish`](SessionIo::finish) (also fired on drop, so
-/// an exception that unwinds the session loop still releases the pump).
-///
-/// The pump can only exit from a blocking `recv` when that `recv`
-/// completes, which is why [`Conn::close`] on fd-less transports must
-/// complete pending receives with [`NetError::Closed`]: session end fires
-/// the stop signal, closes the connection, the pending `recv` returns,
-/// and the pump sees the signal and exits.
-pub struct SessionIo {
-    conn: Arc<dyn Conn>,
-    recv_chunk: usize,
-    idle_timeout: Nanos,
-    shutdown: Signal,
-    /// The pump's completion channel, created (and the pump forked) by
-    /// the first fd-less wait. Only the single session thread locks it.
-    pump: parking_lot::Mutex<Option<Chan<Result<Bytes, NetError>>>>,
-    /// Fired when the session ends; the pump re-checks it after every
-    /// delivery and exits instead of issuing another `recv`.
-    stop: Signal,
-}
-
-impl SessionIo {
-    /// A session-lifetime input endpoint over `conn`. Parameters mirror
-    /// [`session_input`]; `idle_timeout == 0` disables idle reaping.
-    pub fn new(
-        conn: Arc<dyn Conn>,
-        recv_chunk: usize,
-        idle_timeout: Nanos,
-        shutdown: Signal,
-    ) -> Arc<Self> {
-        Arc::new(SessionIo {
-            conn,
-            recv_chunk,
-            idle_timeout,
-            shutdown,
-            pump: parking_lot::Mutex::new(None),
-            stop: Signal::new(),
-        })
-    }
-
-    /// One composed wait: "receive OR time out OR shut down", exactly as
-    /// [`session_input`], but any helper thread it needs is per-session.
-    pub fn input(self: &Arc<Self>) -> ThreadM<SessionInput> {
-        if self.idle_timeout == 0 || self.conn.readiness_fd().is_some() {
-            return session_input(
-                &self.conn,
-                self.recv_chunk,
-                self.idle_timeout,
-                &self.shutdown,
-            );
-        }
-        // Fd-less with an idle deadline: race the session-lifetime pump's
-        // completion channel against the timer-only choose. The channel
-        // persists across calls, so a chunk the pump delivers while a
-        // previous wait committed elsewhere is picked up by the next wait
-        // rather than lost.
-        let (rx, start) = {
-            let mut pump = self.pump.lock();
-            match &*pump {
-                Some(c) => (c.clone(), None),
-                None => {
-                    let c: Chan<Result<Bytes, NetError>> = Chan::new();
-                    *pump = Some(c.clone());
-                    let body = pump_loop(
-                        Arc::clone(&self.conn),
-                        self.recv_chunk,
-                        self.stop.clone(),
-                        c.clone(),
-                    );
-                    (c, Some(body))
-                }
-            }
-        };
-        let shutdown = self.shutdown.clone();
-        let idle_timeout = self.idle_timeout;
-        let wait = sync(choose(vec![
-            rx.read_evt().wrap(SessionInput::Data),
-            shutdown.wait_evt().wrap(|()| SessionInput::Shutdown),
-            timeout_evt(idle_timeout).wrap(|()| SessionInput::IdleTimeout),
-        ]));
-        match start {
-            Some(body) => sys_fork(body).bind(move |_| wait),
-            None => wait,
-        }
-    }
-
-    /// Signals the pump (if one was forked) to exit. Idempotent; call on
-    /// every session-end path *before* closing the connection, so the
-    /// close-completed `recv` is the pump's last.
-    pub fn finish(&self) {
-        self.stop.fire();
-    }
-
-    /// True once a pump has been forked for this session (at most one,
-    /// ever — the regression surface of the per-call leak).
-    pub fn pump_forked(&self) -> bool {
-        self.pump.lock().is_some()
-    }
-}
-
-impl Drop for SessionIo {
-    fn drop(&mut self) {
-        // Backstop for sessions abandoned without reaching a clean end
-        // path (an exception unwound the loop): still release the pump.
-        self.stop.fire();
-    }
-}
-
-impl fmt::Debug for SessionIo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "SessionIo(idle={}, pump_forked={}, finished={})",
-            self.idle_timeout,
-            self.pump_forked(),
-            self.stop.is_fired()
-        )
-    }
-}
-
-/// The session-lifetime receive pump: blocking `recv`s forwarded into the
-/// completion channel until end-of-stream, a transport error, or the
-/// session's stop signal.
-fn pump_loop(
-    conn: Arc<dyn Conn>,
-    recv_chunk: usize,
-    stop: Signal,
-    tx: Chan<Result<Bytes, NetError>>,
-) -> ThreadM<()> {
-    loop_m((), move |()| {
-        if stop.is_fired() {
-            return ThreadM::pure(Loop::Break(()));
-        }
-        let tx = tx.clone();
-        let stop = stop.clone();
-        conn.recv(recv_chunk).bind(move |r| {
-            // EOF and errors are terminal for the connection, so they are
-            // terminal for the pump too — no further recv can succeed.
-            let terminal = match &r {
-                Ok(chunk) => chunk.is_empty(),
-                Err(_) => true,
-            };
-            // The channel is unbounded, so this never blocks: the only
-            // place the pump parks is the recv above, which Conn::close
-            // completes.
-            tx.write(r).map(move |()| {
-                if terminal || stop.is_fired() {
-                    Loop::Break(())
-                } else {
-                    Loop::Continue(())
-                }
-            })
-        })
-    })
+/// The error every composed wait answers a connection with when
+/// [`Conn::readiness_fd`] is `None`.
+fn no_readiness_fd() -> NetError {
+    NetError::Protocol("transport exposes no readiness descriptor".into())
 }
 
 /// Sends all of `data`, looping over partial [`Conn::send`]s.
@@ -584,18 +369,16 @@ pub enum SendInput {
 }
 
 /// Sends all of `data` like [`send_all`], but as a composed event wait:
-/// each round is one [`choose`] over write
-/// readiness ([`Conn::send_evt`]), an overall deadline (`timeout`
-/// nanoseconds from the start; `0` disables it) and a shutdown
+/// each round is one [`choose`] over write readiness, an overall deadline
+/// (`timeout` nanoseconds from the start; `0` disables it) and a shutdown
 /// broadcast — so a server never commits to a blocking `send` against a
 /// zero-window peer that will stall shutdown forever.
 ///
 /// Branch order mirrors [`session_input`]: at equal virtual time,
 /// writability beats shutdown beats the deadline, so already-possible
-/// progress is made even while shutting down. Transports without a
-/// readiness descriptor fall back — explicitly — to the plain blocking
-/// [`send_all`], where neither the deadline nor the broadcast can
-/// interrupt a stalled write.
+/// progress is made even while shutting down. A connection without a
+/// readiness descriptor is answered with a transport error
+/// ([`SendInput::Done`] of `Err`).
 pub fn send_all_within(
     conn: &Arc<dyn Conn>,
     data: Bytes,
@@ -603,7 +386,7 @@ pub fn send_all_within(
     shutdown: &Signal,
 ) -> ThreadM<SendInput> {
     let Some(fd) = conn.readiness_fd() else {
-        return send_all(conn, data).map(SendInput::Done);
+        return ThreadM::pure(SendInput::Done(Err(no_readiness_fd())));
     };
     enum Wake {
         Writable,
@@ -655,8 +438,8 @@ pub fn send_all_within(
 /// composed event wait — the vectored [`send_all_within`]: each round is
 /// one [`choose`] over write readiness, an overall deadline (`timeout`
 /// nanoseconds from the start; `0` disables it) and a shutdown broadcast.
-/// Branch order matches [`send_all_within`]; transports without a
-/// readiness descriptor fall back to the blocking [`send_all_vectored`].
+/// Branch order and the answer to a connection without a readiness
+/// descriptor match [`send_all_within`].
 pub fn send_all_within_vectored(
     conn: &Arc<dyn Conn>,
     mut bufs: Vec<Bytes>,
@@ -664,7 +447,7 @@ pub fn send_all_within_vectored(
     shutdown: &Signal,
 ) -> ThreadM<SendInput> {
     let Some(fd) = conn.readiness_fd() else {
-        return send_all_vectored(conn, bufs).map(SendInput::Done);
+        return ThreadM::pure(SendInput::Done(Err(no_readiness_fd())));
     };
     enum Wake {
         Writable,

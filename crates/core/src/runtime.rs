@@ -22,7 +22,7 @@ use crate::sched::ReadyQueue;
 
 use crate::engine::{self, CostKind, RuntimeCtx, WaitKind};
 use crate::exception::Exception;
-use crate::reactor::{DirectPort, EventPort, Unparker, Waiter};
+use crate::reactor::{EventPort, Unparker, Waiter};
 use crate::syscall::sys_try;
 use crate::task::{Task, TaskId, TaskShell};
 use crate::thread::ThreadM;
@@ -94,7 +94,7 @@ impl Stats {
     pub fn charge(&self, cost: CostKind) {
         match cost {
             CostKind::Step => self.steps.fetch_add(1, Ordering::Relaxed),
-            CostKind::Fork => self.spawned.fetch_add(0, Ordering::Relaxed), // counted via task_spawned
+            CostKind::Fork => 0, // counted via task_spawned
             CostKind::CtxSwitch => self.ctx_switches.fetch_add(1, Ordering::Relaxed),
             CostKind::EpollRegister => self.epoll_registrations.fetch_add(1, Ordering::Relaxed),
             CostKind::Wake => self.wakes.fetch_add(1, Ordering::Relaxed),
@@ -135,10 +135,6 @@ pub struct Config {
     /// Non-blocking steps a thread may run before being preempted
     /// ("executed for a large number of steps before switching", §4.2).
     pub slice: usize,
-    /// Route readiness/completion events through dedicated `worker_epoll` /
-    /// `worker_aio` loops (the paper's architecture) instead of waking
-    /// inline. Toggled by the scheduler-architecture ablation.
-    pub queued_event_loops: bool,
     /// Per-worker ready deques with work stealing instead of the paper's
     /// single shared queue — the improvement §4.4 proposes as future work.
     pub work_stealing: bool,
@@ -150,7 +146,6 @@ impl Default for Config {
             workers: 2,
             blio_threads: 2,
             slice: 256,
-            queued_event_loops: true,
             work_stealing: false,
         }
     }
@@ -178,13 +173,6 @@ impl RuntimeBuilder {
     /// Sets the preemption slice (non-blocking steps per scheduling turn).
     pub fn slice(mut self, steps: usize) -> Self {
         self.config.slice = steps.max(1);
-        self
-    }
-
-    /// Chooses between queued event loops (paper architecture) and inline
-    /// wakeups.
-    pub fn queued_event_loops(mut self, queued: bool) -> Self {
-        self.config.queued_event_loops = queued;
         self
     }
 
@@ -358,18 +346,10 @@ impl RuntimeCtx for RtInner {
         self.stats.charge(cost);
     }
     fn epoll_port(&self) -> Arc<dyn EventPort> {
-        if self.config.queued_event_loops {
-            Arc::clone(&self.epoll_queue) as Arc<dyn EventPort>
-        } else {
-            Arc::new(DirectPort)
-        }
+        Arc::clone(&self.epoll_queue) as Arc<dyn EventPort>
     }
     fn aio_port(&self) -> Arc<dyn EventPort> {
-        if self.config.queued_event_loops {
-            Arc::clone(&self.aio_queue) as Arc<dyn EventPort>
-        } else {
-            Arc::new(DirectPort)
-        }
+        Arc::clone(&self.aio_queue) as Arc<dyn EventPort>
     }
     fn sleep(&self, dur: Nanos, task: Task) {
         self.timer

@@ -15,8 +15,8 @@
 //!   [`Listener::accept_evt`] and the
 //!   shutdown broadcast — no supervisor thread closes the listener; the
 //!   losing branch simply is the shutdown;
-//! * each **session** waits on its
-//!   [`SessionIo`] input — one `choose` over
+//! * each **session** waits on
+//!   [`session_input`] — one `choose` over
 //!   socket readiness, the idle deadline and the same broadcast;
 //! * the server tracks connection counts and exposes a **graceful drain**
 //!   signal that fires once shutdown has been requested and the last
@@ -72,7 +72,7 @@ use parking_lot::Mutex;
 use crate::do_m;
 use crate::event::{choose, sync, Signal};
 use crate::exception::Exception;
-use crate::net::{Conn, Listener, NetError, NetStack, SessionInput, SessionIo};
+use crate::net::{session_input, Conn, Listener, NetError, NetStack, SessionInput};
 use crate::syscall::{span, sys_catch, sys_fork, sys_nbio, sys_throw};
 use crate::telemetry::metrics::{Counter, Gauge};
 use crate::telemetry::Telemetry;
@@ -516,44 +516,35 @@ fn accept_loop<S: Service>(srv: Arc<Server<S>>, listener: Arc<dyn Listener>) -> 
 /// service decision.
 fn session<S: Service>(srv: Arc<Server<S>>, conn: Arc<dyn Conn>) -> ThreadM<()> {
     let state = srv.service.open(&conn);
-    // One input endpoint for the whole session: on fd-less transports the
-    // receive pump is forked once and told to stop on every end path (and
-    // on drop), instead of a fresh helper per wait that outlives a reaped
-    // session — see `SessionIo`.
-    let io = SessionIo::new(
-        Arc::clone(&conn),
-        srv.cfg.recv_chunk,
-        srv.cfg.idle_timeout,
-        srv.shutdown.clone(),
-    );
     loop_m(state, move |state| {
         let srv = Arc::clone(&srv);
         let conn = Arc::clone(&conn);
-        let io = Arc::clone(&io);
-        io.input().bind(move |input| match input {
+        session_input(
+            &conn,
+            srv.cfg.recv_chunk,
+            srv.cfg.idle_timeout,
+            &srv.shutdown,
+        )
+        .bind(move |input| match input {
             SessionInput::Data(Ok(chunk)) if chunk.is_empty() => {
                 srv.service.on_end(&SessionEnd::PeerClosed);
-                io.finish();
                 conn.close().map(|_| Loop::Break(()))
             }
             SessionInput::Data(Ok(chunk)) => {
                 let srv2 = Arc::clone(&srv);
                 let conn2 = Arc::clone(&conn);
-                let io2 = Arc::clone(&io);
                 srv.service
                     .on_chunk(Arc::clone(&conn), state, chunk)
                     .bind(move |step| match step {
                         Step::Continue(next) => ThreadM::pure(Loop::Continue(next)),
                         Step::Close => {
                             srv2.service.on_end(&SessionEnd::ServiceClosed);
-                            io2.finish();
                             conn2.close().map(|_| Loop::Break(()))
                         }
                     })
             }
             SessionInput::Data(Err(e)) => {
                 srv.service.on_end(&SessionEnd::TransportError(e));
-                io.finish();
                 ThreadM::pure(Loop::Break(()))
             }
             SessionInput::IdleTimeout => {
@@ -561,12 +552,10 @@ fn session<S: Service>(srv: Arc<Server<S>>, conn: Arc<dyn Conn>) -> ThreadM<()> 
                 // untouched (each races its own deadline).
                 srv.stats.idle_reaped.incr();
                 srv.service.on_end(&SessionEnd::Idle);
-                io.finish();
                 conn.close().map(|_| Loop::Break(()))
             }
             SessionInput::Shutdown => {
                 srv.service.on_end(&SessionEnd::Shutdown);
-                io.finish();
                 conn.close().map(|_| Loop::Break(()))
             }
         })

@@ -14,7 +14,9 @@
 //! maintains its own LRU byte cache because the paper's server
 //! "implements its own caching" to exploit Linux AIO. The socket stack is
 //! injected ([`NetStack`]), so switching to the application-level TCP
-//! stack is the paper's one-line change.
+//! stack is the paper's one-line change: every wait on a connection goes
+//! through its readiness descriptor (`Conn::readiness_fd`), which both
+//! stacks expose.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

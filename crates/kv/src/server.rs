@@ -10,7 +10,8 @@
 //! sharded store, and the janitor thread. The socket layer is the paper's
 //! one-line [`NetStack`] switch, so the same server runs over simulated
 //! kernel sockets or the application-level TCP stack without any code
-//! change.
+//! change: every wait on a connection goes through its readiness
+//! descriptor (`Conn::readiness_fd`), which both stacks expose.
 //!
 //! Pipelining falls out of the incremental parser: every complete command
 //! already buffered is executed and its replies are coalesced into a

@@ -19,9 +19,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth::cluster::{HashRing, Router, RouterConfig};
-use eveth::core::net::{
-    recv_to_end, send_all, Conn, Endpoint, HostId, Listener, NetError, NetStack,
-};
+use eveth::core::net::{recv_to_end, send_all, Conn, Endpoint, HostId, NetStack};
 use eveth::core::time::MILLIS;
 use eveth::glue;
 use eveth::kv::protocol::ReplyParser;
@@ -621,55 +619,12 @@ fn replicated_conditional_writes_stay_on_the_primary() {
     );
 }
 
-/// A transport veil that hides readiness descriptors: every call
-/// delegates, but `readiness_fd` stays `None` (the trait default), so
-/// the router's fan-in cannot compose its wait with a timer event and
-/// must fall back to the pumped blocking recv.
-struct FdLessConn(Arc<dyn Conn>);
-
-impl Conn for FdLessConn {
-    fn recv(&self, max: usize) -> ThreadM<Result<Bytes, NetError>> {
-        self.0.recv(max)
-    }
-    fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
-        self.0.send(data)
-    }
-    fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>> {
-        self.0.sendv(bufs)
-    }
-    fn close(&self) -> ThreadM<()> {
-        self.0.close()
-    }
-    fn peer(&self) -> Endpoint {
-        self.0.peer()
-    }
-    fn local(&self) -> Endpoint {
-        self.0.local()
-    }
-}
-
-struct FdLessStack(Arc<dyn NetStack>);
-
-impl NetStack for FdLessStack {
-    fn listen(&self, port: u16) -> ThreadM<Result<Arc<dyn Listener>, NetError>> {
-        self.0.listen(port)
-    }
-    fn connect(&self, remote: Endpoint) -> ThreadM<Result<Arc<dyn Conn>, NetError>> {
-        self.0
-            .connect(remote)
-            .map(|got| got.map(|c| Arc::new(FdLessConn(c)) as Arc<dyn Conn>))
-    }
-    fn host(&self) -> HostId {
-        self.0.host()
-    }
-}
-
 #[test]
-fn fd_less_transport_still_honors_the_backend_timeout() {
-    // The router dials its backends through a stack whose connections
-    // expose no readiness fd, against a black-hole backend that accepts
-    // and reads but never replies. backend_timeout must still bound the
-    // wait: the client gets SERVER_ERROR instead of a wedged session.
+fn silent_backend_times_out_into_server_error_on_kernel_sockets() {
+    // A black-hole backend accepts and reads but never replies.
+    // backend_timeout must bound the fan-in wait on the kernel-socket
+    // model (the partition test covers app-TCP): the client gets
+    // SERVER_ERROR instead of a wedged session.
     let sim = SimRuntime::new_default();
     let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
 
@@ -690,7 +645,7 @@ fn fd_less_transport_still_honors_the_backend_timeout() {
     });
 
     let router = Router::new(
-        Arc::new(FdLessStack(fabric.stack(HostId(10)))),
+        fabric.stack(HostId(10)),
         RouterConfig {
             port: ROUTER_PORT,
             backends: vec![backend(1)],
@@ -700,8 +655,6 @@ fn fd_less_transport_still_honors_the_backend_timeout() {
     );
     sim.spawn(router.run());
 
-    // The client dials the router's *listening* side, which FdLessStack
-    // delegates unwrapped — only the router→backend conns are fd-less.
     let client = fabric.stack(HostId(20));
     let got = sim
         .block_on(do_m! {
@@ -712,6 +665,6 @@ fn fd_less_transport_still_honors_the_backend_timeout() {
     assert_eq!(
         String::from_utf8(got).unwrap(),
         "SERVER_ERROR backend unavailable\r\n",
-        "a silent backend on an fd-less transport must time out, not hang"
+        "a silent backend must time out, not hang"
     );
 }

@@ -11,9 +11,10 @@
 //! * `send_all_within` races a write against a deadline and the shutdown
 //!   broadcast over the lossy application-level TCP stack — a zero-window
 //!   peer can no longer stall the sender forever;
-//! * the fd-less `session_input` fallback is explicit: a `Conn` stub
-//!   without a readiness descriptor still honors the idle deadline and
-//!   the shutdown broadcast through a timer-only `choose`;
+//! * readiness is the only way to wait on a connection: a `Conn` without
+//!   a readiness descriptor gets a transport error from `session_input`,
+//!   `send_all_within_vectored` and the router's fan-in — never a hang,
+//!   never a forked helper thread;
 //! * a `Server<S>`-hosted service stays deterministic: same seed + config
 //!   ⇒ byte-identical `SimReport` at every CPU count, with identical
 //!   service-visible results across `cpus ∈ {1, 4}`.
@@ -22,12 +23,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use eveth::core::event::{choose, never, sync, timeout_evt, Event, Signal};
+use eveth::cluster::{Router, RouterConfig};
+use eveth::core::event::{choose, never, sync, timeout_evt, Signal};
 use eveth::core::net::{
-    queue_accept_evt, recv_exact, send_all, send_all_within, session_input, Conn, Endpoint, HostId,
-    Listener, NetError, NetStack, SendInput, SessionInput,
+    queue_accept_evt, recv_exact, send_all, send_all_within, send_all_within_vectored,
+    session_input, Conn, Endpoint, HostId, Listener, NetError, NetStack, SendInput, SessionInput,
 };
-use eveth::core::reactor::AcceptQueue;
+use eveth::core::reactor::{AcceptQueue, Fd};
 use eveth::core::service::{Server, ServerConfig, Service, Step};
 use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep, sys_time};
 use eveth::core::time::{Nanos, MILLIS, SECS};
@@ -298,16 +300,22 @@ fn send_all_within_observes_the_shutdown_broadcast() {
 }
 
 // ---------------------------------------------------------------------------
-// The fd-less session_input fallback.
+// Readiness is the only way to wait on a connection.
 // ---------------------------------------------------------------------------
 
-/// A transport without a readiness descriptor whose recv never completes —
-/// the degenerate case the fallback pump exists for.
-struct NoFdConn;
+/// A transport without a readiness descriptor: recv never completes and
+/// send swallows everything, so a wait that falls back to calling them
+/// directly — or forks a helper to — shows up as a hang, a silently
+/// "successful" blocking send, or a leaked thread.
+struct BlindConn;
 
-impl Conn for NoFdConn {
+impl Conn for BlindConn {
     fn recv(&self, _max: usize) -> ThreadM<Result<Bytes, NetError>> {
         sync(never())
+    }
+
+    fn readiness_fd(&self) -> Option<Fd> {
+        None
     }
 
     fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
@@ -327,175 +335,91 @@ impl Conn for NoFdConn {
     }
 }
 
-#[test]
-fn fdless_conn_still_honors_idle_timeout_via_timer_only_choose() {
-    const IDLE: Nanos = 5 * MILLIS;
-    let sim = SimRuntime::new_default();
-    let conn: Arc<dyn Conn> = Arc::new(NoFdConn);
-    assert!(conn.readiness_fd().is_none());
-    assert!(conn.send_evt().is_none(), "no fd ⇒ no send event either");
-    let (input, woke_at) = sim
-        .block_on(do_m! {
-            let input <- session_input(&conn, 1024, IDLE, &Signal::new());
-            let now <- sys_time();
-            ThreadM::pure((input, now))
-        })
-        .unwrap();
-    assert!(
-        matches!(input, SessionInput::IdleTimeout),
-        "stub without an fd must still be idle-reaped: {input:?}"
-    );
-    assert!(
-        (IDLE..3 * IDLE).contains(&woke_at),
-        "reaped at ≈ the idle deadline: {woke_at}"
-    );
+/// Listens on the real stack, but every outbound connection is a
+/// [`BlindConn`].
+struct BlindDialStack(Arc<dyn NetStack>);
 
-    // The same fallback observes the shutdown broadcast.
-    let sim = SimRuntime::new_default();
-    let conn: Arc<dyn Conn> = Arc::new(NoFdConn);
-    let stop = Signal::new();
-    {
-        let stop = stop.clone();
-        sim.spawn(do_m! {
-            sys_sleep(2 * MILLIS);
-            sys_nbio(move || stop.fire())
-        });
-    }
-    let input = sim
-        .block_on(session_input(&conn, 1024, 60 * SECS, &stop))
-        .unwrap();
-    assert!(
-        matches!(input, SessionInput::Shutdown),
-        "broadcast beats a distant idle deadline: {input:?}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Per-session pump hygiene on fd-less transports.
-// ---------------------------------------------------------------------------
-
-/// An fd-less transport whose `recv` parks until the connection is
-/// closed, then completes with `Err(Closed)` — the contract
-/// [`Conn::close`] documents for transports without a readiness
-/// descriptor, and the hook that lets a session's receive pump exit.
-struct StallConn {
-    closed: Signal,
-}
-
-impl Conn for StallConn {
-    fn recv(&self, _max: usize) -> ThreadM<Result<Bytes, NetError>> {
-        sync(self.closed.wait_evt().wrap(|()| Err(NetError::Closed)))
-    }
-
-    fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
-        ThreadM::pure(Ok(data.len()))
-    }
-
-    fn close(&self) -> ThreadM<()> {
-        let closed = self.closed.clone();
-        sys_nbio(move || closed.fire())
-    }
-
-    fn peer(&self) -> Endpoint {
-        Endpoint::new(HostId(99), 2)
-    }
-
-    fn local(&self) -> Endpoint {
-        Endpoint::new(HostId(98), 2)
-    }
-}
-
-/// A listener/stack pair over a bare [`AcceptQueue`], so a `Server<S>` can
-/// be fed hand-built fd-less connections.
-struct StubListener {
-    q: Arc<AcceptQueue<Arc<dyn Conn>>>,
-}
-
-impl Listener for StubListener {
-    fn accept_evt(&self) -> Event<Result<Arc<dyn Conn>, NetError>> {
-        queue_accept_evt(Arc::clone(&self.q), |c| c)
-    }
-
-    fn local(&self) -> Endpoint {
-        Endpoint::new(HostId(98), 2)
-    }
-
-    fn shutdown(&self) {
-        self.q.close();
-    }
-}
-
-struct StubStack {
-    q: Arc<AcceptQueue<Arc<dyn Conn>>>,
-}
-
-impl NetStack for StubStack {
-    fn listen(&self, _port: u16) -> ThreadM<Result<Arc<dyn Listener>, NetError>> {
-        let lst: Arc<dyn Listener> = Arc::new(StubListener {
-            q: Arc::clone(&self.q),
-        });
-        ThreadM::pure(Ok(lst))
+impl NetStack for BlindDialStack {
+    fn listen(&self, port: u16) -> ThreadM<Result<Arc<dyn Listener>, NetError>> {
+        self.0.listen(port)
     }
 
     fn connect(&self, _remote: Endpoint) -> ThreadM<Result<Arc<dyn Conn>, NetError>> {
-        ThreadM::pure(Err(NetError::Unreachable))
+        ThreadM::pure(Ok(Arc::new(BlindConn) as Arc<dyn Conn>))
     }
 
     fn host(&self) -> HostId {
-        HostId(98)
+        self.0.host()
     }
 }
 
-/// Idle-reaping N stalled fd-less sessions must not strand their receive
-/// helpers: the per-session pump observes close + stop and exits. Before
-/// `SessionIo` the fallback forked a helper per *wait*, so this scenario
-/// leaked one permanently-blocked thread (and its span) per reaped
-/// connection — `live_threads()` would read `1 + STALLED` here.
 #[test]
-fn idle_reaped_fdless_sessions_leave_no_orphan_pump_threads() {
-    const STALLED: usize = 32;
-    const IDLE: Nanos = 5 * MILLIS;
+fn conn_without_readiness_fd_gets_a_transport_error_not_a_helper_thread() {
     let sim = SimRuntime::new_default();
-    let q: Arc<AcceptQueue<Arc<dyn Conn>>> = Arc::new(AcceptQueue::new());
-    let server = Server::new(
-        Arc::new(StubStack { q: Arc::clone(&q) }) as Arc<dyn NetStack>,
-        Echo {
-            chunks: AtomicU64::new(0),
-        },
-        ServerConfig {
-            idle_timeout: IDLE,
+    let conn: Arc<dyn Conn> = Arc::new(BlindConn);
+    let threads = sim.live_threads();
+
+    // An idle deadline is configured, so a timer-only fallback would
+    // answer IdleTimeout (and strand a forked recv) instead.
+    let input = sim
+        .block_on(session_input(&conn, 1024, 5 * MILLIS, &Signal::new()))
+        .unwrap();
+    assert!(
+        matches!(input, SessionInput::Data(Err(NetError::Protocol(_)))),
+        "session_input: {input:?}"
+    );
+    let sent = sim
+        .block_on(send_all_within_vectored(
+            &conn,
+            vec![Bytes::from_static(b"reply")],
+            0,
+            &Signal::new(),
+        ))
+        .unwrap();
+    assert!(
+        matches!(sent, SendInput::Done(Err(NetError::Protocol(_)))),
+        "send_all_within_vectored: {sent:?}"
+    );
+    assert_eq!(sim.live_threads(), threads, "no helper thread was forked");
+    assert!(
+        sim.clock().now() < MILLIS,
+        "answered at once, not at the idle deadline"
+    );
+
+    // The router's fan-in, with no backend timeout to bail it out: the
+    // descriptor-less lane is written off like a failed backend.
+    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let router = Router::new(
+        Arc::new(BlindDialStack(fabric.stack(HostId(10)))),
+        RouterConfig {
+            port: 11311,
+            backends: vec![Endpoint::new(HostId(1), 11211)],
+            backend_timeout: 0,
             ..Default::default()
         },
     );
-    sim.spawn(server.run());
-    {
-        let q = Arc::clone(&q);
-        sim.spawn(sys_nbio(move || {
-            for _ in 0..STALLED {
-                let conn: Arc<dyn Conn> = Arc::new(StallConn {
-                    closed: Signal::new(),
-                });
-                assert!(q.push(conn).is_ok());
-            }
-        }));
-    }
-    sim.run();
-    assert_eq!(
-        server.stats().idle_reaped.get(),
-        STALLED as u64,
-        "every stalled session was idle-reaped"
-    );
-    assert_eq!(server.active(), 0);
-    assert_eq!(
-        sim.live_threads(),
-        1,
-        "only the acceptor remains parked: no orphaned receive pumps"
-    );
-
-    server.shutdown();
-    sim.run();
-    assert!(server.drained_signal().is_fired());
-    assert_eq!(sim.live_threads(), 0, "acceptor exits on shutdown");
+    sim.spawn(router.run());
+    let client = fabric.stack(HostId(20));
+    let conn = sim
+        .block_on(do_m! {
+            let conn <- client.connect(Endpoint::new(HostId(10), 11311));
+            // Let the router accept, so its session thread is counted.
+            sys_sleep(MILLIS);
+            ThreadM::pure(conn.unwrap())
+        })
+        .unwrap();
+    let threads = sim.live_threads();
+    let reply = sim
+        .block_on(do_m! {
+            let sent <- send_all(&conn, Bytes::from_static(b"get k\r\n"));
+            let _ = sent.unwrap();
+            conn.recv(1024)
+        })
+        .unwrap()
+        .unwrap();
+    assert_eq!(&reply[..], b"SERVER_ERROR backend unavailable\r\n");
+    assert_eq!(router.stats().backend_errors.get(), 1);
+    assert_eq!(sim.live_threads(), threads, "fan-in forked no helper");
 }
 
 // ---------------------------------------------------------------------------
