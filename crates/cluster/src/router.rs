@@ -63,12 +63,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::event::{choose, readiness_evt, sync, timeout_evt, Signal};
-use eveth_core::net::{
-    send_all, send_all_vectored, send_all_within_vectored, Conn, Endpoint, NetError, NetStack,
-    SendInput,
-};
+use eveth_core::net::{send_all, Conn, Endpoint, NetError, NetStack};
 use eveth_core::reactor::Interest;
-use eveth_core::service::{Server, ServerConfig, ServerStats as FrameworkStats, Service, Step};
+use eveth_core::service::{ReplyHandle, Server, ServerConfig, Service, Step};
 use eveth_core::syscall::sys_time;
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::telemetry::Telemetry;
@@ -166,14 +163,6 @@ pub struct RouterStats {
     pub protocol_errors: Counter,
 }
 
-/// Lifecycle pieces handed down by the framework once, kept for the
-/// client reply path (bounded sends racing the shutdown broadcast).
-struct Lifecycle {
-    shutdown: Signal,
-    send_timeout: Nanos,
-    framework: Arc<FrameworkStats>,
-}
-
 /// State shared by every router session.
 struct RouterShared {
     stack: Arc<dyn NetStack>,
@@ -183,7 +172,9 @@ struct RouterShared {
     /// Circuit breaker: backends written off until the stored virtual
     /// time (a small linear list, like the pool — N is the ring size).
     down: Mutex<Vec<(Endpoint, Nanos)>>,
-    lifecycle: std::sync::OnceLock<Lifecycle>,
+    /// The framework's reply path, handed down once by
+    /// [`Service::attach_lifecycle`].
+    replies: std::sync::OnceLock<ReplyHandle>,
 }
 
 impl RouterShared {
@@ -224,25 +215,12 @@ impl RouterShared {
                 .is_none_or(|p| key.starts_with(p))
     }
 
-    /// Sends the assembled client reply, bounded by the configured send
-    /// timeout when one is set (mirrors the KV server's reply path).
+    /// Sends the assembled client reply on the framework's reply path.
     fn send_client(&self, conn: &Arc<dyn Conn>, bufs: Vec<Bytes>) -> ThreadM<Result<(), NetError>> {
-        match self.lifecycle.get() {
-            Some(lc) if lc.send_timeout > 0 => {
-                let framework = Arc::clone(&lc.framework);
-                send_all_within_vectored(conn, bufs, lc.send_timeout, &lc.shutdown).map(
-                    move |out| match out {
-                        SendInput::Done(r) => r,
-                        SendInput::Timeout => {
-                            framework.send_timeouts.incr();
-                            Err(NetError::Timeout)
-                        }
-                        SendInput::Shutdown => Err(NetError::Closed),
-                    },
-                )
-            }
-            _ => send_all_vectored(conn, bufs),
-        }
+        self.replies
+            .get()
+            .expect("Server::new attaches the reply handle")
+            .send_vectored(conn, bufs)
     }
 }
 
@@ -1112,12 +1090,8 @@ impl Service for RouterService {
         })
     }
 
-    fn attach_lifecycle(&self, shutdown: &Signal, cfg: &ServerConfig, stats: &Arc<FrameworkStats>) {
-        let _ = self.shared.lifecycle.set(Lifecycle {
-            shutdown: shutdown.clone(),
-            send_timeout: cfg.send_timeout,
-            framework: Arc::clone(stats),
-        });
+    fn attach_lifecycle(&self, replies: &ReplyHandle) {
+        let _ = self.shared.replies.set(replies.clone());
     }
 }
 
@@ -1161,7 +1135,7 @@ impl Router {
             ring: Mutex::new(Arc::new(ring)),
             stats: Arc::new(RouterStats::default()),
             down: Mutex::new(Vec::new()),
-            lifecycle: std::sync::OnceLock::new(),
+            replies: std::sync::OnceLock::new(),
             cfg: cfg.clone(),
         });
         let server = Server::new(

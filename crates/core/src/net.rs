@@ -16,7 +16,7 @@ use crate::event::{
     branch_waiter, choose, never, readiness_evt, sync, timeout_evt, Branch, Event, Registration,
     Signal,
 };
-use crate::reactor::{AcceptQueue, Interest};
+use crate::reactor::{AcceptQueue, Fd, Interest};
 use crate::syscall::sys_time;
 use crate::thread::{loop_m, Loop, ThreadM};
 use crate::time::Nanos;
@@ -368,17 +368,42 @@ pub enum SendInput {
     Shutdown,
 }
 
+/// What woke one round of a bounded send.
+enum SendWake {
+    Writable,
+    Timeout,
+    Shutdown,
+}
+
+/// One round's wait of a bounded send: a [`choose`] over write
+/// readiness, the shutdown broadcast and what is left of the overall
+/// deadline. Branch order mirrors [`session_input`]: at equal virtual
+/// time, writability beats shutdown beats the deadline, so
+/// already-possible progress is made even while shutting down.
+fn send_wait(fd: &Fd, shutdown: &Signal, deadline: Option<Nanos>) -> ThreadM<SendWake> {
+    let fd = fd.clone();
+    let shutdown = shutdown.clone();
+    sys_time().bind(move |now| {
+        let deadline_evt = match deadline {
+            Some(d) => timeout_evt(d.saturating_sub(now)),
+            None => never(),
+        };
+        sync(choose(vec![
+            readiness_evt(&fd, Interest::Write).wrap(|()| SendWake::Writable),
+            shutdown.wait_evt().wrap(|()| SendWake::Shutdown),
+            deadline_evt.wrap(|()| SendWake::Timeout),
+        ]))
+    })
+}
+
 /// Sends all of `data` like [`send_all`], but as a composed event wait:
 /// each round is one [`choose`] over write readiness, an overall deadline
 /// (`timeout` nanoseconds from the start; `0` disables it) and a shutdown
 /// broadcast — so a server never commits to a blocking `send` against a
 /// zero-window peer that will stall shutdown forever.
 ///
-/// Branch order mirrors [`session_input`]: at equal virtual time,
-/// writability beats shutdown beats the deadline, so already-possible
-/// progress is made even while shutting down. A connection without a
-/// readiness descriptor is answered with a transport error
-/// ([`SendInput::Done`] of `Err`).
+/// A connection without a readiness descriptor is answered with a
+/// transport error ([`SendInput::Done`] of `Err`).
 pub fn send_all_within(
     conn: &Arc<dyn Conn>,
     data: Bytes,
@@ -388,11 +413,6 @@ pub fn send_all_within(
     let Some(fd) = conn.readiness_fd() else {
         return ThreadM::pure(SendInput::Done(Err(no_readiness_fd())));
     };
-    enum Wake {
-        Writable,
-        Timeout,
-        Shutdown,
-    }
     let conn = Arc::clone(conn);
     let shutdown = shutdown.clone();
     sys_time().bind(move |t0| {
@@ -402,44 +422,29 @@ pub fn send_all_within(
                 return ThreadM::pure(Loop::Break(SendInput::Done(Ok(()))));
             }
             let conn = Arc::clone(&conn);
-            let fd = fd.clone();
-            let shutdown = shutdown.clone();
-            sys_time().bind(move |now| {
-                let deadline_evt = match deadline {
-                    Some(d) => timeout_evt(d.saturating_sub(now)),
-                    None => never(),
-                };
-                sync(choose(vec![
-                    readiness_evt(&fd, Interest::Write).wrap(|()| Wake::Writable),
-                    shutdown.wait_evt().wrap(|()| Wake::Shutdown),
-                    deadline_evt.wrap(|()| Wake::Timeout),
-                ]))
-                .bind(move |wake| match wake {
-                    Wake::Timeout => ThreadM::pure(Loop::Break(SendInput::Timeout)),
-                    Wake::Shutdown => ThreadM::pure(Loop::Break(SendInput::Shutdown)),
-                    Wake::Writable => conn.send(remaining.clone()).map(move |r| match r {
-                        Ok(n) => {
-                            let rest = remaining.slice(n..);
-                            if rest.is_empty() {
-                                Loop::Break(SendInput::Done(Ok(())))
-                            } else {
-                                Loop::Continue(rest)
-                            }
+            send_wait(&fd, &shutdown, deadline).bind(move |wake| match wake {
+                SendWake::Timeout => ThreadM::pure(Loop::Break(SendInput::Timeout)),
+                SendWake::Shutdown => ThreadM::pure(Loop::Break(SendInput::Shutdown)),
+                SendWake::Writable => conn.send(remaining.clone()).map(move |r| match r {
+                    Ok(n) => {
+                        let rest = remaining.slice(n..);
+                        if rest.is_empty() {
+                            Loop::Break(SendInput::Done(Ok(())))
+                        } else {
+                            Loop::Continue(rest)
                         }
-                        Err(e) => Loop::Break(SendInput::Done(Err(e))),
-                    }),
-                })
+                    }
+                    Err(e) => Loop::Break(SendInput::Done(Err(e))),
+                }),
             })
         })
     })
 }
 
 /// Sends every byte of every buffer like [`send_all_vectored`], but as a
-/// composed event wait — the vectored [`send_all_within`]: each round is
-/// one [`choose`] over write readiness, an overall deadline (`timeout`
-/// nanoseconds from the start; `0` disables it) and a shutdown broadcast.
-/// Branch order and the answer to a connection without a readiness
-/// descriptor match [`send_all_within`].
+/// composed event wait — the vectored [`send_all_within`], with the same
+/// per-round wait and the same answer to a connection without a
+/// readiness descriptor.
 pub fn send_all_within_vectored(
     conn: &Arc<dyn Conn>,
     mut bufs: Vec<Bytes>,
@@ -449,11 +454,6 @@ pub fn send_all_within_vectored(
     let Some(fd) = conn.readiness_fd() else {
         return ThreadM::pure(SendInput::Done(Err(no_readiness_fd())));
     };
-    enum Wake {
-        Writable,
-        Timeout,
-        Shutdown,
-    }
     let conn = Arc::clone(conn);
     let shutdown = shutdown.clone();
     bufs.retain(|b| !b.is_empty());
@@ -464,36 +464,23 @@ pub fn send_all_within_vectored(
                 return ThreadM::pure(Loop::Break(SendInput::Done(Ok(()))));
             }
             let conn = Arc::clone(&conn);
-            let fd = fd.clone();
-            let shutdown = shutdown.clone();
-            sys_time().bind(move |now| {
-                let deadline_evt = match deadline {
-                    Some(d) => timeout_evt(d.saturating_sub(now)),
-                    None => never(),
-                };
-                sync(choose(vec![
-                    readiness_evt(&fd, Interest::Write).wrap(|()| Wake::Writable),
-                    shutdown.wait_evt().wrap(|()| Wake::Shutdown),
-                    deadline_evt.wrap(|()| Wake::Timeout),
-                ]))
-                .bind(move |wake| match wake {
-                    Wake::Timeout => ThreadM::pure(Loop::Break(SendInput::Timeout)),
-                    Wake::Shutdown => ThreadM::pure(Loop::Break(SendInput::Shutdown)),
-                    Wake::Writable => {
-                        let attempt = remaining.clone();
-                        conn.sendv(attempt).map(move |r| match r {
-                            Ok(n) => {
-                                advance_bufs(&mut remaining, n);
-                                if remaining.is_empty() {
-                                    Loop::Break(SendInput::Done(Ok(())))
-                                } else {
-                                    Loop::Continue(remaining)
-                                }
+            send_wait(&fd, &shutdown, deadline).bind(move |wake| match wake {
+                SendWake::Timeout => ThreadM::pure(Loop::Break(SendInput::Timeout)),
+                SendWake::Shutdown => ThreadM::pure(Loop::Break(SendInput::Shutdown)),
+                SendWake::Writable => {
+                    let attempt = remaining.clone();
+                    conn.sendv(attempt).map(move |r| match r {
+                        Ok(n) => {
+                            advance_bufs(&mut remaining, n);
+                            if remaining.is_empty() {
+                                Loop::Break(SendInput::Done(Ok(())))
+                            } else {
+                                Loop::Continue(remaining)
                             }
-                            Err(e) => Loop::Break(SendInput::Done(Err(e))),
-                        })
-                    }
-                })
+                        }
+                        Err(e) => Loop::Break(SendInput::Done(Err(e))),
+                    })
+                }
             })
         })
     })

@@ -87,8 +87,9 @@ pub trait EventPort: Send + Sync {
 }
 
 /// An [`EventPort`] that unparks inline, bypassing any event-loop queue.
-/// Used by the local executor, by tests, and as an ablation of the paper's
-/// queued architecture.
+/// The inner port of every `choose` branch waiter
+/// ([`branch_waiter`](crate::event::branch_waiter)), and what unit tests
+/// hand to a [`Waiter`] they wake by hand.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DirectPort;
 

@@ -72,7 +72,10 @@ use parking_lot::Mutex;
 use crate::do_m;
 use crate::event::{choose, sync, Signal};
 use crate::exception::Exception;
-use crate::net::{session_input, Conn, Listener, NetError, NetStack, SessionInput};
+use crate::net::{
+    send_all, send_all_vectored, send_all_within, send_all_within_vectored, session_input, Conn,
+    Listener, NetError, NetStack, SendInput, SessionInput,
+};
 use crate::syscall::{span, sys_catch, sys_fork, sys_nbio, sys_throw};
 use crate::telemetry::metrics::{Counter, Gauge};
 use crate::telemetry::Telemetry;
@@ -150,13 +153,72 @@ pub trait Service: Send + Sync + 'static {
     }
 
     /// Wiring hook, called once from [`Server::new`]: hands the service
-    /// the lifecycle pieces it may want to keep for its reply paths — the
-    /// shutdown broadcast (so a bounded send can abandon a stalled peer on
-    /// drain), the configuration (notably [`ServerConfig::send_timeout`])
-    /// and the server's stats (notably [`ServerStats::send_timeouts`]).
-    /// The default keeps nothing.
-    fn attach_lifecycle(&self, shutdown: &Signal, cfg: &ServerConfig, stats: &Arc<ServerStats>) {
-        let _ = (shutdown, cfg, stats);
+    /// the server's [`ReplyHandle`] to keep for its reply paths. The
+    /// default keeps nothing (a service that replies with plain
+    /// [`send_all`] ignores [`ServerConfig::send_timeout`]).
+    fn attach_lifecycle(&self, replies: &ReplyHandle) {
+        let _ = replies;
+    }
+}
+
+/// The framework-owned reply path of one [`Server`]: every reply a
+/// service sends through it obeys the server's lifecycle, so no service
+/// re-implements that policy. With [`ServerConfig::send_timeout`] set, a
+/// send races the transfer against the deadline and the shutdown
+/// broadcast — a transfer that cannot complete in time (a zero-window
+/// peer) counts one [`ServerStats::send_timeouts`] and fails with
+/// [`NetError::Timeout`], one that straddles shutdown fails with
+/// [`NetError::Closed`], and either way the service closes the session
+/// instead of wedging its thread. With `send_timeout == 0` it is the plain
+/// unbounded send.
+#[derive(Debug, Clone)]
+pub struct ReplyHandle {
+    shutdown: Signal,
+    send_timeout: Nanos,
+    stats: Arc<ServerStats>,
+}
+
+impl ReplyHandle {
+    /// Sends all of `data` (see the type docs for the policy).
+    pub fn send(&self, conn: &Arc<dyn Conn>, data: Bytes) -> ThreadM<Result<(), NetError>> {
+        if self.send_timeout == 0 {
+            return send_all(conn, data);
+        }
+        let bounded = send_all_within(conn, data, self.send_timeout, &self.shutdown);
+        self.settle(bounded)
+    }
+
+    /// Sends every buffer as one gather-write — the vectored
+    /// [`ReplyHandle::send`].
+    pub fn send_vectored(
+        &self,
+        conn: &Arc<dyn Conn>,
+        bufs: Vec<Bytes>,
+    ) -> ThreadM<Result<(), NetError>> {
+        if self.send_timeout == 0 {
+            return send_all_vectored(conn, bufs);
+        }
+        let bounded = send_all_within_vectored(conn, bufs, self.send_timeout, &self.shutdown);
+        self.settle(bounded)
+    }
+
+    /// The hosting server's lifecycle counters.
+    pub fn stats(&self) -> &Arc<ServerStats> {
+        &self.stats
+    }
+
+    /// Folds a bounded send's outcome into the transport result services
+    /// act on.
+    fn settle(&self, bounded: ThreadM<SendInput>) -> ThreadM<Result<(), NetError>> {
+        let stats = Arc::clone(&self.stats);
+        bounded.map(move |out| match out {
+            SendInput::Done(r) => r,
+            SendInput::Timeout => {
+                stats.send_timeouts.incr();
+                Err(NetError::Timeout)
+            }
+            SendInput::Shutdown => Err(NetError::Closed),
+        })
     }
 }
 
@@ -172,10 +234,9 @@ pub struct ServerConfig {
     /// branch of the per-session `choose` — no helper thread, no polling.
     pub idle_timeout: Nanos,
     /// Abandon a reply send that cannot complete within this long
-    /// (virtual nanoseconds); `0` keeps plain unbounded sends. Services
-    /// honour it through [`send_all_within`](crate::net::send_all_within)
-    /// on their reply paths and count occurrences in
-    /// [`ServerStats::send_timeouts`].
+    /// (virtual nanoseconds); `0` keeps plain unbounded sends. Honoured
+    /// by every reply sent through the server's [`ReplyHandle`], which
+    /// counts occurrences in [`ServerStats::send_timeouts`].
     pub send_timeout: Nanos,
 }
 
@@ -257,8 +318,11 @@ impl<S: Service> Server<S> {
             telemetry: Mutex::new(None),
             drain_check: Mutex::new(()),
         });
-        srv.service
-            .attach_lifecycle(&srv.shutdown, &srv.cfg, &srv.stats);
+        srv.service.attach_lifecycle(&ReplyHandle {
+            shutdown: srv.shutdown.clone(),
+            send_timeout: srv.cfg.send_timeout,
+            stats: Arc::clone(&srv.stats),
+        });
         srv
     }
 

@@ -25,10 +25,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use eveth_core::aio::{AioFile, FileStore};
 use eveth_core::event::Signal;
-use eveth_core::net::{send_all, send_all_within, Conn, NetError, NetStack, SendInput};
+use eveth_core::net::{Conn, NetError, NetStack};
 use eveth_core::service::{
-    Server, ServerConfig as LifecycleConfig, ServerStats as FrameworkStats, Service, SessionEnd,
-    Step,
+    ReplyHandle, Server, ServerConfig as LifecycleConfig, Service, SessionEnd, Step,
 };
 use eveth_core::syscall::{sys_aio_read, sys_blio, sys_nbio, sys_throw};
 use eveth_core::telemetry::Telemetry;
@@ -55,9 +54,9 @@ pub struct ServerConfig {
     /// Implemented as a `timeout_evt` branch of the per-session `choose`.
     pub idle_timeout: Nanos,
     /// Abandon a response send that cannot complete within this long
-    /// (virtual nanoseconds); `0` keeps plain unbounded sends. Bounded
-    /// sends race the transfer against the deadline and the shutdown
-    /// broadcast (`send_all_within`); occurrences are counted in the
+    /// (virtual nanoseconds); `0` keeps plain unbounded sends. Passed
+    /// through to the framework's `send_timeout`, whose [`ReplyHandle`]
+    /// every response goes out on: a timed-out send counts in the
     /// framework's `send_timeouts` and the session closes.
     pub send_timeout: Nanos,
 }
@@ -73,14 +72,6 @@ impl Default for ServerConfig {
             send_timeout: 0,
         }
     }
-}
-
-/// Lifecycle pieces the framework hands down once via
-/// [`Service::attach_lifecycle`], kept for the response send paths.
-struct Lifecycle {
-    shutdown: Signal,
-    send_timeout: Nanos,
-    framework: Arc<FrameworkStats>,
 }
 
 /// Aggregate server counters.
@@ -109,31 +100,17 @@ struct WebShared {
     cache: Arc<FileCache>,
     cfg: ServerConfig,
     stats: Arc<ServerStats>,
-    lifecycle: std::sync::OnceLock<Lifecycle>,
+    /// The framework's reply path, handed down once by
+    /// [`Service::attach_lifecycle`].
+    replies: std::sync::OnceLock<ReplyHandle>,
 }
 
 impl WebShared {
-    /// Sends response bytes, bounded by [`ServerConfig::send_timeout`]
-    /// when one is configured: a transfer that cannot complete in time (a
-    /// zero-window peer) or that straddles shutdown is abandoned and
-    /// surfaced as a transport error so the session closes, instead of
-    /// wedging its thread on an unbounded send.
     fn send_response(&self, conn: &Arc<dyn Conn>, data: Bytes) -> ThreadM<Result<(), NetError>> {
-        match self.lifecycle.get() {
-            Some(lc) if lc.send_timeout > 0 => {
-                let framework = Arc::clone(&lc.framework);
-                send_all_within(conn, data, lc.send_timeout, &lc.shutdown).map(move |out| match out
-                {
-                    SendInput::Done(r) => r,
-                    SendInput::Timeout => {
-                        framework.send_timeouts.incr();
-                        Err(NetError::Timeout)
-                    }
-                    SendInput::Shutdown => Err(NetError::Closed),
-                })
-            }
-            _ => send_all(conn, data),
-        }
+        self.replies
+            .get()
+            .expect("Server::new attaches the reply handle")
+            .send(conn, data)
     }
 }
 
@@ -190,17 +167,8 @@ impl Service for WebService {
         }
     }
 
-    fn attach_lifecycle(
-        &self,
-        shutdown: &Signal,
-        cfg: &LifecycleConfig,
-        stats: &Arc<FrameworkStats>,
-    ) {
-        let _ = self.shared.lifecycle.set(Lifecycle {
-            shutdown: shutdown.clone(),
-            send_timeout: cfg.send_timeout,
-            framework: Arc::clone(stats),
-        });
+    fn attach_lifecycle(&self, replies: &ReplyHandle) {
+        let _ = self.shared.replies.set(replies.clone());
     }
 }
 
@@ -229,7 +197,7 @@ impl WebServer {
             cache: Arc::new(FileCache::new(cfg.cache_bytes)),
             stats: Arc::new(ServerStats::default()),
             cfg: cfg.clone(),
-            lifecycle: std::sync::OnceLock::new(),
+            replies: std::sync::OnceLock::new(),
         });
         let server = Server::new(
             stack,

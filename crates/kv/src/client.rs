@@ -110,20 +110,7 @@ where
                         return ThreadM::pure(Loop::Break(Err(KvClientError::Protocol(e))));
                     }
                     Ok(None) => break,
-                    Ok(Some(reply)) => {
-                        let closes = reply.closes_command();
-                        observe(
-                            &mut st,
-                            ReadEvent::Reply {
-                                reply: &reply,
-                                lat,
-                                closes,
-                            },
-                        );
-                        if closes {
-                            answered += 1;
-                        }
-                    }
+                    Ok(Some(reply)) => answered += note(&observe, &mut st, &reply, lat),
                 }
             }
             if answered >= expected {
@@ -147,18 +134,8 @@ where
                         }
                         Ok(first) => {
                             if let Some(reply) = first {
-                                let closes = reply.closes_command();
-                                observe(
-                                    &mut st,
-                                    ReadEvent::Reply {
-                                        reply: &reply,
-                                        lat: now.saturating_sub(sent_at),
-                                        closes,
-                                    },
-                                );
-                                if closes {
-                                    answered += 1;
-                                }
+                                let lat = now.saturating_sub(sent_at);
+                                answered += note(&observe, &mut st, &reply, lat);
                             }
                             ThreadM::pure(Loop::Continue((parser, answered, st, now)))
                         }
@@ -167,6 +144,19 @@ where
             })
         },
     )
+}
+
+/// Reports one parsed reply to the observer; returns how many commands it
+/// answered (1 if it closes its command, else 0).
+fn note<S>(
+    observe: &impl Fn(&mut S, ReadEvent<'_>),
+    st: &mut S,
+    reply: &Reply,
+    lat: Nanos,
+) -> usize {
+    let closes = reply.closes_command();
+    observe(st, ReadEvent::Reply { reply, lat, closes });
+    usize::from(closes)
 }
 
 /// A connected KV wire client over any [`Conn`]. Cloning is cheap
@@ -431,5 +421,16 @@ mod tests {
     fn framer_rejects_garbage() {
         let mut f = ReplyFramer::new();
         assert!(f.feed(Bytes::from_static(b"WHAT\r\n")).is_err());
+    }
+
+    #[test]
+    fn framer_rejects_a_wrapping_value_length_instead_of_panicking() {
+        // What a router session sees from a hostile (or corrupted)
+        // backend: the declared length wraps the frame-size arithmetic.
+        let mut f = ReplyFramer::new();
+        assert_eq!(
+            f.feed(Bytes::from_static(b"VALUE k 0 18446744073709551582\r\n")),
+            Err(ProtoError::Malformed("VALUE length"))
+        );
     }
 }

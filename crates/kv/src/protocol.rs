@@ -39,6 +39,12 @@ use bytes::{BufferPool, Bytes, BytesMut};
 /// Maximum key length, per the memcached protocol.
 pub const MAX_KEY_LEN: usize = 250;
 
+/// Default cap on one value's length (1 MiB, memcached's item limit):
+/// the store's [`max_value_bytes`](crate::store::StoreConfig) default, the
+/// default declared-size limit of [`CommandParser`], and the fixed limit
+/// [`ReplyParser`] holds a peer's `VALUE` header to.
+pub const MAX_VALUE_LEN: usize = 1024 * 1024;
+
 /// One parsed client command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
@@ -417,17 +423,7 @@ impl std::error::Error for ProtoError {}
 /// ```
 #[derive(Debug)]
 pub struct CommandParser {
-    /// Refcounted window over the bytes currently being parsed. A chunk
-    /// handed to [`CommandParser::feed_bytes`] when nothing is buffered
-    /// lands here *aliased*, zero-copy; completed commands are split off
-    /// the front O(1) and their keys/values are windows into the same
-    /// region.
-    frozen: Bytes,
-    /// Copy-staged bytes, used only when a command straddles input
-    /// boundaries (or for slice-based [`CommandParser::feed`]). Pooled;
-    /// once it holds a complete command the whole staging buffer is
-    /// frozen into `frozen` and consumed from there.
-    staging: BytesMut,
+    buf: FrameBuf,
     limit: usize,
     value_limit: usize,
 }
@@ -441,7 +437,7 @@ impl CommandParser {
     /// A parser with an explicit command-line limit and the default 1 MiB
     /// value limit.
     pub fn with_limit(limit: usize) -> Self {
-        Self::with_limits(limit, 1024 * 1024)
+        Self::with_limits(limit, MAX_VALUE_LEN)
     }
 
     /// A parser with explicit command-line and value-payload limits. The
@@ -450,8 +446,7 @@ impl CommandParser {
     /// immediately instead of ballooning server memory.
     pub fn with_limits(limit: usize, value_limit: usize) -> Self {
         CommandParser {
-            frozen: Bytes::new(),
-            staging: BytesMut::new(),
+            buf: FrameBuf::default(),
             limit,
             value_limit,
         }
@@ -459,7 +454,7 @@ impl CommandParser {
 
     /// Bytes buffered but not yet consumed by a complete command.
     pub fn buffered(&self) -> usize {
-        self.staging.len() + self.frozen.len()
+        self.buf.buffered()
     }
 
     /// Feeds bytes; returns a command once one is complete. Call again
@@ -473,9 +468,7 @@ impl CommandParser {
     /// [`ProtoError`] on oversized or malformed input; the connection
     /// should be closed afterwards.
     pub fn feed(&mut self, data: &[u8]) -> Result<Option<Command>, ProtoError> {
-        if !data.is_empty() {
-            self.stage(data);
-        }
+        self.buf.stage(data);
         self.try_next()
     }
 
@@ -485,88 +478,106 @@ impl CommandParser {
     /// command left straddling the boundary forces a copy-merge into the
     /// staging buffer.
     pub fn feed_bytes(&mut self, chunk: Bytes) -> Result<Option<Command>, ProtoError> {
-        if !chunk.is_empty() {
-            if self.staging.is_empty() && self.frozen.is_empty() {
-                self.frozen = chunk;
-            } else {
-                self.stage(&chunk);
-            }
-        }
+        self.buf.alias_or_stage(chunk);
         self.try_next()
-    }
-
-    /// Copies `data` into the staging buffer, first folding in any frozen
-    /// remainder so the buffered bytes stay contiguous.
-    fn stage(&mut self, data: &[u8]) {
-        if self.staging.is_empty() {
-            let mut staging = BufferPool::global().acquire();
-            if !self.frozen.is_empty() {
-                staging.extend_from_slice(&self.frozen);
-                self.frozen = Bytes::new();
-            }
-            self.staging = staging;
-        }
-        self.staging.extend_from_slice(data);
     }
 
     /// Extracts the next complete command from the buffered bytes
     /// without feeding anything — the drain step for pipelined bursts.
     pub fn try_next(&mut self) -> Result<Option<Command>, ProtoError> {
-        // At most one of staging/frozen is non-empty. Staged bytes are
-        // promoted to a frozen window once they hold a complete command,
-        // so extraction below is always O(1) splitting.
-        if !self.staging.is_empty() {
-            match scan(&self.staging, self.limit, self.value_limit)? {
-                Scan::Incomplete => return Ok(None),
-                Scan::Complete { .. } => {
-                    self.frozen = mem::take(&mut self.staging).freeze();
-                }
-            }
-        }
-        if self.frozen.is_empty() {
-            return Ok(None);
-        }
-        match scan(&self.frozen, self.limit, self.value_limit)? {
-            Scan::Incomplete => Ok(None),
-            Scan::Complete {
-                head,
-                line_end,
-                total,
-            } => {
-                let command = self.frozen.split_to(total);
-                if self.frozen.is_empty() {
-                    // Drop the (now spent) window so the backing region —
-                    // a recv chunk or recycled slab — is released.
-                    self.frozen = Bytes::new();
-                }
-                head.into_command(command, line_end)
-            }
-        }
+        let (limit, value_limit) = (self.limit, self.value_limit);
+        let frame = self.buf.next_frame(|buf| scan(buf, limit, value_limit))?;
+        Ok(frame.map(|(head, raw)| head.into_command(raw)))
     }
 }
 
-/// Outcome of scanning a buffer for one complete command.
-enum Scan {
-    /// More bytes are needed.
-    Incomplete,
-    /// `buf[..total]` is one complete command (`line_end` = offset of the
-    /// command line's CR).
-    Complete {
-        head: ParsedLine,
-        line_end: usize,
-        total: usize,
-    },
+/// The buffering under both incremental parsers: hold the bytes fed so
+/// far, and split complete frames off the front as refcounted windows.
+///
+/// At most one of `frozen`/`staging` is non-empty.
+#[derive(Debug, Default)]
+struct FrameBuf {
+    /// Refcounted window over the bytes currently being framed. A chunk
+    /// handed to [`FrameBuf::alias_or_stage`] when nothing is buffered
+    /// lands here *aliased*, zero-copy; complete frames are split off the
+    /// front O(1) and their fields are windows into the same region.
+    frozen: Bytes,
+    /// Copy-staged bytes, used only when a frame straddles input
+    /// boundaries (or for slice-based feeding). Pooled; once it holds a
+    /// complete frame the whole staging buffer is frozen into `frozen`
+    /// and consumed from there.
+    staging: BytesMut,
+}
+
+impl FrameBuf {
+    fn buffered(&self) -> usize {
+        self.staging.len() + self.frozen.len()
+    }
+
+    /// Takes ownership of `chunk`: aliased when nothing is buffered,
+    /// copy-merged behind the buffered remainder otherwise.
+    fn alias_or_stage(&mut self, chunk: Bytes) {
+        if self.staging.is_empty() && self.frozen.is_empty() {
+            self.frozen = chunk;
+        } else {
+            self.stage(&chunk);
+        }
+    }
+
+    /// Copies `data` into the staging buffer, first folding in any frozen
+    /// remainder so the buffered bytes stay contiguous.
+    fn stage(&mut self, data: &[u8]) {
+        if data.is_empty() {
+            return;
+        }
+        if self.staging.is_empty() {
+            let mut staging = BufferPool::global().acquire();
+            staging.extend_from_slice(&mem::take(&mut self.frozen));
+            self.staging = staging;
+        }
+        self.staging.extend_from_slice(data);
+    }
+
+    /// Splits the next complete frame off the front. `scan` inspects the
+    /// buffered bytes without consuming them and answers `Some((head,
+    /// total))` when `buf[..total]` is one whole frame, `None` when more
+    /// bytes are needed (always the answer for an empty buffer).
+    fn next_frame<H>(
+        &mut self,
+        scan: impl FnOnce(&[u8]) -> Result<Option<(H, usize)>, ProtoError>,
+    ) -> Result<Option<(H, Bytes)>, ProtoError> {
+        let staged = !self.staging.is_empty();
+        let buffered: &[u8] = if staged { &self.staging } else { &self.frozen };
+        let Some((head, total)) = scan(buffered)? else {
+            return Ok(None);
+        };
+        if staged {
+            // Promote: from here on extraction is O(1) splitting.
+            self.frozen = mem::take(&mut self.staging).freeze();
+        }
+        let frame = self.frozen.split_to(total);
+        if self.frozen.is_empty() {
+            // Drop the (now spent) window so the backing region — a recv
+            // chunk or recycled slab — is released.
+            self.frozen = Bytes::new();
+        }
+        Ok(Some((head, frame)))
+    }
 }
 
 /// Scans `buf` for one complete command without consuming anything,
 /// enforcing the line limit and the *declared* value limit — a client
 /// announcing a huge `set` is rejected before any payload is buffered.
-fn scan(buf: &[u8], limit: usize, value_limit: usize) -> Result<Scan, ProtoError> {
+fn scan(
+    buf: &[u8],
+    limit: usize,
+    value_limit: usize,
+) -> Result<Option<(ParsedLine, usize)>, ProtoError> {
     let Some(line_end) = find_crlf(buf) else {
         if buf.len() > limit {
             return Err(ProtoError::TooLarge);
         }
-        return Ok(Scan::Incomplete);
+        return Ok(None);
     };
     if line_end > limit {
         return Err(ProtoError::TooLarge);
@@ -581,7 +592,7 @@ fn scan(buf: &[u8], limit: usize, value_limit: usize) -> Result<Scan, ProtoError
             }
             let need = line_end + 2 + n + 2;
             if buf.len() < need {
-                return Ok(Scan::Incomplete);
+                return Ok(None);
             }
             if &buf[line_end + 2 + n..need] != b"\r\n" {
                 return Err(ProtoError::Malformed("data block not CRLF-terminated"));
@@ -590,11 +601,7 @@ fn scan(buf: &[u8], limit: usize, value_limit: usize) -> Result<Scan, ProtoError
         }
         None => line_end + 2,
     };
-    Ok(Scan::Complete {
-        head,
-        line_end,
-        total,
-    })
+    Ok(Some((head, total)))
 }
 
 impl Default for CommandParser {
@@ -607,6 +614,8 @@ impl Default for CommandParser {
 /// the whole command is buffered.
 struct ParsedLine {
     verb: Verb,
+    /// Length of the command line (the offset of its CR in the frame).
+    line_len: usize,
     /// (start, end) offsets of each argument within the line.
     args: Vec<(usize, usize)>,
     noreply: bool,
@@ -738,15 +747,17 @@ impl ParsedLine {
         }
         Ok(ParsedLine {
             verb,
+            line_len: line.len(),
             args: fields,
             noreply,
             payload_len,
         })
     }
 
-    /// Builds the final command from the frozen buffer (`line_end` is the
-    /// offset of the line's CR within it).
-    fn into_command(self, frozen: Bytes, line_end: usize) -> Result<Option<Command>, ProtoError> {
+    /// Builds the final command from its frame (the command line, then
+    /// the data block if the verb carries one).
+    fn into_command(self, frozen: Bytes) -> Command {
+        let line_end = self.line_len;
         let arg = |i: usize| -> Bytes {
             let (s, e) = self.args[i];
             frozen.slice(s..e)
@@ -755,7 +766,7 @@ impl ParsedLine {
             let (s, e) = self.args[i];
             parse_u64(&frozen[s..e]).expect("validated by ParsedLine::parse")
         };
-        let cmd = match self.verb {
+        match self.verb {
             Verb::Get => Command::Get {
                 keys: (0..self.args.len()).map(arg).collect(),
             },
@@ -837,8 +848,7 @@ impl ParsedLine {
             Verb::Stats => Command::Stats,
             Verb::Version => Command::Version,
             Verb::Quit => Command::Quit,
-        };
-        Ok(Some(cmd))
+        }
     }
 }
 
@@ -1239,14 +1249,7 @@ impl ReplyQueue {
 /// `VALUE` data blocks across chunk boundaries.
 #[derive(Debug, Default)]
 pub struct ReplyParser {
-    /// Refcounted window over the bytes being parsed; chunks fed via
-    /// [`ReplyParser::feed_bytes`] land here aliased, and `VALUE`
-    /// keys/payloads come out as O(1) windows of the same region.
-    frozen: Bytes,
-    /// Copy-staged bytes for replies straddling input boundaries (and for
-    /// slice-based [`ReplyParser::feed`]); pooled, promoted to `frozen`
-    /// once a complete reply is buffered.
-    staging: BytesMut,
+    buf: FrameBuf,
 }
 
 impl ReplyParser {
@@ -1257,7 +1260,7 @@ impl ReplyParser {
 
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.staging.len() + self.frozen.len()
+        self.buf.buffered()
     }
 
     /// Feeds bytes; returns the next reply when complete. Call with an
@@ -1268,9 +1271,7 @@ impl ReplyParser {
     ///
     /// [`ProtoError::Malformed`] on an unrecognized reply line.
     pub fn feed(&mut self, data: &[u8]) -> Result<Option<Reply>, ProtoError> {
-        if !data.is_empty() {
-            self.stage(data);
-        }
+        self.buf.stage(data);
         self.try_next()
     }
 
@@ -1282,78 +1283,20 @@ impl ReplyParser {
     ///
     /// [`ProtoError::Malformed`] on an unrecognized reply line.
     pub fn feed_bytes(&mut self, chunk: Bytes) -> Result<Option<Reply>, ProtoError> {
-        if !chunk.is_empty() {
-            if self.staging.is_empty() && self.frozen.is_empty() {
-                self.frozen = chunk;
-            } else {
-                self.stage(&chunk);
-            }
-        }
+        self.buf.alias_or_stage(chunk);
         self.try_next()
-    }
-
-    fn stage(&mut self, data: &[u8]) {
-        if self.staging.is_empty() {
-            let mut staging = BufferPool::global().acquire();
-            if !self.frozen.is_empty() {
-                staging.extend_from_slice(&self.frozen);
-                self.frozen = Bytes::new();
-            }
-            self.staging = staging;
-        }
-        self.staging.extend_from_slice(data);
     }
 
     /// Extracts the next complete reply from the buffered bytes without
     /// feeding anything — the drain step for pipelined response bursts.
     pub fn try_next(&mut self) -> Result<Option<Reply>, ProtoError> {
-        if !self.staging.is_empty() {
-            match scan_reply(&self.staging)? {
-                ReplyScan::Incomplete => return Ok(None),
-                ReplyScan::Complete { .. } => {
-                    self.frozen = mem::take(&mut self.staging).freeze();
-                }
-            }
-        }
-        if self.frozen.is_empty() {
-            return Ok(None);
-        }
-        match scan_reply(&self.frozen)? {
-            ReplyScan::Incomplete => Ok(None),
-            ReplyScan::Complete { head, total } => {
-                let raw = self.frozen.split_to(total);
-                if self.frozen.is_empty() {
-                    self.frozen = Bytes::new();
-                }
-                Ok(Some(match head {
-                    ReplyHead::Plain(reply) => reply,
-                    ReplyHead::Value {
-                        key: (ks, ke),
-                        flags,
-                        len,
-                        cas,
-                        data_start,
-                    } => {
-                        let key = raw.slice(ks..ke);
-                        let data = raw.slice(data_start..data_start + len);
-                        match cas {
-                            Some(cas) => Reply::ValueCas {
-                                key,
-                                flags,
-                                data,
-                                cas,
-                            },
-                            None => Reply::Value { key, flags, data },
-                        }
-                    }
-                }))
-            }
-        }
+        let frame = self.buf.next_frame(scan_reply)?;
+        Ok(frame.map(|(head, raw)| head.into_reply(raw)))
     }
 }
 
 /// A scanned reply head; `Value` field windows are resolved against the
-/// frozen buffer only after the whole reply is known complete.
+/// frame only after the whole reply is known complete.
 enum ReplyHead {
     Plain(Reply),
     Value {
@@ -1365,14 +1308,38 @@ enum ReplyHead {
     },
 }
 
-enum ReplyScan {
-    Incomplete,
-    Complete { head: ReplyHead, total: usize },
+impl ReplyHead {
+    fn into_reply(self, raw: Bytes) -> Reply {
+        match self {
+            ReplyHead::Plain(reply) => reply,
+            ReplyHead::Value {
+                key: (ks, ke),
+                flags,
+                len,
+                cas,
+                data_start,
+            } => {
+                let key = raw.slice(ks..ke);
+                let data = raw.slice(data_start..data_start + len);
+                match cas {
+                    Some(cas) => Reply::ValueCas {
+                        key,
+                        flags,
+                        data,
+                        cas,
+                    },
+                    None => Reply::Value { key, flags, data },
+                }
+            }
+        }
+    }
 }
 
-fn scan_reply(buf: &[u8]) -> Result<ReplyScan, ProtoError> {
+/// Scans `buf` for one complete reply; the [`FrameBuf::next_frame`]
+/// scanner of the client side.
+fn scan_reply(buf: &[u8]) -> Result<Option<(ReplyHead, usize)>, ProtoError> {
     let Some(line_end) = find_crlf(buf) else {
-        return Ok(ReplyScan::Incomplete);
+        return Ok(None);
     };
     let line = &buf[..line_end];
     if let Some(rest) = line.strip_prefix(wire::VALUE_PREFIX) {
@@ -1384,9 +1351,12 @@ fn scan_reply(buf: &[u8]) -> Result<ReplyScan, ProtoError> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or(ProtoError::Malformed("VALUE flags"))?;
+        // The length is the peer's word: capped before it sizes anything,
+        // which also keeps the offsets below far from overflow.
         let len: usize = parts
             .next()
             .and_then(|s| s.parse().ok())
+            .filter(|&len| len <= MAX_VALUE_LEN)
             .ok_or(ProtoError::Malformed("VALUE length"))?;
         // A fourth field is the `cas unique` of a `gets` response.
         let cas: Option<u64> = match parts.next() {
@@ -1398,22 +1368,20 @@ fn scan_reply(buf: &[u8]) -> Result<ReplyScan, ProtoError> {
         };
         let need = line_end + 2 + len + 2;
         if buf.len() < need {
-            return Ok(ReplyScan::Incomplete);
+            return Ok(None);
         }
         if &buf[line_end + 2 + len..need] != b"\r\n" {
             return Err(ProtoError::Malformed("VALUE block not CRLF-terminated"));
         }
         let key_start = wire::VALUE_PREFIX.len();
-        return Ok(ReplyScan::Complete {
-            head: ReplyHead::Value {
-                key: (key_start, key_start + key.len()),
-                flags,
-                len,
-                cas,
-                data_start: line_end + 2,
-            },
-            total: need,
-        });
+        let head = ReplyHead::Value {
+            key: (key_start, key_start + key.len()),
+            flags,
+            len,
+            cas,
+            data_start: line_end + 2,
+        };
+        return Ok(Some((head, need)));
     }
     let reply = match line {
         b"END" => Reply::End,
@@ -1445,10 +1413,7 @@ fn scan_reply(buf: &[u8]) -> Result<ReplyScan, ProtoError> {
             }
         }
     };
-    Ok(ReplyScan::Complete {
-        head: ReplyHead::Plain(reply),
-        total: line_end + 2,
-    })
+    Ok(Some((ReplyHead::Plain(reply), line_end + 2)))
 }
 
 #[cfg(test)]

@@ -23,12 +23,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::event::Signal;
-use eveth_core::net::{
-    send_all_vectored, send_all_within_vectored, Conn, NetError, NetStack, SendInput,
-};
-use eveth_core::service::{
-    Server, ServerConfig, ServerStats as FrameworkStats, Service, SessionEnd, Step,
-};
+use eveth_core::net::{Conn, NetStack};
+use eveth_core::service::{ReplyHandle, Server, ServerConfig, Service, SessionEnd, Step};
 use eveth_core::syscall::{sys_fork, sys_time};
 use eveth_core::telemetry::Telemetry;
 use eveth_core::time::{Nanos, MILLIS};
@@ -57,9 +53,9 @@ pub struct KvConfig {
     /// thread, no polling.
     pub idle_timeout: Nanos,
     /// Abandon a reply send that cannot complete within this long
-    /// (virtual nanoseconds); `0` keeps plain unbounded sends. Bounded
-    /// sends go through `send_all_within`, racing the transfer against
-    /// the deadline and the shutdown broadcast; occurrences are counted
+    /// (virtual nanoseconds); `0` keeps plain unbounded sends. Passed
+    /// through to the framework's [`ServerConfig::send_timeout`], whose
+    /// [`ReplyHandle`] every reply goes out on: a timed-out send counts
     /// in the framework's `send_timeouts` and the session closes.
     pub send_timeout: Nanos,
 }
@@ -77,16 +73,6 @@ impl Default for KvConfig {
     }
 }
 
-/// Lifecycle pieces the framework hands down once via
-/// [`Service::attach_lifecycle`], kept for the reply paths: a bounded
-/// send needs the shutdown broadcast to race against, and counts its
-/// timeouts into the framework's stats.
-struct Lifecycle {
-    shutdown: Signal,
-    send_timeout: Nanos,
-    framework: Arc<FrameworkStats>,
-}
-
 /// The KV-specific state shared by every session thread (the store, the
 /// protocol counters, the configuration). Split out of [`KvServer`] so the
 /// [`Service`] implementation and the batch-execution free functions can
@@ -95,7 +81,9 @@ struct KvShared {
     store: Arc<ShardedStore>,
     cfg: KvConfig,
     stats: Arc<ServerStats>,
-    lifecycle: std::sync::OnceLock<Lifecycle>,
+    /// The framework's reply path, handed down once by
+    /// [`Service::attach_lifecycle`].
+    replies: std::sync::OnceLock<ReplyHandle>,
 }
 
 impl KvShared {
@@ -103,33 +91,10 @@ impl KvShared {
         StatsSnapshot::gather(self.store.shard_stats())
     }
 
-    /// Sends a batch's reply segments with one vectored gather-write,
-    /// bounded by [`KvConfig::send_timeout`] when one is configured: a
-    /// transfer that cannot complete in time (a zero-window peer) or that
-    /// straddles shutdown is abandoned and surfaced as a transport
-    /// error — the session closes instead of wedging its thread on an
-    /// unbounded send.
-    fn send_reply_v(
-        &self,
-        conn: &Arc<dyn Conn>,
-        bufs: Vec<Bytes>,
-    ) -> ThreadM<Result<(), NetError>> {
-        match self.lifecycle.get() {
-            Some(lc) if lc.send_timeout > 0 => {
-                let framework = Arc::clone(&lc.framework);
-                send_all_within_vectored(conn, bufs, lc.send_timeout, &lc.shutdown).map(
-                    move |out| match out {
-                        SendInput::Done(r) => r,
-                        SendInput::Timeout => {
-                            framework.send_timeouts.incr();
-                            Err(NetError::Timeout)
-                        }
-                        SendInput::Shutdown => Err(NetError::Closed),
-                    },
-                )
-            }
-            _ => send_all_vectored(conn, bufs),
-        }
+    fn replies(&self) -> &ReplyHandle {
+        self.replies
+            .get()
+            .expect("Server::new attaches the reply handle")
     }
 }
 
@@ -170,7 +135,7 @@ impl Service for KvService {
                 Err(flush) => {
                     // Protocol error: flush what we have + the error line,
                     // then end the session (the server closes the conn).
-                    return replier.send_reply_v(&conn, flush).map(|_| Step::Close);
+                    return replier.replies().send_vectored(&conn, flush).map(|_| Step::Close);
                 }
             };
             let mut outcome = outcome;
@@ -179,7 +144,7 @@ impl Service for KvService {
             let sent <- if segs.is_empty() {
                 ThreadM::pure(Ok(()))
             } else {
-                replier.send_reply_v(&conn, segs)
+                replier.replies().send_vectored(&conn, segs)
             };
             match sent {
                 Err(_) => ThreadM::pure(Step::Close),
@@ -208,12 +173,8 @@ impl Service for KvService {
         conn.close()
     }
 
-    fn attach_lifecycle(&self, shutdown: &Signal, cfg: &ServerConfig, stats: &Arc<FrameworkStats>) {
-        let _ = self.shared.lifecycle.set(Lifecycle {
-            shutdown: shutdown.clone(),
-            send_timeout: cfg.send_timeout,
-            framework: Arc::clone(stats),
-        });
+    fn attach_lifecycle(&self, replies: &ReplyHandle) {
+        let _ = self.shared.replies.set(replies.clone());
     }
 }
 
@@ -237,7 +198,7 @@ impl KvServer {
             store: ShardedStore::new(cfg.store.clone()),
             stats: Arc::new(ServerStats::default()),
             cfg: cfg.clone(),
-            lifecycle: std::sync::OnceLock::new(),
+            replies: std::sync::OnceLock::new(),
         });
         let server = Server::new(
             stack,
@@ -651,20 +612,19 @@ fn execute(srv: Arc<KvShared>, cmd: Command, now: Nanos) -> ThreadM<Vec<Reply>> 
             // Wait attribution rolled up from session spans by the
             // framework (zero until a telemetry hub is attached — the
             // per-span data comes from the runtime's park/wake hooks).
-            if let Some(lc) = srv.lifecycle.get() {
-                replies.push(Reply::Stat(
-                    "session_io_wait_ns".into(),
-                    lc.framework.session_io_wait_ns.get().to_string(),
-                ));
-                replies.push(Reply::Stat(
-                    "session_lock_wait_ns".into(),
-                    lc.framework.session_lock_wait_ns.get().to_string(),
-                ));
-                replies.push(Reply::Stat(
-                    "send_timeouts".into(),
-                    lc.framework.send_timeouts.get().to_string(),
-                ));
-            }
+            let framework = srv.replies().stats();
+            replies.push(Reply::Stat(
+                "session_io_wait_ns".into(),
+                framework.session_io_wait_ns.get().to_string(),
+            ));
+            replies.push(Reply::Stat(
+                "session_lock_wait_ns".into(),
+                framework.session_lock_wait_ns.get().to_string(),
+            ));
+            replies.push(Reply::Stat(
+                "send_timeouts".into(),
+                framework.send_timeouts.get().to_string(),
+            ));
             for (i, sh) in srv.store.shard_stats().iter().enumerate() {
                 replies.push(Reply::Stat(
                     format!("shard{i}_hits"),

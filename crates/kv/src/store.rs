@@ -13,7 +13,10 @@
 //!   copy-on-write costs for optimistic, lock-free readers.
 //!
 //! Both expose the same monadic operations, so the server and the
-//! property tests are backend-agnostic. Expiry is hybrid: reads treat
+//! property tests are backend-agnostic — and both run the same code: each
+//! command is written once against a copy-on-first-write view of its
+//! shard, and `with_shard` is the one adapter that puts that view under
+//! the configured guard. Expiry is hybrid: reads treat
 //! stale entries as misses immediately (lazy), and the server runs a
 //! [`janitor`](crate::expiry::janitor) thread off the runtime timer wheel
 //! to reclaim memory for keys that are never touched again (eager).
@@ -25,8 +28,8 @@ use std::sync::Arc;
 use bytes::{BufferPool, Bytes};
 use eveth_core::sync::Mutex as MonadicMutex;
 use eveth_core::time::{Nanos, SECS};
-use eveth_core::{do_m, ThreadM};
-use eveth_stm::{atomically_m_with_stats, StmResult, TVar, Txn, TxnStats};
+use eveth_core::ThreadM;
+use eveth_stm::{atomically_m_with_stats, TVar, TxnStats};
 use parking_lot::Mutex as PlMutex;
 
 use crate::stats::ShardStats;
@@ -56,7 +59,7 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 16,
             backend: Backend::Mutex,
-            max_value_bytes: 1024 * 1024,
+            max_value_bytes: crate::protocol::MAX_VALUE_LEN,
         }
     }
 }
@@ -120,29 +123,68 @@ pub enum CounterResult {
 
 type ShardMap = HashMap<Box<[u8]>, Entry>;
 
-/// A shard guarded by the monadic mutex. The inner `parking_lot` lock is
-/// only for `Send`/`Sync` soundness of the map itself; cross-thread
-/// mutual exclusion is provided by the monadic lock, so the inner lock is
-/// never contended.
-struct MutexShard {
-    gate: MonadicMutex,
-    map: Arc<PlMutex<ShardMap>>,
+/// One shard under its guard — the backend switch, per shard.
+enum Shard {
+    /// Guarded by the monadic mutex. The inner `parking_lot` lock is only
+    /// for `Send`/`Sync` soundness of the map itself; cross-thread mutual
+    /// exclusion is provided by the monadic lock, so the inner lock is
+    /// never contended.
+    Mutex {
+        gate: MonadicMutex,
+        map: Arc<PlMutex<ShardMap>>,
+    },
+    /// Held in a `TVar`. The map is wrapped in an `Arc` so a
+    /// transactional read is O(1); writers clone-on-write before
+    /// committing.
+    Stm(TVar<Arc<ShardMap>>),
 }
 
-/// A shard held in a `TVar`. The map is wrapped in an `Arc` so a
-/// transactional read is O(1); writers clone-on-write before committing.
-struct StmShard {
-    cell: TVar<Arc<ShardMap>>,
+impl Shard {
+    /// The shard's lock, if it has one (STM shards do not).
+    fn gate(&self) -> Option<&MonadicMutex> {
+        match self {
+            Shard::Mutex { gate, .. } => Some(gate),
+            Shard::Stm(_) => None,
+        }
+    }
 }
 
-enum Shards {
-    Mutex(Vec<MutexShard>),
-    Stm(Vec<StmShard>),
+/// What a command body sees of its shard: a copy-on-first-write view, so
+/// one body serves both backends. Under the mutex it is the locked map
+/// itself; under STM it is the transaction's snapshot, cloned by the first
+/// [`ShardView::write`] and committed only if that happened — a command
+/// that decides from [`ShardView::read`] alone (failed `add`, stale `cas`,
+/// a miss) costs the STM backend no map clone and no `TVar` write.
+enum ShardView<'a> {
+    Locked(&'a mut ShardMap),
+    Snapshot {
+        base: Arc<ShardMap>,
+        copy: Option<ShardMap>,
+    },
+}
+
+impl ShardView<'_> {
+    fn read(&self) -> &ShardMap {
+        match self {
+            ShardView::Locked(map) => map,
+            ShardView::Snapshot {
+                copy: Some(map), ..
+            } => map,
+            ShardView::Snapshot { base, .. } => base,
+        }
+    }
+
+    fn write(&mut self) -> &mut ShardMap {
+        match self {
+            ShardView::Locked(map) => map,
+            ShardView::Snapshot { base, copy } => copy.get_or_insert_with(|| (**base).clone()),
+        }
+    }
 }
 
 /// The sharded store shared by all server threads.
 pub struct ShardedStore {
-    shards: Shards,
+    shards: Vec<Shard>,
     stats: Arc<Vec<ShardStats>>,
     /// Transaction contention counters, shared by every STM operation on
     /// this store (zero and idle under the mutex backend).
@@ -159,23 +201,15 @@ impl ShardedStore {
     /// Builds an empty store.
     pub fn new(cfg: StoreConfig) -> Arc<Self> {
         let n = cfg.shards.max(1);
-        let shards = match cfg.backend {
-            Backend::Mutex => Shards::Mutex(
-                (0..n)
-                    .map(|_| MutexShard {
-                        gate: MonadicMutex::new(),
-                        map: Arc::new(PlMutex::new(HashMap::new())),
-                    })
-                    .collect(),
-            ),
-            Backend::Stm => Shards::Stm(
-                (0..n)
-                    .map(|_| StmShard {
-                        cell: TVar::new(Arc::new(HashMap::new())),
-                    })
-                    .collect(),
-            ),
-        };
+        let shards = (0..n)
+            .map(|_| match cfg.backend {
+                Backend::Mutex => Shard::Mutex {
+                    gate: MonadicMutex::new(),
+                    map: Arc::new(PlMutex::new(HashMap::new())),
+                },
+                Backend::Stm => Shard::Stm(TVar::new(Arc::new(HashMap::new()))),
+            })
+            .collect();
         Arc::new(ShardedStore {
             shards,
             stats: Arc::new((0..n).map(|_| ShardStats::default()).collect()),
@@ -211,15 +245,43 @@ impl ShardedStore {
         (fnv1a(key) % self.shard_count() as u64) as usize
     }
 
-    /// Runs a store transaction with this store's shared contention
-    /// counters attached — every STM arm goes through here so
-    /// [`ShardedStore::stm_retries`] sees all of them.
-    fn stm_atomically<A, F>(&self, body: F) -> ThreadM<A>
+    /// Runs `f` against shard `idx` under the configured guard — the one
+    /// place the command path branches on the backend. `f` must be
+    /// re-runnable: an STM attempt invalidated by a concurrent commit
+    /// re-executes it against the fresh snapshot.
+    fn with_shard<A, F>(&self, idx: usize, f: F) -> ThreadM<A>
     where
         A: Send + 'static,
-        F: Fn(&mut Txn) -> StmResult<A> + Send + Sync + 'static,
+        F: Fn(&mut ShardView<'_>) -> A + Send + Sync + 'static,
     {
-        atomically_m_with_stats(body, Arc::clone(&self.stm_stats))
+        match &self.shards[idx] {
+            Shard::Mutex { gate, map } => {
+                let map = Arc::clone(map);
+                gate.with_nbio(move || f(&mut ShardView::Locked(&mut map.lock())))
+            }
+            Shard::Stm(cell) => {
+                let cell = cell.clone();
+                // The store's shared contention counters ride along, so
+                // `stm_retries` sees every command.
+                atomically_m_with_stats(
+                    move |txn| {
+                        let mut view = ShardView::Snapshot {
+                            base: txn.read(&cell)?,
+                            copy: None,
+                        };
+                        let out = f(&mut view);
+                        if let ShardView::Snapshot {
+                            copy: Some(map), ..
+                        } = view
+                        {
+                            txn.write(&cell, Arc::new(map));
+                        }
+                        Ok(out)
+                    },
+                    Arc::clone(&self.stm_stats),
+                )
+            }
+        }
     }
 
     /// Total nanoseconds threads spent waiting on shard locks (summed
@@ -227,10 +289,8 @@ impl ShardedStore {
     /// reports. Always 0 for the STM backend, whose contention shows up
     /// as transaction retries instead of lock waits.
     pub fn lock_wait_ns(&self) -> u64 {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.gate.contended_ns()).sum(),
-            Shards::Stm(_) => 0,
-        }
+        let gates = self.shards.iter().filter_map(Shard::gate);
+        gates.map(|g| g.contended_ns()).sum()
     }
 
     /// Per-shard lock-wait nanoseconds, indexed by shard (all zeros for
@@ -239,18 +299,14 @@ impl ShardedStore {
     /// the wait concentrated on the hot key's shard rather than smeared
     /// across the store.
     pub fn shard_lock_waits(&self) -> Vec<u64> {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.gate.contended_ns()).collect(),
-            Shards::Stm(shards) => vec![0; shards.len()],
-        }
+        let waits = |s: &Shard| s.gate().map_or(0, |g| g.contended_ns());
+        self.shards.iter().map(waits).collect()
     }
 
     /// Shard-lock acquisitions that had to wait (0 for the STM backend).
     pub fn lock_contentions(&self) -> u64 {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.gate.contentions()).sum(),
-            Shards::Stm(_) => 0,
-        }
+        let gates = self.shards.iter().filter_map(Shard::gate);
+        gates.map(|g| g.contentions()).sum()
     }
 
     /// Transaction attempts re-executed because of contention (conflict
@@ -276,41 +332,26 @@ impl ShardedStore {
     pub fn get(self: &Arc<Self>, key: Bytes, now: Nanos) -> ThreadM<Option<Entry>> {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
-        let found = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard
-                    .gate
-                    .with_nbio(move || map.lock().get(key.as_ref()).cloned())
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let map = txn.read(&cell)?;
-                    Ok(map.get(key.as_ref()).cloned())
-                })
-            }
-        };
-        found.map(move |entry| {
-            let stats = &this.stats[idx];
-            match entry {
-                Some(e) if e.is_expired(now) => {
-                    // Lazy expiry: report a miss; the janitor reclaims.
-                    stats.expired_lazy.incr();
-                    stats.misses.incr();
-                    None
+        self.with_shard(idx, move |shard| shard.read().get(key.as_ref()).cloned())
+            .map(move |entry| {
+                let stats = &this.stats[idx];
+                match entry {
+                    Some(e) if e.is_expired(now) => {
+                        // Lazy expiry: report a miss; the janitor reclaims.
+                        stats.expired_lazy.incr();
+                        stats.misses.incr();
+                        None
+                    }
+                    Some(e) => {
+                        stats.hits.incr();
+                        Some(e)
+                    }
+                    None => {
+                        stats.misses.incr();
+                        None
+                    }
                 }
-                Some(e) => {
-                    stats.hits.incr();
-                    Some(e)
-                }
-                None => {
-                    stats.misses.incr();
-                    None
-                }
-            }
-        })
+            })
     }
 
     /// Stores `entry` under `key`, unconditionally (stamping a fresh
@@ -320,25 +361,12 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let mut entry = entry;
         entry.version = self.stamp();
-        let stored = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || {
-                    map.lock().insert(key.to_vec().into_boxed_slice(), entry);
-                })
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let mut map = (*txn.read(&cell)?).clone();
-                    map.insert(key.to_vec().into_boxed_slice(), entry.clone());
-                    txn.write(&cell, Arc::new(map));
-                    Ok(())
-                })
-            }
-        };
-        stored.map(move |()| this.stats[idx].sets.incr())
+        self.with_shard(idx, move |shard| {
+            shard
+                .write()
+                .insert(key.to_vec().into_boxed_slice(), entry.clone());
+        })
+        .map(move |()| this.stats[idx].sets.incr())
     }
 
     /// Removes `key`; true when something (even an expired entry) was
@@ -346,29 +374,13 @@ impl ShardedStore {
     pub fn delete(self: &Arc<Self>, key: Bytes, now: Nanos) -> ThreadM<bool> {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
-        let removed = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard
-                    .gate
-                    .with_nbio(move || map.lock().remove(key.as_ref()))
+        self.with_shard(idx, move |shard| {
+            if !shard.read().contains_key(key.as_ref()) {
+                return None;
             }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let map = txn.read(&cell)?;
-                    if !map.contains_key(key.as_ref()) {
-                        return Ok(None);
-                    }
-                    let mut map = (*map).clone();
-                    let old = map.remove(key.as_ref());
-                    txn.write(&cell, Arc::new(map));
-                    Ok(old)
-                })
-            }
-        };
-        removed.map(move |old| match old {
+            shard.write().remove(key.as_ref())
+        })
+        .map(move |old| match old {
             // Deleting an already-expired entry is a miss from the
             // client's point of view.
             Some(e) if e.is_expired(now) => {
@@ -408,39 +420,20 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let mut entry = entry;
         entry.version = self.stamp();
-        let stm_key = key.clone();
-        let apply = move |map: &mut ShardMap| -> bool {
-            let occupied = map.get(key.as_ref()).is_some_and(|e| !e.is_expired(now));
+        self.with_shard(idx, move |shard| {
+            let occupied = shard
+                .read()
+                .get(key.as_ref())
+                .is_some_and(|e| !e.is_expired(now));
             if occupied != want_occupied {
                 return false;
             }
-            map.insert(key.to_vec().into_boxed_slice(), entry.clone());
+            shard
+                .write()
+                .insert(key.to_vec().into_boxed_slice(), entry.clone());
             true
-        };
-        let stored = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    let occupied = snapshot
-                        .get(stm_key.as_ref())
-                        .is_some_and(|e| !e.is_expired(now));
-                    if occupied != want_occupied {
-                        return Ok(false); // read-only fast path: no COW
-                    }
-                    let mut map = (*snapshot).clone();
-                    let stored = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(stored)
-                })
-            }
-        };
-        stored.map(move |stored| {
+        })
+        .map(move |stored| {
             if stored {
                 this.stats[idx].sets.incr();
             }
@@ -461,51 +454,21 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let mut entry = entry;
         entry.version = self.stamp();
-        let stm_key = key.clone();
-        let probe = move |map: &ShardMap| -> CasOutcome {
-            match map.get(stm_key.as_ref()) {
+        self.with_shard(idx, move |shard| {
+            let outcome = match shard.read().get(key.as_ref()) {
                 None => CasOutcome::NotFound,
                 Some(e) if e.is_expired(now) => CasOutcome::NotFound,
                 Some(e) if e.version != expected => CasOutcome::Exists,
                 Some(_) => CasOutcome::Stored,
-            }
-        };
-        // The probe captures only cheaply-clonable state, so the STM arm
-        // can run it against the snapshot *before* paying the
-        // copy-on-write.
-        let stm_probe = probe.clone();
-        let apply = move |map: &mut ShardMap| -> CasOutcome {
-            let outcome = probe(map);
+            };
             if outcome == CasOutcome::Stored {
-                map.insert(key.to_vec().into_boxed_slice(), entry.clone());
+                shard
+                    .write()
+                    .insert(key.to_vec().into_boxed_slice(), entry.clone());
             }
             outcome
-        };
-        let result = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    // Read-only fast paths: only a matching stamp commits
-                    // a write (and pays the copy-on-write); a stale or
-                    // missing stamp is answered from the snapshot alone.
-                    let outcome = stm_probe(&snapshot);
-                    if outcome != CasOutcome::Stored {
-                        return Ok(outcome);
-                    }
-                    let mut map = (*snapshot).clone();
-                    let outcome = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(outcome)
-                })
-            }
-        };
-        result.map(move |outcome| {
+        })
+        .map(move |outcome| {
             let st = &this.stats[idx];
             match outcome {
                 CasOutcome::Stored => {
@@ -536,64 +499,31 @@ impl ShardedStore {
         let idx = self.shard_of(&key);
         let version = self.stamp();
         let cap = self.cfg.max_value_bytes;
-        let stm_key = key.clone();
-        let stm_data = data.clone();
-        let probe = move |map: &ShardMap| -> ConcatOutcome {
-            match map.get(stm_key.as_ref()) {
-                None => ConcatOutcome::Missing,
-                Some(e) if e.is_expired(now) => ConcatOutcome::Missing,
-                Some(e) if e.value.len() + stm_data.len() > cap => ConcatOutcome::TooLarge,
-                Some(_) => ConcatOutcome::Stored,
+        self.with_shard(idx, move |shard| {
+            let old = match shard.read().get(key.as_ref()) {
+                None => return ConcatOutcome::Missing,
+                Some(e) if e.is_expired(now) => return ConcatOutcome::Missing,
+                Some(e) if e.value.len() + data.len() > cap => return ConcatOutcome::TooLarge,
+                Some(e) => &e.value,
+            };
+            // Build the joined value exactly once, in a pooled region:
+            // each input byte is copied a single time and `freeze` hands
+            // the result over without another pass.
+            let mut joined = BufferPool::global().acquire();
+            joined.reserve(old.len() + data.len());
+            if prepend {
+                joined.extend_from_slice(&data);
+                joined.extend_from_slice(old);
+            } else {
+                joined.extend_from_slice(old);
+                joined.extend_from_slice(&data);
             }
-        };
-        let stm_probe = probe.clone();
-        let apply = move |map: &mut ShardMap| -> ConcatOutcome {
-            let outcome = probe(map);
-            if outcome == ConcatOutcome::Stored {
-                let e = map.get_mut(key.as_ref()).expect("probed live");
-                // Build the joined value exactly once, in a pooled
-                // region: each input byte is copied a single time and
-                // `freeze` hands the result over without another pass
-                // (the old path built a `Vec` and then copied it whole
-                // into a fresh `Bytes` allocation).
-                let mut joined = BufferPool::global().acquire();
-                joined.reserve(e.value.len() + data.len());
-                if prepend {
-                    joined.extend_from_slice(&data);
-                    joined.extend_from_slice(&e.value);
-                } else {
-                    joined.extend_from_slice(&e.value);
-                    joined.extend_from_slice(&data);
-                }
-                e.value = joined.freeze();
-                e.version = version;
-            }
-            outcome
-        };
-        let result = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    // Read-only fast paths: only a live, in-cap entry pays
-                    // the copy-on-write.
-                    let outcome = stm_probe(&snapshot);
-                    if outcome != ConcatOutcome::Stored {
-                        return Ok(outcome);
-                    }
-                    let mut map = (*snapshot).clone();
-                    let outcome = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(outcome)
-                })
-            }
-        };
-        result.map(move |outcome| {
+            let e = shard.write().get_mut(key.as_ref()).expect("probed live");
+            e.value = joined.freeze();
+            e.version = version;
+            ConcatOutcome::Stored
+        })
+        .map(move |outcome| {
             if outcome == ConcatOutcome::Stored {
                 if prepend {
                     this.stats[idx].prepends.incr();
@@ -618,41 +548,19 @@ impl ShardedStore {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
         let version = self.stamp();
-        let stm_key = key.clone();
-        let apply = move |map: &mut ShardMap| -> bool {
-            match map.get_mut(key.as_ref()) {
-                Some(e) if !e.is_expired(now) => {
-                    e.expires_at = expires_at;
-                    e.version = version;
-                    true
-                }
-                _ => false,
+        self.with_shard(idx, move |shard| {
+            let live = shard
+                .read()
+                .get(key.as_ref())
+                .is_some_and(|e| !e.is_expired(now));
+            if live {
+                let e = shard.write().get_mut(key.as_ref()).expect("probed live");
+                e.expires_at = expires_at;
+                e.version = version;
             }
-        };
-        let touched = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    let live = snapshot
-                        .get(stm_key.as_ref())
-                        .is_some_and(|e| !e.is_expired(now));
-                    if !live {
-                        return Ok(false); // read-only fast path: no COW
-                    }
-                    let mut map = (*snapshot).clone();
-                    let touched = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(touched)
-                })
-            }
-        };
-        touched.map(move |touched| {
+            live
+        })
+        .map(move |touched| {
             if touched {
                 this.stats[idx].touches.incr();
             }
@@ -672,13 +580,13 @@ impl ShardedStore {
         let this = Arc::clone(self);
         let idx = self.shard_of(&key);
         let version = self.stamp();
-        let stm_key = key.clone();
-        let apply = move |map: &mut ShardMap| -> CounterResult {
-            let Some(e) = map.get_mut(key.as_ref()) else {
+        self.with_shard(idx, move |shard| {
+            let Some(e) = shard.read().get(key.as_ref()) else {
                 return CounterResult::NotFound;
             };
             if e.is_expired(now) {
-                map.remove(key.as_ref());
+                // The one miss that writes: the stale entry is reclaimed.
+                shard.write().remove(key.as_ref());
                 return CounterResult::NotFound;
             }
             let Some(cur) = std::str::from_utf8(&e.value)
@@ -692,46 +600,12 @@ impl ShardedStore {
             } else {
                 cur.wrapping_add(delta)
             };
+            let e = shard.write().get_mut(key.as_ref()).expect("probed live");
             e.value = Bytes::from(next.to_string());
             e.version = version;
             CounterResult::Ok(next)
-        };
-        let result = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || apply(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    // Read-only fast paths: don't copy-on-write the
-                    // whole shard when the outcome cannot be a
-                    // committed write.
-                    let snapshot = txn.read(&cell)?;
-                    match snapshot.get(stm_key.as_ref()) {
-                        None => return Ok(CounterResult::NotFound),
-                        Some(e) if !e.is_expired(now) => {
-                            let numeric = std::str::from_utf8(&e.value)
-                                .ok()
-                                .and_then(|s| s.parse::<u64>().ok())
-                                .is_some();
-                            if !numeric {
-                                return Ok(CounterResult::NotNumeric);
-                            }
-                        }
-                        // Expired: fall through to the write path so
-                        // the removal commits.
-                        Some(_) => {}
-                    }
-                    let mut map = (*snapshot).clone();
-                    let res = apply(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(res)
-                })
-            }
-        };
-        result.map(move |res| {
+        })
+        .map(move |res| {
             if matches!(res, CounterResult::Ok(_)) {
                 this.stats[idx].counter_ops.incr();
             }
@@ -744,32 +618,16 @@ impl ShardedStore {
     /// janitor yields between shards instead of stalling the scheduler.
     pub fn purge_shard(self: &Arc<Self>, idx: usize, now: Nanos) -> ThreadM<usize> {
         let this = Arc::clone(self);
-        let purge = move |map: &mut ShardMap| {
+        self.with_shard(idx, move |shard| {
+            if !shard.read().values().any(|e| e.is_expired(now)) {
+                return 0;
+            }
+            let map = shard.write();
             let before = map.len();
             map.retain(|_, e| !e.is_expired(now));
             before - map.len()
-        };
-        let purged = match &self.shards {
-            Shards::Mutex(shards) => {
-                let shard = &shards[idx];
-                let map = Arc::clone(&shard.map);
-                shard.gate.with_nbio(move || purge(&mut map.lock()))
-            }
-            Shards::Stm(shards) => {
-                let cell = shards[idx].cell.clone();
-                self.stm_atomically(move |txn| {
-                    let snapshot = txn.read(&cell)?;
-                    if !snapshot.values().any(|e| e.is_expired(now)) {
-                        return Ok(0); // read-only fast path
-                    }
-                    let mut map = (*snapshot).clone();
-                    let n = purge(&mut map);
-                    txn.write(&cell, Arc::new(map));
-                    Ok(n)
-                })
-            }
-        };
-        purged.map(move |n| {
+        })
+        .map(move |n| {
             this.stats[idx].expired_purged.add(n as u64);
             n
         })
@@ -777,33 +635,11 @@ impl ShardedStore {
 
     /// Total live entries (includes not-yet-purged expired entries).
     pub fn len_now(&self) -> usize {
-        match &self.shards {
-            Shards::Mutex(shards) => shards.iter().map(|s| s.map.lock().len()).sum(),
-            Shards::Stm(shards) => shards.iter().map(|s| s.cell.read_now().len()).sum(),
-        }
-    }
-
-    /// Convenience: monadic multi-step `set` from protocol fields.
-    pub fn set_from_protocol(
-        self: &Arc<Self>,
-        key: Bytes,
-        flags: u32,
-        exptime: u64,
-        value: Bytes,
-    ) -> ThreadM<()> {
-        let this = Arc::clone(self);
-        do_m! {
-            let now <- eveth_core::syscall::sys_time();
-            this.set(
-                key,
-                Entry {
-                    value,
-                    flags,
-                    expires_at: ShardedStore::deadline(now, exptime),
-                    version: 0,
-                },
-            )
-        }
+        let len = |s: &Shard| match s {
+            Shard::Mutex { map, .. } => map.lock().len(),
+            Shard::Stm(cell) => cell.read_now().len(),
+        };
+        self.shards.iter().map(len).sum()
     }
 }
 
@@ -832,6 +668,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eveth_core::do_m;
     use eveth_core::runtime::Runtime;
 
     fn store(backend: Backend) -> Arc<ShardedStore> {
@@ -1027,6 +864,72 @@ mod tests {
             );
             rt.shutdown();
         }
+    }
+
+    #[test]
+    fn stm_read_only_outcomes_do_not_copy_the_shard() {
+        let rt = Runtime::builder().workers(1).build();
+        let s = ShardedStore::new(StoreConfig {
+            shards: 1,
+            backend: Backend::Stm,
+            ..Default::default()
+        });
+        let snapshot = || match &s.shards[0] {
+            Shard::Stm(cell) => cell.read_now(),
+            Shard::Mutex { .. } => unreachable!("built with Backend::Stm"),
+        };
+        let k = Bytes::from_static(b"k");
+        let absent = Bytes::from_static(b"absent");
+        rt.block_on(s.set(k.clone(), entry("pear")));
+        let before = snapshot();
+        let unchanged = |what: &str| {
+            assert!(
+                Arc::ptr_eq(&before, &snapshot()),
+                "{what} must not copy-on-write the shard"
+            );
+        };
+
+        assert!(!rt.block_on(s.add(k.clone(), entry("x"), 0)));
+        unchanged("failed add");
+        assert!(!rt.block_on(s.replace(absent.clone(), entry("x"), 0)));
+        unchanged("failed replace");
+        // Stamps start at 1, so 0 is always stale.
+        assert_eq!(
+            rt.block_on(s.cas(k.clone(), entry("x"), 0, 0)),
+            CasOutcome::Exists
+        );
+        unchanged("stale cas");
+        assert_eq!(
+            rt.block_on(s.cas(absent.clone(), entry("x"), 0, 0)),
+            CasOutcome::NotFound
+        );
+        unchanged("missed cas");
+        assert_eq!(
+            rt.block_on(s.concat(absent.clone(), Bytes::from_static(b"x"), false, 0)),
+            ConcatOutcome::Missing
+        );
+        unchanged("missed append");
+        assert!(!rt.block_on(s.touch(absent.clone(), None, 0)));
+        unchanged("missed touch");
+        assert!(!rt.block_on(s.delete(absent.clone(), 0)));
+        unchanged("missed delete");
+        assert_eq!(
+            rt.block_on(s.counter_op(k.clone(), 1, false, 0)),
+            CounterResult::NotNumeric
+        );
+        unchanged("non-numeric incr");
+        assert_eq!(
+            rt.block_on(s.counter_op(absent, 1, false, 0)),
+            CounterResult::NotFound
+        );
+        unchanged("missed incr");
+        assert_eq!(rt.block_on(s.purge_shard(0, 0)), 0);
+        unchanged("empty purge");
+
+        // The probe is live: a committed write does swap the snapshot.
+        assert!(rt.block_on(s.touch(k, Some(5), 0)));
+        assert!(!Arc::ptr_eq(&before, &snapshot()));
+        rt.shutdown();
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! * one pipelined command straddling three separate reads;
 //! * `incr` wraparound at `u64::MAX` and `decr` flooring at zero.
 //!
+//! Plus one client-side case with no socket under it: hostile `VALUE`
+//! lengths fed straight to the reply parser.
+//!
 //! The wire bytes are shipped in deliberately awkward chunks with virtual
 //! sleeps between them, so the server's incremental parser actually sees
 //! the split input.
@@ -20,6 +23,7 @@ use eveth_core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth_core::syscall::sys_sleep;
 use eveth_core::time::MILLIS;
 use eveth_core::{do_m, for_each_m};
+use eveth_kv::protocol::{ProtoError, ReplyParser};
 use eveth_kv::server::{KvConfig, KvServer};
 use eveth_kv::store::StoreConfig;
 use eveth_simos::net::{LinkParams, SimNet};
@@ -252,4 +256,26 @@ fn append_over_the_value_cap_is_rejected_without_storing() {
             "{stack:?}"
         );
     }
+}
+
+/// A `VALUE` header's length field is the peer's word. Each of these used
+/// to reach the `line_end + 2 + len + 2` offset arithmetic unchecked: the
+/// first wraps to a slice whose start exceeds its end (a release-build
+/// panic), the second overflows outright (a debug-build panic), the third
+/// merely asks the client to buffer more than any store will hold.
+#[test]
+fn hostile_value_lengths_in_a_reply_are_malformed_not_a_panic() {
+    for len in ["18446744073709551582", "18446744073709551615", "1048577"] {
+        let wire = format!("VALUE k 0 {len}\r\n");
+        assert_eq!(
+            ReplyParser::new().feed(wire.as_bytes()).unwrap_err(),
+            ProtoError::Malformed("VALUE length"),
+            "declared length {len}"
+        );
+    }
+    // At the cap exactly the header is fine: the parser waits for the block.
+    assert_eq!(
+        ReplyParser::new().feed(b"VALUE k 0 1048576\r\n").unwrap(),
+        None
+    );
 }

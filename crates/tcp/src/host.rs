@@ -149,8 +149,23 @@ impl TcpHost {
         self.self_weak.upgrade().expect("host alive")
     }
 
-    fn ephemeral(&self) -> u16 {
-        40_000 + (self.next_ephemeral.fetch_add(1, Ordering::Relaxed) % 25_000) as u16
+    /// The demux key of the next ephemeral port with no live connection
+    /// to `remote` — the counter wraps, and a long-lived connection may
+    /// still own the port it was given a lap ago. `None` once every port
+    /// has been tried.
+    fn ephemeral(
+        &self,
+        conns: &HashMap<ConnKey, Arc<Mutex<Tcb>>>,
+        remote: Endpoint,
+    ) -> Option<ConnKey> {
+        const PORTS: u32 = 25_000;
+        (0..PORTS)
+            .map(|_| ConnKey {
+                local_port: 40_000
+                    + (self.next_ephemeral.fetch_add(1, Ordering::Relaxed) % PORTS) as u16,
+                peer: remote,
+            })
+            .find(|key| !conns.contains_key(key))
     }
 
     fn fresh_iss(&self) -> u32 {
@@ -605,11 +620,13 @@ impl NetStack for TcpHost {
             // resolves (the timer thread retries lost SYNs).
             let setup_host = Arc::clone(&host);
             sys_nbio(move || {
-                let local = Endpoint::new(setup_host.host, setup_host.ephemeral());
-                let key = ConnKey {
-                    local_port: local.port,
-                    peer: remote,
-                };
+                // Port choice and demux insert share one critical section,
+                // so two concurrent connects cannot pick the same port.
+                let mut conns = setup_host.conns.lock();
+                let key = setup_host
+                    .ephemeral(&conns, remote)
+                    .ok_or(NetError::AddrInUse)?;
+                let local = Endpoint::new(setup_host.host, key.local_port);
                 let tcb = Tcb::new_active(
                     setup_host.cfg.clone(),
                     local,
@@ -619,15 +636,20 @@ impl NetStack for TcpHost {
                 );
                 let syn = tcb.syn_segment();
                 let tcb_arc = Arc::new(Mutex::new(tcb));
-                setup_host.conns.lock().insert(key, Arc::clone(&tcb_arc));
+                conns.insert(key, Arc::clone(&tcb_arc));
+                drop(conns);
                 setup_host
                     .stats
                     .conns_opened
                     .fetch_add(1, Ordering::Relaxed);
                 setup_host.send_segs(remote.host, vec![syn]);
-                (key, tcb_arc)
+                Ok((key, tcb_arc))
             })
-            .bind(move |(key, tcb_arc)| {
+            .bind(move |setup: Result<_, NetError>| {
+                let (key, tcb_arc) = match setup {
+                    Ok(setup) => setup,
+                    Err(e) => return ThreadM::pure(Err(e)),
+                };
                 let host2 = Arc::clone(&host);
                 // The handshake wait is Write readiness on the connect
                 // gate (non-blocking `connect` convention).
@@ -667,5 +689,56 @@ impl NetStack for TcpHost {
 
     fn host(&self) -> HostId {
         self.host
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::LoopbackNet;
+    use eveth_core::do_m;
+    use eveth_core::net::{recv_exact, send_all};
+    use eveth_core::syscall::sys_fork;
+    use eveth_simos::SimRuntime;
+
+    #[test]
+    fn ephemeral_ports_skip_a_connection_held_open_across_the_wrap() {
+        let sim = SimRuntime::new_default();
+        let net = LoopbackNet::new();
+        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), TcpConfig::default());
+        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), TcpConfig::default());
+        net.register(&a);
+        net.register(&b);
+        let server_ep = Endpoint::new(HostId(2), 80);
+
+        // The server echoes one byte on its first connection — after the
+        // second one has been accepted.
+        let server = do_m! {
+            let lst <- b.listen(80);
+            let lst = lst.expect("listen");
+            let held <- lst.accept();
+            let held = held.expect("accept held");
+            let _second <- lst.accept();
+            let byte <- recv_exact(&held, 1);
+            send_all(&held, byte.expect("recv on held")).map(|sent| sent.expect("echo"))
+        };
+        let client = Arc::clone(&a);
+        let (held_port, second_port, echoed) = sim
+            .block_on(do_m! {
+                sys_fork(server);
+                let held <- client.connect(server_ep);
+                let held = held.expect("first connect");
+                // A full lap later the allocator is back at the held port.
+                let _ = client.next_ephemeral.fetch_add(25_000 - 1, Ordering::Relaxed);
+                let second <- client.connect(server_ep);
+                let second = second.expect("second connect");
+                let sent <- send_all(&held, Bytes::from_static(b"x"));
+                let _ = sent.expect("send on held");
+                let echoed <- recv_exact(&held, 1);
+                ThreadM::pure((held.local().port, second.local().port, echoed))
+            })
+            .expect("the held connection still reaches its peer");
+        assert_eq!(&echoed.expect("echo")[..], b"x");
+        assert_eq!(second_port, held_port + 1, "the live port is skipped");
     }
 }

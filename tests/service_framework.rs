@@ -11,6 +11,11 @@
 //! * `send_all_within` races a write against a deadline and the shutdown
 //!   broadcast over the lossy application-level TCP stack — a zero-window
 //!   peer can no longer stall the sender forever;
+//! * every bundled service replies through the framework's one
+//!   `ReplyHandle`: with `send_timeout > 0`, a client that never reads
+//!   its large reply costs exactly one `send_timeouts` and its session,
+//!   on `KvServer`, `WebServer` and `Router` alike, and the drain barrier
+//!   still fires;
 //! * readiness is the only way to wait on a connection: a `Conn` without
 //!   a readiness descriptor gets a transport error from `session_input`,
 //!   `send_all_within_vectored` and the router's fan-in — never a hang,
@@ -25,15 +30,17 @@ use std::sync::Arc;
 use bytes::Bytes;
 use eveth::cluster::{Router, RouterConfig};
 use eveth::core::event::{choose, never, sync, timeout_evt, Signal};
+use eveth::core::io::ramdisk::MemStore;
 use eveth::core::net::{
     queue_accept_evt, recv_exact, send_all, send_all_within, send_all_within_vectored,
     session_input, Conn, Endpoint, HostId, Listener, NetError, NetStack, SendInput, SessionInput,
 };
 use eveth::core::reactor::{AcceptQueue, Fd};
-use eveth::core::service::{Server, ServerConfig, Service, Step};
+use eveth::core::service::{Server, ServerConfig, ServerStats, Service, Step};
 use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep, sys_time};
 use eveth::core::time::{Nanos, MILLIS, SECS};
 use eveth::glue;
+use eveth::http::server::{ServerConfig as WebConfig, WebServer};
 use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
@@ -297,6 +304,131 @@ fn send_all_within_observes_the_shutdown_broadcast() {
         matches!(outcome, SendInput::Shutdown),
         "broadcast interrupts the stalled send: {outcome:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The framework's reply handle: one bounded-send policy for every service.
+// ---------------------------------------------------------------------------
+
+/// What the reply-handle case needs of a hosted service, whatever its
+/// `Service` type.
+struct Hosted {
+    name: &'static str,
+    port: u16,
+    /// Asks for a reply far larger than the 64 KB socket window.
+    request: Bytes,
+    stats: Arc<ServerStats>,
+    active: Box<dyn Fn() -> u64>,
+    shutdown: Box<dyn Fn()>,
+    drained: Signal,
+}
+
+fn hosted<S: Service>(
+    name: &'static str,
+    server: &Arc<Server<S>>,
+    request: impl Into<Bytes>,
+) -> Hosted {
+    let (active, shutdown) = (Arc::clone(server), Arc::clone(server));
+    Hosted {
+        name,
+        port: server.config().port,
+        request: request.into(),
+        stats: Arc::clone(server.stats()),
+        active: Box::new(move || active.active()),
+        shutdown: Box::new(move || shutdown.shutdown()),
+        drained: server.drained_signal().clone(),
+    }
+}
+
+/// Every bundled service replies through the framework's `ReplyHandle`: a
+/// client that requests a large reply and never reads costs exactly one
+/// `send_timeouts`, loses its session, and does not hold up the drain.
+#[test]
+fn stalled_reader_times_out_once_on_every_service_and_the_server_still_drains() {
+    const SEND_TIMEOUT: Nanos = 50 * MILLIS;
+    const BIG: usize = 300_000;
+    let mut store_then_fetch = format!("set big 0 0 {BIG}\r\n").into_bytes();
+    store_then_fetch.resize(store_then_fetch.len() + BIG, b'v');
+    store_then_fetch.extend_from_slice(b"\r\nget big\r\n");
+
+    type Build = fn(&SimRuntime, &Arc<SocketFabric>, Vec<u8>) -> Hosted;
+    let cases: [Build; 3] = [
+        |sim, fabric, kv_request| {
+            let kv = KvServer::new(
+                fabric.stack(HostId(1)),
+                KvConfig {
+                    send_timeout: SEND_TIMEOUT,
+                    ..Default::default()
+                },
+            );
+            sim.spawn(kv.run());
+            hosted("kv", kv.server(), kv_request)
+        },
+        |sim, fabric, _| {
+            let files = Arc::new(MemStore::new());
+            files.insert_bytes("/big.bin", vec![b'v'; BIG]);
+            let web = WebServer::new(
+                fabric.stack(HostId(1)),
+                files,
+                WebConfig {
+                    send_timeout: SEND_TIMEOUT,
+                    ..Default::default()
+                },
+            );
+            sim.spawn(web.run());
+            hosted(
+                "http",
+                web.server(),
+                &b"GET /big.bin HTTP/1.1\r\nHost: t\r\n\r\n"[..],
+            )
+        },
+        |sim, fabric, kv_request| {
+            // The backend's own peer (the router) reads, so only the
+            // router's client-facing send can stall.
+            let backend = KvServer::new(fabric.stack(HostId(3)), KvConfig::default());
+            sim.spawn(backend.run());
+            let router = Router::new(
+                fabric.stack(HostId(1)),
+                RouterConfig {
+                    backends: vec![Endpoint::new(HostId(3), KvConfig::default().port)],
+                    send_timeout: SEND_TIMEOUT,
+                    ..Default::default()
+                },
+            );
+            sim.spawn(router.run());
+            hosted("router", router.server(), kv_request)
+        },
+    ];
+
+    for build in cases {
+        let sim = SimRuntime::new_default();
+        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let case = build(&sim, &fabric, store_then_fetch.clone());
+        let name = case.name;
+        let client = fabric.stack(HostId(2));
+        let server_ep = Endpoint::new(HostId(1), case.port);
+        let request = case.request.clone();
+        let _held_open = sim
+            .block_on(do_m! {
+                let conn <- client.connect(server_ep);
+                let conn = conn.expect("connect");
+                let sent <- send_all(&conn, request);
+                let _ = sent.expect("request sent");
+                // Never read: the reply fills the window and stalls.
+                sys_sleep(4 * SEND_TIMEOUT);
+                ThreadM::pure(conn)
+            })
+            .expect(name);
+        assert_eq!(
+            case.stats.send_timeouts.get(),
+            1,
+            "{name}: one timed-out send"
+        );
+        assert_eq!((case.active)(), 0, "{name}: the stalled session was closed");
+        (case.shutdown)();
+        sim.block_on(sync(case.drained.wait_evt()))
+            .unwrap_or_else(|e| panic!("{name}: drain barrier never fired: {e:?}"));
+    }
 }
 
 // ---------------------------------------------------------------------------
