@@ -37,15 +37,12 @@
 //! (read-repair, a `noreply` set bounded by
 //! [`RouterConfig::repair_ttl`]) so the hot key converges.
 //!
-//! Only *state-independent* writes fan out: `set`, `delete` and `touch`
-//! mean the same thing on every replica. Conditional writes — `cas`
-//! (version stamps are per-node sequence numbers), `add`/`replace`
-//! (presence), `append`/`prepend` and `incr`/`decr` (current value) —
-//! go to the key's primary only: fanning them out could store on the
-//! primary while a secondary answers `EXISTS`/`NOT_STORED`, silently
-//! diverging the replicas behind an acked reply. The trade-off is that
-//! a conditional write is not crash-durable until a later replicated
-//! `set` or read-repair copies it; replication's zero-loss guarantee
+//! Only *state-independent* writes fan out — the verbs whose row of the
+//! protocol's verb table ([`VERBS`](eveth_kv::protocol::VERBS)) sets
+//! `fanout`, where the reason each other write is held back is stated
+//! too. A conditional write goes to the key's primary only; the
+//! trade-off is that it is not crash-durable until a later replicated
+//! write or read-repair copies it — replication's zero-loss guarantee
 //! covers the fanned-out commands.
 //!
 //! ## Failure semantics
@@ -72,7 +69,7 @@ use eveth_core::telemetry::Telemetry;
 use eveth_core::time::Nanos;
 use eveth_core::{loop_m, map_m, Loop, ThreadM};
 use eveth_kv::client::{Framed, ReplyFramer};
-use eveth_kv::protocol::{wire, Command, CommandParser, ProtoError, Reply};
+use eveth_kv::protocol::{wire, Command, CommandParser, Reply, StoreMode};
 use parking_lot::Mutex;
 
 use crate::ring::HashRing;
@@ -446,18 +443,16 @@ fn read_result(
         match framed {
             Some(f) if f.values > 0 || !matches!(f.closing, Reply::End) => {
                 if f.values > 0 {
-                    if let Some(
-                        Reply::Value { key, flags, data }
-                        | Reply::ValueCas {
-                            key, flags, data, ..
-                        },
-                    ) = f.first_value
+                    if let Some(Reply::Value {
+                        key, flags, data, ..
+                    }) = f.first_value
                     {
                         for target in missed_live.drain(..) {
                             shared.stats.read_repairs.incr();
                             repairs.push((
                                 target,
-                                Command::Set {
+                                Command::Store {
+                                    mode: StoreMode::Set,
                                     key: key.clone(),
                                     flags,
                                     exptime: shared.cfg.repair_ttl,
@@ -529,21 +524,6 @@ struct Plan {
     quit: bool,
 }
 
-/// Writes safe to fan out to every replica: their outcome does not
-/// depend on per-backend state that legitimately differs across
-/// replicas. Conditional writes — `cas` (stamps are per-node sequence
-/// numbers), `add`/`replace` (presence), `append`/`prepend` and
-/// `incr`/`decr` (current value) — must not fan out: they could store
-/// on the primary while a secondary answers `EXISTS`/`NOT_STORED`,
-/// acking the client over silently diverged replicas. They route to the
-/// primary only instead.
-fn replica_fanout(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Set { .. } | Command::Delete { .. } | Command::Touch { .. }
-    )
-}
-
 /// Routes one single-key read (a whole `get`/`gets`, or one key split
 /// out of a multi-key one): a replicated key starts a failover-capable
 /// replica walk, anything else forwards to the key's shard.
@@ -595,17 +575,13 @@ fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Pla
         // by the shard that owns it — routing the whole command by its
         // first key would turn other shards' keys into spurious misses.
         // The parts are stitched back into one response at reply time.
-        if let Command::Get { keys } | Command::Gets { keys } = &cmd {
+        if let Command::Get { keys, with_cas } = &cmd {
             if keys.len() > 1 {
                 slots.push(SlotState::MultiHead { parts: keys.len() });
                 for key in keys {
-                    let sub = match &cmd {
-                        Command::Get { .. } => Command::Get {
-                            keys: vec![key.clone()],
-                        },
-                        _ => Command::Gets {
-                            keys: vec![key.clone()],
-                        },
+                    let sub = Command::Get {
+                        keys: vec![key.clone()],
+                        with_cas: *with_cas,
                     };
                     route_read(shared, ring, &mut round, &mut slots, &sub);
                 }
@@ -613,6 +589,7 @@ fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Pla
             }
         }
         let noreply = cmd.noreply();
+        let verb = cmd.verb().info();
         match cmd.key() {
             None => {
                 // Keyless commands (stats, version) go to the first ring
@@ -622,7 +599,7 @@ fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Pla
                 round.queues[lane].push_back((slots.len(), Role::Deliver));
                 slots.push(SlotState::AwaitOne);
             }
-            Some(key) if shared.replicated(key) && cmd.is_write() && replica_fanout(&cmd) => {
+            Some(key) if shared.replicated(key) && verb.fanout => {
                 let eps = ring.replicas(key, shared.cfg.replication);
                 if eps.len() > 1 {
                     shared.stats.replicated_writes.incr();
@@ -645,13 +622,13 @@ fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Pla
                     });
                 }
             }
-            Some(key) if shared.replicated(key) && !cmd.is_write() => {
+            Some(key) if shared.replicated(key) && !verb.write => {
                 route_read(shared, ring, &mut round, &mut slots, &cmd);
             }
             Some(key) => {
                 // Non-replicated keys, plus conditional writes on
-                // replicated ones (see `replica_fanout`): the key's
-                // primary — `ring.primary` is `replicas(key, r)[0]`.
+                // replicated ones (the verb table's `fanout` column): the
+                // key's primary — `ring.primary` is `replicas(key, r)[0]`.
                 let ep = ring.primary(key);
                 let lane = round.lane(ep);
                 cmd.encode_into(&mut round.wires[lane]);
@@ -1001,11 +978,7 @@ impl Service for RouterService {
             match next {
                 Err(e) => {
                     shared.stats.protocol_errors.incr();
-                    trailing = Some(if matches!(e, ProtoError::Malformed("unknown command")) {
-                        Reply::Error
-                    } else {
-                        Reply::ClientError(e.reason())
-                    });
+                    trailing = Some(e.to_reply());
                     break;
                 }
                 Ok(None) => break,

@@ -25,8 +25,16 @@ use parking_lot::Mutex;
 ///
 /// Cloning shares the underlying cell, so one handle can live on a hot
 /// path while its clone sits in a [`Registry`].
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
+
+/// Prints as the bare value, like the `AtomicU64` inside: a stats struct
+/// of counters `{:?}`-prints the same as one of plain atomics.
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.get(), f)
+    }
+}
 
 impl Counter {
     /// A fresh counter at zero.

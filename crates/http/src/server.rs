@@ -19,7 +19,6 @@
 //! stacks expose.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -30,6 +29,7 @@ use eveth_core::service::{
     ReplyHandle, Server, ServerConfig as LifecycleConfig, Service, SessionEnd, Step,
 };
 use eveth_core::syscall::{sys_aio_read, sys_blio, sys_nbio, sys_throw};
+use eveth_core::telemetry::metrics::Counter;
 use eveth_core::telemetry::Telemetry;
 use eveth_core::time::Nanos;
 use eveth_core::{do_m, loop_m, Exception, Loop, ThreadM};
@@ -74,21 +74,22 @@ impl Default for ServerConfig {
     }
 }
 
-/// Aggregate server counters.
+/// Aggregate server counters (telemetry metrics cells, registered as-is
+/// by [`WebServer::attach_telemetry`]).
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
-    pub connections: AtomicU64,
+    pub connections: Counter,
     /// Requests served (any status).
-    pub requests: AtomicU64,
+    pub requests: Counter,
     /// Response bytes written (heads + bodies).
-    pub bytes_sent: AtomicU64,
+    pub bytes_sent: Counter,
     /// 404 responses.
-    pub not_found: AtomicU64,
+    pub not_found: Counter,
     /// Sessions terminated by an exception.
-    pub errors: AtomicU64,
+    pub errors: Counter,
     /// Keep-alive connections reaped by the per-session idle deadline.
-    pub idle_reaped: AtomicU64,
+    pub idle_reaped: Counter,
 }
 
 /// The HTTP-specific state shared by every session thread (file store,
@@ -127,10 +128,7 @@ impl Service for WebService {
     type Session = RequestParser;
 
     fn open(&self, _conn: &Arc<dyn Conn>) -> RequestParser {
-        self.shared
-            .stats
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.connections.incr();
         RequestParser::new()
     }
 
@@ -149,10 +147,7 @@ impl Service for WebService {
 
     fn on_end(&self, end: &SessionEnd) {
         if matches!(end, SessionEnd::Idle) {
-            self.shared
-                .stats
-                .idle_reaped
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.idle_reaped.incr();
         }
     }
 
@@ -160,7 +155,7 @@ impl Service for WebService {
     /// attempts a 500 and closes (paper §5.2: "I/O errors are handled
     /// gracefully using exceptions").
     fn on_exception(&self, conn: Arc<dyn Conn>, _error: &Exception) -> ThreadM<()> {
-        self.shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.errors.incr();
         do_m! {
             conn.send(Response::internal_error().into_bytes());
             conn.close()
@@ -223,30 +218,13 @@ impl WebServer {
     pub fn attach_telemetry(&self, telemetry: &Arc<Telemetry>) {
         self.server.attach_telemetry(telemetry, "http");
         let reg = telemetry.registry();
-        let s = Arc::clone(&self.shared.stats);
-        reg.register_counter_fn("eveth_http_connections_total", &[], move || {
-            s.connections.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(&self.shared.stats);
-        reg.register_counter_fn("eveth_http_requests_total", &[], move || {
-            s.requests.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(&self.shared.stats);
-        reg.register_counter_fn("eveth_http_bytes_sent_total", &[], move || {
-            s.bytes_sent.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(&self.shared.stats);
-        reg.register_counter_fn("eveth_http_not_found_total", &[], move || {
-            s.not_found.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(&self.shared.stats);
-        reg.register_counter_fn("eveth_http_errors_total", &[], move || {
-            s.errors.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(&self.shared.stats);
-        reg.register_counter_fn("eveth_http_idle_reaped_total", &[], move || {
-            s.idle_reaped.load(Ordering::Relaxed)
-        });
+        let s = &self.shared.stats;
+        reg.register_counter("eveth_http_connections_total", &[], &s.connections);
+        reg.register_counter("eveth_http_requests_total", &[], &s.requests);
+        reg.register_counter("eveth_http_bytes_sent_total", &[], &s.bytes_sent);
+        reg.register_counter("eveth_http_not_found_total", &[], &s.not_found);
+        reg.register_counter("eveth_http_errors_total", &[], &s.errors);
+        reg.register_counter("eveth_http_idle_reaped_total", &[], &s.idle_reaped);
     }
 
     /// Initiates graceful shutdown (callable from any context): the
@@ -352,8 +330,8 @@ fn serve_one(shared: Arc<WebShared>, conn: Arc<dyn Conn>, req: Request) -> Threa
         let n = body.len() as u64;
         let sent <- replier.send_response(&conn, body);
         sys_nbio(move || {
-            shared2.stats.requests.fetch_add(1, Ordering::Relaxed);
-            shared2.stats.bytes_sent.fetch_add(n, Ordering::Relaxed);
+            shared2.stats.requests.incr();
+            shared2.stats.bytes_sent.add(n);
             sent.is_ok() && keep_alive
         })
     }
@@ -377,7 +355,7 @@ fn build_response(srv: Arc<WebShared>, req: Request) -> ThreadM<Response> {
         let file <- sys_blio(move || lookup_files.lookup(&lookup_path));
         match file {
             None => {
-                srv.stats.not_found.fetch_add(1, Ordering::Relaxed);
+                srv.stats.not_found.incr();
                 ThreadM::pure(Response::not_found())
             }
             Some(file) => do_m! {

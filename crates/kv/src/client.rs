@@ -319,7 +319,7 @@ impl ReplyFramer {
                 });
                 self.values_open = 0;
                 completed += 1;
-            } else if matches!(reply, Reply::Value { .. } | Reply::ValueCas { .. }) {
+            } else if matches!(reply, Reply::Value { .. }) {
                 if self.values_open == 0 {
                     self.first_value_open = Some(reply);
                 }

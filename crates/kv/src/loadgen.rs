@@ -330,7 +330,7 @@ fn observe_load(stats: &KvLoadStats, hits_in_get: &mut u64, ev: ReadEvent<'_>) {
         ReadEvent::ProtocolError => stats.errors.incr(),
         ReadEvent::Reply { reply, lat, closes } => {
             match reply {
-                Reply::Value { .. } | Reply::ValueCas { .. } => *hits_in_get += 1,
+                Reply::Value { .. } => *hits_in_get += 1,
                 Reply::End => {
                     stats.hits.add(*hits_in_get);
                     if *hits_in_get == 0 {

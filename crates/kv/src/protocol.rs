@@ -1,4 +1,5 @@
-//! Incremental parsing of the memcached-style text protocol.
+//! The memcached-style text protocol: its vocabulary as one verb table,
+//! and incremental parsers for both directions.
 //!
 //! Mirrors the idiom of `eveth_http::parser`: the parser accumulates bytes
 //! fed from the socket, yields one [`Command`] as soon as it is complete,
@@ -8,28 +9,28 @@
 //! are frozen into one [`Bytes`] allocation and the key/value are O(1)
 //! slices into it.
 //!
-//! The grammar is the classic memcached text protocol subset:
+//! The grammar is the classic memcached text protocol subset: fifteen
+//! verbs over five wire shapes ([`Shape`]). [`VERBS`] is the source of
+//! truth — a verb's name, its shape, whether it takes `noreply`, whether
+//! it writes, and whether a replicating router may fan it out are each
+//! stated there once, and the parser, the encoder, the server and the
+//! router all read them from it.
 //!
 //! ```text
-//! get <key>+\r\n
-//! gets <key>+\r\n
-//! set <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-//! add <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-//! replace <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-//! cas <key> <flags> <exptime> <bytes> <cas unique> [noreply]\r\n<data>\r\n
-//! append <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-//! prepend <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-//! touch <key> <exptime> [noreply]\r\n
-//! delete <key> [noreply]\r\n
-//! incr <key> <delta> [noreply]\r\n
-//! decr <key> <delta> [noreply]\r\n
-//! stats\r\n
-//! version\r\n
-//! quit\r\n
+//! keys        get | gets  <key>+\r\n
+//! storage     set | add | replace | append | prepend
+//!                         <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
+//!             cas         <key> <flags> <exptime> <bytes> <cas unique> [noreply]\r\n<data>\r\n
+//! key+number  touch       <key> <exptime> [noreply]\r\n
+//!             incr | decr <key> <delta> [noreply]\r\n
+//! key         delete      <key> [noreply]\r\n
+//! bare        stats | version | quit\r\n
 //! ```
 //!
 //! `gets` is `get` plus the per-entry version stamp (`cas unique`) in each
-//! `VALUE` line; `cas` stores only if the stamp is unchanged.
+//! `VALUE` line; `cas` stores only if the stamp is unchanged. [`Command`]
+//! follows the shapes: one variant per shape, the verb that picked it
+//! carried as a small field (`with_cas`, [`StoreMode`], `decr`).
 
 use std::fmt;
 use std::mem;
@@ -45,101 +46,189 @@ pub const MAX_KEY_LEN: usize = 250;
 /// [`ReplyParser`] holds a peer's `VALUE` header to.
 pub const MAX_VALUE_LEN: usize = 1024 * 1024;
 
-/// One parsed client command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
-    /// `get` with one or more keys.
-    Get {
-        /// Keys to look up, in request order.
-        keys: Vec<Bytes>,
-    },
-    /// `gets`: like `get`, but each `VALUE` line carries the entry's
-    /// version stamp (`cas unique`) for a later `cas`.
-    Gets {
-        /// Keys to look up, in request order.
-        keys: Vec<Bytes>,
-    },
-    /// `set`: store a value unconditionally.
-    Set {
-        /// The key.
-        key: Bytes,
-        /// Opaque client flags, echoed back on `get`.
-        flags: u32,
-        /// Expiry in seconds relative to receipt; `0` = never.
-        exptime: u64,
-        /// The value payload.
-        value: Bytes,
-        /// Suppress the reply.
-        noreply: bool,
-    },
+/// The five wire shapes of a command line (see the module grammar).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// `<verb> <key>+`
+    Keys,
+    /// `<verb> <key> <flags> <exptime> <bytes> [<cas unique>] [noreply]`,
+    /// then a `<bytes>`-long data block.
+    Storage,
+    /// `<verb> <key> <number> [noreply]`
+    KeyNumber,
+    /// `<verb> <key> [noreply]`
+    Key,
+    /// `<verb>`
+    Bare,
+}
+
+/// The protocol's verbs, in [`VERBS`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// `get`
+    Get,
+    /// `gets`
+    Gets,
+    /// `set`
+    Set,
+    /// `add`
+    Add,
+    /// `replace`
+    Replace,
+    /// `append`
+    Append,
+    /// `prepend`
+    Prepend,
+    /// `cas`
+    Cas,
+    /// `touch`
+    Touch,
+    /// `delete`
+    Delete,
+    /// `incr`
+    Incr,
+    /// `decr`
+    Decr,
+    /// `stats`
+    Stats,
+    /// `version`
+    Version,
+    /// `quit`
+    Quit,
+}
+
+/// One row of the verb table: everything the protocol knows about a verb
+/// that is not carried by an individual command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerbInfo {
+    /// The verb this row describes.
+    pub verb: Verb,
+    /// Its name on the wire.
+    pub name: &'static str,
+    /// The shape of its command line.
+    pub shape: Shape,
+    /// Accepts a trailing `noreply`.
+    pub noreply: bool,
+    /// Mutates the store.
+    pub write: bool,
+    /// A write that means the same thing on every replica, so a
+    /// replicating router may send it to all of a key's replicas. The
+    /// other writes are conditional on per-node state that legitimately
+    /// differs across replicas — `cas` (version stamps are per-node
+    /// sequence numbers), `add`/`replace` (presence), `append`/`prepend`
+    /// and `incr`/`decr` (current value) — and fanning one out could
+    /// store on the primary while a secondary answers
+    /// `EXISTS`/`NOT_STORED`, acking the client over silently diverged
+    /// replicas.
+    pub fanout: bool,
+}
+
+/// The verb table, indexed by `Verb as usize`. `get` is first: lookup by
+/// name is a linear scan and `get` is the hot verb.
+#[rustfmt::skip]
+pub static VERBS: [VerbInfo; 15] = [
+    VerbInfo { verb: Verb::Get,     name: "get",     shape: Shape::Keys,      noreply: false, write: false, fanout: false },
+    VerbInfo { verb: Verb::Gets,    name: "gets",    shape: Shape::Keys,      noreply: false, write: false, fanout: false },
+    VerbInfo { verb: Verb::Set,     name: "set",     shape: Shape::Storage,   noreply: true,  write: true,  fanout: true  },
+    VerbInfo { verb: Verb::Add,     name: "add",     shape: Shape::Storage,   noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Replace, name: "replace", shape: Shape::Storage,   noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Append,  name: "append",  shape: Shape::Storage,   noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Prepend, name: "prepend", shape: Shape::Storage,   noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Cas,     name: "cas",     shape: Shape::Storage,   noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Touch,   name: "touch",   shape: Shape::KeyNumber, noreply: true,  write: true,  fanout: true  },
+    VerbInfo { verb: Verb::Delete,  name: "delete",  shape: Shape::Key,       noreply: true,  write: true,  fanout: true  },
+    VerbInfo { verb: Verb::Incr,    name: "incr",    shape: Shape::KeyNumber, noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Decr,    name: "decr",    shape: Shape::KeyNumber, noreply: true,  write: true,  fanout: false },
+    VerbInfo { verb: Verb::Stats,   name: "stats",   shape: Shape::Bare,      noreply: false, write: false, fanout: false },
+    VerbInfo { verb: Verb::Version, name: "version", shape: Shape::Bare,      noreply: false, write: false, fanout: false },
+    VerbInfo { verb: Verb::Quit,    name: "quit",    shape: Shape::Bare,      noreply: false, write: false, fanout: false },
+];
+
+impl Verb {
+    /// This verb's row of [`VERBS`].
+    pub fn info(self) -> &'static VerbInfo {
+        &VERBS[self as usize]
+    }
+
+    /// The row of the verb named `name` on the wire, if any.
+    fn lookup(name: &[u8]) -> Option<&'static VerbInfo> {
+        VERBS.iter().find(|row| row.name.as_bytes() == name)
+    }
+}
+
+/// How a storage command treats what is already stored under its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreMode {
+    /// `set`: store unconditionally.
+    Set,
     /// `add`: store only if the key is absent (or expired).
-    Add {
-        /// The key.
-        key: Bytes,
-        /// Opaque client flags, echoed back on `get`.
-        flags: u32,
-        /// Expiry in seconds relative to receipt; `0` = never.
-        exptime: u64,
-        /// The value payload.
-        value: Bytes,
-        /// Suppress the reply.
-        noreply: bool,
-    },
+    Add,
     /// `replace`: store only if a live entry already exists.
-    Replace {
-        /// The key.
-        key: Bytes,
-        /// Opaque client flags, echoed back on `get`.
-        flags: u32,
-        /// Expiry in seconds relative to receipt; `0` = never.
-        exptime: u64,
-        /// The value payload.
-        value: Bytes,
-        /// Suppress the reply.
-        noreply: bool,
-    },
-    /// `cas`: store only if the entry's version stamp is unchanged since
-    /// the client's `gets`.
-    Cas {
-        /// The key.
-        key: Bytes,
-        /// Opaque client flags, echoed back on `get`.
-        flags: u32,
-        /// Expiry in seconds relative to receipt; `0` = never.
-        exptime: u64,
-        /// The value payload.
-        value: Bytes,
-        /// The version stamp the client observed via `gets`.
-        cas_unique: u64,
-        /// Suppress the reply.
-        noreply: bool,
-    },
+    Replace,
     /// `append`: concatenate onto the tail of an existing live value
     /// (`NOT_STORED` on a miss). Per memcached, the `flags`/`exptime`
     /// fields are required on the wire but ignored — the stored entry
     /// keeps its own.
-    Append {
-        /// The key.
-        key: Bytes,
-        /// Wire-required, ignored (the entry keeps its flags).
-        flags: u32,
-        /// Wire-required, ignored (the entry keeps its deadline).
-        exptime: u64,
-        /// Bytes concatenated after the existing value.
-        value: Bytes,
-        /// Suppress the reply.
-        noreply: bool,
+    Append,
+    /// `prepend`: concatenate onto the head of an existing live value;
+    /// `flags`/`exptime` ignored like `append`.
+    Prepend,
+    /// `cas`: store only if the entry's version stamp still equals the
+    /// one the client observed via `gets`.
+    Cas(u64),
+}
+
+impl StoreMode {
+    /// The verb that spells this mode.
+    fn verb(self) -> Verb {
+        match self {
+            StoreMode::Set => Verb::Set,
+            StoreMode::Add => Verb::Add,
+            StoreMode::Replace => Verb::Replace,
+            StoreMode::Append => Verb::Append,
+            StoreMode::Prepend => Verb::Prepend,
+            StoreMode::Cas(_) => Verb::Cas,
+        }
+    }
+
+    /// The mode a storage verb spells; `stamp` is the line's `<cas
+    /// unique>` field, read only by `cas`.
+    fn of(verb: Verb, stamp: u64) -> StoreMode {
+        match verb {
+            Verb::Add => StoreMode::Add,
+            Verb::Replace => StoreMode::Replace,
+            Verb::Append => StoreMode::Append,
+            Verb::Prepend => StoreMode::Prepend,
+            Verb::Cas => StoreMode::Cas(stamp),
+            _ => StoreMode::Set,
+        }
+    }
+}
+
+/// One parsed client command: one variant per wire [`Shape`] (the bare
+/// verbs, which share nothing but their shape, stay apart).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Command {
+    /// `get` / `gets` with one or more keys.
+    Get {
+        /// Keys to look up, in request order.
+        keys: Vec<Bytes>,
+        /// `gets`: each `VALUE` line carries the entry's version stamp
+        /// (`cas unique`) for a later `cas`.
+        with_cas: bool,
     },
-    /// `prepend`: concatenate onto the head of an existing live value
-    /// (`NOT_STORED` on a miss); `flags`/`exptime` ignored like `append`.
-    Prepend {
+    /// `set` / `add` / `replace` / `append` / `prepend` / `cas`: store a
+    /// value, subject to `mode`.
+    Store {
+        /// Which storage verb this is.
+        mode: StoreMode,
         /// The key.
         key: Bytes,
-        /// Wire-required, ignored (the entry keeps its flags).
+        /// Opaque client flags, echoed back on `get`.
         flags: u32,
-        /// Wire-required, ignored (the entry keeps its deadline).
+        /// Expiry in seconds relative to receipt; `0` = never.
         exptime: u64,
-        /// Bytes concatenated before the existing value.
+        /// The value payload.
         value: Bytes,
         /// Suppress the reply.
         noreply: bool,
@@ -161,21 +250,15 @@ pub enum Command {
         /// Suppress the reply.
         noreply: bool,
     },
-    /// `incr`: add to a decimal-numeric value.
-    Incr {
+    /// `incr` / `decr`: add to, or subtract from (floored at 0), a
+    /// decimal-numeric value.
+    Arith {
         /// The key.
         key: Bytes,
-        /// Amount to add.
+        /// Amount to add or subtract.
         delta: u64,
-        /// Suppress the reply.
-        noreply: bool,
-    },
-    /// `decr`: subtract from a decimal-numeric value (floored at 0).
-    Decr {
-        /// The key.
-        key: Bytes,
-        /// Amount to subtract.
-        delta: u64,
+        /// `decr`: subtract instead of add.
+        decr: bool,
         /// Suppress the reply.
         noreply: bool,
     },
@@ -188,19 +271,31 @@ pub enum Command {
 }
 
 impl Command {
+    /// The verb this command is spelled with.
+    pub fn verb(&self) -> Verb {
+        match self {
+            Command::Get {
+                with_cas: false, ..
+            } => Verb::Get,
+            Command::Get { with_cas: true, .. } => Verb::Gets,
+            Command::Store { mode, .. } => mode.verb(),
+            Command::Touch { .. } => Verb::Touch,
+            Command::Delete { .. } => Verb::Delete,
+            Command::Arith { decr: false, .. } => Verb::Incr,
+            Command::Arith { decr: true, .. } => Verb::Decr,
+            Command::Stats => Verb::Stats,
+            Command::Version => Verb::Version,
+            Command::Quit => Verb::Quit,
+        }
+    }
+
     /// True when the client asked for no reply.
     pub fn noreply(&self) -> bool {
         match self {
-            Command::Set { noreply, .. }
-            | Command::Add { noreply, .. }
-            | Command::Replace { noreply, .. }
-            | Command::Cas { noreply, .. }
-            | Command::Append { noreply, .. }
-            | Command::Prepend { noreply, .. }
+            Command::Store { noreply, .. }
             | Command::Touch { noreply, .. }
             | Command::Delete { noreply, .. }
-            | Command::Incr { noreply, .. }
-            | Command::Decr { noreply, .. } => *noreply,
+            | Command::Arith { noreply, .. } => *noreply,
             _ => false,
         }
     }
@@ -211,37 +306,19 @@ impl Command {
     /// by policy, not by hash.
     pub fn key(&self) -> Option<&Bytes> {
         match self {
-            Command::Get { keys } | Command::Gets { keys } => keys.first(),
-            Command::Set { key, .. }
-            | Command::Add { key, .. }
-            | Command::Replace { key, .. }
-            | Command::Cas { key, .. }
-            | Command::Append { key, .. }
-            | Command::Prepend { key, .. }
+            Command::Get { keys, .. } => keys.first(),
+            Command::Store { key, .. }
             | Command::Touch { key, .. }
             | Command::Delete { key, .. }
-            | Command::Incr { key, .. }
-            | Command::Decr { key, .. } => Some(key),
+            | Command::Arith { key, .. } => Some(key),
             Command::Stats | Command::Version | Command::Quit => None,
         }
     }
 
-    /// True for commands that mutate the store — the set a replicating
-    /// router must fan out to every replica of the key.
+    /// True for commands that mutate the store (the table's `write`
+    /// column).
     pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Command::Set { .. }
-                | Command::Add { .. }
-                | Command::Replace { .. }
-                | Command::Cas { .. }
-                | Command::Append { .. }
-                | Command::Prepend { .. }
-                | Command::Touch { .. }
-                | Command::Delete { .. }
-                | Command::Incr { .. }
-                | Command::Decr { .. }
-        )
+        self.verb().info().write
     }
 
     /// Appends the canonical wire form to `out` — the inverse of
@@ -250,133 +327,65 @@ impl Command {
     /// this when forwarding to a backend.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
+        out.extend_from_slice(self.verb().info().name.as_bytes());
         // Infallible: Vec's io::Write never errors.
-        let storage = |out: &mut Vec<u8>,
-                       verb: &str,
-                       key: &Bytes,
-                       flags: u32,
-                       exptime: u64,
-                       cas: Option<u64>,
-                       value: &Bytes,
-                       noreply: bool| {
-            let _ = write!(out, "{verb} ");
-            out.extend_from_slice(key);
-            let _ = write!(out, " {flags} {exptime} {}", value.len());
-            if let Some(cas) = cas {
-                let _ = write!(out, " {cas}");
-            }
-            if noreply {
-                out.extend_from_slice(b" noreply");
-            }
-            out.extend_from_slice(wire::CRLF);
-            out.extend_from_slice(value);
-            out.extend_from_slice(wire::CRLF);
-        };
-        let keyed =
-            |out: &mut Vec<u8>, verb: &str, key: &Bytes, num: Option<u64>, noreply: bool| {
-                let _ = write!(out, "{verb} ");
-                out.extend_from_slice(key);
-                if let Some(num) = num {
-                    let _ = write!(out, " {num}");
-                }
-                if noreply {
-                    out.extend_from_slice(b" noreply");
-                }
-                out.extend_from_slice(wire::CRLF);
-            };
         match self {
-            Command::Get { keys } | Command::Gets { keys } => {
-                out.extend_from_slice(if matches!(self, Command::Get { .. }) {
-                    b"get".as_slice()
-                } else {
-                    b"gets".as_slice()
-                });
+            Command::Get { keys, .. } => {
                 for key in keys {
                     out.push(b' ');
                     out.extend_from_slice(key);
                 }
-                out.extend_from_slice(wire::CRLF);
             }
-            Command::Set {
+            Command::Store {
+                mode,
                 key,
                 flags,
                 exptime,
                 value,
-                noreply,
-            } => storage(out, "set", key, *flags, *exptime, None, value, *noreply),
-            Command::Add {
-                key,
-                flags,
-                exptime,
-                value,
-                noreply,
-            } => storage(out, "add", key, *flags, *exptime, None, value, *noreply),
-            Command::Replace {
-                key,
-                flags,
-                exptime,
-                value,
-                noreply,
-            } => storage(out, "replace", key, *flags, *exptime, None, value, *noreply),
-            Command::Cas {
-                key,
-                flags,
-                exptime,
-                value,
-                cas_unique,
-                noreply,
-            } => storage(
-                out,
-                "cas",
-                key,
-                *flags,
-                *exptime,
-                Some(*cas_unique),
-                value,
-                *noreply,
-            ),
-            Command::Append {
-                key,
-                flags,
-                exptime,
-                value,
-                noreply,
-            } => storage(out, "append", key, *flags, *exptime, None, value, *noreply),
-            Command::Prepend {
-                key,
-                flags,
-                exptime,
-                value,
-                noreply,
-            } => storage(out, "prepend", key, *flags, *exptime, None, value, *noreply),
+                ..
+            } => {
+                out.push(b' ');
+                out.extend_from_slice(key);
+                let _ = write!(out, " {flags} {exptime} {}", value.len());
+                if let StoreMode::Cas(stamp) = mode {
+                    let _ = write!(out, " {stamp}");
+                }
+            }
             Command::Touch {
-                key,
-                exptime,
-                noreply,
-            } => keyed(out, "touch", key, Some(*exptime), *noreply),
-            Command::Delete { key, noreply } => keyed(out, "delete", key, None, *noreply),
-            Command::Incr {
-                key,
-                delta,
-                noreply,
-            } => keyed(out, "incr", key, Some(*delta), *noreply),
-            Command::Decr {
-                key,
-                delta,
-                noreply,
-            } => keyed(out, "decr", key, Some(*delta), *noreply),
-            Command::Stats => out.extend_from_slice(b"stats\r\n"),
-            Command::Version => out.extend_from_slice(b"version\r\n"),
-            Command::Quit => out.extend_from_slice(b"quit\r\n"),
+                key, exptime: num, ..
+            }
+            | Command::Arith {
+                key, delta: num, ..
+            } => {
+                out.push(b' ');
+                out.extend_from_slice(key);
+                let _ = write!(out, " {num}");
+            }
+            Command::Delete { key, .. } => {
+                out.push(b' ');
+                out.extend_from_slice(key);
+            }
+            Command::Stats | Command::Version | Command::Quit => {}
+        }
+        if self.noreply() {
+            out.extend_from_slice(b" noreply");
+        }
+        out.extend_from_slice(wire::CRLF);
+        if let Command::Store { value, .. } = self {
+            out.extend_from_slice(value);
+            out.extend_from_slice(wire::CRLF);
         }
     }
 }
 
-/// Why parsing failed; the server answers `CLIENT_ERROR` and closes.
+/// Why parsing failed; the server answers [`ProtoError::to_reply`] and
+/// closes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
     /// A line exceeded the configured limit.
     TooLarge,
+    /// The line's first word is no verb of the protocol.
+    UnknownCommand,
     /// Structurally invalid input, with a short reason.
     Malformed(&'static str),
 }
@@ -386,7 +395,18 @@ impl ProtoError {
     pub fn reason(&self) -> &'static str {
         match self {
             ProtoError::TooLarge => "line too long",
+            ProtoError::UnknownCommand => "unknown command",
             ProtoError::Malformed(why) => why,
+        }
+    }
+
+    /// The line a server (or a router in front of it) answers this error
+    /// with before closing: `ERROR` for an unknown verb, `CLIENT_ERROR
+    /// <reason>` for everything else.
+    pub fn to_reply(&self) -> Reply {
+        match self {
+            ProtoError::UnknownCommand => Reply::Error,
+            other => Reply::ClientError(other.reason()),
         }
     }
 }
@@ -410,7 +430,7 @@ impl std::error::Error for ProtoError {}
 /// assert!(p.feed(b"set k 7 0 3\r\nab").unwrap().is_none());
 /// let cmd = p.feed(b"c\r\nget k\r\n").unwrap().unwrap();
 /// match cmd {
-///     Command::Set { key, flags, value, .. } => {
+///     Command::Store { key, flags, value, .. } => {
 ///         assert_eq!(&key[..], b"k");
 ///         assert_eq!(flags, 7);
 ///         assert_eq!(&value[..], b"abc");
@@ -419,7 +439,8 @@ impl std::error::Error for ProtoError {}
 /// }
 /// // The pipelined `get` is already buffered:
 /// let next = p.feed(b"").unwrap().unwrap();
-/// assert_eq!(next, Command::Get { keys: vec![bytes::Bytes::from_static(b"k")] });
+/// let keys = vec![bytes::Bytes::from_static(b"k")];
+/// assert_eq!(next, Command::Get { keys, with_cas: false });
 /// ```
 #[derive(Debug)]
 pub struct CommandParser {
@@ -585,7 +606,7 @@ fn scan(
     // `set` carries a data block: wait until line + payload + CRLF are
     // all buffered before consuming anything.
     let head = ParsedLine::parse(&buf[..line_end])?;
-    let total = match head.payload_len {
+    let total = match head.payload_len() {
         Some(n) => {
             if n > value_limit {
                 return Err(ProtoError::Malformed("value too large"));
@@ -610,8 +631,9 @@ impl Default for CommandParser {
     }
 }
 
-/// Field offsets of a command line, resolved into `Bytes` slices only once
-/// the whole command is buffered.
+/// A scanned command line: the verb, the offsets of its arguments —
+/// resolved into `Bytes` slices only once the whole command is buffered —
+/// and its numeric fields, parsed once.
 struct ParsedLine {
     verb: Verb,
     /// Length of the command line (the offset of its CR in the frame).
@@ -619,37 +641,9 @@ struct ParsedLine {
     /// (start, end) offsets of each argument within the line.
     args: Vec<(usize, usize)>,
     noreply: bool,
-    /// `Some(n)` when a data block of `n` bytes follows the line.
-    payload_len: Option<usize>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Verb {
-    Get,
-    Gets,
-    Set,
-    Add,
-    Replace,
-    Cas,
-    Append,
-    Prepend,
-    Touch,
-    Delete,
-    Incr,
-    Decr,
-    Stats,
-    Version,
-    Quit,
-}
-
-impl Verb {
-    /// Verbs carrying a `<flags> <exptime> <bytes>` header + data block.
-    fn is_storage(self) -> bool {
-        matches!(
-            self,
-            Verb::Set | Verb::Add | Verb::Replace | Verb::Cas | Verb::Append | Verb::Prepend
-        )
-    }
+    /// The line's numeric fields in wire order: `[flags, exptime, bytes,
+    /// cas unique]` for the storage shape, `[number]` for key+number.
+    nums: [u64; 4],
 }
 
 impl ParsedLine {
@@ -658,34 +652,14 @@ impl ParsedLine {
         let (vs, ve) = *fields
             .first()
             .ok_or(ProtoError::Malformed("empty command"))?;
-        let verb = match &line[vs..ve] {
-            b"get" => Verb::Get,
-            b"gets" => Verb::Gets,
-            b"set" => Verb::Set,
-            b"add" => Verb::Add,
-            b"replace" => Verb::Replace,
-            b"cas" => Verb::Cas,
-            b"append" => Verb::Append,
-            b"prepend" => Verb::Prepend,
-            b"touch" => Verb::Touch,
-            b"delete" => Verb::Delete,
-            b"incr" => Verb::Incr,
-            b"decr" => Verb::Decr,
-            b"stats" => Verb::Stats,
-            b"version" => Verb::Version,
-            b"quit" => Verb::Quit,
-            _ => return Err(ProtoError::Malformed("unknown command")),
-        };
+        let info = Verb::lookup(&line[vs..ve]).ok_or(ProtoError::UnknownCommand)?;
         fields.remove(0);
-        let mut noreply = false;
-        if verb.is_storage() || matches!(verb, Verb::Touch | Verb::Delete | Verb::Incr | Verb::Decr)
-        {
-            if let Some(&(s, e)) = fields.last() {
-                if &line[s..e] == b"noreply" {
-                    noreply = true;
-                    fields.pop();
-                }
-            }
+        let noreply = info.noreply
+            && fields
+                .last()
+                .is_some_and(|&(s, e)| &line[s..e] == b"noreply");
+        if noreply {
+            fields.pop();
         }
         let expect = |n: usize, what: &'static str| {
             if fields.len() == n {
@@ -694,178 +668,115 @@ impl ParsedLine {
                 Err(ProtoError::Malformed(what))
             }
         };
-        let payload_len = match verb {
-            Verb::Get | Verb::Gets => {
+        let num = |field: usize, what: &'static str| {
+            let (s, e) = fields[field];
+            parse_u64(&line[s..e]).ok_or(ProtoError::Malformed(what))
+        };
+        let mut nums = [0; 4];
+        let keys = match info.shape {
+            Shape::Keys => {
                 if fields.is_empty() {
                     return Err(ProtoError::Malformed("get needs at least one key"));
                 }
-                None
+                fields.len()
             }
-            Verb::Set | Verb::Add | Verb::Replace | Verb::Cas | Verb::Append | Verb::Prepend => {
-                if verb == Verb::Cas {
+            Shape::Storage => {
+                if info.verb == Verb::Cas {
                     expect(5, "cas needs <key> <flags> <exptime> <bytes> <cas unique>")?;
-                    parse_u64(&line[fields[4].0..fields[4].1])
-                        .ok_or(ProtoError::Malformed("bad cas unique"))?;
+                    nums[3] = num(4, "bad cas unique")?;
                 } else {
                     expect(4, "set needs <key> <flags> <exptime> <bytes>")?;
                 }
-                let flags = parse_u64(&line[fields[1].0..fields[1].1])
-                    .ok_or(ProtoError::Malformed("bad flags"))?;
-                if flags > u32::MAX as u64 {
+                nums[0] = num(1, "bad flags")?;
+                if nums[0] > u32::MAX as u64 {
                     return Err(ProtoError::Malformed("flags out of range"));
                 }
-                parse_u64(&line[fields[2].0..fields[2].1])
-                    .ok_or(ProtoError::Malformed("bad exptime"))?;
-                let n = parse_u64(&line[fields[3].0..fields[3].1])
-                    .ok_or(ProtoError::Malformed("bad byte count"))?
-                    as usize;
-                Some(n)
+                nums[1] = num(2, "bad exptime")?;
+                nums[2] = num(3, "bad byte count")?;
+                1
             }
-            Verb::Touch => {
-                expect(2, "touch needs <key> <exptime>")?;
-                parse_u64(&line[fields[1].0..fields[1].1])
-                    .ok_or(ProtoError::Malformed("bad exptime"))?;
-                None
+            Shape::KeyNumber => {
+                let (arity, number) = if info.verb == Verb::Touch {
+                    ("touch needs <key> <exptime>", "bad exptime")
+                } else {
+                    ("incr/decr need <key> <delta>", "bad delta")
+                };
+                expect(2, arity)?;
+                nums[0] = num(1, number)?;
+                1
             }
-            Verb::Delete => {
+            Shape::Key => {
                 expect(1, "delete needs <key>")?;
-                None
+                1
             }
-            Verb::Incr | Verb::Decr => {
-                expect(2, "incr/decr need <key> <delta>")?;
-                parse_u64(&line[fields[1].0..fields[1].1])
-                    .ok_or(ProtoError::Malformed("bad delta"))?;
-                None
-            }
-            Verb::Stats | Verb::Version | Verb::Quit => {
+            Shape::Bare => {
                 expect(0, "unexpected arguments")?;
-                None
+                0
             }
         };
-        for &(s, e) in key_fields(verb, &fields) {
+        for &(s, e) in &fields[..keys] {
             validate_key(&line[s..e])?;
         }
         Ok(ParsedLine {
-            verb,
+            verb: info.verb,
             line_len: line.len(),
             args: fields,
             noreply,
-            payload_len,
+            nums,
         })
+    }
+
+    /// `Some(n)` when a data block of `n` bytes follows the line.
+    fn payload_len(&self) -> Option<usize> {
+        (self.verb.info().shape == Shape::Storage).then_some(self.nums[2] as usize)
     }
 
     /// Builds the final command from its frame (the command line, then
     /// the data block if the verb carries one).
-    fn into_command(self, frozen: Bytes) -> Command {
-        let line_end = self.line_len;
+    fn into_command(self, frame: Bytes) -> Command {
         let arg = |i: usize| -> Bytes {
             let (s, e) = self.args[i];
-            frozen.slice(s..e)
+            frame.slice(s..e)
         };
-        let num = |i: usize| -> u64 {
-            let (s, e) = self.args[i];
-            parse_u64(&frozen[s..e]).expect("validated by ParsedLine::parse")
-        };
-        match self.verb {
-            Verb::Get => Command::Get {
+        let (verb, noreply) = (self.verb, self.noreply);
+        let [first, exptime, bytes, stamp] = self.nums;
+        match verb.info().shape {
+            Shape::Keys => Command::Get {
                 keys: (0..self.args.len()).map(arg).collect(),
+                with_cas: verb == Verb::Gets,
             },
-            Verb::Gets => Command::Gets {
-                keys: (0..self.args.len()).map(arg).collect(),
-            },
-            Verb::Set | Verb::Add | Verb::Replace | Verb::Cas | Verb::Append | Verb::Prepend => {
-                let n = self.payload_len.expect("storage verbs have a payload");
-                let key = arg(0);
-                let flags = num(1) as u32;
-                let exptime = num(2);
-                let value = frozen.slice(line_end + 2..line_end + 2 + n);
-                let noreply = self.noreply;
-                match self.verb {
-                    Verb::Set => Command::Set {
-                        key,
-                        flags,
-                        exptime,
-                        value,
-                        noreply,
-                    },
-                    Verb::Add => Command::Add {
-                        key,
-                        flags,
-                        exptime,
-                        value,
-                        noreply,
-                    },
-                    Verb::Replace => Command::Replace {
-                        key,
-                        flags,
-                        exptime,
-                        value,
-                        noreply,
-                    },
-                    Verb::Append => Command::Append {
-                        key,
-                        flags,
-                        exptime,
-                        value,
-                        noreply,
-                    },
-                    Verb::Prepend => Command::Prepend {
-                        key,
-                        flags,
-                        exptime,
-                        value,
-                        noreply,
-                    },
-                    _ => Command::Cas {
-                        key,
-                        flags,
-                        exptime,
-                        value,
-                        cas_unique: num(4),
-                        noreply,
-                    },
+            Shape::Storage => {
+                let data = self.line_len + 2;
+                Command::Store {
+                    mode: StoreMode::of(verb, stamp),
+                    key: arg(0),
+                    flags: first as u32,
+                    exptime,
+                    value: frame.slice(data..data + bytes as usize),
+                    noreply,
                 }
             }
-            Verb::Touch => Command::Touch {
+            Shape::KeyNumber if verb == Verb::Touch => Command::Touch {
                 key: arg(0),
-                exptime: num(1),
-                noreply: self.noreply,
+                exptime: first,
+                noreply,
             },
-            Verb::Delete => Command::Delete {
+            Shape::KeyNumber => Command::Arith {
                 key: arg(0),
-                noreply: self.noreply,
+                delta: first,
+                decr: verb == Verb::Decr,
+                noreply,
             },
-            Verb::Incr => Command::Incr {
+            Shape::Key => Command::Delete {
                 key: arg(0),
-                delta: num(1),
-                noreply: self.noreply,
+                noreply,
             },
-            Verb::Decr => Command::Decr {
-                key: arg(0),
-                delta: num(1),
-                noreply: self.noreply,
+            Shape::Bare => match verb {
+                Verb::Stats => Command::Stats,
+                Verb::Version => Command::Version,
+                _ => Command::Quit,
             },
-            Verb::Stats => Command::Stats,
-            Verb::Version => Command::Version,
-            Verb::Quit => Command::Quit,
         }
-    }
-}
-
-fn key_fields(verb: Verb, fields: &[(usize, usize)]) -> &[(usize, usize)] {
-    match verb {
-        Verb::Get | Verb::Gets => fields,
-        Verb::Set
-        | Verb::Add
-        | Verb::Replace
-        | Verb::Cas
-        | Verb::Append
-        | Verb::Prepend
-        | Verb::Touch
-        | Verb::Delete
-        | Verb::Incr
-        | Verb::Decr => &fields[..1],
-        _ => &[],
     }
 }
 
@@ -953,7 +864,7 @@ pub mod wire {
 /// A server reply, encodable to wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
-    /// One `VALUE` line + data block (part of a `get` response).
+    /// One `VALUE` line + data block (part of a `get`/`gets` response).
     Value {
         /// The key.
         key: Bytes,
@@ -961,18 +872,9 @@ pub enum Reply {
         flags: u32,
         /// The value payload.
         data: Bytes,
-    },
-    /// One `VALUE` line with a trailing `cas unique` (part of a `gets`
-    /// response).
-    ValueCas {
-        /// The key.
-        key: Bytes,
-        /// Client flags stored with the value.
-        flags: u32,
-        /// The value payload.
-        data: Bytes,
-        /// The entry's version stamp.
-        cas: u64,
+        /// The entry's version stamp — the line's trailing `cas unique`,
+        /// present in a `gets` response only.
+        cas: Option<u64>,
     },
     /// `END` terminating a `get` or `stats` response.
     End,
@@ -1005,18 +907,26 @@ pub enum Reply {
     ServerError(&'static str),
 }
 
+/// The replies that are one fixed line, each beside its bytes: the
+/// table the gather encoder and the reply scanner both read.
+static FIXED_LINES: [(Reply, &[u8]); 8] = [
+    (Reply::End, wire::END),
+    (Reply::Stored, wire::STORED),
+    (Reply::NotStored, wire::NOT_STORED),
+    (Reply::Exists, wire::EXISTS),
+    (Reply::Touched, wire::TOUCHED),
+    (Reply::Deleted, wire::DELETED),
+    (Reply::NotFound, wire::NOT_FOUND),
+    (Reply::Error, wire::ERROR),
+];
+
 impl Reply {
-    /// Appends the wire encoding to `out`.
+    /// Appends the wire encoding to `out`. Written out variant by
+    /// variant on purpose: it is the reference the table-driven
+    /// [`Reply::encode_gather`] is tested against.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Reply::Value { key, flags, data } => {
-                out.extend_from_slice(wire::VALUE_PREFIX);
-                out.extend_from_slice(key);
-                out.extend_from_slice(format!(" {} {}\r\n", flags, data.len()).as_bytes());
-                out.extend_from_slice(data);
-                out.extend_from_slice(wire::CRLF);
-            }
-            Reply::ValueCas {
+            Reply::Value {
                 key,
                 flags,
                 data,
@@ -1024,7 +934,11 @@ impl Reply {
             } => {
                 out.extend_from_slice(wire::VALUE_PREFIX);
                 out.extend_from_slice(key);
-                out.extend_from_slice(format!(" {} {} {}\r\n", flags, data.len(), cas).as_bytes());
+                let header = match cas {
+                    Some(cas) => format!(" {} {} {}\r\n", flags, data.len(), cas),
+                    None => format!(" {} {}\r\n", flags, data.len()),
+                };
+                out.extend_from_slice(header.as_bytes());
                 out.extend_from_slice(data);
                 out.extend_from_slice(wire::CRLF);
             }
@@ -1056,14 +970,7 @@ impl Reply {
     /// scratch region, formatted in place without intermediate `String`s.
     pub fn encode_gather(&self, q: &mut ReplyQueue) {
         match self {
-            Reply::Value { key, flags, data } => {
-                q.put_scratch(wire::VALUE_PREFIX);
-                q.put_scratch(key);
-                q.put_fmt(format_args!(" {} {}\r\n", flags, data.len()));
-                q.push_bytes(data.clone());
-                q.put_scratch(wire::CRLF);
-            }
-            Reply::ValueCas {
+            Reply::Value {
                 key,
                 flags,
                 data,
@@ -1071,23 +978,25 @@ impl Reply {
             } => {
                 q.put_scratch(wire::VALUE_PREFIX);
                 q.put_scratch(key);
-                q.put_fmt(format_args!(" {} {} {}\r\n", flags, data.len(), cas));
+                match cas {
+                    Some(cas) => q.put_fmt(format_args!(" {} {} {}\r\n", flags, data.len(), cas)),
+                    None => q.put_fmt(format_args!(" {} {}\r\n", flags, data.len())),
+                }
                 q.push_bytes(data.clone());
                 q.put_scratch(wire::CRLF);
             }
-            Reply::End => q.put_scratch(wire::END),
-            Reply::Stored => q.put_scratch(wire::STORED),
-            Reply::NotStored => q.put_scratch(wire::NOT_STORED),
-            Reply::Exists => q.put_scratch(wire::EXISTS),
-            Reply::Touched => q.put_scratch(wire::TOUCHED),
-            Reply::Deleted => q.put_scratch(wire::DELETED),
-            Reply::NotFound => q.put_scratch(wire::NOT_FOUND),
             Reply::Number(n) => q.put_fmt(format_args!("{n}\r\n")),
             Reply::Stat(k, v) => q.put_fmt(format_args!("STAT {k} {v}\r\n")),
             Reply::Version(v) => q.put_fmt(format_args!("VERSION {v}\r\n")),
-            Reply::Error => q.put_scratch(wire::ERROR),
             Reply::ClientError(msg) => q.put_fmt(format_args!("CLIENT_ERROR {msg}\r\n")),
             Reply::ServerError(msg) => q.put_fmt(format_args!("SERVER_ERROR {msg}\r\n")),
+            fixed => {
+                let (_, line) = FIXED_LINES
+                    .iter()
+                    .find(|(reply, _)| reply == fixed)
+                    .expect("every reply without text of its own is a fixed line");
+                q.put_scratch(line);
+            }
         }
     }
 
@@ -1100,10 +1009,7 @@ impl Reply {
     /// forwarding router waiting forever for a terminator that never
     /// comes.
     pub fn closes_command(&self) -> bool {
-        !matches!(
-            self,
-            Reply::Value { .. } | Reply::ValueCas { .. } | Reply::Stat(..)
-        )
+        !matches!(self, Reply::Value { .. } | Reply::Stat(..))
     }
 }
 
@@ -1138,6 +1044,7 @@ enum Seg {
 ///     key: Bytes::from_static(b"k"),
 ///     flags: 0,
 ///     data: Bytes::from_static(b"hello"),
+///     cas: None,
 /// }
 /// .encode_gather(&mut q);
 /// Reply::End.encode_gather(&mut q);
@@ -1318,19 +1225,12 @@ impl ReplyHead {
                 len,
                 cas,
                 data_start,
-            } => {
-                let key = raw.slice(ks..ke);
-                let data = raw.slice(data_start..data_start + len);
-                match cas {
-                    Some(cas) => Reply::ValueCas {
-                        key,
-                        flags,
-                        data,
-                        cas,
-                    },
-                    None => Reply::Value { key, flags, data },
-                }
-            }
+            } => Reply::Value {
+                key: raw.slice(ks..ke),
+                flags,
+                data: raw.slice(data_start..data_start + len),
+                cas,
+            },
         }
     }
 }
@@ -1383,37 +1283,31 @@ fn scan_reply(buf: &[u8]) -> Result<Option<(ReplyHead, usize)>, ProtoError> {
         };
         return Ok(Some((head, need)));
     }
-    let reply = match line {
-        b"END" => Reply::End,
-        b"STORED" => Reply::Stored,
-        b"NOT_STORED" => Reply::NotStored,
-        b"EXISTS" => Reply::Exists,
-        b"TOUCHED" => Reply::Touched,
-        b"DELETED" => Reply::Deleted,
-        b"NOT_FOUND" => Reply::NotFound,
-        b"ERROR" => Reply::Error,
-        _ => {
-            if let Some(rest) = line.strip_prefix(b"STAT ".as_slice()) {
-                let text = std::str::from_utf8(rest)
-                    .map_err(|_| ProtoError::Malformed("non-UTF-8 STAT line"))?;
-                match text.split_once(' ') {
-                    Some((k, v)) => Reply::Stat(k.to_string(), v.to_string()),
-                    None => return Err(ProtoError::Malformed("STAT without value")),
-                }
-            } else if line.starts_with(b"VERSION ") {
-                Reply::Version("")
-            } else if line.starts_with(b"CLIENT_ERROR ") {
-                Reply::ClientError("")
-            } else if line.starts_with(b"SERVER_ERROR ") {
-                Reply::ServerError("")
-            } else if let Some(n) = parse_u64(line) {
-                Reply::Number(n)
-            } else {
-                return Err(ProtoError::Malformed("unrecognized reply"));
-            }
+    let total = line_end + 2;
+    let fixed = FIXED_LINES
+        .iter()
+        .find(|(_, bytes)| *bytes == &buf[..total]);
+    let reply = if let Some((reply, _)) = fixed {
+        reply.clone()
+    } else if let Some(rest) = line.strip_prefix(b"STAT ".as_slice()) {
+        let text =
+            std::str::from_utf8(rest).map_err(|_| ProtoError::Malformed("non-UTF-8 STAT line"))?;
+        match text.split_once(' ') {
+            Some((k, v)) => Reply::Stat(k.to_string(), v.to_string()),
+            None => return Err(ProtoError::Malformed("STAT without value")),
         }
+    } else if line.starts_with(b"VERSION ") {
+        Reply::Version("")
+    } else if line.starts_with(b"CLIENT_ERROR ") {
+        Reply::ClientError("")
+    } else if line.starts_with(b"SERVER_ERROR ") {
+        Reply::ServerError("")
+    } else if let Some(n) = parse_u64(line) {
+        Reply::Number(n)
+    } else {
+        return Err(ProtoError::Malformed("unrecognized reply"));
     };
-    Ok(Some((ReplyHead::Plain(reply), line_end + 2)))
+    Ok(Some((ReplyHead::Plain(reply), total)))
 }
 
 #[cfg(test)]
@@ -1428,7 +1322,10 @@ mod tests {
     fn parses_multi_key_get() {
         let cmd = parse_one(b"get alpha beta gamma\r\n");
         match cmd {
-            Command::Get { keys } => {
+            Command::Get {
+                keys,
+                with_cas: false,
+            } => {
                 let keys: Vec<_> = keys.iter().map(|k| k.to_vec()).collect();
                 assert_eq!(
                     keys,
@@ -1443,7 +1340,8 @@ mod tests {
     fn set_value_is_slice_of_one_buffer() {
         let cmd = parse_one(b"set k 1 60 5\r\nhello\r\n");
         match cmd {
-            Command::Set {
+            Command::Store {
+                mode: StoreMode::Set,
                 key,
                 flags,
                 exptime,
@@ -1467,7 +1365,7 @@ mod tests {
         raw.extend_from_slice(b"\r\n");
         let cmd = CommandParser::new().feed(&raw).unwrap().unwrap();
         match cmd {
-            Command::Set { value, .. } => assert_eq!(&value[..], &[0x00, 0xFF, b'\r', b'\n']),
+            Command::Store { value, .. } => assert_eq!(&value[..], &[0x00, 0xFF, b'\r', b'\n']),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1486,7 +1384,7 @@ mod tests {
             got.push(c);
         }
         assert_eq!(got.len(), 2);
-        assert!(matches!(got[0], Command::Set { .. }));
+        assert!(matches!(got[0], Command::Store { .. }));
         assert!(matches!(got[1], Command::Delete { noreply: true, .. }));
         assert_eq!(p.buffered(), 0);
     }
@@ -1498,10 +1396,21 @@ mod tests {
             .feed(b"incr n 5\r\ndecr n 2\r\nstats\r\n")
             .unwrap()
             .unwrap();
-        assert!(matches!(first, Command::Incr { delta: 5, .. }));
+        assert!(matches!(
+            first,
+            Command::Arith {
+                delta: 5,
+                decr: false,
+                ..
+            }
+        ));
         assert!(matches!(
             p.feed(b"").unwrap().unwrap(),
-            Command::Decr { delta: 2, .. }
+            Command::Arith {
+                delta: 2,
+                decr: true,
+                ..
+            }
         ));
         assert_eq!(p.feed(b"").unwrap().unwrap(), Command::Stats);
         assert!(p.feed(b"").unwrap().is_none());
@@ -1510,8 +1419,12 @@ mod tests {
     #[test]
     fn parses_add_replace_cas_gets() {
         match parse_one(b"add k 3 60 2\r\nab\r\n") {
-            Command::Add {
-                key, flags, value, ..
+            Command::Store {
+                mode: StoreMode::Add,
+                key,
+                flags,
+                value,
+                ..
             } => {
                 assert_eq!(&key[..], b"k");
                 assert_eq!(flags, 3);
@@ -1520,13 +1433,17 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse_one(b"replace k 0 0 1 noreply\r\nx\r\n") {
-            Command::Replace { noreply, .. } => assert!(noreply),
+            Command::Store {
+                mode: StoreMode::Replace,
+                noreply,
+                ..
+            } => assert!(noreply),
             other => panic!("unexpected {other:?}"),
         }
         match parse_one(b"cas k 1 0 3 99\r\nxyz\r\n") {
-            Command::Cas {
+            Command::Store {
+                mode: StoreMode::Cas(cas_unique),
                 key,
-                cas_unique,
                 value,
                 noreply,
                 ..
@@ -1539,8 +1456,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse_one(b"cas k 1 0 0 7 noreply\r\n\r\n") {
-            Command::Cas {
-                cas_unique,
+            Command::Store {
+                mode: StoreMode::Cas(cas_unique),
                 noreply,
                 ..
             } => {
@@ -1550,7 +1467,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse_one(b"gets a b\r\n") {
-            Command::Gets { keys } => assert_eq!(keys.len(), 2),
+            Command::Get {
+                keys,
+                with_cas: true,
+            } => assert_eq!(keys.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1558,7 +1478,8 @@ mod tests {
     #[test]
     fn parses_append_prepend_touch() {
         match parse_one(b"append k 9 60 3\r\nxyz\r\n") {
-            Command::Append {
+            Command::Store {
+                mode: StoreMode::Append,
                 key,
                 flags,
                 exptime,
@@ -1573,7 +1494,12 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         match parse_one(b"prepend k 0 0 2 noreply\r\nab\r\n") {
-            Command::Prepend { value, noreply, .. } => {
+            Command::Store {
+                mode: StoreMode::Prepend,
+                value,
+                noreply,
+                ..
+            } => {
                 assert_eq!(&value[..], b"ab");
                 assert!(noreply);
             }
@@ -1622,11 +1548,11 @@ mod tests {
     #[test]
     fn value_cas_reply_roundtrips_with_stamp() {
         let replies = vec![
-            Reply::ValueCas {
+            Reply::Value {
                 key: Bytes::from_static(b"k"),
                 flags: 2,
                 data: Bytes::from_static(b"payload"),
-                cas: 12345,
+                cas: Some(12345),
             },
             Reply::End,
             Reply::NotStored,
@@ -1704,6 +1630,57 @@ mod tests {
     }
 
     #[test]
+    fn verb_table_matches_the_replication_rule_the_router_documents() {
+        let names = |pick: fn(&VerbInfo) -> bool| -> Vec<&str> {
+            VERBS.iter().filter(|r| pick(r)).map(|r| r.name).collect()
+        };
+        // State-independent writes fan out to every replica...
+        assert_eq!(names(|r| r.fanout), ["set", "touch", "delete"]);
+        // ...conditional ones go to the key's primary only.
+        assert_eq!(
+            names(|r| r.write && !r.fanout),
+            ["add", "replace", "append", "prepend", "cas", "incr", "decr"]
+        );
+        assert_eq!(
+            names(|r| !r.write),
+            ["get", "gets", "stats", "version", "quit"]
+        );
+        for (i, row) in VERBS.iter().enumerate() {
+            assert_eq!(row.verb as usize, i, "{} is out of enum order", row.name);
+            assert_eq!(Verb::lookup(row.name.as_bytes()), Some(row));
+            // Exactly the writes take `noreply`, and every keyed non-write
+            // is a retrieval.
+            assert_eq!(row.noreply, row.write, "{}", row.name);
+            assert_eq!(
+                row.noreply,
+                !matches!(row.shape, Shape::Keys | Shape::Bare),
+                "{}",
+                row.name
+            );
+            // The parser honours the column: a trailing `noreply` is a
+            // flag where accepted, an argument (or an error) elsewhere.
+            let line = match row.shape {
+                Shape::Keys | Shape::Key => format!("{} k noreply\r\n", row.name),
+                Shape::Storage if row.verb == Verb::Cas => {
+                    format!("{} k 0 0 1 7 noreply\r\nx\r\n", row.name)
+                }
+                Shape::Storage => format!("{} k 0 0 1 noreply\r\nx\r\n", row.name),
+                Shape::KeyNumber => format!("{} k 1 noreply\r\n", row.name),
+                Shape::Bare => format!("{} noreply\r\n", row.name),
+            };
+            match CommandParser::new().feed(line.as_bytes()) {
+                Ok(Some(cmd)) => {
+                    assert_eq!(cmd.verb(), row.verb);
+                    assert_eq!(cmd.noreply(), row.noreply, "{line:?}");
+                    assert_eq!(cmd.is_write(), row.write, "{line:?}");
+                }
+                other => assert!(!row.noreply && other.is_err(), "{line:?}: {other:?}"),
+            }
+        }
+        assert_eq!(Verb::lookup(b"GET"), None, "verbs are case-sensitive");
+    }
+
+    #[test]
     fn server_error_roundtrips_and_closes() {
         let mut wire = Vec::new();
         Reply::ServerError("no live replica").encode_into(&mut wire);
@@ -1720,6 +1697,7 @@ mod tests {
             key: Bytes::from_static(b"k"),
             flags: 0,
             data: Bytes::new(),
+            cas: None,
         }
         .closes_command());
         assert!(Reply::End.closes_command());
@@ -1775,7 +1753,7 @@ mod tests {
         raw.extend_from_slice(b"\r\n");
         assert!(matches!(
             p.feed(&raw).unwrap().unwrap(),
-            Command::Set { .. }
+            Command::Store { .. }
         ));
     }
 
@@ -1793,7 +1771,7 @@ mod tests {
         let chunk_ptr = chunk.as_ref().as_ptr();
         let mut p = CommandParser::new();
         match p.feed_bytes(chunk).unwrap().unwrap() {
-            Command::Set { value, .. } => {
+            Command::Store { value, .. } => {
                 // The value is a window of the original chunk region.
                 assert!(std::ptr::eq(value.as_ref().as_ptr(), unsafe {
                     chunk_ptr.add(13)
@@ -1818,7 +1796,7 @@ mod tests {
             .unwrap()
             .unwrap()
         {
-            Command::Set { value, .. } => assert_eq!(&value[..], b"abcdef"),
+            Command::Store { value, .. } => assert_eq!(&value[..], b"abcdef"),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(p.feed(b"").unwrap().unwrap(), Command::Stats);
@@ -1832,13 +1810,14 @@ mod tests {
                 key: Bytes::from_static(b"alpha"),
                 flags: 7,
                 data: Bytes::from_static(b"payload-bytes"),
+                cas: None,
             },
             Reply::Stored,
-            Reply::ValueCas {
+            Reply::Value {
                 key: Bytes::from_static(b"beta"),
                 flags: 0,
                 data: Bytes::from_static(b"x"),
-                cas: 99,
+                cas: Some(99),
             },
             Reply::End,
             Reply::Number(17),
@@ -1868,6 +1847,7 @@ mod tests {
             key: Bytes::from_static(b"k"),
             flags: 0,
             data: value.clone(),
+            cas: None,
         }
         .encode_gather(&mut q);
         let segs = q.finish();
@@ -1888,6 +1868,7 @@ mod tests {
             key: Bytes::from_static(b"k"),
             flags: 3,
             data: Bytes::from_static(b"abcde"),
+            cas: None,
         }
         .encode_into(&mut wire);
         Reply::End.encode_into(&mut wire);
@@ -1895,7 +1876,9 @@ mod tests {
         let chunk_ptr = chunk.as_ref().as_ptr();
         let mut p = ReplyParser::new();
         match p.feed_bytes(chunk).unwrap().unwrap() {
-            Reply::Value { key, flags, data } => {
+            Reply::Value {
+                key, flags, data, ..
+            } => {
                 assert_eq!(&key[..], b"k");
                 assert_eq!(flags, 3);
                 assert_eq!(&data[..], b"abcde");
@@ -1917,6 +1900,7 @@ mod tests {
                 key: Bytes::from_static(b"k"),
                 flags: 9,
                 data: Bytes::from_static(b"\x00binary\r\ndata"),
+                cas: None,
             },
             Reply::End,
             Reply::Stored,

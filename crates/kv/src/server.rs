@@ -31,7 +31,7 @@ use eveth_core::time::{Nanos, MILLIS};
 use eveth_core::{do_m, Exception, ThreadM};
 
 use crate::expiry::janitor_until;
-use crate::protocol::{Command, CommandParser, ProtoError, Reply, ReplyQueue};
+use crate::protocol::{Command, CommandParser, ProtoError, Reply, ReplyQueue, StoreMode};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::store::{CasOutcome, ConcatOutcome, CounterResult, Entry, ShardedStore, StoreConfig};
 
@@ -235,9 +235,12 @@ impl KvServer {
         for (i, sh) in self.shared.store.shard_stats().iter().enumerate() {
             let shard = i.to_string();
             let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-            reg.register_counter("eveth_kv_shard_hits_total", labels, &sh.hits);
-            reg.register_counter("eveth_kv_shard_misses_total", labels, &sh.misses);
-            reg.register_counter("eveth_kv_shard_sets_total", labels, &sh.sets);
+            for (name, cell) in sh.cells() {
+                // `stats` keeps memcached's `get_` prefix on the two
+                // lookup counters; the metric names never had it.
+                let name = name.strip_prefix("get_").unwrap_or(name);
+                reg.register_counter(&format!("eveth_kv_shard_{name}_total"), labels, cell);
+            }
         }
         // Foreign counters (the store's lock gates, the STM transaction
         // stats) are polled at exposition time rather than rewritten onto
@@ -387,12 +390,7 @@ fn step_batch(
     match parsed {
         Err(e) => {
             srv.stats.protocol_errors.incr();
-            let reply = if matches!(e, ProtoError::Malformed("unknown command")) {
-                Reply::Error
-            } else {
-                Reply::ClientError(e.reason())
-            };
-            reply.encode_gather(&mut acc.queue);
+            e.to_reply().encode_gather(&mut acc.queue);
             ThreadM::pure(Err(acc.queue.finish()))
         }
         Ok(None) => ThreadM::pure(Ok((parser, acc))),
@@ -422,19 +420,11 @@ fn step_batch(
 /// refcounted window — no byte of the value is copied between the store
 /// and the socket's gather list.
 fn value_reply(key: Bytes, e: Entry, with_cas: bool) -> Reply {
-    if with_cas {
-        Reply::ValueCas {
-            key,
-            flags: e.flags,
-            data: e.value,
-            cas: e.version,
-        }
-    } else {
-        Reply::Value {
-            key,
-            flags: e.flags,
-            data: e.value,
-        }
+    Reply::Value {
+        key,
+        flags: e.flags,
+        data: e.value,
+        cas: with_cas.then_some(e.version),
     }
 }
 
@@ -496,67 +486,54 @@ fn proto_entry(now: Nanos, flags: u32, exptime: u64, value: Bytes) -> Entry {
 
 /// Executes one command against the store at batch timestamp `now`.
 fn execute(srv: Arc<KvShared>, cmd: Command, now: Nanos) -> ThreadM<Vec<Reply>> {
+    let store = &srv.store;
     match cmd {
-        Command::Get { keys } => lookup_reply(srv, keys, false, now),
-        Command::Gets { keys } => lookup_reply(srv, keys, true, now),
-        Command::Set {
+        Command::Get { keys, with_cas } => lookup_reply(srv, keys, with_cas, now),
+        Command::Store {
+            mode,
             key,
             flags,
             exptime,
             value,
             ..
         } => {
-            if value.len() > srv.store.config().max_value_bytes {
+            if value.len() > store.config().max_value_bytes {
                 return ThreadM::pure(vec![Reply::ClientError("value too large")]);
             }
-            srv.store
-                .set(key, proto_entry(now, flags, exptime, value))
-                .map(|()| vec![Reply::Stored])
-        }
-        Command::Add {
-            key,
-            flags,
-            exptime,
-            value,
-            ..
-        } => guarded_store_reply(srv, key, flags, exptime, value, false, now),
-        Command::Replace {
-            key,
-            flags,
-            exptime,
-            value,
-            ..
-        } => guarded_store_reply(srv, key, flags, exptime, value, true, now),
-        Command::Cas {
-            key,
-            flags,
-            exptime,
-            value,
-            cas_unique,
-            ..
-        } => {
-            if value.len() > srv.store.config().max_value_bytes {
-                return ThreadM::pure(vec![Reply::ClientError("value too large")]);
+            let stored = |ok| vec![if ok { Reply::Stored } else { Reply::NotStored }];
+            match mode {
+                StoreMode::Set => store
+                    .set(key, proto_entry(now, flags, exptime, value))
+                    .map(|()| vec![Reply::Stored]),
+                StoreMode::Add => store
+                    .add(key, proto_entry(now, flags, exptime, value), now)
+                    .map(stored),
+                StoreMode::Replace => store
+                    .replace(key, proto_entry(now, flags, exptime, value), now)
+                    .map(stored),
+                StoreMode::Cas(stamp) => store
+                    .cas(key, proto_entry(now, flags, exptime, value), stamp, now)
+                    .map(|outcome| {
+                        vec![match outcome {
+                            CasOutcome::Stored => Reply::Stored,
+                            CasOutcome::Exists => Reply::Exists,
+                            CasOutcome::NotFound => Reply::NotFound,
+                        }]
+                    }),
+                // Concatenation keeps the entry's own flags and deadline,
+                // so no entry is built from the line's.
+                StoreMode::Append | StoreMode::Prepend => store
+                    .concat(key, value, mode == StoreMode::Prepend, now)
+                    .map(|outcome| {
+                        vec![match outcome {
+                            ConcatOutcome::Stored => Reply::Stored,
+                            ConcatOutcome::Missing => Reply::NotStored,
+                            ConcatOutcome::TooLarge => Reply::ClientError("value too large"),
+                        }]
+                    }),
             }
-            srv.store
-                .cas(
-                    key,
-                    proto_entry(now, flags, exptime, value),
-                    cas_unique,
-                    now,
-                )
-                .map(|outcome| {
-                    vec![match outcome {
-                        CasOutcome::Stored => Reply::Stored,
-                        CasOutcome::Exists => Reply::Exists,
-                        CasOutcome::NotFound => Reply::NotFound,
-                    }]
-                })
         }
-        Command::Append { key, value, .. } => concat_reply(srv, key, value, false, now),
-        Command::Prepend { key, value, .. } => concat_reply(srv, key, value, true, now),
-        Command::Touch { key, exptime, .. } => srv
-            .store
+        Command::Touch { key, exptime, .. } => store
             .touch(key, ShardedStore::deadline(now, exptime), now)
             .map(|touched| {
                 vec![if touched {
@@ -565,75 +542,57 @@ fn execute(srv: Arc<KvShared>, cmd: Command, now: Nanos) -> ThreadM<Vec<Reply>> 
                     Reply::NotFound
                 }]
             }),
-        Command::Delete { key, .. } => srv.store.delete(key, now).map(|removed| {
+        Command::Delete { key, .. } => store.delete(key, now).map(|removed| {
             vec![if removed {
                 Reply::Deleted
             } else {
                 Reply::NotFound
             }]
         }),
-        Command::Incr { key, delta, .. } => counter_reply(srv, key, delta, false, now),
-        Command::Decr { key, delta, .. } => counter_reply(srv, key, delta, true, now),
+        Command::Arith {
+            key, delta, decr, ..
+        } => store.counter_op(key, delta, decr, now).map(|res| {
+            vec![match res {
+                CounterResult::Ok(v) => Reply::Number(v),
+                CounterResult::NotFound => Reply::NotFound,
+                CounterResult::NotNumeric => {
+                    Reply::ClientError("cannot increment or decrement non-numeric value")
+                }
+            }]
+        }),
         Command::Stats => {
-            let snap = srv.store_snapshot();
+            let stat = |name: &str, value: u64| Reply::Stat(name.into(), value.to_string());
+            let server = &srv.stats;
             let mut replies = vec![
-                Reply::Stat(
-                    "connections".into(),
-                    srv.stats.connections.get().to_string(),
-                ),
-                Reply::Stat("commands".into(), srv.stats.commands.get().to_string()),
-                Reply::Stat("bytes_in".into(), srv.stats.bytes_in.get().to_string()),
-                Reply::Stat("bytes_out".into(), srv.stats.bytes_out.get().to_string()),
-                Reply::Stat("get_hits".into(), snap.hits.to_string()),
-                Reply::Stat("get_misses".into(), snap.misses.to_string()),
-                Reply::Stat("sets".into(), snap.sets.to_string()),
-                Reply::Stat("deletes".into(), snap.deletes.to_string()),
-                Reply::Stat("appends".into(), snap.appends.to_string()),
-                Reply::Stat("prepends".into(), snap.prepends.to_string()),
-                Reply::Stat("touches".into(), snap.touches.to_string()),
-                Reply::Stat("cas_hits".into(), snap.cas_hits.to_string()),
-                Reply::Stat("cas_badval".into(), snap.cas_badval.to_string()),
-                Reply::Stat("cas_misses".into(), snap.cas_misses.to_string()),
-                Reply::Stat("expired_lazy".into(), snap.expired_lazy.to_string()),
-                Reply::Stat("expired_purged".into(), snap.expired_purged.to_string()),
-                Reply::Stat(
-                    "janitor_sweeps".into(),
-                    srv.stats.janitor_sweeps.get().to_string(),
-                ),
-                Reply::Stat(
-                    "idle_reaped".into(),
-                    srv.stats.idle_reaped.get().to_string(),
-                ),
-                Reply::Stat("curr_items".into(), srv.store.len_now().to_string()),
-                Reply::Stat("shards".into(), srv.store.shard_count().to_string()),
-                Reply::Stat("lock_wait_ns".into(), srv.store.lock_wait_ns().to_string()),
-                Reply::Stat("stm_retries".into(), srv.store.stm_retries().to_string()),
+                stat("connections", server.connections.get()),
+                stat("commands", server.commands.get()),
+                stat("bytes_in", server.bytes_in.get()),
+                stat("bytes_out", server.bytes_out.get()),
             ];
-            // Wait attribution rolled up from session spans by the
-            // framework (zero until a telemetry hub is attached — the
-            // per-span data comes from the runtime's park/wake hooks).
+            // Every store counter, summed over the shards.
+            let shards = store.shard_stats();
+            for (i, (name, _)) in shards[0].cells().iter().enumerate() {
+                let total = shards.iter().map(|sh| sh.cells()[i].1.get()).sum();
+                replies.push(stat(name, total));
+            }
             let framework = srv.replies().stats();
-            replies.push(Reply::Stat(
-                "session_io_wait_ns".into(),
-                framework.session_io_wait_ns.get().to_string(),
-            ));
-            replies.push(Reply::Stat(
-                "session_lock_wait_ns".into(),
-                framework.session_lock_wait_ns.get().to_string(),
-            ));
-            replies.push(Reply::Stat(
-                "send_timeouts".into(),
-                framework.send_timeouts.get().to_string(),
-            ));
-            for (i, sh) in srv.store.shard_stats().iter().enumerate() {
-                replies.push(Reply::Stat(
-                    format!("shard{i}_hits"),
-                    sh.hits.get().to_string(),
-                ));
-                replies.push(Reply::Stat(
-                    format!("shard{i}_misses"),
-                    sh.misses.get().to_string(),
-                ));
+            replies.extend([
+                stat("janitor_sweeps", server.janitor_sweeps.get()),
+                stat("idle_reaped", server.idle_reaped.get()),
+                stat("curr_items", store.len_now() as u64),
+                stat("shards", store.shard_count() as u64),
+                stat("lock_wait_ns", store.lock_wait_ns()),
+                stat("stm_retries", store.stm_retries()),
+                // Wait attribution rolled up from session spans by the
+                // framework (zero until a telemetry hub is attached — the
+                // per-span data comes from the runtime's park/wake hooks).
+                stat("session_io_wait_ns", framework.session_io_wait_ns.get()),
+                stat("session_lock_wait_ns", framework.session_lock_wait_ns.get()),
+                stat("send_timeouts", framework.send_timeouts.get()),
+            ]);
+            for (i, sh) in shards.iter().enumerate() {
+                replies.push(stat(&format!("shard{i}_hits"), sh.hits.get()));
+                replies.push(stat(&format!("shard{i}_misses"), sh.misses.get()));
             }
             replies.push(Reply::End);
             ThreadM::pure(replies)
@@ -641,71 +600,4 @@ fn execute(srv: Arc<KvShared>, cmd: Command, now: Nanos) -> ThreadM<Vec<Reply>> 
         Command::Version => ThreadM::pure(vec![Reply::Version(env!("CARGO_PKG_VERSION"))]),
         Command::Quit => ThreadM::pure(Vec::new()),
     }
-}
-
-/// `add` / `replace`: the occupancy-guarded stores.
-fn guarded_store_reply(
-    srv: Arc<KvShared>,
-    key: Bytes,
-    flags: u32,
-    exptime: u64,
-    value: Bytes,
-    want_occupied: bool,
-    now: Nanos,
-) -> ThreadM<Vec<Reply>> {
-    if value.len() > srv.store.config().max_value_bytes {
-        return ThreadM::pure(vec![Reply::ClientError("value too large")]);
-    }
-    let store = Arc::clone(&srv.store);
-    let entry = proto_entry(now, flags, exptime, value);
-    let stored = if want_occupied {
-        store.replace(key, entry, now)
-    } else {
-        store.add(key, entry, now)
-    };
-    stored.map(|stored| {
-        vec![if stored {
-            Reply::Stored
-        } else {
-            Reply::NotStored
-        }]
-    })
-}
-
-/// `append` / `prepend`: concatenation onto an existing live value.
-fn concat_reply(
-    srv: Arc<KvShared>,
-    key: Bytes,
-    value: Bytes,
-    prepend: bool,
-    now: Nanos,
-) -> ThreadM<Vec<Reply>> {
-    if value.len() > srv.store.config().max_value_bytes {
-        return ThreadM::pure(vec![Reply::ClientError("value too large")]);
-    }
-    srv.store.concat(key, value, prepend, now).map(|outcome| {
-        vec![match outcome {
-            ConcatOutcome::Stored => Reply::Stored,
-            ConcatOutcome::Missing => Reply::NotStored,
-            ConcatOutcome::TooLarge => Reply::ClientError("value too large"),
-        }]
-    })
-}
-
-fn counter_reply(
-    srv: Arc<KvShared>,
-    key: Bytes,
-    delta: u64,
-    negative: bool,
-    now: Nanos,
-) -> ThreadM<Vec<Reply>> {
-    srv.store.counter_op(key, delta, negative, now).map(|res| {
-        vec![match res {
-            CounterResult::Ok(v) => Reply::Number(v),
-            CounterResult::NotFound => Reply::NotFound,
-            CounterResult::NotNumeric => {
-                Reply::ClientError("cannot increment or decrement non-numeric value")
-            }
-        }]
-    })
 }

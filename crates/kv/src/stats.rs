@@ -43,6 +43,30 @@ pub struct ShardStats {
     pub expired_purged: Counter,
 }
 
+impl ShardStats {
+    /// Every cell beside the name `stats` reports it under, in report
+    /// order — the one list the `STAT` lines and the per-shard
+    /// `eveth_kv_shard_<name>_total` registrations are both generated
+    /// from, so a new counter cannot be forgotten by either.
+    pub fn cells(&self) -> [(&'static str, &Counter); 13] {
+        [
+            ("get_hits", &self.hits),
+            ("get_misses", &self.misses),
+            ("sets", &self.sets),
+            ("deletes", &self.deletes),
+            ("counter_ops", &self.counter_ops),
+            ("appends", &self.appends),
+            ("prepends", &self.prepends),
+            ("touches", &self.touches),
+            ("cas_hits", &self.cas_hits),
+            ("cas_badval", &self.cas_badval),
+            ("cas_misses", &self.cas_misses),
+            ("expired_lazy", &self.expired_lazy),
+            ("expired_purged", &self.expired_purged),
+        ]
+    }
+}
+
 /// Aggregate, server-wide counters.
 #[derive(Debug, Default)]
 pub struct ServerStats {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::time::SECS;
-use eveth_kv::protocol::{Command, CommandParser, Reply, ReplyParser};
+use eveth_kv::protocol::{CommandParser, Reply, ReplyParser, Shape, Verb, VERBS};
 use eveth_kv::store::{
     Backend, CasOutcome, ConcatOutcome, CounterResult, Entry, ShardedStore, StoreConfig,
 };
@@ -411,48 +411,72 @@ proptest! {
         prop_assert_eq!(store.len_now(), model.map.len(), "final live-entry count");
     }
 
-    /// Any command encodes → parses back identically, no matter how the
-    /// bytes are sliced into recv-sized chunks.
+    /// Every verb of the table, with `noreply` where the verb takes it:
+    /// the canonical line built from the table row parses, re-encodes to
+    /// the same bytes, and parses back to the same command no matter how
+    /// the bytes are sliced into recv-sized chunks.
     #[test]
     fn command_roundtrip_any_chunking(
-        key in "[a-z0-9]{1,16}",
+        verb in 0..VERBS.len(),
+        keys in proptest::collection::vec("[a-z0-9]{1,16}", 1..4),
         value in proptest::collection::vec(any::<u8>(), 0..512),
-        flags in any::<u32>(),
-        exptime in 0u64..100_000,
+        numbers in (any::<u32>(), 0u64..100_000, any::<u64>()),
         noreply in any::<bool>(),
         cuts in proptest::collection::vec(1usize..64, 0..16),
     ) {
-        let mut raw = format!("set {key} {flags} {exptime} {}", value.len())
-            .into_bytes();
-        if noreply {
-            raw.extend_from_slice(b" noreply");
+        let row = &VERBS[verb];
+        let (flags, exptime, number) = numbers;
+        let noreply = noreply && row.noreply;
+        let mut line = row.name.to_string();
+        match row.shape {
+            Shape::Keys => line += &format!(" {}", keys.join(" ")),
+            Shape::Storage => {
+                line += &format!(" {} {flags} {exptime} {}", keys[0], value.len());
+                if row.verb == Verb::Cas {
+                    line += &format!(" {number}");
+                }
+            }
+            Shape::KeyNumber => line += &format!(" {} {number}", keys[0]),
+            Shape::Key => line += &format!(" {}", keys[0]),
+            Shape::Bare => {}
         }
+        if noreply {
+            line += " noreply";
+        }
+        let mut raw = line.into_bytes();
         raw.extend_from_slice(b"\r\n");
-        raw.extend_from_slice(&value);
-        raw.extend_from_slice(b"\r\n");
+        if row.shape == Shape::Storage {
+            raw.extend_from_slice(&value);
+            raw.extend_from_slice(b"\r\n");
+        }
+
+        let cmd = CommandParser::new()
+            .feed(&raw)
+            .expect("valid command")
+            .expect("command completed");
+        prop_assert_eq!(cmd.verb(), row.verb);
+        prop_assert_eq!(cmd.noreply(), noreply);
+        prop_assert_eq!(cmd.is_write(), row.write);
+        prop_assert_eq!(
+            cmd.key().map(|k| k.to_vec()),
+            (row.shape != Shape::Bare).then(|| keys[0].clone().into_bytes())
+        );
+        let mut wire = Vec::new();
+        cmd.encode_into(&mut wire);
+        prop_assert_eq!(&wire, &raw);
 
         let mut parser = CommandParser::new();
         let mut parsed = None;
         let mut pos = 0;
         let mut cut_iter = cuts.into_iter();
-        while pos < raw.len() {
-            let step = cut_iter.next().unwrap_or(raw.len()).min(raw.len() - pos);
-            if let Some(c) = parser.feed(&raw[pos..pos + step]).expect("valid command") {
+        while pos < wire.len() {
+            let step = cut_iter.next().unwrap_or(wire.len()).min(wire.len() - pos);
+            if let Some(c) = parser.feed(&wire[pos..pos + step]).expect("valid command") {
                 parsed = Some(c);
             }
             pos += step;
         }
-        let cmd = parsed.expect("command completed");
-        prop_assert_eq!(
-            cmd,
-            Command::Set {
-                key: Bytes::from(key.into_bytes()),
-                flags,
-                exptime,
-                value: Bytes::from(value),
-                noreply,
-            }
-        );
+        prop_assert_eq!(parsed.expect("command completed"), cmd);
         prop_assert_eq!(parser.buffered(), 0);
     }
 
@@ -463,6 +487,7 @@ proptest! {
         key in "[a-z]{1,8}",
         data in proptest::collection::vec(any::<u8>(), 0..256),
         flags in any::<u32>(),
+        cas in proptest::option::of(any::<u64>()),
         n in any::<u64>(),
         cuts in proptest::collection::vec(1usize..32, 0..12),
     ) {
@@ -471,6 +496,7 @@ proptest! {
                 key: Bytes::from(key.into_bytes()),
                 flags,
                 data: Bytes::from(data),
+                cas,
             },
             Reply::End,
             Reply::Stored,

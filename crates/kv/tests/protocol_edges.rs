@@ -6,7 +6,9 @@
 //!   byte over it);
 //! * `noreply` split across a receive-chunk boundary;
 //! * one pipelined command straddling three separate reads;
-//! * `incr` wraparound at `u64::MAX` and `decr` flooring at zero.
+//! * `incr` wraparound at `u64::MAX` and `decr` flooring at zero;
+//! * an unknown verb (`ERROR`) versus a malformed known one
+//!   (`CLIENT_ERROR <reason>`), each closing the session.
 //!
 //! Plus one client-side case with no socket under it: hostile `VALUE`
 //! lengths fed straight to the reply parser.
@@ -255,6 +257,25 @@ fn append_over_the_value_cap_is_rejected_without_storing() {
              VALUE k 0 8\r\nsixsixok\r\nEND\r\n",
             "{stack:?}"
         );
+    }
+}
+
+/// The error→reply rule end to end: an unknown verb answers exactly
+/// `ERROR`, a malformed line of a known verb `CLIENT_ERROR <reason>`, and
+/// either way the replies of the commands before it are flushed and the
+/// session closes (`run_session` reads to EOF; the trailing `get` is
+/// never answered).
+#[test]
+fn unknown_verb_answers_error_and_a_malformed_known_verb_client_error() {
+    for stack in STACKS {
+        let reply = run_session(stack, 64, &[b"bogus\r\n", b"get k\r\n"]);
+        assert_eq!(reply, "ERROR\r\n", "{stack:?}");
+        let reply = run_session(
+            stack,
+            64,
+            &[b"set k 0 0 1\r\nx\r\nincr k notanumber\r\n", b"get k\r\n"],
+        );
+        assert_eq!(reply, "STORED\r\nCLIENT_ERROR bad delta\r\n", "{stack:?}");
     }
 }
 

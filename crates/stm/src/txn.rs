@@ -171,26 +171,29 @@ impl Txn {
     }
 }
 
-/// Runs one optimistic attempt; `Ok(Ok(v))` = committed, `Ok(Err(abort))` =
-/// try again (possibly after blocking), keeping the read set for
-/// retry-parking.
-fn attempt<A, F>(body: &F) -> Result<A, (StmAbort, Vec<Box<dyn StmEntry>>)>
+/// An attempt that did not commit: why, plus what a `retry` parks on —
+/// the read set and the snapshot version it was read at.
+struct Aborted {
+    why: StmAbort,
+    reads: Vec<Box<dyn StmEntry>>,
+    rv: u64,
+}
+
+/// Runs one optimistic attempt: `Ok(v)` = committed, `Err(aborted)` = try
+/// again (possibly after blocking).
+fn attempt<A, F>(body: &F) -> Result<A, Aborted>
 where
     F: Fn(&mut Txn) -> StmResult<A>,
 {
     let mut txn = Txn::begin();
+    let rv = txn.rv;
+    let aborted = |why, reads| Aborted { why, reads, rv };
     match body(&mut txn) {
-        Ok(v) => {
-            let reads_backup: Vec<Box<dyn StmEntry>> = Vec::new();
-            match txn.commit() {
-                Ok(()) => Ok(v),
-                Err(abort) => Err((abort, reads_backup)),
-            }
-        }
-        Err(abort) => {
-            let reads = std::mem::take(&mut txn.reads);
-            Err((abort, reads))
-        }
+        Ok(v) => txn
+            .commit()
+            .map(|()| v)
+            .map_err(|why| aborted(why, Vec::new())),
+        Err(why) => Err(aborted(why, std::mem::take(&mut txn.reads))),
     }
 }
 
@@ -305,18 +308,21 @@ where
         sys_nbio(move || {
             let res = attempt(b.as_ref());
             if let Some(stats) = &stats {
-                match &res {
+                match res.as_ref().map_err(|aborted| &aborted.why) {
                     Ok(_) => stats.commits.fetch_add(1, Ordering::Relaxed),
-                    Err((StmAbort::Conflict, _)) => stats.conflicts.fetch_add(1, Ordering::Relaxed),
-                    Err((StmAbort::Retry, _)) => stats.retry_waits.fetch_add(1, Ordering::Relaxed),
+                    Err(StmAbort::Conflict) => stats.conflicts.fetch_add(1, Ordering::Relaxed),
+                    Err(StmAbort::Retry) => stats.retry_waits.fetch_add(1, Ordering::Relaxed),
                 };
             }
             res
         })
         .bind(move |res| match res {
             Ok(v) => ThreadM::pure(Loop::Break(v)),
-            Err((StmAbort::Conflict, _)) => sys_yield().map(|_| Loop::Continue(())),
-            Err((StmAbort::Retry, reads)) => {
+            Err(Aborted {
+                why: StmAbort::Conflict,
+                ..
+            }) => sys_yield().map(|_| Loop::Continue(())),
+            Err(Aborted { reads, rv, .. }) => {
                 // Park on the union of the read set; any commit to any of
                 // those variables wakes us (one-shot unparker → exactly one
                 // resume even if several fire).
@@ -330,6 +336,12 @@ where
                     }
                     for r in reads.iter() {
                         r.add_waiter(u.clone());
+                    }
+                    // A commit that landed between the attempt and this
+                    // registration woke nobody: re-check the read set now
+                    // that we are on the waiter lists, or sleep forever.
+                    if reads.iter().any(|r| !r.version_ok(rv)) {
+                        u.unpark();
                     }
                 })
                 .map(|_| Loop::Continue(()))
@@ -348,8 +360,11 @@ where
     loop {
         match attempt(&body) {
             Ok(v) => return v,
-            Err((StmAbort::Conflict, _)) => std::thread::yield_now(),
-            Err((StmAbort::Retry, _)) => std::thread::sleep(std::time::Duration::from_micros(100)),
+            Err(Aborted {
+                why: StmAbort::Conflict,
+                ..
+            }) => std::thread::yield_now(),
+            Err(Aborted { .. }) => std::thread::sleep(std::time::Duration::from_micros(100)),
         }
     }
 }

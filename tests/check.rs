@@ -37,12 +37,12 @@ use eveth::core::net::{recv_exact, recv_to_end, send_all, Conn, Endpoint, HostId
 use eveth::core::reactor::WaitQ;
 use eveth::core::service::{Server, ServerConfig, Service, Step};
 use eveth::core::sync::{Chan, MVar, Mutex};
-use eveth::core::syscall::{sys_annotate, sys_nbio, sys_sleep};
+use eveth::core::syscall::{sys_annotate, sys_nbio, sys_sleep, sys_yield};
 use eveth::core::time::MILLIS;
 use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
-use eveth::simos::SimRuntime;
+use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::stm::{atomically_m, TVar};
 use eveth::{do_m, for_each_m, loop_m, Loop, ThreadM};
 use eveth_check::{schedule_count, Exploration, Explorer, Shared, Violation};
@@ -620,6 +620,39 @@ fn stm_commits_and_retry_wakeups_pass_under_exploration() {
     let explorer = Explorer::new(schedule_count(6, 32), 0x57A7);
     let ex = explorer.explore(stm_program);
     assert_clean("stm", &explorer, &ex);
+}
+
+/// A `retry` whose read set is committed to *between* its attempt and its
+/// registration on the waiter lists must still wake: the commit found no
+/// waiter to wake, so the parker has to re-check the read set once it is
+/// registered. One scheduler step per turn, and the writer delayed by
+/// `k` yields, walks the commit across every gap of the waiter's
+/// attempt → park sequence.
+#[test]
+fn stm_retry_registered_after_the_commit_it_waits_for_still_wakes() {
+    for k in 0..8u64 {
+        let sim = SimRuntime::new(
+            SimClock::new(),
+            SimConfig {
+                slice: 1,
+                ..SimConfig::default()
+            },
+        );
+        let flag: TVar<bool> = TVar::new(false);
+        let set = flag.clone();
+        let waiter = atomically_m(move |t| if t.read(&flag)? { Ok(()) } else { t.retry() });
+        sim.spawn(do_m! {
+            for_each_m(0..k, |_| sys_yield());
+            atomically_m(move |t| {
+                t.write(&set, true);
+                Ok(())
+            })
+        });
+        assert!(
+            sim.block_on(waiter).is_ok(),
+            "retry slept through the commit with the writer {k} yields behind"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

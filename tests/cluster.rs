@@ -668,3 +668,52 @@ fn silent_backend_times_out_into_server_error_on_kernel_sockets() {
         "a silent backend must time out, not hang"
     );
 }
+
+#[test]
+fn router_answers_error_for_an_unknown_verb_and_client_error_for_a_malformed_one() {
+    // The router parses what it forwards, so it owes the client the same
+    // error lines a single node sends (`ProtoError::to_reply`): the
+    // commands ahead of the bad line are routed and answered, then the
+    // error line, then the session closes — the trailing `get` is never
+    // answered.
+    for (bad, line) in [
+        (&b"bogus\r\n"[..], "ERROR\r\n"),
+        (&b"incr k notanumber\r\n"[..], "CLIENT_ERROR bad delta\r\n"),
+    ] {
+        let sim = SimRuntime::new_default();
+        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let backends: Vec<Arc<dyn NetStack>> = (1..=3)
+            .map(|h| fabric.stack(HostId(h)) as Arc<dyn NetStack>)
+            .collect();
+        spawn_backends(&sim, backends);
+        let router = Router::new(
+            fabric.stack(HostId(10)),
+            RouterConfig {
+                port: ROUTER_PORT,
+                backends: (1..=3).map(backend).collect(),
+                ..Default::default()
+            },
+        );
+        sim.spawn(router.run());
+
+        let mut wire = b"set k 0 0 1\r\nx\r\n".to_vec();
+        wire.extend_from_slice(bad);
+        wire.extend_from_slice(b"get k\r\n");
+        let client = fabric.stack(HostId(20));
+        let got = sim
+            .block_on(do_m! {
+                let conn <- client.connect(Endpoint::new(HostId(10), ROUTER_PORT));
+                let conn = conn.unwrap();
+                let sent <- send_all(&conn, Bytes::from(wire));
+                let _ = sent.unwrap();
+                recv_to_end(&conn, 64 * 1024)
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            String::from_utf8(got.to_vec()).unwrap(),
+            format!("STORED\r\n{line}")
+        );
+        assert_eq!(router.stats().protocol_errors.get(), 1);
+    }
+}

@@ -154,10 +154,7 @@ fn stm_backend_behaves_identically_over_simnet() {
 /// `VALUE` lines precede its closing `END`; stat/version lines precede
 /// their own terminators).
 fn reply_closes_command(r: &Reply) -> bool {
-    !matches!(
-        r,
-        Reply::Value { .. } | Reply::ValueCas { .. } | Reply::Stat(..) | Reply::Version(_)
-    )
+    !matches!(r, Reply::Value { .. } | Reply::Stat(..) | Reply::Version(_))
 }
 
 /// A deterministic 64-command session script mixing every reply shape

@@ -7,10 +7,14 @@
 
 use std::sync::Arc;
 
+use eveth::core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth::core::syscall::{span, sys_fork, sys_nbio, sys_sleep};
 use eveth::core::telemetry::{SpanState, Telemetry};
 use eveth::core::time::MILLIS;
+use eveth::kv::server::{KvConfig, KvServer};
+use eveth::kv::store::StoreConfig;
 use eveth::simos::cost::CostModel;
+use eveth::simos::sockets::{FabricParams, SocketFabric};
 use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::ThreadM;
 use eveth_bench::workloads::{kv_trace_run, KvRunParams, KvTraceArtifacts};
@@ -257,6 +261,88 @@ fn debug_service_metrics_reconcile_with_kv_shard_stats() {
     // The live span table went over the wire too.
     assert!(art.threads_body.contains("name=kv"));
     assert!(art.threads_body.contains("state="));
+}
+
+/// A two-shard KV server with telemetry attached and every store
+/// counter of shard 1 bumped to a value of its own (1..=13, in
+/// `ShardStats` field order, each under the name `stats` reports it by);
+/// returns the `stats` reply, the `/metrics` body and the expected
+/// `(name, value)` list.
+fn kv_with_every_store_counter_bumped() -> (String, String, Vec<(&'static str, u64)>) {
+    let tel = Telemetry::new();
+    let sim = sim_with_telemetry(&tel);
+    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let server = KvServer::new(
+        fabric.stack(HostId(1)),
+        KvConfig {
+            store: StoreConfig {
+                shards: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    server.attach_telemetry(&tel);
+    sim.spawn(server.run());
+
+    let sh = &server.store().shard_stats()[1];
+    let cells = [
+        ("get_hits", &sh.hits),
+        ("get_misses", &sh.misses),
+        ("sets", &sh.sets),
+        ("deletes", &sh.deletes),
+        ("counter_ops", &sh.counter_ops),
+        ("appends", &sh.appends),
+        ("prepends", &sh.prepends),
+        ("touches", &sh.touches),
+        ("cas_hits", &sh.cas_hits),
+        ("cas_badval", &sh.cas_badval),
+        ("cas_misses", &sh.cas_misses),
+        ("expired_lazy", &sh.expired_lazy),
+        ("expired_purged", &sh.expired_purged),
+    ];
+    let mut expected = Vec::new();
+    for (i, (name, cell)) in cells.iter().enumerate() {
+        cell.add(i as u64 + 1);
+        expected.push((*name, i as u64 + 1));
+    }
+
+    let client = fabric.stack(HostId(2));
+    let reply = sim
+        .block_on(eveth::do_m! {
+            let conn <- client.connect(Endpoint::new(HostId(1), 11211));
+            let conn = conn.unwrap();
+            let sent <- send_all(&conn, bytes::Bytes::from_static(b"stats\r\nquit\r\n"));
+            let _ = sent.unwrap();
+            recv_to_end(&conn, 64 * 1024)
+        })
+        .unwrap()
+        .unwrap();
+    let stats = String::from_utf8(reply.to_vec()).unwrap();
+    (stats, tel.registry().expose(), expected)
+}
+
+#[test]
+fn stats_reports_every_store_counter() {
+    let (stats, _, expected) = kv_with_every_store_counter_bumped();
+    for (name, value) in expected {
+        let line = format!("STAT {name} {value}\r\n");
+        assert!(stats.contains(&line), "`stats` lacks {line:?}:\n{stats}");
+    }
+}
+
+#[test]
+fn metrics_expose_every_store_counter_per_shard() {
+    let (_, body, expected) = kv_with_every_store_counter_bumped();
+    for (name, value) in expected {
+        // `get_hits`/`get_misses` are `stats` names; the metrics never
+        // carried the prefix.
+        let name = name.strip_prefix("get_").unwrap_or(name);
+        for (shard, want) in [(0, 0), (1, value)] {
+            let probe = format!("eveth_kv_shard_{name}_total{{shard=\"{shard}\"}}");
+            assert_eq!(metric_line(&body, &probe), Some(want), "{probe}");
+        }
+    }
 }
 
 #[test]
