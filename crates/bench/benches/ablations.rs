@@ -252,61 +252,9 @@ fn tcp_stack_ablation() {
     println!("protocol processing on the host CPU (the paper's zero-copy motivation).");
 }
 
-/// A5: shared ready queue (paper) vs per-worker deques with stealing
-/// (§4.4's proposed improvement), wall clock, fork-heavy load.
-fn queue_ablation() {
-    banner(
-        "A5",
-        "ready-queue discipline: shared MPMC vs per-worker deques + stealing",
-        "§4.4: \"can be further improved by ... a separate task queue for each scheduler and work stealing\"",
-    );
-    use eveth_core::runtime::Runtime;
-    use eveth_core::syscall::{sys_nbio, sys_sleep, sys_yield};
-    use eveth_core::ThreadM;
-
-    const TASKS: u64 = 60_000;
-    let run = |stealing: bool| -> f64 {
-        let rt = Runtime::builder()
-            .workers(4)
-            .work_stealing(stealing)
-            .build();
-        let done = Arc::new(AtomicU64::new(0));
-        let started = std::time::Instant::now();
-        for _ in 0..TASKS {
-            let done = Arc::clone(&done);
-            rt.spawn(eveth_core::do_m! {
-                sys_yield();
-                let _x <- sys_nbio(|| std::hint::black_box(17u64.wrapping_mul(31)));
-                sys_nbio(move || { done.fetch_add(1, Ordering::Relaxed); })
-            });
-        }
-        let watch = Arc::clone(&done);
-        rt.block_on(eveth_core::loop_m((), move |()| {
-            let watch = Arc::clone(&watch);
-            eveth_core::do_m! {
-                sys_sleep(eveth_core::time::MILLIS);
-                let d <- sys_nbio(move || watch.load(Ordering::Relaxed));
-                ThreadM::pure(if d == TASKS { Loop::Break(()) } else { Loop::Continue(()) })
-            }
-        }));
-        let secs = started.elapsed().as_secs_f64();
-        rt.shutdown();
-        TASKS as f64 / secs / 1e3
-    };
-    println!("({TASKS} short-lived threads, 4 workers, wall clock)");
-    println!("{:>18} | {:>16}", "queue", "k threads/sec");
-    println!("{:->18}-+-{:->16}", "", "");
-    for (label, stealing) in [("shared (paper)", false), ("work stealing", true)] {
-        println!("{:>18} | {:>16.1}", label, run(stealing));
-    }
-    println!("(wall-clock numbers vary with host; the point is both disciplines");
-    println!("drain the same load and the stealing path exists and scales)");
-}
-
 fn main() {
     slice_ablation();
     elevator_ablation();
     cache_ablation();
     tcp_stack_ablation();
-    queue_ablation();
 }

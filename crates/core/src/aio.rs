@@ -123,7 +123,7 @@ struct PendingAio {
 ///
 /// Devices call [`complete`](AioCompletion::complete) exactly once (extra
 /// calls are ignored); the suspended thread is resumed with the result via
-/// the runtime's AIO event port — the paper's dedicated AIO event loop.
+/// the runtime's event port, the same route readiness events take.
 #[derive(Clone)]
 pub struct AioCompletion {
     inner: Arc<Mutex<Option<PendingAio>>>,

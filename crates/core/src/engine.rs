@@ -124,10 +124,9 @@ pub trait RuntimeCtx: Send + Sync {
     fn now(&self) -> Nanos;
     /// Meters a scheduler action; see [`CostKind`].
     fn charge(&self, cost: CostKind);
-    /// Delivery route for epoll readiness events (paper Figure 16).
-    fn epoll_port(&self) -> Arc<dyn EventPort>;
-    /// Delivery route for AIO completion events.
-    fn aio_port(&self) -> Arc<dyn EventPort>;
+    /// Delivery route for readiness and AIO completion events (paper
+    /// Figure 16).
+    fn event_port(&self) -> Arc<dyn EventPort>;
     /// Parks `task` until `dur` has elapsed.
     fn sleep(&self, dur: Nanos, task: Task);
     /// Hands a blocking job to the blocking-I/O pool (paper §4.6).
@@ -222,20 +221,20 @@ pub fn run_task(ctx: &Arc<dyn RuntimeCtx>, mut task: Task, slice: usize) {
                 task.set_next(k);
                 let dev = Arc::clone(fd.device());
                 let unparker = Unparker::new(task, Arc::clone(ctx));
-                dev.register(interest, Waiter::new(unparker, ctx.epoll_port()));
+                dev.register(interest, Waiter::new(unparker, ctx.event_port()));
                 return;
             }
             Trace::AioRead(req, cont) => {
                 ctx.charge(CostKind::AioSubmit);
                 let (shell, _) = task.into_parts();
-                let done = AioCompletion::new(shell, cont, Arc::clone(ctx), ctx.aio_port());
+                let done = AioCompletion::new(shell, cont, Arc::clone(ctx), ctx.event_port());
                 req.file.submit_read(req.offset, req.len, done);
                 return;
             }
             Trace::AioWrite(req, cont) => {
                 ctx.charge(CostKind::AioSubmit);
                 let (shell, _) = task.into_parts();
-                let done = AioCompletion::new(shell, cont, Arc::clone(ctx), ctx.aio_port());
+                let done = AioCompletion::new(shell, cont, Arc::clone(ctx), ctx.event_port());
                 req.file.submit_write(req.offset, req.data, done);
                 return;
             }
@@ -430,10 +429,7 @@ pub mod testing {
         fn charge(&self, cost: CostKind) {
             self.charges.lock().push(cost);
         }
-        fn epoll_port(&self) -> Arc<dyn EventPort> {
-            Arc::new(DirectPort)
-        }
-        fn aio_port(&self) -> Arc<dyn EventPort> {
+        fn event_port(&self) -> Arc<dyn EventPort> {
             Arc::new(DirectPort)
         }
         fn sleep(&self, _dur: Nanos, task: Task) {

@@ -501,7 +501,7 @@ pub fn readiness_evt(fd: &Fd, interest: Interest) -> Event<()> {
                     Arc::new(BranchPort {
                         kind: WaitKind::Io,
                         fired: Some(Arc::clone(&fired)),
-                        inner: u.runtime_ctx().epoll_port(),
+                        inner: u.runtime_ctx().event_port(),
                     }),
                 );
                 fd.device().register(interest, waiter);

@@ -1,9 +1,9 @@
 //! RAM-backed asynchronous files.
 //!
 //! These implement [`AioFile`] for the real runtime: completions are
-//! delivered through the AIO event loop, optionally after a modelled access
-//! latency, so server code exercises the same submission/harvest path it
-//! would against a physical disk. (`eveth-simos` provides the seek-accurate
+//! delivered through the runtime's event loop, optionally after a modelled
+//! access latency, so server code exercises the same submission/harvest path
+//! it would against a physical disk. (`eveth-simos` provides the seek-accurate
 //! simulated disk used by the paper's disk benchmarks.)
 
 use std::collections::HashMap;

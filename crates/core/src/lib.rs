@@ -17,9 +17,10 @@
 //! * [`syscall`] — the system-call vocabulary (`sys_nbio`, `sys_fork`,
 //!   `sys_epoll_wait`, `sys_aio_read`, `sys_throw`/`sys_catch`, …);
 //! * [`engine`] — the trace interpreter shared by every scheduler;
-//! * [`runtime`] — the real runtime: SMP `worker_main` pools, a
-//!   `worker_epoll` readiness loop, a `worker_aio` completion loop, a
-//!   blocking-I/O pool and a timer wheel (paper Figure 14);
+//! * [`runtime`] — the real runtime: SMP `worker_main` loops on one shared
+//!   ready queue ([`sched::WorkQueue`]), a `worker_epoll` loop for
+//!   readiness and AIO completion events, a blocking-I/O pool and a timer
+//!   wheel (paper Figure 14);
 //! * [`sync`] — blocking synchronization (mutexes, MVars, channels) built
 //!   as scheduler extensions on [`syscall::sys_park`];
 //! * [`event`] — first-class composable events (CML-style

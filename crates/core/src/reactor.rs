@@ -78,9 +78,10 @@ pub trait Pollable: Send + Sync {
 }
 
 /// Delivery route for readiness events: devices hand ready unparkers to a
-/// port, which forwards them to the scheduler. The real runtime's port is a
-/// queue drained by a dedicated `worker_epoll` thread (paper Figure 16); the
-/// simulator's port delivers inline at the current virtual time.
+/// port, which forwards them to the scheduler. AIO completions take the same
+/// route. The real runtime's port is a queue drained by a dedicated
+/// `worker_epoll` thread (paper Figure 16); the simulator's port delivers
+/// inline at the current virtual time.
 pub trait EventPort: Send + Sync {
     /// Forwards a woken thread towards the ready queue.
     fn notify(&self, unparker: Unparker);

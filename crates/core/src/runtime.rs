@@ -3,26 +3,24 @@
 //!
 //! Several `worker_main` event loops run in separate OS threads, repeatedly
 //! fetching tasks from a shared ready queue and interpreting their traces
-//! (true SMP parallelism, §4.4). Readiness events from pollable devices are
-//! harvested by a dedicated `worker_epoll` loop (Figure 16), AIO completions
-//! by a `worker_aio` loop, blocking operations run on a blocking-I/O pool
-//! (§4.6), and timers on a timer wheel. All of it is ordinary application
+//! (true SMP parallelism, §4.4). Readiness events from pollable devices and
+//! AIO completions are harvested by a dedicated `worker_epoll` loop
+//! (Figure 16), blocking operations run on a blocking-I/O pool (§4.6), and
+//! timers on a timer wheel. Every one of those OS threads sleeps on the
+//! same kind of queue, [`WorkQueue`]. All of it is ordinary application
 //! code — no OS thread per monadic thread anywhere.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
-
-use crate::sched::ReadyQueue;
 
 use crate::engine::{self, CostKind, RuntimeCtx, WaitKind};
 use crate::exception::Exception;
 use crate::reactor::{EventPort, Unparker, Waiter};
+use crate::sched::WorkQueue;
 use crate::syscall::sys_try;
 use crate::task::{Task, TaskId, TaskShell};
 use crate::thread::ThreadM;
@@ -135,9 +133,6 @@ pub struct Config {
     /// Non-blocking steps a thread may run before being preempted
     /// ("executed for a large number of steps before switching", §4.2).
     pub slice: usize,
-    /// Per-worker ready deques with work stealing instead of the paper's
-    /// single shared queue — the improvement §4.4 proposes as future work.
-    pub work_stealing: bool,
 }
 
 impl Default for Config {
@@ -146,7 +141,6 @@ impl Default for Config {
             workers: 2,
             blio_threads: 2,
             slice: 256,
-            work_stealing: false,
         }
     }
 }
@@ -160,26 +154,19 @@ pub struct RuntimeBuilder {
 impl RuntimeBuilder {
     /// Sets the number of `worker_main` scheduler threads.
     pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n.max(1);
+        self.config.workers = n;
         self
     }
 
     /// Sets the number of blocking-I/O pool threads.
     pub fn blio_threads(mut self, n: usize) -> Self {
-        self.config.blio_threads = n.max(1);
+        self.config.blio_threads = n;
         self
     }
 
     /// Sets the preemption slice (non-blocking steps per scheduling turn).
     pub fn slice(mut self, steps: usize) -> Self {
-        self.config.slice = steps.max(1);
-        self
-    }
-
-    /// Enables per-worker deques with work stealing (§4.4 future work)
-    /// instead of the single shared ready queue.
-    pub fn work_stealing(mut self, enabled: bool) -> Self {
-        self.config.work_stealing = enabled;
+        self.config.slice = steps;
         self
     }
 
@@ -189,40 +176,11 @@ impl RuntimeBuilder {
     }
 }
 
-/// An event queue drained by a dedicated event-loop thread — the paper's
-/// `worker_epoll` (Figure 16) and AIO loops use one each.
-struct EventLoopQueue {
-    queue: Mutex<VecDeque<Unparker>>,
-    cv: Condvar,
-}
-
-impl EventLoopQueue {
-    fn new() -> Self {
-        EventLoopQueue {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn drain_batch(&self, wait: Duration) -> Vec<Unparker> {
-        let mut q = self.queue.lock();
-        if q.is_empty() {
-            self.cv.wait_for(&mut q, wait);
-        }
-        q.drain(..).collect()
-    }
-}
-
-impl EventPort for EventLoopQueue {
+/// The real runtime's event port: the inbox of the `worker_epoll` thread
+/// (paper Figure 16), which resumes each waiter it is handed.
+impl EventPort for WorkQueue<Unparker> {
     fn notify(&self, unparker: Unparker) {
-        self.queue.lock().push_back(unparker);
-        self.cv.notify_one();
-    }
-}
-
-impl std::fmt::Debug for EventLoopQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "EventLoopQueue(pending={})", self.queue.lock().len())
+        self.push(unparker);
     }
 }
 
@@ -268,11 +226,9 @@ impl RtTimer {
 }
 
 struct RtInner {
-    ready: ReadyQueue,
-    blio_tx: Sender<(BlioJob, TaskShell)>,
-    blio_rx: Receiver<(BlioJob, TaskShell)>,
-    epoll_queue: Arc<EventLoopQueue>,
-    aio_queue: Arc<EventLoopQueue>,
+    ready: WorkQueue<Task>,
+    blio: WorkQueue<(BlioJob, TaskShell)>,
+    events: Arc<WorkQueue<Unparker>>,
     timer: Arc<RtTimer>,
     next_tid: AtomicU64,
     live: AtomicI64,
@@ -297,7 +253,7 @@ impl RuntimeCtx for RtInner {
         if let Some(tel) = self.tel() {
             tel.on_wake(self.now(), task.tid().0);
         }
-        self.ready.push_task(task);
+        self.ready.push(task);
     }
     fn next_tid(&self) -> TaskId {
         TaskId(self.next_tid.fetch_add(1, Ordering::Relaxed))
@@ -345,11 +301,8 @@ impl RuntimeCtx for RtInner {
     fn charge(&self, cost: CostKind) {
         self.stats.charge(cost);
     }
-    fn epoll_port(&self) -> Arc<dyn EventPort> {
-        Arc::clone(&self.epoll_queue) as Arc<dyn EventPort>
-    }
-    fn aio_port(&self) -> Arc<dyn EventPort> {
-        Arc::clone(&self.aio_queue) as Arc<dyn EventPort>
+    fn event_port(&self) -> Arc<dyn EventPort> {
+        Arc::clone(&self.events) as Arc<dyn EventPort>
     }
     fn sleep(&self, dur: Nanos, task: Task) {
         self.timer
@@ -366,7 +319,7 @@ impl RuntimeCtx for RtInner {
         engine::TimerHandle::new(move || timer.cancel(key))
     }
     fn submit_blio(&self, job: BlioJob, shell: TaskShell) {
-        let _ = self.blio_tx.send((job, shell));
+        self.blio.push((job, shell));
     }
 }
 
@@ -397,24 +350,20 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// Starts a runtime with an explicit configuration.
+    /// Starts a runtime with an explicit configuration. Every field is
+    /// raised to at least 1: no workers or no blocking-I/O threads would
+    /// strand work forever, and a zero slice requeues a task before its
+    /// first step.
     pub fn with_config(config: Config) -> Self {
-        let (ready, mut local_workers) = if config.work_stealing {
-            let (q, locals) = ReadyQueue::stealing(config.workers);
-            (q, locals.into_iter().map(Some).collect::<Vec<_>>())
-        } else {
-            (
-                ReadyQueue::shared(),
-                (0..config.workers).map(|_| None).collect(),
-            )
+        let config = Config {
+            workers: config.workers.max(1),
+            blio_threads: config.blio_threads.max(1),
+            slice: config.slice.max(1),
         };
-        let (blio_tx, blio_rx) = channel::unbounded();
         let inner = Arc::new(RtInner {
-            ready,
-            blio_tx,
-            blio_rx,
-            epoll_queue: Arc::new(EventLoopQueue::new()),
-            aio_queue: Arc::new(EventLoopQueue::new()),
+            ready: WorkQueue::new(),
+            blio: WorkQueue::new(),
+            events: Arc::new(WorkQueue::new()),
             timer: Arc::new(RtTimer::new()),
             next_tid: AtomicU64::new(1),
             live: AtomicI64::new(0),
@@ -426,65 +375,23 @@ impl Runtime {
             telemetry: std::sync::OnceLock::new(),
         });
 
+        let start = |name: String, body: fn(Arc<RtInner>)| {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || body(inner))
+                .expect("failed to spawn a runtime thread")
+        };
+        // The worker_main event loops (Figures 11 and 14), the worker_epoll
+        // loop that harvests readiness and AIO completion events (Figure
+        // 16), the blocking-I/O pool (§4.6) and the timer wheel.
         let mut handles = Vec::new();
-
-        // worker_main event loops (Figure 11 / Figure 14).
-        for (i, slot) in local_workers.iter_mut().enumerate() {
-            let inner = Arc::clone(&inner);
-            let local = slot.take();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worker_main-{i}"))
-                    .spawn(move || worker_main(inner, local))
-                    .expect("failed to spawn worker_main"),
-            );
-        }
-
-        // worker_epoll: harvests readiness events (Figure 16).
-        {
-            let inner = Arc::clone(&inner);
-            let queue = Arc::clone(&inner.epoll_queue);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("worker_epoll".into())
-                    .spawn(move || worker_event_loop(inner, queue))
-                    .expect("failed to spawn worker_epoll"),
-            );
-        }
-
-        // worker_aio: harvests AIO completions.
-        {
-            let inner = Arc::clone(&inner);
-            let queue = Arc::clone(&inner.aio_queue);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("worker_aio".into())
-                    .spawn(move || worker_event_loop(inner, queue))
-                    .expect("failed to spawn worker_aio"),
-            );
-        }
-
-        // Blocking-I/O pool (§4.6).
-        for i in 0..config.blio_threads {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worker_blio-{i}"))
-                    .spawn(move || worker_blio(inner))
-                    .expect("failed to spawn worker_blio"),
-            );
-        }
-
-        // Timer wheel.
-        {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("worker_timer".into())
-                    .spawn(move || worker_timer(inner))
-                    .expect("failed to spawn worker_timer"),
-            );
-        }
+        handles.extend((0..config.workers).map(|i| start(format!("worker_main-{i}"), worker_main)));
+        handles.push(start("worker_epoll".into(), worker_epoll));
+        handles.extend(
+            (0..config.blio_threads).map(|i| start(format!("worker_blio-{i}"), worker_blio)),
+        );
+        handles.push(start("worker_timer".into(), worker_timer));
 
         Runtime {
             inner,
@@ -586,8 +493,6 @@ impl Runtime {
     pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.timer.cv.notify_all();
-        self.inner.epoll_queue.cv.notify_all();
-        self.inner.aio_queue.cv.notify_all();
         let handles = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
@@ -606,8 +511,6 @@ impl Drop for Runtime {
         // Signal loops to exit; do not join (shutdown() joins explicitly).
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.timer.cv.notify_all();
-        self.inner.epoll_queue.cv.notify_all();
-        self.inner.aio_queue.cv.notify_all();
     }
 }
 
@@ -622,53 +525,38 @@ impl std::fmt::Debug for Runtime {
 
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
-fn worker_main(inner: Arc<RtInner>, local: Option<crossbeam::deque::Worker<Task>>) {
-    if let Some(local) = local {
-        inner.ready.register_local(local);
-    }
-    let ctx: Arc<dyn RuntimeCtx> = Arc::clone(&inner) as Arc<dyn RuntimeCtx>;
-    let slice = inner.config.slice;
+/// The loop every queue-fed OS thread runs: handle items as they arrive,
+/// and on each idle timeout leave if the runtime is shutting down.
+fn serve<T>(inner: &RtInner, queue: &WorkQueue<T>, mut handle: impl FnMut(T)) {
     loop {
-        match inner.ready.pop(POLL_INTERVAL) {
-            Some(task) => engine::run_task(&ctx, task, slice),
-            None => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+        match queue.pop(POLL_INTERVAL) {
+            Some(item) => handle(item),
+            None if inner.shutdown.load(Ordering::SeqCst) => return,
+            None => {}
         }
     }
 }
 
-fn worker_event_loop(inner: Arc<RtInner>, queue: Arc<EventLoopQueue>) {
-    loop {
-        let batch = queue.drain_batch(POLL_INTERVAL);
-        for unparker in batch {
-            unparker.unpark();
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
+fn worker_main(inner: Arc<RtInner>) {
+    let ctx: Arc<dyn RuntimeCtx> = Arc::clone(&inner) as Arc<dyn RuntimeCtx>;
+    let slice = inner.config.slice;
+    serve(&inner, &inner.ready, |task| {
+        engine::run_task(&ctx, task, slice)
+    });
+}
+
+fn worker_epoll(inner: Arc<RtInner>) {
+    serve(&inner, &inner.events, |unparker| {
+        unparker.unpark();
+    });
 }
 
 fn worker_blio(inner: Arc<RtInner>) {
-    loop {
-        match inner.blio_rx.recv_timeout(POLL_INTERVAL) {
-            Ok((job, shell)) => {
-                // Run the blocking operation here; the continuation thunk it
-                // returns is rescheduled onto a normal worker.
-                let next = job();
-                inner.push_ready(Task::from_parts(shell, next));
-            }
-            Err(channel::RecvTimeoutError::Timeout) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => return,
-        }
-    }
+    // Run the blocking operation here; the continuation thunk it returns
+    // is rescheduled onto a normal worker.
+    serve(&inner, &inner.blio, |(job, shell)| {
+        inner.push_ready(Task::from_parts(shell, job()))
+    });
 }
 
 fn worker_timer(inner: Arc<RtInner>) {
@@ -802,11 +690,11 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_runtime_completes_unbalanced_load() {
-        // All spawns come from one producer thread: without stealing the
-        // injector path alone must still drain; with stealing, workers
-        // balance among themselves. Either way every task must run.
-        let rt = Runtime::builder().workers(4).work_stealing(true).build();
+    fn tasks_spawned_from_outside_all_run_on_four_workers() {
+        // All spawns come from one non-worker producer thread while four
+        // workers sleep on and drain the one ready queue: every task must
+        // run.
+        let rt = Runtime::builder().workers(4).build();
         let n = Arc::new(AtomicU64::new(0));
         const TASKS: u64 = 5_000;
         for _ in 0..TASKS {
@@ -830,23 +718,55 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_and_shared_agree_on_results() {
-        for stealing in [false, true] {
-            let rt = Runtime::builder()
-                .workers(3)
-                .work_stealing(stealing)
-                .build();
-            let sum = rt.block_on(crate::do_m! {
-                let parts <- crate::ops::par_all((0..32u64).map(|i| ThreadM::pure(i * i)).collect());
-                ThreadM::pure(parts.iter().sum::<u64>())
+    fn par_all_sums_on_three_workers() {
+        let rt = Runtime::builder().workers(3).build();
+        let sum = rt.block_on(crate::do_m! {
+            let parts <- crate::ops::par_all((0..32u64).map(|i| ThreadM::pure(i * i)).collect());
+            ThreadM::pure(parts.iter().sum::<u64>())
+        });
+        assert_eq!(sum, (0..32u64).map(|i| i * i).sum::<u64>());
+        rt.shutdown();
+    }
+
+    #[test]
+    fn zero_config_fields_are_clamped_to_one() {
+        // Unclamped: no worker ever runs the task, a zero slice requeues
+        // it before its first step, and no pool thread takes the job. Run
+        // on a helper thread so that failure is a timeout, not a hang.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt = Runtime::with_config(Config {
+                workers: 0,
+                blio_threads: 0,
+                slice: 0,
             });
-            assert_eq!(
-                sum,
-                (0..32u64).map(|i| i * i).sum::<u64>(),
-                "stealing={stealing}"
-            );
+            let _ = tx.send(rt.block_on(sys_blio(|| 42)));
             rt.shutdown();
-        }
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(42));
+    }
+
+    #[test]
+    fn aio_read_and_pipe_wait_share_the_one_event_port() {
+        use crate::aio::AioFile;
+        use crate::io::{pipe::pipe, ramdisk::RamFile};
+        let rt = Runtime::builder().workers(1).build();
+        let file: Arc<dyn AioFile> = Arc::new(RamFile::new(*b"hello aio"));
+        let (w, r) = pipe(4); // tiny buffer forces readiness waits
+        rt.spawn(crate::do_m! {
+            let res <- w.write_all_m(bytes::Bytes::from(vec![7u8; 64]));
+            sys_nbio(move || res.expect("write side failed"))
+        });
+        let (read, piped) = rt.block_on(crate::do_m! {
+            let read <- sys_aio_read(&file, 6, 3);
+            let piped <- r.read_exact_m(64);
+            ThreadM::pure((read, piped))
+        });
+        assert_eq!(&read.expect("aio read failed")[..], b"aio");
+        assert_eq!(piped.expect("pipe read failed"), vec![7u8; 64]);
+        let stats = rt.stats();
+        assert!(stats.aio_submitted >= 1 && stats.epoll_registrations >= 1);
+        rt.shutdown();
     }
 
     #[test]

@@ -1,227 +1,228 @@
-//! Ready-queue disciplines for the real runtime.
+//! The queue an OS thread of the real runtime sleeps on.
 //!
 //! The paper ships one shared ready queue between its `worker_main` loops
-//! and notes (§4.4) that "our current design can be further improved by
-//! implementing a separate task queue for each scheduler and using work
-//! stealing to balance the loads". Both designs live here:
-//!
-//! * [`ReadyQueue::Shared`] — one MPMC channel, the paper's architecture;
-//! * [`ReadyQueue::Stealing`] — a per-worker deque plus a global injector,
-//!   with Chase–Lev stealing between workers (the paper's future work).
-//!
-//! The scheduler-architecture ablation in `eveth-bench` compares them.
+//! (§4.4, Figure 14). [`WorkQueue`] is that queue, and also the
+//! blocking-I/O pool's job queue and the event loop's inbox: an unbounded
+//! FIFO whose `push` signals the condition variable only when a popper is
+//! actually asleep, so a push from a running worker to busy workers costs
+//! a lock and no syscall.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
-use crossbeam::deque::{Injector, Stealer, Worker};
+use parking_lot::{Condvar, Mutex};
 
-use crate::task::Task;
-
-static NEXT_QUEUE_ID: AtomicUsize = AtomicUsize::new(1);
-
-thread_local! {
-    /// The calling worker thread's local deque, if it belongs to a
-    /// stealing runtime: (queue id, worker handle).
-    static LOCAL_WORKER: RefCell<Option<(usize, Worker<Task>)>> = const { RefCell::new(None) };
+/// Both counters are read and written only under the lock.
+struct State<T> {
+    items: VecDeque<T>,
+    /// Poppers inside `cv.wait_for`: each counts itself before it releases
+    /// the lock to wait and uncounts itself once it holds the lock again,
+    /// so a push that finds no sleeper cannot have missed one.
+    sleepers: usize,
+    /// Signals sent that no woken popper has uncounted yet. Every popper
+    /// that wakes (signal, timeout or spurious) takes one off, so this
+    /// never exceeds the poppers that are awake but still counted in
+    /// `sleepers`; `sleepers > signalled` therefore holds whenever a
+    /// popper is still blocked, and a push that skips the signal because
+    /// `sleepers <= signalled` leaves nobody asleep beside its item.
+    signalled: usize,
 }
 
-/// How runnable tasks travel from producers (spawns, wakeups, event
-/// loops) to the `worker_main` schedulers.
-pub enum ReadyQueue {
-    /// One shared MPMC queue (paper Figure 14).
-    Shared {
-        /// Producer side.
-        tx: Sender<Task>,
-        /// Consumer side (every worker clones it).
-        rx: Receiver<Task>,
-    },
-    /// Per-worker deques + global injector with work stealing (§4.4's
-    /// suggested improvement).
-    Stealing {
-        /// This queue's identity (binds thread-local workers to it).
-        id: usize,
-        /// Overflow/injection queue for non-worker producers.
-        injector: Injector<Task>,
-        /// Steal handles onto every worker's deque.
-        stealers: Vec<Stealer<Task>>,
-    },
+/// An unbounded multi-producer multi-consumer FIFO with a blocking,
+/// timed `pop`.
+pub struct WorkQueue<T> {
+    state: Mutex<State<T>>,
+    cv: Condvar,
 }
 
-impl ReadyQueue {
-    /// Builds the paper's shared-queue discipline.
-    pub fn shared() -> Self {
-        let (tx, rx) = channel::unbounded();
-        ReadyQueue::Shared { tx, rx }
-    }
-
-    /// Builds the stealing discipline with `workers` local deques;
-    /// returns the queue and the per-worker handles (hand one to each
-    /// `worker_main` thread via [`ReadyQueue::register_local`]).
-    pub fn stealing(workers: usize) -> (Self, Vec<Worker<Task>>) {
-        let locals: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(Worker::stealer).collect();
-        (
-            ReadyQueue::Stealing {
-                id: NEXT_QUEUE_ID.fetch_add(1, Ordering::Relaxed),
-                injector: Injector::new(),
-                stealers,
-            },
-            locals,
-        )
-    }
-
-    /// Binds `worker` to the calling OS thread so its pushes go to the
-    /// local deque. Call once at `worker_main` startup.
-    pub fn register_local(&self, worker: Worker<Task>) {
-        if let ReadyQueue::Stealing { id, .. } = self {
-            LOCAL_WORKER.with(|slot| *slot.borrow_mut() = Some((*id, worker)));
+impl<T> WorkQueue<T> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        WorkQueue {
+            state: Mutex::new(State {
+                items: VecDeque::new(),
+                sleepers: 0,
+                signalled: 0,
+            }),
+            cv: Condvar::new(),
         }
     }
 
-    /// Fetches the next runnable task for a worker thread, blocking up to
-    /// `timeout`. Returns `None` on timeout (caller re-checks shutdown).
-    pub fn pop(&self, timeout: Duration) -> Option<Task> {
-        match self {
-            ReadyQueue::Shared { rx, .. } => rx.recv_timeout(timeout).ok(),
-            ReadyQueue::Stealing {
-                injector, stealers, ..
-            } => {
-                let deadline = std::time::Instant::now() + timeout;
-                loop {
-                    // 1. Local deque.
-                    let local =
-                        LOCAL_WORKER.with(|slot| slot.borrow().as_ref().and_then(|(_, w)| w.pop()));
-                    if local.is_some() {
-                        return local;
-                    }
-                    // 2. Batch-steal from the injector into the local deque.
-                    let stolen = LOCAL_WORKER.with(|slot| {
-                        let slot = slot.borrow();
-                        match slot.as_ref() {
-                            Some((_, w)) => injector.steal_batch_and_pop(w).success(),
-                            None => injector.steal().success(),
-                        }
-                    });
-                    if stolen.is_some() {
-                        return stolen;
-                    }
-                    // 3. Steal from a sibling.
-                    for s in stealers {
-                        if let Some(task) = s.steal().success() {
-                            return task.into();
-                        }
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
+    /// Appends `item`, waking one sleeping popper if one is still asleep
+    /// and unsignalled.
+    pub fn push(&self, item: T) {
+        let wake = {
+            let mut state = self.state.lock();
+            state.items.push_back(item);
+            let wake = state.sleepers > state.signalled;
+            state.signalled += usize::from(wake);
+            wake
+        };
+        if wake {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Removes the oldest item, sleeping up to `timeout` for one to
+    /// arrive. Returns `None` on timeout (callers re-check shutdown).
+    pub fn pop(&self, timeout: Duration) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
             }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            state.sleepers += 1;
+            self.cv.wait_for(&mut state, left);
+            state.sleepers -= 1;
+            state.signalled = state.signalled.saturating_sub(1);
         }
     }
 }
 
-impl ReadyQueue {
-    /// Enqueues a runnable task. On a stealing queue, registered worker
-    /// threads push to their own deque; everyone else (event loops,
-    /// timers, devices) goes through the injector.
-    pub fn push_task(&self, task: Task) {
-        match self {
-            ReadyQueue::Shared { tx, .. } => {
-                let _ = tx.send(task);
-            }
-            ReadyQueue::Stealing { id, injector, .. } => {
-                let mut task = Some(task);
-                LOCAL_WORKER.with(|slot| {
-                    let slot = slot.borrow();
-                    if let Some((owner, worker)) = slot.as_ref() {
-                        if owner == id {
-                            worker.push(task.take().expect("task present"));
-                        }
-                    }
-                });
-                if let Some(task) = task {
-                    injector.push(task);
-                }
-            }
-        }
+impl<T> Default for WorkQueue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-impl std::fmt::Debug for ReadyQueue {
+impl<T> std::fmt::Debug for WorkQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadyQueue::Shared { rx, .. } => write!(f, "ReadyQueue::Shared(len={})", rx.len()),
-            ReadyQueue::Stealing { stealers, .. } => {
-                write!(f, "ReadyQueue::Stealing(workers={})", stealers.len())
-            }
-        }
+        let state = self.state.lock();
+        write!(
+            f,
+            "WorkQueue(len={}, asleep={})",
+            state.items.len(),
+            state.sleepers - state.signalled
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskId;
-    use crate::trace::Trace;
+    use std::sync::atomic::{AtomicU8, Ordering};
 
-    fn task(n: u64) -> Task {
-        Task::from_thunk(TaskId(n), Box::new(|| Trace::Ret))
+    const LONG: Duration = Duration::from_secs(30);
+
+    /// Spins until `n` poppers are asleep on `q`.
+    fn await_sleepers<T>(q: &WorkQueue<T>, n: usize) {
+        while q.state.lock().sleepers < n {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn shared_queue_roundtrip() {
-        let q = ReadyQueue::shared();
-        q.push_task(task(1));
-        q.push_task(task(2));
-        assert_eq!(q.pop(Duration::from_millis(10)).unwrap().tid(), TaskId(1));
-        assert_eq!(q.pop(Duration::from_millis(10)).unwrap().tid(), TaskId(2));
-        assert!(q.pop(Duration::from_millis(5)).is_none());
-    }
-
-    #[test]
-    fn stealing_queue_injector_path() {
-        let (q, _locals) = ReadyQueue::stealing(2);
-        // This thread has no registered local worker: pushes go to the
-        // injector, pops steal from it.
-        q.push_task(task(7));
-        assert_eq!(q.pop(Duration::from_millis(10)).unwrap().tid(), TaskId(7));
-    }
-
-    #[test]
-    fn stealing_queue_local_fast_path_and_theft() {
-        let (q, mut locals) = ReadyQueue::stealing(2);
-        let q = std::sync::Arc::new(q);
-        let victim_worker = locals.remove(0);
-        let q2 = std::sync::Arc::clone(&q);
-        // Victim thread registers, pushes locally, then stalls.
-        let victim = std::thread::spawn(move || {
-            q2.register_local(victim_worker);
-            for i in 0..64 {
-                q2.push_task(task(i));
-            }
-            // Consume a few from the local deque.
-            let mut got = 0;
-            while got < 8 {
-                if q2.pop(Duration::from_millis(50)).is_some() {
-                    got += 1;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-        // This (unregistered) thread steals the rest through stealers.
-        let mut stolen = 0;
-        while stolen < 56 {
-            if q.pop(Duration::from_millis(100)).is_some() {
-                stolen += 1;
-            } else {
-                break;
-            }
+        let q = WorkQueue::new();
+        for i in 0..100 {
+            q.push(i);
         }
-        victim.join().unwrap();
-        assert_eq!(stolen, 56, "all remaining tasks must be stealable");
+        for i in 0..100 {
+            assert_eq!(q.pop(LONG), Some(i));
+        }
+        assert_eq!(q.pop(Duration::from_millis(5)), None);
+    }
+
+    #[test]
+    fn empty_pop_waits_out_its_timeout() {
+        let q = WorkQueue::<u8>::new();
+        let timeout = Duration::from_millis(20);
+        let started = Instant::now();
+        assert_eq!(q.pop(timeout), None);
+        assert!(started.elapsed() >= timeout, "{:?}", started.elapsed());
+        assert_eq!(q.state.lock().sleepers, 0);
+    }
+
+    #[test]
+    fn push_wakes_a_sleeping_popper() {
+        let q = WorkQueue::new();
+        std::thread::scope(|s| {
+            let popper = s.spawn(|| {
+                let started = Instant::now();
+                (q.pop(LONG), started.elapsed())
+            });
+            await_sleepers(&q, 1);
+            q.push(7);
+            let (got, waited) = popper.join().expect("popper panicked");
+            assert_eq!(got, Some(7));
+            assert!(waited < LONG / 2, "woken by timeout, not push: {waited:?}");
+        });
+    }
+
+    #[test]
+    fn unsignalled_push_is_seen_by_the_next_pop() {
+        let q = WorkQueue::new();
+        q.push(1);
+        assert_eq!(q.state.lock().sleepers, 0);
+        let started = Instant::now();
+        assert_eq!(q.pop(LONG), Some(1));
+        assert!(started.elapsed() < LONG / 2);
+    }
+
+    #[test]
+    fn every_item_is_delivered_exactly_once() {
+        const PRODUCERS: usize = 4;
+        const CONSUMERS: usize = 4;
+        const PER_PRODUCER: usize = 10_000;
+        let q = WorkQueue::new();
+        let seen: Vec<AtomicU8> = (0..PRODUCERS * PER_PRODUCER)
+            .map(|_| AtomicU8::new(0))
+            .collect();
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let q = &q;
+                s.spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        q.push(Some(p * PER_PRODUCER + i));
+                    }
+                });
+            }
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        while let Some(i) = q.pop(LONG).expect("starved") {
+                            seen[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                })
+                .collect();
+            // Once every item has been seen, one end marker per consumer;
+            // each consumer stops at the first it pops.
+            while seen.iter().any(|n| n.load(Ordering::Relaxed) == 0) {
+                std::thread::yield_now();
+            }
+            for _ in 0..CONSUMERS {
+                q.push(None);
+            }
+            for c in consumers {
+                c.join().expect("consumer panicked");
+            }
+        });
+        assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        assert_eq!(q.pop(Duration::ZERO), None);
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        // Each side sleeps until the other pushes. A lost wakeup leaves the
+        // item queued and its popper asleep for the whole timeout, so one
+        // in 1 000 rounds is enough to fail the elapsed-time check.
+        let (ping, pong) = (WorkQueue::new(), WorkQueue::new());
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..1_000 {
+                    let n: u32 = ping.pop(LONG).expect("ping never arrived");
+                    pong.push(n + 1);
+                }
+            });
+            for round in 0..1_000 {
+                ping.push(round);
+                assert_eq!(pong.pop(LONG), Some(round + 1));
+            }
+        });
+        assert!(started.elapsed() < LONG, "{:?}", started.elapsed());
     }
 }

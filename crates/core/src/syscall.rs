@@ -76,7 +76,7 @@ pub fn sys_epoll_wait(fd: &Fd, interest: Interest) -> ThreadM<()> {
 }
 
 /// `sys_aio_read` — submits an asynchronous read and blocks until its
-/// completion arrives through the AIO event loop.
+/// completion arrives through the runtime's event loop.
 pub fn sys_aio_read(file: &Arc<dyn AioFile>, offset: u64, len: usize) -> ThreadM<AioResult> {
     let file = Arc::clone(file);
     ThreadM::new(move |c| Trace::AioRead(AioReadReq { file, offset, len }, Box::new(c)))

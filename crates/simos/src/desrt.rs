@@ -423,7 +423,7 @@ impl SimInner {
 }
 
 /// An [`EventPort`] that models the dispatch cost of the dedicated event
-/// loop (`worker_epoll` / `worker_aio`) and then resumes the thread.
+/// loop (`worker_epoll`) and then resumes the thread.
 struct SimPort {
     clock: SimClock,
     dispatch_ns: Nanos,
@@ -516,13 +516,7 @@ impl RuntimeCtx for SimInner {
         self.stats.charge(cost);
         self.clock.advance(self.cost.of(cost));
     }
-    fn epoll_port(&self) -> Arc<dyn EventPort> {
-        Arc::new(SimPort {
-            clock: self.clock.clone(),
-            dispatch_ns: self.cost.wake_ns / 2,
-        })
-    }
-    fn aio_port(&self) -> Arc<dyn EventPort> {
+    fn event_port(&self) -> Arc<dyn EventPort> {
         Arc::new(SimPort {
             clock: self.clock.clone(),
             dispatch_ns: self.cost.wake_ns / 2,

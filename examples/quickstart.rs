@@ -15,8 +15,8 @@ use eveth::core::syscall::*;
 use eveth::{do_m, ThreadM};
 
 fn main() {
-    // An event-driven runtime: two worker_main scheduler loops, a
-    // worker_epoll loop, a worker_aio loop, a blocking-I/O pool, a timer.
+    // An event-driven runtime: two worker_main scheduler loops on one
+    // ready queue, a worker_epoll loop, a blocking-I/O pool, a timer.
     let rt = Runtime::builder().workers(2).build();
 
     // --- Threads are cheap: fork a few thousand, coordinate via a channel.
