@@ -20,12 +20,13 @@ use eveth_core::net::{queue_accept_evt, Conn, Endpoint, HostId, Listener, NetErr
 use eveth_core::reactor::{AcceptQueue, Fd, Interest, Pollable, Waiter};
 use eveth_core::sync::Chan;
 use eveth_core::syscall::{sys_epoll_wait, sys_nbio, sys_sleep, sys_time};
+use eveth_core::telemetry::metrics::Registry;
 use eveth_core::time::Nanos;
 use eveth_core::{loop_m, Loop, ThreadM};
 use parking_lot::Mutex;
 
-use crate::segment::Segment;
-use crate::tcb::{State, Tcb, TcpConfig};
+use crate::segment::{Flags, Segment};
+use crate::tcb::{State, Tcb, TcpConfig, TcpStats};
 use crate::transport::SegmentTransport;
 
 /// Demux key: local port + remote endpoint.
@@ -38,21 +39,6 @@ struct ConnKey {
 enum Input {
     Seg(HostId, Segment),
     Stop,
-}
-
-/// Counters for one TCP host.
-#[derive(Debug, Default)]
-pub struct TcpStats {
-    /// Segments handed to the transport.
-    pub segs_sent: AtomicU64,
-    /// Segments received from the transport.
-    pub segs_received: AtomicU64,
-    /// Connections actively opened.
-    pub conns_opened: AtomicU64,
-    /// Connections accepted from listeners.
-    pub conns_accepted: AtomicU64,
-    /// RSTs emitted for unmatched segments.
-    pub resets_sent: AtomicU64,
 }
 
 struct ListenerInner {
@@ -77,7 +63,7 @@ pub struct TcpHost {
     stopped: AtomicBool,
     next_ephemeral: AtomicU32,
     next_iss: AtomicU32,
-    stats: TcpStats,
+    stats: Arc<TcpStats>,
 }
 
 impl TcpHost {
@@ -102,7 +88,7 @@ impl TcpHost {
             stopped: AtomicBool::new(false),
             next_ephemeral: AtomicU32::new(0),
             next_iss: AtomicU32::new(0x1d37_5a11),
-            stats: TcpStats::default(),
+            stats: Arc::default(),
         });
         spawn_thread(&ctx, worker_tcp_input(Arc::clone(&this)));
         spawn_thread(&ctx, worker_tcp_timer(Arc::clone(&this)));
@@ -117,6 +103,34 @@ impl TcpHost {
     /// Counters.
     pub fn stats(&self) -> &TcpStats {
         &self.stats
+    }
+
+    /// Registers this host's counters on `registry` as
+    /// `eveth_tcp_*_total{labels}`, polled at exposition time. Opt-in, like
+    /// `Telemetry::register_buffer_pool_metrics`: a hub that never calls
+    /// this exposes exactly what it did before.
+    pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
+        type Cell = fn(&TcpStats) -> &AtomicU64;
+        let cells: [(&str, Cell); 9] = [
+            ("eveth_tcp_segs_sent_total", |s| &s.segs_sent),
+            ("eveth_tcp_segs_received_total", |s| &s.segs_received),
+            ("eveth_tcp_conns_opened_total", |s| &s.conns_opened),
+            ("eveth_tcp_conns_accepted_total", |s| &s.conns_accepted),
+            ("eveth_tcp_resets_sent_total", |s| &s.resets_sent),
+            ("eveth_tcp_payload_bytes_aliased_total", |s| {
+                &s.payload_bytes_aliased
+            }),
+            ("eveth_tcp_payload_bytes_copied_total", |s| {
+                &s.payload_bytes_copied
+            }),
+            ("eveth_tcp_retransmits_total", |s| &s.retransmits),
+            ("eveth_tcp_pure_acks_total", |s| &s.pure_acks),
+        ];
+        for (name, cell) in cells {
+            let stats = Arc::clone(&self.stats);
+            registry
+                .register_counter_fn(name, labels, move || cell(&stats).load(Ordering::Relaxed));
+        }
     }
 
     /// Live connections in the demux table.
@@ -177,6 +191,9 @@ impl TcpHost {
     fn send_segs(&self, peer_host: HostId, segs: Vec<Segment>) {
         for seg in segs {
             self.stats.segs_sent.fetch_add(1, Ordering::Relaxed);
+            if seg.payload.is_empty() && seg.flags == Flags::ack() {
+                self.stats.pure_acks.fetch_add(1, Ordering::Relaxed);
+            }
             self.transport.send(self.host, peer_host, seg);
         }
     }
@@ -206,7 +223,7 @@ impl TcpHost {
             if let Some(listener) = listener {
                 if !listener.queue.is_closed() {
                     let local = Endpoint::new(self.host, seg.dst_port);
-                    let tcb = Tcb::new_passive(
+                    let mut tcb = Tcb::new_passive(
                         self.cfg.clone(),
                         local,
                         key.peer,
@@ -214,6 +231,7 @@ impl TcpHost {
                         &seg,
                         now,
                     );
+                    tcb.report_to(Arc::clone(&self.stats));
                     let syn_ack = tcb.syn_ack_segment();
                     self.conns.lock().insert(key, Arc::new(Mutex::new(tcb)));
                     self.passive_parents.lock().insert(key, seg.dst_port);
@@ -230,7 +248,7 @@ impl TcpHost {
                 dst_port: seg.src_port,
                 seq: if seg.flags.ack { seg.ack } else { 0 },
                 ack: seg.seq_end(),
-                flags: crate::segment::Flags {
+                flags: Flags {
                     rst: true,
                     ack: true,
                     ..Default::default()
@@ -436,39 +454,7 @@ impl Conn for TcpConn {
     }
 
     fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
-        if data.is_empty() {
-            return ThreadM::pure(Ok(0));
-        }
-        let tcb = Arc::clone(&self.tcb);
-        let host = Arc::clone(&self.host);
-        let fd = self.fd.clone();
-        let peer = self.key.peer.host;
-        loop_m(data, move |data| {
-            let try_tcb = Arc::clone(&tcb);
-            let fd = fd.clone();
-            let h = Arc::clone(&host);
-            let attempt = data.clone();
-            sys_time()
-                .bind(move |now| {
-                    sys_nbio(move || {
-                        let mut t = try_tcb.lock();
-                        match t.app_write(&attempt) {
-                            Err(e) => Some(Err(e)),
-                            Ok(0) => None,
-                            Ok(n) => {
-                                let out = t.output(now);
-                                drop(t);
-                                h.send_segs(peer, out);
-                                Some(Ok(n))
-                            }
-                        }
-                    })
-                })
-                .bind(move |res| match res {
-                    Some(r) => ThreadM::pure(Loop::Break(r)),
-                    None => sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(data)),
-                })
-        })
+        self.sendv(vec![data])
     }
 
     fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>> {
@@ -483,49 +469,31 @@ impl Conn for TcpConn {
             let try_tcb = Arc::clone(&tcb);
             let fd = fd.clone();
             let h = Arc::clone(&host);
-            let attempt = bufs.clone();
             sys_time()
                 .bind(move |now| {
                     sys_nbio(move || {
-                        // One locked pass: buffer from every segment into
+                        // One locked pass: windows of every buffer go into
                         // the send queue, then a single output flush for
-                        // the whole batch.
+                        // the whole batch. A full queue hands the buffers
+                        // back for the retry.
                         let mut t = try_tcb.lock();
-                        let mut total = 0;
-                        for b in &attempt {
-                            if b.is_empty() {
-                                continue;
-                            }
-                            match t.app_write(b) {
-                                Err(e) => {
-                                    if total == 0 {
-                                        return Some(Err(e));
-                                    }
-                                    // Partial progress wins; the error
-                                    // resurfaces on the next send.
-                                    break;
-                                }
-                                Ok(0) => break,
-                                Ok(n) => {
-                                    total += n;
-                                    if n < b.len() {
-                                        break;
-                                    }
-                                }
+                        match t.app_writev(&bufs) {
+                            Err(e) => Ok(Err(e)),
+                            Ok(0) => Err(bufs),
+                            Ok(n) => {
+                                let out = t.output(now);
+                                drop(t);
+                                h.send_segs(peer, out);
+                                Ok(Ok(n))
                             }
                         }
-                        if total == 0 {
-                            return None;
-                        }
-                        let out = t.output(now);
-                        drop(t);
-                        h.send_segs(peer, out);
-                        Some(Ok(total))
                     })
                 })
                 .bind(move |res| match res {
-                    Some(r) => ThreadM::pure(Loop::Break(r)),
-                    None => sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(bufs)),
+                    Ok(r) => ThreadM::pure(Loop::Break(r)),
+                    Err(bufs) => {
+                        sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(bufs))
+                    }
                 })
         })
     }
@@ -627,13 +595,14 @@ impl NetStack for TcpHost {
                     .ephemeral(&conns, remote)
                     .ok_or(NetError::AddrInUse)?;
                 let local = Endpoint::new(setup_host.host, key.local_port);
-                let tcb = Tcb::new_active(
+                let mut tcb = Tcb::new_active(
                     setup_host.cfg.clone(),
                     local,
                     remote,
                     setup_host.fresh_iss(),
                     now,
                 );
+                tcb.report_to(Arc::clone(&setup_host.stats));
                 let syn = tcb.syn_segment();
                 let tcb_arc = Arc::new(Mutex::new(tcb));
                 conns.insert(key, Arc::clone(&tcb_arc));
@@ -697,7 +666,7 @@ mod tests {
     use super::*;
     use crate::transport::LoopbackNet;
     use eveth_core::do_m;
-    use eveth_core::net::{recv_exact, send_all};
+    use eveth_core::net::{recv_exact, send_all, send_all_vectored};
     use eveth_core::syscall::sys_fork;
     use eveth_simos::SimRuntime;
 
@@ -740,5 +709,74 @@ mod tests {
             .expect("the held connection still reaches its peer");
         assert_eq!(&echoed.expect("echo")[..], b"x");
         assert_eq!(second_port, held_port + 1, "the live port is skipped");
+    }
+
+    #[test]
+    fn a_32k_reply_travels_as_windows_and_the_counters_say_so() {
+        const VALUE: usize = 32 * 1024;
+        let sim = SimRuntime::new_default();
+        let net = LoopbackNet::new();
+        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), TcpConfig::default());
+        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), TcpConfig::default());
+        net.register(&a);
+        net.register(&b);
+        let registry = Registry::new();
+        assert!(!registry.expose().contains("eveth_tcp_"), "opt-in");
+        b.register_metrics(&registry, &[("host", "2")]);
+
+        // A `get` reply: a short header staged in a pool slab, the stored
+        // value, a `'static` trailer.
+        let mut header = bytes::BufferPool::global().acquire();
+        header.extend_from_slice(b"VALUE k 0 32768\r\n");
+        let reply = vec![
+            header.freeze(),
+            Bytes::from(vec![0x5a; VALUE]),
+            Bytes::from_static(b"\r\nEND\r\n"),
+        ];
+        let (head, total) = (reply[0].len(), reply.iter().map(Bytes::len).sum());
+        let server = do_m! {
+            let lst <- b.listen(80);
+            let conn <- lst.expect("listen").accept();
+            send_all_vectored(&conn.expect("accept"), reply).map(|sent| sent.expect("reply"))
+        };
+        let client = Arc::clone(&a);
+        let got = sim
+            .block_on(do_m! {
+                sys_fork(server);
+                let conn <- client.connect(Endpoint::new(HostId(2), 80));
+                recv_exact(&conn.expect("connect"), total)
+            })
+            .expect("transfer completes")
+            .expect("reply received");
+        assert_eq!(got.len(), total);
+        assert!(got[head..head + VALUE].iter().all(|&byte| byte == 0x5a));
+
+        // Send side: the value went into the queue and out in segments as
+        // windows; only the header's copy-break and the two segments that
+        // straddle header/value and value/trailer were copied.
+        let sent = b.stats();
+        let aliased = sent.payload_bytes_aliased.load(Ordering::Relaxed);
+        let copied = sent.payload_bytes_copied.load(Ordering::Relaxed);
+        assert!(aliased >= 30 * 1024, "aliased {aliased}");
+        assert!(copied <= 2 * 1460, "copied {copied}");
+        assert_eq!(sent.retransmits.load(Ordering::Relaxed), 0);
+        assert_eq!(sent.pure_acks.load(Ordering::Relaxed), 0);
+        // The receiver acknowledged every data segment with a bare ACK.
+        let segments = total.div_ceil(1460) as u64;
+        let acks = a.stats().pure_acks.load(Ordering::Relaxed);
+        assert!(acks >= segments, "{acks} bare ACKs for {segments} segments");
+
+        let label = [("host", "2")];
+        for (name, want) in [
+            ("eveth_tcp_payload_bytes_aliased_total", aliased),
+            ("eveth_tcp_payload_bytes_copied_total", copied),
+            ("eveth_tcp_retransmits_total", 0),
+            ("eveth_tcp_conns_accepted_total", 1),
+        ] {
+            assert_eq!(registry.counter_value(name, &label), Some(want), "{name}");
+        }
+        assert!(registry
+            .expose()
+            .contains("eveth_tcp_pure_acks_total{host=\"2\"} 0"));
     }
 }

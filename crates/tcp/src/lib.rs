@@ -9,7 +9,8 @@
 //! * [`seq`] — 32-bit sequence arithmetic;
 //! * [`tcb`] — the per-connection state machine (handshake, sliding
 //!   windows, out-of-order reassembly, FIN/RST teardown) as a pure
-//!   transition system;
+//!   transition system whose send and receive queues hold refcounted
+//!   windows of the application's buffers, not copies of their bytes;
 //! * [`rtt`] — Jacobson/Karels RTO estimation with Karn's rule;
 //! * [`congestion`] — Reno: slow start, congestion avoidance, fast
 //!   retransmit/recovery;
@@ -67,13 +68,14 @@
 
 pub mod congestion;
 pub mod host;
+mod queue;
 pub mod rtt;
 pub mod segment;
 pub mod seq;
 pub mod tcb;
 pub mod transport;
 
-pub use host::{TcpConn, TcpHost, TcpListener, TcpStats};
+pub use host::{TcpConn, TcpHost, TcpListener};
 pub use segment::{Flags, Segment};
-pub use tcb::{State, Tcb, TcpConfig};
+pub use tcb::{State, Tcb, TcpConfig, TcpStats};
 pub use transport::{Faults, LoopbackNet, SegmentTransport};

@@ -6,8 +6,10 @@
 //! machine runs under real and virtual clocks and can be unit-tested by
 //! feeding it segments directly — no sockets, threads or clocks required.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::net::{Endpoint, NetError};
@@ -15,6 +17,7 @@ use eveth_core::reactor::Waiter;
 use eveth_core::time::{Nanos, MILLIS};
 
 use crate::congestion::{CcAction, Reno};
+use crate::queue::{copy_break, ByteQueue};
 use crate::rtt::RttEstimator;
 use crate::segment::{Flags, Segment};
 use crate::seq::{seq_diff, seq_ge, seq_gt, seq_le, seq_lt};
@@ -64,6 +67,32 @@ impl Default for TcpConfig {
     }
 }
 
+/// Counters for one TCP host, shared by its connections.
+#[derive(Debug, Default)]
+pub struct TcpStats {
+    /// Segments handed to the transport.
+    pub segs_sent: AtomicU64,
+    /// Segments received from the transport.
+    pub segs_received: AtomicU64,
+    /// Connections actively opened.
+    pub conns_opened: AtomicU64,
+    /// Connections accepted from listeners.
+    pub conns_accepted: AtomicU64,
+    /// RSTs emitted for unmatched segments.
+    pub resets_sent: AtomicU64,
+    /// Payload bytes that entered or left a TCB queue as a refcounted
+    /// window of the buffer they already were in.
+    pub payload_bytes_aliased: AtomicU64,
+    /// Payload bytes that entered or left a TCB queue by being copied: a
+    /// segment or read gathered across chunks, a piece under the
+    /// copy-break.
+    pub payload_bytes_copied: AtomicU64,
+    /// Segments retransmitted (RTO and fast retransmit).
+    pub retransmits: AtomicU64,
+    /// Bare ACKs sent: no payload, no SYN, FIN or RST.
+    pub pure_acks: AtomicU64,
+}
+
 /// TCP connection states (RFC 793 §3.2; LISTEN lives at the host level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum State {
@@ -104,7 +133,8 @@ pub struct Tcb {
     /// pre-rollback data are still acceptable.
     snd_max: u32,
     snd_wnd: u32,
-    snd_buf: VecDeque<u8>,
+    /// Written and not yet acknowledged; offset 0 is `snd_una`.
+    snd_buf: ByteQueue,
     fin_queued: bool,
     fin_seq: Option<u32>,
     cc: Reno,
@@ -116,8 +146,15 @@ pub struct Tcb {
     // Receive side.
     irs: u32,
     rcv_nxt: u32,
-    readable: VecDeque<u8>,
-    ooo: BTreeMap<u32, Bytes>,
+    /// Payload bytes accepted in order so far: `rcv_nxt` as a stream
+    /// offset that never wraps.
+    rcv_pos: u64,
+    readable: ByteQueue,
+    /// Out-of-order payloads by stream offset — not by raw sequence
+    /// number, whose numeric order is not arrival order within a window
+    /// of 2³².
+    ooo: BTreeMap<u64, Bytes>,
+    ooo_bytes: usize,
     peer_fin: Option<u32>,
     fin_received: bool,
 
@@ -125,6 +162,8 @@ pub struct Tcb {
     time_wait_deadline: Option<Nanos>,
     error: Option<NetError>,
     retransmit_count: u64,
+    /// The owning host's counters (none for a bare TCB in unit tests).
+    stats: Option<Arc<TcpStats>>,
 
     // Readiness registrations from blocked application threads
     // (`sys_epoll_wait` waiters, routed through the runtime's event port
@@ -185,7 +224,7 @@ impl Tcb {
             snd_nxt: iss,
             snd_max: iss,
             snd_wnd: 0,
-            snd_buf: VecDeque::new(),
+            snd_buf: ByteQueue::new(),
             fin_queued: false,
             fin_seq: None,
             cc,
@@ -195,16 +234,38 @@ impl Tcb {
             syn_retries: 0,
             irs: 0,
             rcv_nxt: 0,
-            readable: VecDeque::new(),
+            rcv_pos: 0,
+            readable: ByteQueue::new(),
             ooo: BTreeMap::new(),
+            ooo_bytes: 0,
             peer_fin: None,
             fin_received: false,
             time_wait_deadline: None,
             error: None,
             retransmit_count: 0,
+            stats: None,
             recv_waiters: Vec::new(),
             send_waiters: Vec::new(),
             conn_waiters: Vec::new(),
+        }
+    }
+
+    /// Reports this connection's payload and retransmission counts into
+    /// `stats` from now on.
+    pub fn report_to(&mut self, stats: Arc<TcpStats>) {
+        self.stats = Some(stats);
+    }
+
+    /// Accounts `total` payload bytes crossing a queue boundary, `copied`
+    /// of them physically.
+    fn note_payload(&self, total: usize, copied: usize) {
+        if let Some(stats) = &self.stats {
+            stats
+                .payload_bytes_aliased
+                .fetch_add((total - copied) as u64, Ordering::Relaxed);
+            stats
+                .payload_bytes_copied
+                .fetch_add(copied as u64, Ordering::Relaxed);
         }
     }
 
@@ -255,7 +316,7 @@ impl Tcb {
     }
 
     fn recv_window(&self) -> u32 {
-        let used = self.readable.len() + self.ooo.values().map(|b| b.len()).sum::<usize>();
+        let used = self.readable.len() + self.ooo_bytes;
         self.cfg.recv_window.saturating_sub(used) as u32
     }
 
@@ -363,13 +424,24 @@ impl Tcb {
     // -- Application interface ------------------------------------------------
 
     /// Queues application data for transmission; returns the bytes accepted
-    /// (0 = buffer full, caller should park).
+    /// (0 = buffer full, caller should park). The queue keeps a window of
+    /// `data`, not a copy.
     ///
     /// # Errors
     ///
     /// The connection's fatal error, or [`NetError::Closed`] after the
     /// sending direction was shut down.
-    pub fn app_write(&mut self, data: &[u8]) -> Result<usize, NetError> {
+    pub fn app_write(&mut self, data: Bytes) -> Result<usize, NetError> {
+        self.app_writev(&[data])
+    }
+
+    /// Gather form of [`Tcb::app_write`]: queues a prefix of the
+    /// concatenation of `pieces` and returns its length.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tcb::app_write`].
+    pub fn app_writev(&mut self, pieces: &[Bytes]) -> Result<usize, NetError> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
@@ -382,13 +454,14 @@ impl Tcb {
             return Err(NetError::Closed);
         }
         let room = self.cfg.send_buf.saturating_sub(self.snd_buf.len());
-        let n = room.min(data.len());
-        self.snd_buf.extend(&data[..n]);
-        Ok(n)
+        let (accepted, copied) = self.snd_buf.write(pieces, room);
+        self.note_payload(accepted, copied);
+        Ok(accepted)
     }
 
-    /// Takes up to `max` assembled bytes. `Ok(None)` means no data yet
-    /// (park); `Ok(Some(empty))` means end-of-stream. The boolean is true
+    /// Takes up to `max` assembled bytes — a window of the arrived payload
+    /// whenever one queued chunk covers the read. `Ok(None)` means no data
+    /// yet (park); `Ok(Some(empty))` means end-of-stream. The boolean is true
     /// when this read reopened a zero receive window (caller should send a
     /// window-update ACK).
     ///
@@ -405,7 +478,8 @@ impl Tcb {
         if !self.readable.is_empty() {
             let was_zero = self.recv_window() == 0;
             let n = max.min(self.readable.len());
-            let out: Bytes = self.readable.drain(..n).collect::<Vec<u8>>().into();
+            let (out, copied) = self.readable.take(n);
+            self.note_payload(n, copied);
             let reopened = was_zero && self.recv_window() > 0;
             return Ok((Some(out), reopened));
         }
@@ -459,14 +533,8 @@ impl Tcb {
                 if n == 0 {
                     break;
                 }
-                let chunk: Bytes = self
-                    .snd_buf
-                    .iter()
-                    .skip(unsent_start)
-                    .take(n)
-                    .copied()
-                    .collect::<Vec<u8>>()
-                    .into();
+                let (chunk, copied) = self.snd_buf.range(unsent_start, n);
+                self.note_payload(n, copied);
                 let mut flags = self.base_flags();
                 flags.psh = true;
                 let seg = self.make_seg(self.snd_nxt, flags, chunk);
@@ -522,6 +590,9 @@ impl Tcb {
     fn retransmit_one(&mut self, now: Nanos) -> Option<Segment> {
         self.rtt_sample = None; // Karn's rule
         self.retransmit_count += 1;
+        if let Some(stats) = &self.stats {
+            stats.retransmits.fetch_add(1, Ordering::Relaxed);
+        }
         match self.state {
             State::SynSent => Some(self.syn_segment()),
             State::SynRcvd => Some(self.syn_ack_segment()),
@@ -529,13 +600,8 @@ impl Tcb {
                 let in_flight_data = (self.in_flight() as usize).min(self.snd_buf.len());
                 if in_flight_data > 0 {
                     let n = self.cfg.mss.min(in_flight_data);
-                    let chunk: Bytes = self
-                        .snd_buf
-                        .iter()
-                        .take(n)
-                        .copied()
-                        .collect::<Vec<u8>>()
-                        .into();
+                    let (chunk, copied) = self.snd_buf.range(0, n);
+                    self.note_payload(n, copied);
                     let mut flags = self.base_flags();
                     flags.psh = true;
                     Some(self.make_seg(self.snd_una, flags, chunk))
@@ -685,7 +751,7 @@ impl Tcb {
                     && seg.ack == self.fin_seq.expect("checked").wrapping_add(1);
                 let data_acked = if fin_acked { acked - 1 } else { acked } as usize;
                 let drain = data_acked.min(self.snd_buf.len());
-                self.snd_buf.drain(..drain);
+                self.snd_buf.advance(drain);
                 self.snd_una = seg.ack;
                 self.cc.on_new_ack(acked, self.snd_una, in_flight_before);
                 if let Some((sample_seq, sent_at)) = self.rtt_sample {
@@ -771,26 +837,43 @@ impl Tcb {
         // Out of order: hold if it fits the window.
         let window_end = self.rcv_nxt.wrapping_add(self.cfg.recv_window as u32);
         if seq_lt(seq, window_end) {
-            self.ooo.entry(seq).or_insert(payload);
+            let pos = self.rcv_pos + u64::from(seq_diff(seq, self.rcv_nxt));
+            if !self.ooo.contains_key(&pos) {
+                // Held for as long as the gap stays open: under the
+                // copy-break like any queued piece.
+                let (held, copied) = copy_break(payload);
+                self.note_payload(held.len(), copied);
+                self.ooo_bytes += held.len();
+                self.ooo.insert(pos, held);
+            }
         }
     }
 
+    /// Queues `payload`, whose first byte is at `rcv_nxt`, for the reader.
+    fn deliver(&mut self, payload: Bytes) {
+        let n = payload.len();
+        let copied = self.readable.push(payload);
+        self.note_payload(n, copied);
+        self.rcv_nxt = self.rcv_nxt.wrapping_add(n as u32);
+        self.rcv_pos += n as u64;
+    }
+
     fn accept_in_order(&mut self, payload: Bytes) {
-        self.readable.extend(payload.iter());
-        self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
+        self.deliver(payload);
         // Drain any now-contiguous out-of-order segments.
-        while let Some((&seq, _)) = self.ooo.iter().next() {
-            if seq_gt(seq, self.rcv_nxt) {
+        while let Some(entry) = self.ooo.first_entry() {
+            let pos = *entry.key();
+            if pos > self.rcv_pos {
                 break;
             }
-            let chunk = self.ooo.remove(&seq).expect("present");
-            let end = seq.wrapping_add(chunk.len() as u32);
-            if seq_le(end, self.rcv_nxt) {
+            let chunk = entry.remove();
+            self.ooo_bytes -= chunk.len();
+            let end = pos + chunk.len() as u64;
+            if end <= self.rcv_pos {
                 continue; // fully duplicate
             }
-            let skip = seq_diff(self.rcv_nxt, seq) as usize;
-            self.readable.extend(chunk.slice(skip..).iter());
-            self.rcv_nxt = end;
+            let skip = (self.rcv_pos - pos) as usize;
+            self.deliver(chunk.slice(skip..));
         }
         Self::wake(&mut self.recv_waiters);
     }
@@ -895,7 +978,7 @@ mod tests {
     #[test]
     fn data_transfer_in_order() {
         let (mut c, mut s) = pair();
-        assert_eq!(c.app_write(b"hello tcp").unwrap(), 9);
+        assert_eq!(c.app_write(Bytes::from_static(b"hello tcp")).unwrap(), 9);
         let segs = c.output(10_000);
         assert_eq!(segs.len(), 1);
         settle(&mut c, &mut s, segs, 10_000);
@@ -906,8 +989,8 @@ mod tests {
     #[test]
     fn large_write_fans_out_into_mss_segments() {
         let (mut c, _s) = pair();
-        let big = vec![7u8; 10_000];
-        assert_eq!(c.app_write(&big).unwrap(), 10_000);
+        let big = Bytes::from(vec![7u8; 10_000]);
+        assert_eq!(c.app_write(big).unwrap(), 10_000);
         let segs = c.output(10_000);
         // cwnd = 2 MSS initially: exactly two segments go out.
         assert_eq!(segs.len(), 2);
@@ -917,7 +1000,7 @@ mod tests {
     #[test]
     fn out_of_order_segments_reassemble() {
         let (mut c, mut s) = pair();
-        c.app_write(b"aaaabbbb").unwrap();
+        c.app_write(Bytes::from_static(b"aaaabbbb")).unwrap();
         let mut segs = {
             // Force two small segments by draining output at mss=4.
             let cfg = TcpConfig {
@@ -952,7 +1035,7 @@ mod tests {
     #[test]
     fn duplicate_delivery_is_idempotent() {
         let (mut c, mut s) = pair();
-        c.app_write(b"once").unwrap();
+        c.app_write(Bytes::from_static(b"once")).unwrap();
         let segs = c.output(10_000);
         let dup = segs.clone();
         settle(&mut c, &mut s, segs, 10_000);
@@ -966,7 +1049,7 @@ mod tests {
     #[test]
     fn rto_retransmits_lost_segment() {
         let (mut c, mut s) = pair();
-        c.app_write(b"lost").unwrap();
+        c.app_write(Bytes::from_static(b"lost")).unwrap();
         let segs = c.output(10_000);
         assert_eq!(segs.len(), 1);
         drop(segs); // the network ate it
@@ -989,9 +1072,9 @@ mod tests {
             ..Default::default()
         };
         let (mut c, mut s) = pair_with(cfg);
-        let chunk = vec![1u8; 1460];
+        let chunk = Bytes::from(vec![1u8; 1460]);
         for _ in 0..6 {
-            c.app_write(&chunk).unwrap();
+            c.app_write(chunk.clone()).unwrap();
         }
         let mut sent = c.output(10_000);
         // Lose the first segment, deliver the rest: receiver dup-acks.
@@ -1073,17 +1156,20 @@ mod tests {
     #[test]
     fn send_buffer_backpressure() {
         let (mut c, _s) = pair();
-        let huge = vec![0u8; 100_000];
-        let n = c.app_write(&huge).unwrap();
+        let huge = Bytes::from(vec![0u8; 100_000]);
+        let n = c.app_write(huge.clone()).unwrap();
         assert_eq!(n, TcpConfig::default().send_buf, "accepts only the buffer");
-        assert_eq!(c.app_write(&huge).unwrap(), 0, "then blocks");
+        assert_eq!(c.app_write(huge).unwrap(), 0, "then blocks");
     }
 
     #[test]
     fn write_after_close_fails() {
         let (mut c, _s) = pair();
         c.app_close();
-        assert_eq!(c.app_write(b"x").unwrap_err(), NetError::Closed);
+        assert_eq!(
+            c.app_write(Bytes::from_static(b"x")).unwrap_err(),
+            NetError::Closed
+        );
     }
 
     #[test]
@@ -1100,7 +1186,7 @@ mod tests {
             payload: Bytes::new(),
         };
         c.on_segment(tiny_wnd, 5_000);
-        c.app_write(&vec![0u8; 8000]).unwrap();
+        c.app_write(Bytes::from(vec![0u8; 8000])).unwrap();
         let segs = c.output(6_000);
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert!(

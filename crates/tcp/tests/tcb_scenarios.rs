@@ -2,15 +2,21 @@
 //! recovery, window dynamics, RTO backoff, and reordering — each driven by
 //! hand-delivering segments to a pair of state machines.
 
+use bytes::{BufferPool, Bytes};
 use eveth_core::net::{Endpoint, HostId, NetError};
 use eveth_core::time::MILLIS;
 use eveth_tcp::segment::Segment;
 use eveth_tcp::tcb::{State, Tcb, TcpConfig};
 
 fn pair(cfg: TcpConfig) -> (Tcb, Tcb) {
+    pair_from(cfg, 100)
+}
+
+/// A connected pair whose client starts at sequence number `client_iss`.
+fn pair_from(cfg: TcpConfig, client_iss: u32) -> (Tcb, Tcb) {
     let a = Endpoint::new(HostId(1), 1000);
     let b = Endpoint::new(HostId(2), 80);
-    let mut client = Tcb::new_active(cfg.clone(), a, b, 100, 0);
+    let mut client = Tcb::new_active(cfg.clone(), a, b, client_iss, 0);
     let syn = client.syn_segment();
     let mut server = Tcb::new_passive(cfg, b, a, 5000, &syn, 0);
     let syn_ack = server.syn_ack_segment();
@@ -98,7 +104,7 @@ fn simultaneous_close_reaches_time_wait_on_both() {
 #[test]
 fn rto_backoff_doubles_under_repeated_loss() {
     let (mut c, _s) = pair(TcpConfig::default());
-    c.app_write(b"doomed").unwrap();
+    c.app_write(Bytes::from_static(b"doomed")).unwrap();
     let _lost = c.output(0);
     // Fire several consecutive RTOs; the retransmission gaps must grow.
     let mut now = 0u64;
@@ -140,7 +146,7 @@ fn receiver_window_closes_and_reopens() {
     };
     let (mut c, mut s) = pair(cfg);
     // Push far more than the window; receiver does not read.
-    c.app_write(&vec![9u8; 32 * 1024]).unwrap();
+    c.app_write(Bytes::from(vec![9u8; 32 * 1024])).unwrap();
     let mut to_s = c.output(10_000);
     let mut now = 10_000;
     // Drive until the sender is window-throttled.
@@ -196,7 +202,7 @@ fn heavy_reordering_still_delivers_in_order() {
     };
     let (mut c, mut s) = pair(cfg);
     let payload: Vec<u8> = (0..10_000u32).map(|i| i as u8).collect();
-    c.app_write(&payload).unwrap();
+    c.app_write(Bytes::from(payload.clone())).unwrap();
     let mut segs = c.output(10_000);
     assert!(segs.len() >= 8, "want many segments, got {}", segs.len());
     // Deliver in reverse order.
@@ -231,7 +237,7 @@ fn data_after_peer_close_is_still_deliverable() {
     assert_eq!(s.state(), State::CloseWait);
     assert_eq!(c.state(), State::FinWait2);
     // Server writes after receiving the FIN.
-    s.app_write(b"parting words").unwrap();
+    s.app_write(Bytes::from_static(b"parting words")).unwrap();
     let mut to_c = s.output(now + 1_000);
     let mut to_s = Vec::new();
     let mut t = now + 1_000;
@@ -276,4 +282,90 @@ fn connect_to_dead_host_times_out_with_error() {
     }
     assert_eq!(c.state(), State::Closed);
     assert_eq!(c.error(), Some(NetError::Timeout));
+}
+
+#[test]
+fn reassembly_across_the_sequence_wrap_drains_what_the_receiver_holds() {
+    // The first data byte sits 1500 below 2³²: segment 0 ends short of the
+    // wrap, segment 1 straddles it, segments 2 and 3 carry numerically
+    // small sequence numbers. Ordered by raw sequence number, the held
+    // segments would read 2, 3, 1 and the drain would stop at 2.
+    let cfg = TcpConfig {
+        mss: 1000,
+        initial_cwnd_mss: 8,
+        ..Default::default()
+    };
+    let (mut c, mut s) = pair_from(cfg, u32::MAX - 1500);
+    let payload: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
+    c.app_write(Bytes::from(payload.clone())).unwrap();
+    let mut segs = c.output(10_000);
+    assert_eq!(segs.len(), 4);
+    assert!(segs[1].seq > segs[2].seq, "the sequence space wraps here");
+    // The head is lost; its three followers arrive reordered.
+    let _lost = segs.remove(0);
+    segs.rotate_left(2);
+    let mut dup_acks = Vec::new();
+    for seg in segs {
+        dup_acks.extend(s.on_segment(seg, 20_000).0);
+    }
+    assert_eq!(s.recv_buffered(), 0, "nothing is in order yet");
+    // Three duplicate ACKs: the sender fast-retransmits the head, once.
+    let mut resent = Vec::new();
+    for ack in dup_acks {
+        resent.extend(c.on_segment(ack, 30_000).0);
+    }
+    assert_eq!((c.retransmits(), resent.len()), (1, 1));
+    // The head closes the gap; everything held drains behind it and the
+    // ACK covers all four segments, so nothing the receiver already held
+    // is sent again.
+    let mut acks = Vec::new();
+    for seg in resent {
+        acks.extend(s.on_segment(seg, 40_000).0);
+    }
+    assert_eq!(s.recv_buffered(), 4000);
+    let mut again = Vec::new();
+    for ack in acks {
+        again.extend(c.on_segment(ack, 50_000).0);
+    }
+    assert!(
+        again.is_empty(),
+        "nothing left to send: {} segment(s)",
+        again.len()
+    );
+    assert_eq!((c.send_buffered(), c.retransmits()), (0, 1));
+    let (data, _) = s.app_read(8000).unwrap();
+    assert_eq!(&data.unwrap()[..], &payload[..]);
+}
+
+#[test]
+fn short_replies_waiting_for_an_ack_or_a_reader_pin_no_pool_slab() {
+    // 64 eight-byte replies, each encoded in a pool slab of its own (the
+    // way a server stages one reply per request), written to a peer that
+    // neither acknowledges nor reads in time.
+    let pool = BufferPool::new(16 * 1024, 64);
+    let (mut c, mut s) = pair(TcpConfig::default());
+    let replies: Vec<Bytes> = (0..64u8)
+        .map(|i| {
+            let mut staged = pool.acquire();
+            staged.extend_from_slice(&[i; 8]);
+            staged.freeze()
+        })
+        .collect();
+    assert_eq!((pool.slabs_carved(), pool.free_slabs()), (64, 0));
+    for reply in replies {
+        assert_eq!(s.app_write(reply).unwrap(), 8);
+    }
+    assert_eq!(s.send_buffered(), 512);
+    assert_eq!(pool.free_slabs(), 64, "the send queue holds no slab");
+    // Delivered, acknowledged, assembled — and left unread.
+    let first = s.output(10_000);
+    exchange(&mut s, &mut c, first, 10_000);
+    assert_eq!((s.send_buffered(), c.recv_buffered()), (0, 512));
+    assert_eq!(pool.free_slabs(), 64, "the receive queue holds no slab");
+    let (data, _) = c.app_read(4096).unwrap();
+    let data = data.unwrap();
+    assert!(data
+        .chunks(8)
+        .enumerate()
+        .all(|(i, reply)| reply == [i as u8; 8]));
 }
