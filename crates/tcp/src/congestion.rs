@@ -75,8 +75,11 @@ impl Reno {
             }
         }
         if self.cwnd < self.ssthresh {
-            // Slow start: one MSS per MSS acknowledged (capped by the ACK).
-            self.cwnd = self.cwnd.saturating_add(acked.min(self.mss));
+            // Slow start, counting bytes (RFC 3465): one cumulative ACK for
+            // N segments opens the window as N ACKs would, as far as the
+            // threshold (a single-segment ACK always adds itself whole).
+            let room = (self.ssthresh - self.cwnd).max(self.mss);
+            self.cwnd = self.cwnd.saturating_add(acked.min(room));
         } else {
             // Congestion avoidance: one MSS per window's worth of ACKs.
             self.bytes_acked = self.bytes_acked.saturating_add(acked);
@@ -153,6 +156,17 @@ mod tests {
             start,
             cc.cwnd()
         );
+    }
+
+    #[test]
+    fn slow_start_counts_bytes_not_acks() {
+        let mut cc = Reno::new(MSS, 2);
+        cc.on_new_ack(8 * MSS, 8 * MSS, 8 * MSS);
+        assert_eq!(cc.cwnd(), 10 * MSS, "one ACK for 8 segments opens 8 MSS");
+        // Up to the threshold, not past it.
+        cc.ssthresh = 12 * MSS;
+        cc.on_new_ack(8 * MSS, 16 * MSS, 8 * MSS);
+        assert_eq!(cc.cwnd(), 12 * MSS);
     }
 
     #[test]

@@ -36,6 +36,11 @@ struct ConnKey {
     peer: Endpoint,
 }
 
+/// Most segments `worker_tcp_input` processes between two releases of the
+/// held ACKs: under sustained arrival a sender hears from the receiver at
+/// least this often.
+pub const ACK_BATCH: usize = 64;
+
 enum Input {
     Seg(HostId, Segment),
     Stop,
@@ -59,6 +64,8 @@ pub struct TcpHost {
     conns: Mutex<HashMap<ConnKey, Arc<Mutex<Tcb>>>>,
     listeners: Mutex<HashMap<u16, Arc<ListenerInner>>>,
     passive_parents: Mutex<HashMap<ConnKey, u16>>,
+    /// Connections that started holding an ACK since the last batch end.
+    ack_holders: Mutex<Vec<Arc<Mutex<Tcb>>>>,
     rx: Chan<Input>,
     stopped: AtomicBool,
     next_ephemeral: AtomicU32,
@@ -84,6 +91,7 @@ impl TcpHost {
             conns: Mutex::new(HashMap::new()),
             listeners: Mutex::new(HashMap::new()),
             passive_parents: Mutex::new(HashMap::new()),
+            ack_holders: Mutex::new(Vec::with_capacity(ACK_BATCH)),
             rx: Chan::new(),
             stopped: AtomicBool::new(false),
             next_ephemeral: AtomicU32::new(0),
@@ -111,7 +119,7 @@ impl TcpHost {
     /// this exposes exactly what it did before.
     pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
         type Cell = fn(&TcpStats) -> &AtomicU64;
-        let cells: [(&str, Cell); 9] = [
+        let cells: [(&str, Cell); 12] = [
             ("eveth_tcp_segs_sent_total", |s| &s.segs_sent),
             ("eveth_tcp_segs_received_total", |s| &s.segs_received),
             ("eveth_tcp_conns_opened_total", |s| &s.conns_opened),
@@ -125,6 +133,11 @@ impl TcpHost {
             }),
             ("eveth_tcp_retransmits_total", |s| &s.retransmits),
             ("eveth_tcp_pure_acks_total", |s| &s.pure_acks),
+            ("eveth_tcp_acks_coalesced_total", |s| &s.acks_coalesced),
+            ("eveth_tcp_rto_fires_total", |s| &s.rto_fires),
+            ("eveth_tcp_dup_acks_received_total", |s| {
+                &s.dup_acks_received
+            }),
         ];
         for (name, cell) in cells {
             let stats = Arc::clone(&self.stats);
@@ -206,10 +219,15 @@ impl TcpHost {
         };
         let existing = self.conns.lock().get(&key).cloned();
         if let Some(tcb_arc) = existing {
-            let (out, became_established) = {
+            let (out, became_established, began_hold) = {
                 let mut tcb = tcb_arc.lock();
-                tcb.on_segment(seg, now)
+                let held = tcb.ack_held();
+                let (out, became_established) = tcb.on_segment(seg, now);
+                (out, became_established, !held && tcb.ack_held())
             };
+            if began_hold {
+                self.ack_holders.lock().push(Arc::clone(&tcb_arc));
+            }
             self.send_segs(src, out);
             if became_established {
                 self.promote_passive(&key, &tcb_arc);
@@ -289,6 +307,18 @@ impl TcpHost {
         }
     }
 
+    /// Ends a batch of arrivals: every ACK still held leaves (one that
+    /// rode out on a reply since is no longer held).
+    fn release_held_acks(&self) {
+        for tcb_arc in self.ack_holders.lock().drain(..) {
+            let mut tcb = tcb_arc.lock();
+            let Some(ack) = tcb.flush_ack() else { continue };
+            let peer_host = tcb.peer().host;
+            drop(tcb);
+            self.send_segs(peer_host, vec![ack]);
+        }
+    }
+
     fn process_ticks(&self, now: Nanos) {
         let mut conns: Vec<(ConnKey, Arc<Mutex<Tcb>>)> = self
             .conns
@@ -322,13 +352,23 @@ impl fmt::Debug for TcpHost {
     }
 }
 
+/// One segment per trip, as the paper's loop; the ACKs held along the way
+/// leave in the trip that finds `rx` dry or completes [`ACK_BATCH`].
 fn worker_tcp_input(host: Arc<TcpHost>) -> ThreadM<()> {
-    loop_m((), move |()| {
+    loop_m(0, move |batched: usize| {
         let h = Arc::clone(&host);
         host.rx.read().bind(move |input| match input {
             Input::Stop => ThreadM::pure(Loop::Break(())),
             Input::Seg(src, seg) => sys_time().bind(move |now| {
-                sys_nbio(move || h.process_segment(src, seg, now)).map(|_| Loop::Continue(()))
+                sys_nbio(move || {
+                    h.process_segment(src, seg, now);
+                    if batched + 1 < ACK_BATCH && !h.rx.is_empty() {
+                        return batched + 1;
+                    }
+                    h.release_held_acks();
+                    0
+                })
+                .map(Loop::Continue)
             }),
         })
     })
@@ -761,16 +801,30 @@ mod tests {
         assert!(copied <= 2 * 1460, "copied {copied}");
         assert_eq!(sent.retransmits.load(Ordering::Relaxed), 0);
         assert_eq!(sent.pure_acks.load(Ordering::Relaxed), 0);
-        // The receiver acknowledged every data segment with a bare ACK.
+        // The receiver acknowledged each burst, not each segment: the
+        // handshake, one ACK per slow-start window (2, 4, 8 segments) and
+        // one for the PSH that ends the reply. Every data segment is
+        // accounted for, by an ACK of its own or by a later one.
         let segments = total.div_ceil(1460) as u64;
         let acks = a.stats().pure_acks.load(Ordering::Relaxed);
-        assert!(acks >= segments, "{acks} bare ACKs for {segments} segments");
+        let coalesced = a.stats().acks_coalesced.load(Ordering::Relaxed);
+        assert!(
+            acks <= 6 && acks < segments / 2,
+            "{acks} bare ACKs for {segments} segments"
+        );
+        assert!(
+            coalesced + acks >= segments,
+            "{coalesced} coalesced + {acks} sent for {segments} segments"
+        );
 
         let label = [("host", "2")];
         for (name, want) in [
             ("eveth_tcp_payload_bytes_aliased_total", aliased),
             ("eveth_tcp_payload_bytes_copied_total", copied),
             ("eveth_tcp_retransmits_total", 0),
+            ("eveth_tcp_rto_fires_total", 0),
+            ("eveth_tcp_dup_acks_received_total", 0),
+            ("eveth_tcp_acks_coalesced_total", 0),
             ("eveth_tcp_conns_accepted_total", 1),
         ] {
             assert_eq!(registry.counter_value(name, &label), Some(want), "{name}");
@@ -778,5 +832,48 @@ mod tests {
         assert!(registry
             .expose()
             .contains("eveth_tcp_pure_acks_total{host=\"2\"} 0"));
+    }
+    #[test]
+    fn a_burst_longer_than_the_batch_is_acknowledged_inside_it() {
+        // 100 segments leave in one burst (an open congestion window, room
+        // in both buffers): the receiver's `rx` is never dry before the
+        // last, so only the batch bound releases an ACK on the way.
+        const BURST: usize = 100;
+        let cfg = TcpConfig {
+            initial_cwnd_mss: BURST as u32,
+            send_buf: 256 * 1024,
+            recv_window: 256 * 1024,
+            ..TcpConfig::default()
+        };
+        let total = BURST * cfg.mss;
+        let sim = SimRuntime::new_default();
+        let net = LoopbackNet::new();
+        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), cfg.clone());
+        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), cfg);
+        net.register(&a);
+        net.register(&b);
+        let server = do_m! {
+            let lst <- b.listen(80);
+            let conn <- lst.expect("listen").accept();
+            send_all(&conn.expect("accept"), Bytes::from(vec![0x33; total])).map(|sent| sent.expect("burst"))
+        };
+        let client = Arc::clone(&a);
+        let got = sim
+            .block_on(do_m! {
+                sys_fork(server);
+                let conn <- client.connect(Endpoint::new(HostId(2), 80));
+                recv_exact(&conn.expect("connect"), total)
+            })
+            .expect("transfer completes")
+            .expect("burst received");
+        assert_eq!(got.len(), total);
+        // The handshake, segment 64, and the PSH that ends the burst.
+        let stats = a.stats();
+        assert_eq!(stats.pure_acks.load(Ordering::Relaxed), 3);
+        assert_eq!(
+            stats.acks_coalesced.load(Ordering::Relaxed),
+            BURST as u64 - 2
+        );
+        assert_eq!(b.stats().retransmits.load(Ordering::Relaxed), 0);
     }
 }

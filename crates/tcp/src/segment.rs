@@ -19,7 +19,8 @@ pub struct Flags {
     pub fin: bool,
     /// Hard reset.
     pub rst: bool,
-    /// Push — deliver promptly (set on every data segment here).
+    /// Push — the sender's buffer is empty after this segment (or it is a
+    /// retransmission): acknowledge now.
     pub psh: bool,
 }
 

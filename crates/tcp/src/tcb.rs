@@ -91,6 +91,13 @@ pub struct TcpStats {
     pub retransmits: AtomicU64,
     /// Bare ACKs sent: no payload, no SYN, FIN or RST.
     pub pure_acks: AtomicU64,
+    /// Data segments that got no ACK of their own: a later segment's ACK
+    /// covered them.
+    pub acks_coalesced: AtomicU64,
+    /// Retransmission timeouts that fired (handshake included).
+    pub rto_fires: AtomicU64,
+    /// Duplicate ACKs received while data was in flight.
+    pub dup_acks_received: AtomicU64,
 }
 
 /// TCP connection states (RFC 793 §3.2; LISTEN lives at the host level).
@@ -157,6 +164,9 @@ pub struct Tcb {
     ooo_bytes: usize,
     peer_fin: Option<u32>,
     fin_received: bool,
+    /// Payload was accepted and its ACK has not left: it rides on the next
+    /// segment this side builds, or on [`Tcb::flush_ack`].
+    ack_held: bool,
 
     // Lifecycle.
     time_wait_deadline: Option<Nanos>,
@@ -240,6 +250,7 @@ impl Tcb {
             ooo_bytes: 0,
             peer_fin: None,
             fin_received: false,
+            ack_held: false,
             time_wait_deadline: None,
             error: None,
             retransmit_count: 0,
@@ -254,6 +265,12 @@ impl Tcb {
     /// `stats` from now on.
     pub fn report_to(&mut self, stats: Arc<TcpStats>) {
         self.stats = Some(stats);
+    }
+
+    fn count(&self, cell: fn(&TcpStats) -> &AtomicU64) {
+        if let Some(stats) = &self.stats {
+            cell(stats).fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Accounts `total` payload bytes crossing a queue boundary, `copied`
@@ -324,40 +341,52 @@ impl Tcb {
         Flags::ack()
     }
 
-    fn make_seg(&self, seq: u32, flags: Flags, payload: Bytes) -> Segment {
+    fn segment(&self, seq: u32, ack: u32, flags: Flags, payload: Bytes) -> Segment {
         Segment {
             src_port: self.local.port,
             dst_port: self.peer.port,
             seq,
-            ack: self.rcv_nxt,
+            ack,
             flags,
             wnd: self.recv_window(),
             payload,
         }
     }
 
-    /// A bare ACK advertising the current receive window — sent after an
-    /// application read reopens a closed window.
-    pub fn ack_segment(&self) -> Segment {
+    /// Builds a post-handshake segment. Each one carries the cumulative
+    /// ACK, so whatever was held leaves with it.
+    fn make_seg(&mut self, seq: u32, flags: Flags, payload: Bytes) -> Segment {
+        self.ack_held = false;
+        self.segment(seq, self.rcv_nxt, flags, payload)
+    }
+
+    /// A bare ACK, now: the current `rcv_nxt` and receive window. Every
+    /// immediate acknowledgement, the release of a held one and the
+    /// window update after a read reopens a closed window are this call.
+    pub fn ack_segment(&mut self) -> Segment {
         self.make_seg(self.snd_nxt, Flags::ack(), Bytes::new())
+    }
+
+    /// The ACK held for in-order data (see [`Tcb::on_segment`]), if no
+    /// outgoing segment has carried it yet. The host calls this when a batch
+    /// of arrivals ends; [`Tcb::on_tick`] is the backstop.
+    pub fn flush_ack(&mut self) -> Option<Segment> {
+        self.ack_held.then(|| self.ack_segment())
+    }
+
+    /// True while an ACK is held.
+    pub fn ack_held(&self) -> bool {
+        self.ack_held
     }
 
     /// The initial SYN (active open).
     pub fn syn_segment(&self) -> Segment {
-        Segment {
-            src_port: self.local.port,
-            dst_port: self.peer.port,
-            seq: self.iss,
-            ack: 0,
-            flags: Flags::syn(),
-            wnd: self.recv_window(),
-            payload: Bytes::new(),
-        }
+        self.segment(self.iss, 0, Flags::syn(), Bytes::new())
     }
 
     /// The SYN+ACK (passive open).
     pub fn syn_ack_segment(&self) -> Segment {
-        self.make_seg(self.iss, Flags::syn_ack(), Bytes::new())
+        self.segment(self.iss, self.rcv_nxt, Flags::syn_ack(), Bytes::new())
     }
 
     // -- Wakeups -------------------------------------------------------------
@@ -535,8 +564,13 @@ impl Tcb {
                 }
                 let (chunk, copied) = self.snd_buf.range(unsent_start, n);
                 self.note_payload(n, copied);
+                // PSH marks the end of what was written — the receiver
+                // acknowledges there at once and holds its ACK before —
+                // and every resend after a rollback, so that recovery is
+                // clocked segment by segment.
                 let mut flags = self.base_flags();
-                flags.psh = true;
+                flags.psh =
+                    unsent_start + n == self.snd_buf.len() || seq_lt(self.snd_nxt, self.snd_max);
                 let seg = self.make_seg(self.snd_nxt, flags, chunk);
                 self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
                 if seq_gt(self.snd_nxt, self.snd_max) {
@@ -590,9 +624,7 @@ impl Tcb {
     fn retransmit_one(&mut self, now: Nanos) -> Option<Segment> {
         self.rtt_sample = None; // Karn's rule
         self.retransmit_count += 1;
-        if let Some(stats) = &self.stats {
-            stats.retransmits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count(|s| &s.retransmits);
         match self.state {
             State::SynSent => Some(self.syn_segment()),
             State::SynRcvd => Some(self.syn_ack_segment()),
@@ -621,7 +653,8 @@ impl Tcb {
 
     /// Advances timers to `now`; returns segments to (re)transmit.
     pub fn on_tick(&mut self, now: Nanos) -> Vec<Segment> {
-        let mut out = Vec::new();
+        // Backstop: an ACK no batch end and no outgoing segment released.
+        let mut out = Vec::from_iter(self.flush_ack());
         if let Some(d) = self.time_wait_deadline {
             if now >= d {
                 self.state = State::Closed;
@@ -636,6 +669,7 @@ impl Tcb {
             return out;
         }
         // Retransmission timeout.
+        self.count(|s| &s.rto_fires);
         if matches!(self.state, State::SynSent | State::SynRcvd) {
             self.syn_retries += 1;
             if self.syn_retries > self.cfg.max_syn_retries {
@@ -670,6 +704,10 @@ impl Tcb {
     /// Processes an arriving segment; returns replies to transmit. The
     /// returned flag is true if the connection just became `Established`
     /// (the host promotes it to its listener's accept queue).
+    ///
+    /// Payload is acknowledged in the replies — except the middle of a
+    /// burst (in order, nothing missing, full-sized, no PSH, no FIN), whose
+    /// ACK is held for the next outgoing segment or [`Tcb::flush_ack`].
     pub fn on_segment(&mut self, seg: Segment, now: Nanos) -> (Vec<Segment>, bool) {
         let mut became_established = false;
         let mut out = Vec::new();
@@ -684,6 +722,7 @@ impl Tcb {
                     self.error = Some(NetError::Reset);
                 }
                 self.state = State::Closed;
+                self.ack_held = false; // nobody is left to acknowledge to
                 self.wake_all();
             }
             return (out, false);
@@ -702,7 +741,7 @@ impl Tcb {
                     became_established = true;
                     Self::wake(&mut self.conn_waiters);
                     Self::wake(&mut self.send_waiters);
-                    out.push(self.make_seg(self.snd_nxt, Flags::ack(), Bytes::new()));
+                    out.push(self.ack_segment());
                     out.extend(self.output(now));
                 }
                 return (out, became_established);
@@ -729,7 +768,7 @@ impl Tcb {
             State::TimeWait => {
                 // Re-ACK retransmitted FINs.
                 if seg.flags.fin {
-                    out.push(self.make_seg(self.snd_nxt, Flags::ack(), Bytes::new()));
+                    out.push(self.ack_segment());
                 }
                 return (out, false);
             }
@@ -785,6 +824,7 @@ impl Tcb {
                 && seg.payload.is_empty()
                 && !seg.flags.fin
             {
+                self.count(|s| &s.dup_acks_received);
                 if let CcAction::FastRetransmit = self.cc.on_dup_ack(self.snd_nxt, in_flight_before)
                 {
                     if let Some(rseg) = self.retransmit_one(now) {
@@ -797,7 +837,23 @@ impl Tcb {
 
         // ---- Payload processing.
         if !seg.payload.is_empty() {
-            need_ack = true;
+            if self.ack_held {
+                self.count(|s| &s.acks_coalesced); // this segment's ACK covers it
+            }
+            // The middle of a burst — in order, nothing missing, full-sized,
+            // the sender not done (no PSH, no FIN) — is acknowledged with
+            // what follows it. Anything loss recovery or a writer blocked
+            // on the send buffer waits for is acknowledged now.
+            let mid_burst = seg.seq == self.rcv_nxt
+                && self.ooo.is_empty()
+                && seg.payload.len() >= self.cfg.mss
+                && !seg.flags.psh
+                && !seg.flags.fin;
+            if mid_burst {
+                self.ack_held = true;
+            } else {
+                need_ack = true;
+            }
             self.ingest_payload(seg.seq, seg.payload.clone());
         }
 
@@ -814,7 +870,7 @@ impl Tcb {
         let sent_data = !data_out.is_empty();
         out.extend(data_out);
         if need_ack && !sent_data {
-            out.push(self.make_seg(self.snd_nxt, Flags::ack(), Bytes::new()));
+            out.push(self.ack_segment());
         }
         (out, became_established)
     }

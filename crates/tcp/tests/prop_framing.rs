@@ -5,13 +5,16 @@
 //! boundaries, MSS, read sizes and faults, the stack must accept the same
 //! byte counts, cut segments that are exactly the model's bytes at that
 //! sequence number, acknowledge and advertise what the model would, and
-//! hand the reader the same lengths and the same stream.
+//! hand the reader the same lengths and the same stream. Arrivals are
+//! delivered the way `worker_tcp_input` delivers them: held ACKs leave when
+//! a round of arrivals ends or [`ACK_BATCH`] segments were processed.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use eveth_core::net::{Endpoint, HostId};
 use eveth_core::time::{Nanos, MILLIS};
+use eveth_tcp::host::ACK_BATCH;
 use eveth_tcp::segment::Segment;
 use eveth_tcp::seq::{seq_diff, seq_gt, seq_le, seq_lt};
 use eveth_tcp::tcb::{State, Tcb, TcpConfig};
@@ -153,6 +156,7 @@ struct Scenario {
     mss: usize,
     send_buf: usize,
     recv_window: usize,
+    initial_cwnd_mss: u32,
     /// Gather writes, each a list of piece lengths.
     writes: Vec<Vec<usize>>,
     /// Read sizes, cycled.
@@ -174,6 +178,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             mss: sizes.0,
             send_buf: sizes.1,
             recv_window: sizes.2,
+            initial_cwnd_mss: TcpConfig::default().initial_cwnd_mss,
             writes,
             reads,
             loss: faults.0,
@@ -182,11 +187,37 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn run(sc: &Scenario) {
+/// Small segments behind large buffers and an open congestion window, on
+/// a link that always loses and duplicates: one round of arrivals is longer
+/// than [`ACK_BATCH`].
+fn burst_scenario() -> impl Strategy<Value = Scenario> {
+    (
+        (90usize..180, 16_000usize..20_000, 16_000usize..20_000),
+        proptest::collection::vec(proptest::collection::vec(14_000usize..20_000, 1..3), 1..4),
+        proptest::collection::vec(1usize..6000, 1..6),
+        (0.01f64..0.1, 2u64..9, 1u64..u64::MAX),
+    )
+        .prop_map(|(sizes, writes, reads, faults)| Scenario {
+            mss: sizes.0,
+            send_buf: sizes.1,
+            recv_window: sizes.2,
+            initial_cwnd_mss: 256,
+            writes,
+            reads,
+            loss: faults.0,
+            duplicate_every: Some(faults.1),
+            seed: faults.2,
+        })
+}
+
+/// Runs `sc` to completion; returns the most segments the receiver was
+/// handed in one round.
+fn run(sc: &Scenario) -> usize {
     let cfg = TcpConfig {
         mss: sc.mss,
         send_buf: sc.send_buf,
         recv_window: sc.recv_window,
+        initial_cwnd_mss: sc.initial_cwnd_mss,
         min_rto: 20 * MILLIS,
         max_rto: 80 * MILLIS,
         initial_rto: 20 * MILLIS,
@@ -252,6 +283,7 @@ fn run(sc: &Scenario) {
     let mut now: Nanos = 10;
     let mut to_s: Vec<Segment> = Vec::new();
     let mut to_c: Vec<Segment> = Vec::new();
+    let mut longest_round = 0;
     // What the receiver sends is checked against the model as it leaves.
     let check_rx = |rx: &RxModel, segs: &[Segment]| {
         for seg in segs {
@@ -281,10 +313,16 @@ fn run(sc: &Scenario) {
             out.iter().for_each(|seg| tx.sent(seg));
             to_s.extend(out);
         }
-        // Link → receiver.
-        for seg in link.carry(std::mem::take(&mut to_s)) {
+        // Link → receiver, under the host's batch rule.
+        let arrivals = link.carry(std::mem::take(&mut to_s));
+        let round = arrivals.len();
+        longest_round = longest_round.max(round);
+        for (i, seg) in arrivals.into_iter().enumerate() {
             rx.ingest(seg.seq, &seg.payload);
-            let replies = s.on_segment(seg, now).0;
+            let mut replies = s.on_segment(seg, now).0;
+            if (i + 1) % ACK_BATCH == 0 || i + 1 == round {
+                replies.extend(s.flush_ack());
+            }
             check_rx(&rx, &replies);
             to_c.extend(replies);
         }
@@ -324,6 +362,7 @@ fn run(sc: &Scenario) {
     }
     assert_eq!(got.len(), total, "transfer did not finish");
     assert_eq!(&got[..], &stream[..], "stream");
+    longest_round
 }
 
 proptest! {
@@ -332,5 +371,11 @@ proptest! {
     #[test]
     fn framing_matches_the_byte_queue_model(sc in scenario()) {
         run(&sc);
+    }
+
+    #[test]
+    fn framing_holds_across_bursts_longer_than_the_ack_batch(sc in burst_scenario()) {
+        let longest_round = run(&sc);
+        prop_assert!(longest_round > ACK_BATCH, "longest round {}", longest_round);
     }
 }

@@ -159,6 +159,8 @@ fn receiver_window_closes_and_reopens() {
         for seg in to_s.drain(..) {
             to_c.extend(s.on_segment(seg, now).0);
         }
+        // The round's arrivals end here, the way a host's batch does.
+        to_c.extend(s.flush_ack());
         now += 1_000;
         for seg in to_c {
             to_s.extend(c.on_segment(seg, now).0);
@@ -368,4 +370,123 @@ fn short_replies_waiting_for_an_ack_or_a_reader_pin_no_pool_slab() {
         .chunks(8)
         .enumerate()
         .all(|(i, reply)| reply == [i as u8; 8]));
+}
+
+/// A pair whose sender may put `cwnd_mss` full segments in flight at once.
+fn burst_pair(cwnd_mss: u32) -> (Tcb, Tcb) {
+    pair(TcpConfig {
+        initial_cwnd_mss: cwnd_mss,
+        ..Default::default()
+    })
+}
+
+const MSS: usize = 1460;
+
+/// A pair whose server holds the ACK of two segments: three segments' worth
+/// written behind a two-segment window, so both segments that left are
+/// full-sized and neither ends the write.
+fn pair_holding_an_ack() -> (Tcb, Tcb) {
+    let (mut c, mut s) = burst_pair(2);
+    c.app_write(Bytes::from(vec![4u8; 3 * MSS])).unwrap();
+    let segs = c.output(10_000);
+    assert_eq!(segs.len(), 2);
+    for seg in segs {
+        assert!(s.on_segment(seg, 20_000).0.is_empty(), "held, not sent");
+    }
+    assert!(s.ack_held());
+    (c, s)
+}
+
+#[test]
+fn a_held_ack_does_not_delay_the_dup_acks_a_fast_retransmit_needs() {
+    let (mut c, mut s) = burst_pair(10);
+    c.app_write(Bytes::from(vec![3u8; 6 * MSS])).unwrap();
+    let mut segs = c.output(10_000);
+    assert_eq!(segs.len(), 6);
+    // The head arrives and its ACK is held; the second segment is lost.
+    let head = segs.remove(0);
+    let _lost = segs.remove(0);
+    assert!(s.on_segment(head, 20_000).0.is_empty());
+    assert!(s.ack_held());
+    // Its followers arrive out of order: each is answered at once, and
+    // the first answer takes the held ACK with it.
+    let mut acks = Vec::new();
+    for seg in segs {
+        let replies = s.on_segment(seg, 21_000).0;
+        assert_eq!(replies.len(), 1, "one immediate ACK per arrival");
+        assert!(!s.ack_held());
+        acks.extend(replies);
+    }
+    assert!(acks
+        .iter()
+        .all(|a| a.payload.is_empty() && a.ack == acks[0].ack));
+    // To the sender that is one new ACK (the head) and three duplicates.
+    let mut resent = Vec::new();
+    for ack in acks {
+        resent.extend(c.on_segment(ack, 30_000).0);
+    }
+    assert_eq!((c.retransmits(), resent.len()), (1, 1));
+    assert!(resent[0].flags.psh, "recovery asks for its ACK at once");
+    // The retransmission fills the gap and is acknowledged at once, up to
+    // the end of what the receiver held.
+    let acks = s.on_segment(resent.remove(0), 40_000).0;
+    assert_eq!((acks.len(), s.recv_buffered()), (1, 6 * MSS));
+    c.on_segment(acks[0].clone(), 50_000);
+    assert_eq!(c.send_buffered(), 0);
+}
+
+#[test]
+fn a_held_ack_with_no_batch_end_leaves_on_the_tick() {
+    let (mut c, mut s) = pair_holding_an_ack();
+    let acks = s.on_tick(10 * MILLIS);
+    assert_eq!(acks.len(), 1);
+    assert!(!s.ack_held());
+    assert!(s.on_tick(20 * MILLIS).is_empty(), "released once");
+    // One ACK for two segments opens the window by two: byte counting.
+    let rest = c.on_segment(acks[0].clone(), 11 * MILLIS).0;
+    assert_eq!(c.cwnd() as usize, 4 * MSS);
+    assert_eq!((rest.len(), c.send_buffered()), (1, MSS));
+}
+
+#[test]
+fn a_reply_written_while_an_ack_is_held_carries_it() {
+    let (mut c, mut s) = pair_holding_an_ack();
+    s.app_write(Bytes::from_static(b"reply")).unwrap();
+    let reply = s.output(21_000);
+    assert_eq!(reply.len(), 1);
+    assert!(!s.ack_held());
+    // Nothing is left for the batch end or the tick to send.
+    assert!(s.flush_ack().is_none());
+    assert!(s.on_tick(10 * MILLIS).is_empty());
+    // The reply acknowledges both request segments.
+    c.on_segment(reply[0].clone(), 22_000);
+    assert_eq!(c.send_buffered(), MSS);
+}
+
+#[test]
+fn psh_marks_the_end_of_a_write_and_every_retransmission() {
+    let psh = |segs: &[Segment]| segs.iter().map(|s| s.flags.psh).collect::<Vec<_>>();
+    let (mut c, _s) = burst_pair(10);
+    c.app_write(Bytes::from(vec![6u8; 3 * MSS + 10])).unwrap();
+    assert_eq!(psh(&c.output(10_000)), [false, false, false, true]);
+    // A write that ends on a segment boundary still ends with PSH, and a
+    // window that cuts a write short does not.
+    let (mut c, _s) = burst_pair(10);
+    c.app_write(Bytes::from(vec![6u8; 2 * MSS])).unwrap();
+    assert_eq!(psh(&c.output(10_000)), [false, true]);
+    let (mut c, _s) = burst_pair(2);
+    c.app_write(Bytes::from(vec![6u8; 3 * MSS])).unwrap();
+    assert_eq!(psh(&c.output(10_000)), [false, false]);
+    // All of it is lost: the timeout resends the head of the write, PSH set.
+    let resent = c.on_tick(10_000 + 300 * MILLIS);
+    assert_eq!(c.retransmits(), 1);
+    assert!(resent[0].flags.psh && resent[0].payload.len() == MSS);
+}
+
+#[test]
+fn a_reset_drops_the_held_ack() {
+    let (mut c, mut s) = pair_holding_an_ack();
+    s.on_segment(c.app_abort(), 21_000);
+    assert_eq!(s.state(), State::Closed);
+    assert!(s.flush_ack().is_none(), "no ACK to a peer that reset");
 }
