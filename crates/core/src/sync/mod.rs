@@ -11,18 +11,12 @@
 //! * [`MVar`] — Concurrent Haskell's one-place buffer;
 //! * [`Chan`] — an unbounded FIFO channel (the paper's ready queues are
 //!   exactly this);
-//! * [`SyncChan`] — a bounded channel with back-pressure;
-//! * [`RwLock`] — shared/exclusive access, writer-preferring;
-//! * [`Semaphore`] — counting permits (resource-aware scheduling).
+//! * [`SyncChan`] — a bounded channel with back-pressure.
 
 pub mod chan;
 pub mod mutex;
 pub mod mvar;
-pub mod rwlock;
-pub mod semaphore;
 
 pub use chan::{Chan, SyncChan};
 pub use mutex::Mutex;
 pub use mvar::MVar;
-pub use rwlock::RwLock;
-pub use semaphore::Semaphore;

@@ -603,7 +603,7 @@ pub struct SimReport {
     /// Number of readiness-wait episodes behind [`SimReport::io_wait_ns`].
     pub io_waits: u64,
     /// Total virtual nanoseconds threads spent parked on synchronization
-    /// wait queues (`sys_park`: mutexes, channels, MVars, semaphores, STM
+    /// wait queues (`sys_park`: mutexes, channels, MVars, STM
     /// `retry`) — *pure* lock wait, with I/O readiness accounted
     /// separately in [`SimReport::io_wait_ns`].
     pub lock_wait_ns: Nanos,

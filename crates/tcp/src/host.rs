@@ -8,6 +8,14 @@
 //! on TCB state changes. [`TcpHost`] implements
 //! [`NetStack`] — so a server switches from
 //! kernel sockets to this stack by changing one line.
+//!
+//! `connect` is the non-blocking-connect convention: it inserts the TCB,
+//! sends the SYN and builds the [`TcpConn`] at once, then waits for write
+//! readiness on that connection's own descriptor — a handshaking TCB is
+//! not writable, so the wait ends when the handshake resolves either way.
+//! There is no separate connect gate. A passive open needs no record of
+//! its listener either: it is the one on its demux key's local port, and
+//! only a TCB that leaves `SynRcvd` is promoted to it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -63,7 +71,6 @@ pub struct TcpHost {
     transport: Arc<dyn SegmentTransport>,
     conns: Mutex<HashMap<ConnKey, Arc<Mutex<Tcb>>>>,
     listeners: Mutex<HashMap<u16, Arc<ListenerInner>>>,
-    passive_parents: Mutex<HashMap<ConnKey, u16>>,
     /// Connections that started holding an ACK since the last batch end.
     ack_holders: Mutex<Vec<Arc<Mutex<Tcb>>>>,
     rx: Chan<Input>,
@@ -90,7 +97,6 @@ impl TcpHost {
             transport,
             conns: Mutex::new(HashMap::new()),
             listeners: Mutex::new(HashMap::new()),
-            passive_parents: Mutex::new(HashMap::new()),
             ack_holders: Mutex::new(Vec::with_capacity(ACK_BATCH)),
             rx: Chan::new(),
             stopped: AtomicBool::new(false),
@@ -219,17 +225,17 @@ impl TcpHost {
         };
         let existing = self.conns.lock().get(&key).cloned();
         if let Some(tcb_arc) = existing {
-            let (out, became_established, began_hold) = {
+            let (out, accepted, began_hold) = {
                 let mut tcb = tcb_arc.lock();
-                let held = tcb.ack_held();
+                let (passive, held) = (tcb.state() == State::SynRcvd, tcb.ack_held());
                 let (out, became_established) = tcb.on_segment(seg, now);
-                (out, became_established, !held && tcb.ack_held())
+                (out, passive && became_established, !held && tcb.ack_held())
             };
             if began_hold {
                 self.ack_holders.lock().push(Arc::clone(&tcb_arc));
             }
             self.send_segs(src, out);
-            if became_established {
+            if accepted {
                 self.promote_passive(&key, &tcb_arc);
             }
             self.gc_if_closed(&key, &tcb_arc);
@@ -252,7 +258,6 @@ impl TcpHost {
                     tcb.report_to(Arc::clone(&self.stats));
                     let syn_ack = tcb.syn_ack_segment();
                     self.conns.lock().insert(key, Arc::new(Mutex::new(tcb)));
-                    self.passive_parents.lock().insert(key, seg.dst_port);
                     self.send_segs(src, vec![syn_ack]);
                     return;
                 }
@@ -278,11 +283,10 @@ impl TcpHost {
         }
     }
 
+    /// Hands a passive open that just completed to the listener on its
+    /// local port.
     fn promote_passive(&self, key: &ConnKey, tcb_arc: &Arc<Mutex<Tcb>>) {
-        let Some(port) = self.passive_parents.lock().remove(key) else {
-            return; // active open; connector was woken by the TCB itself
-        };
-        let listener = self.listeners.lock().get(&port).cloned();
+        let listener = self.listeners.lock().get(&key.local_port).cloned();
         let pushed = match listener {
             Some(listener) => listener
                 .queue
@@ -303,7 +307,6 @@ impl TcpHost {
     fn gc_if_closed(&self, key: &ConnKey, tcb_arc: &Arc<Mutex<Tcb>>) {
         if tcb_arc.lock().state() == State::Closed {
             self.conns.lock().remove(key);
-            self.passive_parents.lock().remove(key);
         }
     }
 
@@ -411,20 +414,6 @@ impl Pollable for TcbSock {
             Interest::Read => t.register_reader(waiter),
             Interest::Write => t.register_writer(waiter),
         }
-    }
-}
-
-/// The pollable device behind an in-flight active open: per the
-/// non-blocking `connect` convention the socket becomes writable when the
-/// handshake resolves, so the connector waits on `Write` readiness of
-/// this gate rather than parking.
-struct ConnectGate {
-    tcb: Arc<Mutex<Tcb>>,
-}
-
-impl Pollable for ConnectGate {
-    fn register(&self, _interest: Interest, waiter: Waiter) {
-        self.tcb.lock().register_connector(waiter);
     }
 }
 
@@ -624,74 +613,53 @@ impl NetStack for TcpHost {
     fn connect(&self, remote: Endpoint) -> ThreadM<Result<Arc<dyn Conn>, NetError>> {
         let host = self.arc();
         sys_time().bind(move |now| {
-            // Create the TCB, fire the SYN, then park until the handshake
+            // Create the TCB, fire the SYN, then wait until the handshake
             // resolves (the timer thread retries lost SYNs).
-            let setup_host = Arc::clone(&host);
             sys_nbio(move || {
                 // Port choice and demux insert share one critical section,
                 // so two concurrent connects cannot pick the same port.
-                let mut conns = setup_host.conns.lock();
-                let key = setup_host
-                    .ephemeral(&conns, remote)
-                    .ok_or(NetError::AddrInUse)?;
-                let local = Endpoint::new(setup_host.host, key.local_port);
-                let mut tcb = Tcb::new_active(
-                    setup_host.cfg.clone(),
-                    local,
-                    remote,
-                    setup_host.fresh_iss(),
-                    now,
-                );
-                tcb.report_to(Arc::clone(&setup_host.stats));
+                let mut conns = host.conns.lock();
+                let key = host.ephemeral(&conns, remote).ok_or(NetError::AddrInUse)?;
+                let local = Endpoint::new(host.host, key.local_port);
+                let mut tcb =
+                    Tcb::new_active(host.cfg.clone(), local, remote, host.fresh_iss(), now);
+                tcb.report_to(Arc::clone(&host.stats));
                 let syn = tcb.syn_segment();
-                let tcb_arc = Arc::new(Mutex::new(tcb));
-                conns.insert(key, Arc::clone(&tcb_arc));
+                let tcb = Arc::new(Mutex::new(tcb));
+                conns.insert(key, Arc::clone(&tcb));
                 drop(conns);
-                setup_host
-                    .stats
-                    .conns_opened
-                    .fetch_add(1, Ordering::Relaxed);
-                setup_host.send_segs(remote.host, vec![syn]);
-                Ok((key, tcb_arc))
+                host.stats.conns_opened.fetch_add(1, Ordering::Relaxed);
+                host.send_segs(remote.host, vec![syn]);
+                Ok(TcpConn::attach(Arc::clone(&host), key, tcb))
             })
-            .bind(move |setup: Result<_, NetError>| {
-                let (key, tcb_arc) = match setup {
-                    Ok(setup) => setup,
-                    Err(e) => return ThreadM::pure(Err(e)),
-                };
-                let host2 = Arc::clone(&host);
-                // The handshake wait is Write readiness on the connect
-                // gate (non-blocking `connect` convention).
-                let gate = Fd::new(Arc::new(ConnectGate {
-                    tcb: Arc::clone(&tcb_arc),
-                }));
-                loop_m((), move |()| {
-                    let check_tcb = Arc::clone(&tcb_arc);
-                    let conn_tcb = Arc::clone(&tcb_arc);
-                    let gate = gate.clone();
-                    let h = Arc::clone(&host2);
+            .bind(|setup: Result<Arc<TcpConn>, NetError>| match setup {
+                Err(e) => ThreadM::pure(Err(e)),
+                // The handshake wait is Write readiness on the connection's
+                // own descriptor (non-blocking `connect` convention).
+                Ok(conn) => loop_m((), move |()| {
+                    let check = Arc::clone(&conn);
+                    let conn = Arc::clone(&conn);
                     sys_nbio(move || {
-                        let t = check_tcb.lock();
+                        let t = check.tcb.lock();
                         match t.state() {
-                            State::Established => Some(Ok(())),
+                            s if s.handshaking() => None,
                             State::Closed => {
                                 Some(Err(t.error().unwrap_or(NetError::ConnectionRefused)))
                             }
-                            _ => None,
+                            _ => Some(Ok(())),
                         }
                     })
                     .bind(move |res| match res {
-                        Some(Ok(())) => {
-                            let conn = TcpConn::attach(Arc::clone(&h), key, conn_tcb);
-                            ThreadM::pure(Loop::Break(Ok(conn as Arc<dyn Conn>)))
-                        }
+                        Some(Ok(())) => ThreadM::pure(Loop::Break(Ok(conn as Arc<dyn Conn>))),
                         Some(Err(e)) => {
-                            h.conns.lock().remove(&key);
+                            conn.host.conns.lock().remove(&conn.key);
                             ThreadM::pure(Loop::Break(Err(e)))
                         }
-                        None => sys_epoll_wait(&gate, Interest::Write).map(|_| Loop::Continue(())),
+                        None => {
+                            sys_epoll_wait(&conn.fd, Interest::Write).map(|_| Loop::Continue(()))
+                        }
                     })
-                })
+                }),
             })
         })
     }

@@ -5,6 +5,15 @@
 //! produce reply segments; all timing comes in as arguments, so the same
 //! machine runs under real and virtual clocks and can be unit-tested by
 //! feeding it segments directly — no sockets, threads or clocks required.
+//!
+//! The state rules are stated once, on [`State`]: which states are still
+//! handshaking, which accept writes, which still owe the peer data or a
+//! FIN, and where sending our FIN, having it acknowledged and consuming the
+//! peer's FIN lead. Everything else reads them. [`Tcb::output`] is the only
+//! transmit path for data and FIN segments, first sends and go-back-N
+//! resends after a timeout alike; its one segment builder also makes the
+//! fast retransmit's head segment, and counts every segment that starts
+//! below `snd_max` as one retransmission.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -125,6 +134,64 @@ pub enum State {
     Closed,
 }
 
+impl State {
+    /// The three-way handshake is still running: no data moves, and a
+    /// timeout resends the SYN (or SYN+ACK).
+    pub(crate) fn handshaking(self) -> bool {
+        matches!(self, State::SynSent | State::SynRcvd)
+    }
+
+    /// The application may still queue data: our FIN is not due yet.
+    fn accepts_writes(self) -> bool {
+        matches!(
+            self,
+            State::SynSent | State::SynRcvd | State::Established | State::CloseWait
+        )
+    }
+
+    /// Data or our FIN may still be owed to the peer — unsent, or sent and
+    /// unacknowledged and so resent after a timeout.
+    fn owes_output(self) -> bool {
+        matches!(
+            self,
+            State::Established
+                | State::CloseWait
+                | State::FinWait1
+                | State::Closing
+                | State::LastAck
+        )
+    }
+
+    /// Where sending our FIN the first time leads.
+    fn on_fin_sent(self) -> Option<State> {
+        match self {
+            State::Established => Some(State::FinWait1),
+            State::CloseWait => Some(State::LastAck),
+            _ => None,
+        }
+    }
+
+    /// Where the acknowledgement of our FIN leads.
+    fn on_fin_acked(self) -> Option<State> {
+        match self {
+            State::FinWait1 => Some(State::FinWait2),
+            State::Closing => Some(State::TimeWait),
+            State::LastAck => Some(State::Closed),
+            _ => None,
+        }
+    }
+
+    /// Where consuming the peer's FIN leads.
+    fn on_peer_fin(self) -> Option<State> {
+        match self {
+            State::Established => Some(State::CloseWait),
+            State::FinWait1 => Some(State::Closing),
+            State::FinWait2 => Some(State::TimeWait),
+            _ => None,
+        }
+    }
+}
+
 /// The TCP control block: all state for one connection.
 pub struct Tcb {
     cfg: TcpConfig,
@@ -142,8 +209,8 @@ pub struct Tcb {
     snd_wnd: u32,
     /// Written and not yet acknowledged; offset 0 is `snd_una`.
     snd_buf: ByteQueue,
+    /// The application closed: our FIN follows the last byte written.
     fin_queued: bool,
-    fin_seq: Option<u32>,
     cc: Reno,
     rtt: RttEstimator,
     rto_deadline: Option<Nanos>,
@@ -177,16 +244,15 @@ pub struct Tcb {
 
     // Readiness registrations from blocked application threads
     // (`sys_epoll_wait` waiters, routed through the runtime's event port
-    // on wake).
+    // on wake). A connector waits among the writers: a handshaking TCB is
+    // not writable.
     recv_waiters: Vec<Waiter>,
     send_waiters: Vec<Waiter>,
-    conn_waiters: Vec<Waiter>,
 }
 
 impl Tcb {
     /// Creates a TCB performing an active open. The caller must transmit
-    /// [`Tcb::syn_segment`] and arm the retransmission timer via the result
-    /// of [`Tcb::output`].
+    /// [`Tcb::syn_segment`]; the retransmission timer is already armed.
     pub fn new_active(
         cfg: TcpConfig,
         local: Endpoint,
@@ -236,7 +302,6 @@ impl Tcb {
             snd_wnd: 0,
             snd_buf: ByteQueue::new(),
             fin_queued: false,
-            fin_seq: None,
             cc,
             rtt,
             rto_deadline: None,
@@ -257,7 +322,6 @@ impl Tcb {
             stats: None,
             recv_waiters: Vec::new(),
             send_waiters: Vec::new(),
-            conn_waiters: Vec::new(),
         }
     }
 
@@ -337,8 +401,10 @@ impl Tcb {
         self.cfg.recv_window.saturating_sub(used) as u32
     }
 
-    fn base_flags(&self) -> Flags {
-        Flags::ack()
+    /// Where our FIN sits once the application closed: right after the
+    /// last byte written.
+    fn fin_seq(&self) -> u32 {
+        self.snd_una.wrapping_add(self.snd_buf.len() as u32)
     }
 
     fn segment(&self, seq: u32, ack: u32, flags: Flags, payload: Bytes) -> Segment {
@@ -400,7 +466,16 @@ impl Tcb {
     fn wake_all(&mut self) {
         Self::wake(&mut self.recv_waiters);
         Self::wake(&mut self.send_waiters);
-        Self::wake(&mut self.conn_waiters);
+    }
+
+    /// Moves to `next`: TIME_WAIT starts its linger, CLOSED wakes everyone.
+    fn enter(&mut self, next: State, now: Nanos) {
+        self.state = next;
+        match next {
+            State::TimeWait => self.time_wait_deadline = Some(now + self.cfg.time_wait),
+            State::Closed => self.wake_all(),
+            _ => {}
+        }
     }
 
     /// Registers a read-readiness waiter; wakes immediately if
@@ -414,7 +489,9 @@ impl Tcb {
         }
     }
 
-    /// Registers a write-readiness waiter.
+    /// Registers a write-readiness waiter. A handshaking TCB is not
+    /// writable — the non-blocking `connect` convention: the socket signals
+    /// writable once the three-way handshake resolves, either way.
     pub fn register_writer(&mut self, w: Waiter) {
         if self.write_ready() {
             w.wake();
@@ -423,31 +500,14 @@ impl Tcb {
         }
     }
 
-    /// Registers a waiter for handshake completion — the non-blocking
-    /// `connect` convention: the socket signals writable once the
-    /// three-way handshake resolves (either way).
-    pub fn register_connector(&mut self, w: Waiter) {
-        if self.state == State::Established || self.error.is_some() || self.state == State::Closed {
-            w.wake();
-        } else {
-            self.conn_waiters.push(w);
-        }
-    }
-
     fn read_ready(&self) -> bool {
-        !self.readable.is_empty()
-            || self.fin_received
-            || self.error.is_some()
-            || matches!(self.state, State::Closed | State::TimeWait)
+        !self.readable.is_empty() || self.fin_received || self.error.is_some()
     }
 
     fn write_ready(&self) -> bool {
         self.error.is_some()
-            || self.snd_buf.len() < self.cfg.send_buf
-            || !matches!(
-                self.state,
-                State::SynSent | State::SynRcvd | State::Established | State::CloseWait
-            )
+            || !self.state.accepts_writes()
+            || (!self.state.handshaking() && self.snd_buf.len() < self.cfg.send_buf)
     }
 
     // -- Application interface ------------------------------------------------
@@ -474,12 +534,7 @@ impl Tcb {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        if self.fin_queued
-            || !matches!(
-                self.state,
-                State::SynSent | State::SynRcvd | State::Established | State::CloseWait
-            )
-        {
+        if self.fin_queued || !self.state.accepts_writes() {
             return Err(NetError::Closed);
         }
         let room = self.cfg.send_buf.saturating_sub(self.snd_buf.len());
@@ -512,7 +567,7 @@ impl Tcb {
             let reopened = was_zero && self.recv_window() > 0;
             return Ok((Some(out), reopened));
         }
-        if self.fin_received || matches!(self.state, State::Closed | State::TimeWait) {
+        if self.fin_received {
             return Ok((Some(Bytes::new()), false)); // EOF
         }
         Ok((None, false))
@@ -536,79 +591,31 @@ impl Tcb {
 
     // -- Transmission ----------------------------------------------------------
 
-    /// Emits everything the windows allow: data segments from `snd_nxt`,
-    /// plus the FIN when its turn comes. Arms/disarms the RTO.
+    /// Emits everything the windows allow from `snd_nxt` — data, then the
+    /// FIN once the data before it is out — in every state that still owes
+    /// output. After a timeout rewinds `snd_nxt` this is also the go-back-N
+    /// resend. Arms/disarms the RTO.
     pub fn output(&mut self, now: Nanos) -> Vec<Segment> {
         let mut out = Vec::new();
-        if matches!(self.state, State::SynSent | State::SynRcvd) {
-            // Handshake segments are (re)sent by connect/accept and on_tick.
+        if !self.state.owes_output() {
             return out;
         }
-        let can_send_data = matches!(self.state, State::Established | State::CloseWait);
-        if can_send_data {
-            let wnd = self.cc.cwnd().min(self.snd_wnd.max(self.cfg.mss as u32)) as usize;
-            loop {
-                let in_flight = self.in_flight() as usize;
-                let unsent_start = in_flight; // snd_buf[0] is at snd_una
-                if unsent_start >= self.snd_buf.len() {
-                    break;
-                }
-                let room = wnd.saturating_sub(in_flight);
-                let n = self
-                    .cfg
-                    .mss
-                    .min(self.snd_buf.len() - unsent_start)
-                    .min(room);
-                if n == 0 {
-                    break;
-                }
-                let (chunk, copied) = self.snd_buf.range(unsent_start, n);
-                self.note_payload(n, copied);
-                // PSH marks the end of what was written — the receiver
-                // acknowledges there at once and holds its ACK before —
-                // and every resend after a rollback, so that recovery is
-                // clocked segment by segment.
-                let mut flags = self.base_flags();
-                flags.psh =
-                    unsent_start + n == self.snd_buf.len() || seq_lt(self.snd_nxt, self.snd_max);
-                let seg = self.make_seg(self.snd_nxt, flags, chunk);
-                self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
-                if seq_gt(self.snd_nxt, self.snd_max) {
-                    self.snd_max = self.snd_nxt;
-                }
-                if self.rtt_sample.is_none() {
-                    self.rtt_sample = Some((self.snd_nxt, now));
-                }
-                out.push(seg);
-            }
-        }
-        // FIN, once all data is out.
-        let may_emit_fin = matches!(
-            self.state,
-            State::Established
-                | State::CloseWait
-                | State::FinWait1
-                | State::Closing
-                | State::LastAck
-        );
-        if self.fin_queued
-            && self.fin_seq.is_none()
-            && may_emit_fin
-            && self.in_flight() as usize >= self.snd_buf.len()
+        let wnd = self.cc.cwnd().min(self.snd_wnd.max(self.cfg.mss as u32)) as usize;
+        while let Some(seg) =
+            self.segment_at(self.snd_nxt, wnd.saturating_sub(self.in_flight() as usize))
         {
-            let mut flags = self.base_flags();
-            flags.fin = true;
-            out.push(self.make_seg(self.snd_nxt, flags, Bytes::new()));
-            self.fin_seq = Some(self.snd_nxt);
-            self.snd_nxt = self.snd_nxt.wrapping_add(1);
+            self.snd_nxt = seg.seq_end();
             if seq_gt(self.snd_nxt, self.snd_max) {
                 self.snd_max = self.snd_nxt;
             }
-            self.state = match self.state {
-                State::Established => State::FinWait1,
-                State::CloseWait => State::LastAck,
-                other => other,
-            };
+            if seg.flags.fin {
+                if let Some(next) = self.state.on_fin_sent() {
+                    self.state = next;
+                }
+            } else if self.rtt_sample.is_none() {
+                self.rtt_sample = Some((self.snd_nxt, now));
+            }
+            out.push(seg);
         }
         // RTO management.
         if self.in_flight() > 0 {
@@ -621,32 +628,41 @@ impl Tcb {
         out
     }
 
-    fn retransmit_one(&mut self, now: Nanos) -> Option<Segment> {
-        self.rtt_sample = None; // Karn's rule
+    /// The one builder of data and FIN segments: the segment starting at
+    /// `seq` — up to `room` bytes (at most an MSS) of the send queue, or
+    /// our FIN when `seq` is its place. One starting below `snd_max`
+    /// repeats sequence space already sent: a retransmission.
+    fn segment_at(&mut self, seq: u32, room: usize) -> Option<Segment> {
+        let offset = seq_diff(seq, self.snd_una) as usize; // snd_buf[0] is at snd_una
+        let n = self
+            .cfg
+            .mss
+            .min(room)
+            .min(self.snd_buf.len().saturating_sub(offset));
+        let mut flags = Flags::ack();
+        let payload = if n > 0 {
+            let (chunk, copied) = self.snd_buf.range(offset, n);
+            self.note_payload(n, copied);
+            // PSH marks the end of what was written — the receiver
+            // acknowledges there at once and holds its ACK before — and
+            // every resend, so that recovery is clocked segment by segment.
+            flags.psh = offset + n == self.snd_buf.len() || seq_lt(seq, self.snd_max);
+            chunk
+        } else if self.fin_queued && seq == self.fin_seq() {
+            flags.fin = true;
+            Bytes::new()
+        } else {
+            return None;
+        };
+        if seq_lt(seq, self.snd_max) {
+            self.note_retransmit();
+        }
+        Some(self.make_seg(seq, flags, payload))
+    }
+
+    fn note_retransmit(&mut self) {
         self.retransmit_count += 1;
         self.count(|s| &s.retransmits);
-        match self.state {
-            State::SynSent => Some(self.syn_segment()),
-            State::SynRcvd => Some(self.syn_ack_segment()),
-            _ => {
-                let in_flight_data = (self.in_flight() as usize).min(self.snd_buf.len());
-                if in_flight_data > 0 {
-                    let n = self.cfg.mss.min(in_flight_data);
-                    let (chunk, copied) = self.snd_buf.range(0, n);
-                    self.note_payload(n, copied);
-                    let mut flags = self.base_flags();
-                    flags.psh = true;
-                    Some(self.make_seg(self.snd_una, flags, chunk))
-                } else if self.fin_seq == Some(self.snd_una) {
-                    let mut flags = self.base_flags();
-                    flags.fin = true;
-                    Some(self.make_seg(self.snd_una, flags, Bytes::new()))
-                } else {
-                    let _ = now;
-                    None
-                }
-            }
-        }
     }
 
     // -- Timers ---------------------------------------------------------------
@@ -655,46 +671,42 @@ impl Tcb {
     pub fn on_tick(&mut self, now: Nanos) -> Vec<Segment> {
         // Backstop: an ACK no batch end and no outgoing segment released.
         let mut out = Vec::from_iter(self.flush_ack());
-        if let Some(d) = self.time_wait_deadline {
-            if now >= d {
-                self.state = State::Closed;
-                self.time_wait_deadline = None;
-                self.wake_all();
-            }
+        if self.time_wait_deadline.is_some_and(|d| now >= d) {
+            self.time_wait_deadline = None;
+            self.enter(State::Closed, now);
         }
-        let Some(deadline) = self.rto_deadline else {
-            return out;
-        };
-        if now < deadline {
+        if self.rto_deadline.is_none_or(|d| now < d) {
             return out;
         }
         // Retransmission timeout.
         self.count(|s| &s.rto_fires);
-        if matches!(self.state, State::SynSent | State::SynRcvd) {
+        if self.state.handshaking() {
             self.syn_retries += 1;
             if self.syn_retries > self.cfg.max_syn_retries {
                 self.error = Some(NetError::Timeout);
-                self.state = State::Closed;
                 self.rto_deadline = None;
-                self.wake_all();
+                self.enter(State::Closed, now);
                 return out;
             }
         }
         self.cc.on_timeout(self.in_flight());
         self.rtt.backoff();
-        // Go-back-N: rewind the send frontier and let output() resend.
-        if !matches!(self.state, State::SynSent | State::SynRcvd) {
-            self.snd_nxt = self.snd_una;
-            if let Some(f) = self.fin_seq {
-                if seq_ge(f, self.snd_una) {
-                    self.fin_seq = None; // still in flight: re-emit it
-                }
+        self.rtt_sample = None; // Karn's rule
+        match self.state {
+            State::SynSent => {
+                self.note_retransmit();
+                out.push(self.syn_segment());
+            }
+            State::SynRcvd => {
+                self.note_retransmit();
+                out.push(self.syn_ack_segment());
+            }
+            _ => {
+                // Go-back-N: rewind the send frontier; output resends from it.
+                self.snd_nxt = self.snd_una;
+                out.extend(self.output(now));
             }
         }
-        if let Some(seg) = self.retransmit_one(now) {
-            out.push(seg);
-        }
-        out.extend(self.output(now));
         self.rto_deadline = Some(now + self.rtt.rto());
         out
     }
@@ -703,7 +715,7 @@ impl Tcb {
 
     /// Processes an arriving segment; returns replies to transmit. The
     /// returned flag is true if the connection just became `Established`
-    /// (the host promotes it to its listener's accept queue).
+    /// (the host promotes a passive one to its listener's accept queue).
     ///
     /// Payload is acknowledged in the replies — except the middle of a
     /// burst (in order, nothing missing, full-sized, no PSH, no FIN), whose
@@ -718,12 +730,11 @@ impl Tcb {
                 // one answering our SYN means nobody is listening.
                 if self.state == State::SynSent {
                     self.error = Some(NetError::ConnectionRefused);
-                } else if !matches!(self.state, State::TimeWait) {
+                } else if self.state != State::TimeWait {
                     self.error = Some(NetError::Reset);
                 }
-                self.state = State::Closed;
                 self.ack_held = false; // nobody is left to acknowledge to
-                self.wake_all();
+                self.enter(State::Closed, now);
             }
             return (out, false);
         }
@@ -734,17 +745,12 @@ impl Tcb {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.iss.wrapping_add(1) {
                     self.irs = seg.seq;
                     self.rcv_nxt = seg.seq.wrapping_add(1);
-                    self.snd_una = seg.ack;
-                    self.snd_wnd = seg.wnd;
-                    self.state = State::Established;
-                    self.rto_deadline = None;
-                    became_established = true;
-                    Self::wake(&mut self.conn_waiters);
-                    Self::wake(&mut self.send_waiters);
+                    self.establish(&seg);
                     out.push(self.ack_segment());
                     out.extend(self.output(now));
+                    return (out, true);
                 }
-                return (out, became_established);
+                return (out, false);
             }
             State::SynRcvd => {
                 if seg.flags.syn && !seg.flags.ack {
@@ -752,18 +758,12 @@ impl Tcb {
                     out.push(self.syn_ack_segment());
                     return (out, false);
                 }
-                if seg.flags.ack && seg.ack == self.iss.wrapping_add(1) {
-                    self.snd_una = seg.ack;
-                    self.snd_wnd = seg.wnd;
-                    self.state = State::Established;
-                    self.rto_deadline = None;
-                    became_established = true;
-                    Self::wake(&mut self.conn_waiters);
-                    Self::wake(&mut self.send_waiters);
-                    // Fall through: the ACK may carry data.
-                } else {
+                if !(seg.flags.ack && seg.ack == self.iss.wrapping_add(1)) {
                     return (out, false);
                 }
+                self.establish(&seg);
+                became_established = true;
+                // Fall through: the ACK may carry data.
             }
             State::TimeWait => {
                 // Re-ACK retransmitted FINs.
@@ -775,7 +775,8 @@ impl Tcb {
             _ => {}
         }
 
-        let mut need_ack = false;
+        // A SYN+ACK after the handshake was resent: our ACK of it was lost.
+        let mut need_ack = seg.flags.syn;
 
         // ---- ACK processing.
         if seg.flags.ack {
@@ -786,11 +787,10 @@ impl Tcb {
                     self.snd_nxt = seg.ack;
                 }
                 let acked = seq_diff(seg.ack, self.snd_una);
-                let fin_acked = self.fin_seq.is_some()
-                    && seg.ack == self.fin_seq.expect("checked").wrapping_add(1);
-                let data_acked = if fin_acked { acked - 1 } else { acked } as usize;
-                let drain = data_acked.min(self.snd_buf.len());
-                self.snd_buf.advance(drain);
+                // An acceptable ACK past the FIN's place covers the FIN.
+                let fin_acked = self.fin_queued && seg.ack == self.fin_seq().wrapping_add(1);
+                self.snd_buf
+                    .advance((acked - u32::from(fin_acked)) as usize);
                 self.snd_una = seg.ack;
                 self.cc.on_new_ack(acked, self.snd_una, in_flight_before);
                 if let Some((sample_seq, sent_at)) = self.rtt_sample {
@@ -805,19 +805,8 @@ impl Tcb {
                     None
                 };
                 Self::wake(&mut self.send_waiters);
-                if fin_acked {
-                    self.state = match self.state {
-                        State::FinWait1 => State::FinWait2,
-                        State::Closing => {
-                            self.time_wait_deadline = Some(now + self.cfg.time_wait);
-                            State::TimeWait
-                        }
-                        State::LastAck => {
-                            self.wake_all();
-                            State::Closed
-                        }
-                        other => other,
-                    };
+                if let Some(next) = self.state.on_fin_acked().filter(|_| fin_acked) {
+                    self.enter(next, now);
                 }
             } else if seg.ack == self.snd_una
                 && self.in_flight() > 0
@@ -827,9 +816,9 @@ impl Tcb {
                 self.count(|s| &s.dup_acks_received);
                 if let CcAction::FastRetransmit = self.cc.on_dup_ack(self.snd_nxt, in_flight_before)
                 {
-                    if let Some(rseg) = self.retransmit_one(now) {
-                        out.push(rseg);
-                    }
+                    // Resend the head: data, or the FIN if nothing else is out.
+                    self.rtt_sample = None; // Karn's rule
+                    out.extend(self.segment_at(self.snd_una, self.in_flight() as usize));
                 }
             }
             self.snd_wnd = seg.wnd;
@@ -942,15 +931,18 @@ impl Tcb {
         self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
         self.fin_received = true;
         Self::wake(&mut self.recv_waiters);
-        self.state = match self.state {
-            State::Established => State::CloseWait,
-            State::FinWait1 => State::Closing,
-            State::FinWait2 => {
-                self.time_wait_deadline = Some(now + self.cfg.time_wait);
-                State::TimeWait
-            }
-            other => other,
-        };
+        if let Some(next) = self.state.on_peer_fin() {
+            self.enter(next, now);
+        }
+    }
+
+    /// Completes the handshake, on either side: `seg` acknowledges our SYN.
+    fn establish(&mut self, seg: &Segment) {
+        self.snd_una = seg.ack;
+        self.snd_wnd = seg.wnd;
+        self.state = State::Established;
+        self.rto_deadline = None;
+        Self::wake(&mut self.send_waiters); // a waiting connector
     }
 }
 

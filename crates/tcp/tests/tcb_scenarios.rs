@@ -264,6 +264,81 @@ fn data_after_peer_close_is_still_deliverable() {
     assert_eq!(&data.unwrap()[..], b"parting words");
 }
 
+/// Loses `lost` — a 100-byte write and the FIN behind it — and fires the
+/// retransmission timeout, which must resend both.
+fn resend_after_rto(tcb: &mut Tcb, lost: Vec<Segment>, now: u64) -> Vec<Segment> {
+    let shape = |segs: &[Segment]| {
+        segs.iter()
+            .map(|s| (s.payload.len(), s.flags.psh, s.flags.fin))
+            .collect::<Vec<_>>()
+    };
+    let want = [(100, true, false), (0, false, true)];
+    assert_eq!(shape(&lost), want);
+    let resent = tcb.on_tick(now + 300 * MILLIS);
+    assert_eq!(
+        shape(&resent),
+        want,
+        "the timeout resends the data, then the FIN"
+    );
+    assert_eq!(tcb.retransmits(), 2);
+    resent
+}
+
+#[test]
+fn data_written_before_close_survives_losing_it_and_the_fin_in_fin_wait_1() {
+    let (mut c, mut s) = pair(TcpConfig::default());
+    c.app_write(Bytes::from(vec![7u8; 100])).unwrap();
+    c.app_close();
+    let lost = c.output(10_000);
+    assert_eq!(c.state(), State::FinWait1);
+    let resent = resend_after_rto(&mut c, lost, 10_000);
+    exchange(&mut c, &mut s, resent, 10_000 + 300 * MILLIS);
+    let (data, _) = s.app_read(1000).unwrap();
+    assert_eq!(&data.unwrap()[..], &[7u8; 100][..]);
+    assert_eq!((s.state(), c.state()), (State::CloseWait, State::FinWait2));
+}
+
+#[test]
+fn a_reply_written_before_close_survives_losing_it_and_the_fin_in_last_ack() {
+    let (mut c, mut s) = pair(TcpConfig::default());
+    // The peer's FIN arrives first; the server replies and closes.
+    c.app_close();
+    let fin = c.output(10_000);
+    let now = exchange(&mut c, &mut s, fin, 10_000);
+    assert_eq!((c.state(), s.state()), (State::FinWait2, State::CloseWait));
+    s.app_write(Bytes::from(vec![9u8; 100])).unwrap();
+    s.app_close();
+    let lost = s.output(now);
+    assert_eq!(s.state(), State::LastAck);
+    let resent = resend_after_rto(&mut s, lost, now);
+    exchange(&mut s, &mut c, resent, now + 300 * MILLIS);
+    let (data, _) = c.app_read(1000).unwrap();
+    assert_eq!(&data.unwrap()[..], &[9u8; 100][..]);
+    assert_eq!((s.state(), c.state()), (State::Closed, State::TimeWait));
+}
+
+#[test]
+fn a_resent_syn_ack_is_acknowledged_again() {
+    // The client's ACK of the SYN+ACK is lost: the server resends it, and
+    // the established client must answer, or the server gives up while the
+    // client waits in `Established` forever.
+    let cfg = TcpConfig::default();
+    let (a, b) = (Endpoint::new(HostId(1), 1000), Endpoint::new(HostId(2), 80));
+    let mut c = Tcb::new_active(cfg.clone(), a, b, 100, 0);
+    let mut s = Tcb::new_passive(cfg, b, a, 5000, &c.syn_segment(), 0);
+    let _lost = c.on_segment(s.syn_ack_segment(), 1000).0;
+    assert_eq!(c.state(), State::Established);
+    let resent = s.on_tick(300 * MILLIS);
+    assert!(resent.iter().all(|seg| seg.flags.syn && seg.flags.ack));
+    let mut acks = Vec::new();
+    for seg in resent {
+        acks.extend(c.on_segment(seg, 301 * MILLIS).0);
+    }
+    assert_eq!(acks.len(), 1);
+    assert!(s.on_segment(acks.remove(0), 302 * MILLIS).1, "established");
+    assert_eq!(s.state(), State::Established);
+}
+
 #[test]
 fn connect_to_dead_host_times_out_with_error() {
     let cfg = TcpConfig {

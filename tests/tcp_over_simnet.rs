@@ -1,25 +1,35 @@
 //! Integration: the application-level TCP stack over the simulated packet
 //! network, across latency, bandwidth and loss regimes.
 
+use std::sync::{Arc, Mutex};
+
 use bytes::Bytes;
-use eveth::core::net::{recv_exact, send_all, Endpoint, HostId, NetStack};
-use eveth::core::syscall::sys_fork;
+use eveth::core::net::{recv_exact, recv_to_end, send_all, Endpoint, HostId, NetError, NetStack};
+use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep};
+use eveth::core::time::{MILLIS, SECS};
 use eveth::glue;
 use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
+use eveth::tcp::TcpHost;
 use eveth::{do_m, ThreadM};
 
-fn run_transfer(bytes: usize, loss: f64, seed: u64) -> (u64, u64) {
+/// Two hosts over `link`, both on `cfg`.
+fn hosts(
+    link: LinkParams,
+    seed: u64,
+    cfg: TcpConfig,
+) -> (SimRuntime, Arc<SimNet>, [Arc<TcpHost>; 2]) {
     let sim = SimRuntime::new_default();
-    let net = SimNet::new(
-        sim.clock(),
-        LinkParams::ethernet_100mbps().with_loss(loss),
-        seed,
-    );
-    let a = glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(1), TcpConfig::default());
-    let b = glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(2), TcpConfig::default());
+    let net = SimNet::new(sim.clock(), link, seed);
+    let a = glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(1), cfg.clone());
+    let b = glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(2), cfg);
+    (sim, net, [a, b])
+}
 
+fn run_transfer(bytes: usize, loss: f64, seed: u64) -> (u64, u64) {
+    let link = LinkParams::ethernet_100mbps().with_loss(loss);
+    let (sim, net, [a, b]) = hosts(link, seed, TcpConfig::default());
     let payload = Bytes::from(vec![0xAB; bytes]);
     let server = do_m! {
         let lst <- b.listen(80);
@@ -70,4 +80,103 @@ fn large_transfer_with_loss_retransmits() {
     let (t, dropped) = run_transfer(200_000, 0.02, 42);
     assert!(dropped > 0, "lossy link must drop something");
     assert!(t >= 16_000_000);
+}
+
+/// The server writes `bytes` and closes over a 5 % lossy link; the client
+/// reads to the end. `None` if the end has not arrived within a minute of
+/// virtual time.
+fn close_under_loss(bytes: usize, seed: u64) -> Option<Bytes> {
+    let link = LinkParams::ethernet_100mbps().with_loss(0.05);
+    let (sim, _net, [a, b]) = hosts(link, seed, TcpConfig::default());
+    let server = do_m! {
+        let lst <- b.listen(80);
+        let conn <- lst.unwrap().accept();
+        let conn = conn.unwrap();
+        let sent <- send_all(&conn, Bytes::from(vec![0x5c; bytes]));
+        let _ = sent.unwrap();
+        conn.close()
+    };
+    let got = Arc::new(Mutex::new(None));
+    let slot = Arc::clone(&got);
+    sim.spawn(do_m! {
+        sys_fork(server);
+        let conn <- a.connect(Endpoint::new(HostId(2), 80));
+        let data <- recv_to_end(&conn.unwrap(), bytes + 1);
+        sys_nbio(move || *slot.lock().unwrap() = Some(data.unwrap()))
+    });
+    sim.run_until(Some(60 * SECS));
+    let got = got.lock().unwrap().take();
+    got
+}
+
+#[test]
+fn data_written_before_close_reaches_the_reader_over_a_lossy_link() {
+    const BYTES: usize = 16 * 1024;
+    for seed in 1..=24 {
+        let got = close_under_loss(BYTES, seed)
+            .unwrap_or_else(|| panic!("seed {seed}: the reader never saw the end"));
+        assert_eq!(got.len(), BYTES, "seed {seed}");
+        assert!(got.iter().all(|&byte| byte == 0x5c), "seed {seed}");
+    }
+}
+
+#[test]
+fn connect_to_a_port_with_no_listener_is_refused() {
+    let (sim, _net, [a, b]) = hosts(LinkParams::loopback(), 1, TcpConfig::default());
+    let res = sim
+        .block_on(
+            a.connect(Endpoint::new(HostId(2), 81))
+                .map(|c| c.map(|_| ())),
+        )
+        .unwrap();
+    assert_eq!(res, Err(NetError::ConnectionRefused));
+    assert_eq!((a.conn_count(), b.conn_count()), (0, 0));
+}
+
+#[test]
+fn connect_to_a_black_holed_host_times_out() {
+    let cfg = TcpConfig {
+        min_rto: MILLIS,
+        initial_rto: MILLIS,
+        max_syn_retries: 2,
+        ..TcpConfig::default()
+    };
+    let (sim, net, [a, b]) = hosts(LinkParams::loopback(), 1, cfg);
+    net.set_host_down(HostId(2));
+    let res = sim
+        .block_on(
+            a.connect(Endpoint::new(HostId(2), 80))
+                .map(|c| c.map(|_| ())),
+        )
+        .unwrap();
+    assert_eq!(res, Err(NetError::Timeout));
+    assert!(sim.now() < SECS, "gave up after {} ns", sim.now());
+    assert_eq!((a.conn_count(), b.conn_count()), (0, 0));
+}
+
+#[test]
+fn a_listener_shut_down_mid_handshake_resets_the_client() {
+    // 10 ms each way: the SYN arrives at 10 ms, the final ACK at 30 ms, and
+    // the listener is gone in between.
+    let link = LinkParams::loopback().with_latency(10 * MILLIS);
+    let (sim, _net, [a, b]) = hosts(link, 1, TcpConfig::default());
+    let server = do_m! {
+        let lst <- b.listen(80);
+        let lst = lst.unwrap();
+        sys_sleep(15 * MILLIS);
+        sys_nbio(move || lst.shutdown())
+    };
+    let client = Arc::clone(&a);
+    let res = sim
+        .block_on(do_m! {
+            sys_fork(server);
+            let conn <- client.connect(Endpoint::new(HostId(2), 80));
+            match conn {
+                Ok(conn) => conn.recv(16).map(|r| r.map(|_| ())),
+                Err(e) => ThreadM::pure(Err(e)),
+            }
+        })
+        .unwrap();
+    assert_eq!(res, Err(NetError::Reset));
+    assert_eq!((a.conn_count(), b.conn_count()), (0, 0));
 }
