@@ -201,27 +201,46 @@ enum TimerDue {
 /// armed-then-cancelled idle deadlines — one per completed or reaped
 /// connection under churn — have zero residence time instead of
 /// lingering in a heap until their far-future deadline.
+///
+/// Arming signals the timer thread only for a deadline earlier than the
+/// instant it will wake anyway, so an arm costs a lock, not an OS-thread
+/// hop.
 struct RtTimer {
-    wheel: Mutex<TimerWheel<TimerDue>>,
+    armed: Mutex<Armed>,
     cv: Condvar,
+}
+
+/// What the timer's lock guards.
+struct Armed {
+    wheel: TimerWheel<TimerDue>,
+    /// When `worker_timer`'s current wait ends. 0 while it is awake or
+    /// being woken: it reads the wheel again before it sleeps.
+    wakes_at: Nanos,
 }
 
 impl RtTimer {
     fn new() -> Self {
         RtTimer {
-            wheel: Mutex::new(TimerWheel::new()),
+            armed: Mutex::new(Armed {
+                wheel: TimerWheel::new(),
+                wakes_at: 0,
+            }),
             cv: Condvar::new(),
         }
     }
 
     fn insert(&self, deadline: Nanos, due: TimerDue) -> TimerKey {
-        let key = self.wheel.lock().insert(deadline, due);
-        self.cv.notify_one();
+        let mut armed = self.armed.lock();
+        let key = armed.wheel.insert(deadline, due);
+        if deadline < armed.wakes_at {
+            armed.wakes_at = 0;
+            self.cv.notify_one();
+        }
         key
     }
 
     fn cancel(&self, key: TimerKey) {
-        self.wheel.lock().cancel(key);
+        self.armed.lock().wheel.cancel(key);
     }
 }
 
@@ -479,7 +498,7 @@ impl Runtime {
     /// returns to zero (regression guard for the old lazy-cancel leak,
     /// where entries lingered until their deadline).
     pub fn timer_entries(&self) -> usize {
-        self.inner.timer.wheel.lock().len()
+        self.inner.timer.armed.lock().wheel.len()
     }
 
     /// A [`RuntimeCtx`] handle for device drivers and schedulers that need
@@ -566,16 +585,19 @@ fn worker_timer(inner: Arc<RtInner>) {
         }
         let due;
         {
-            let mut wheel = inner.timer.wheel.lock();
+            let mut armed = inner.timer.armed.lock();
             let now = inner.now();
-            due = wheel.expire(now);
+            due = armed.wheel.expire(now);
             if due.is_empty() {
-                let wait = wheel
+                let wait = armed
+                    .wheel
                     .next_deadline_hint()
                     .map(|d| Duration::from_nanos(d.saturating_sub(now)))
                     .unwrap_or(POLL_INTERVAL)
                     .min(POLL_INTERVAL.max(Duration::from_millis(1)) * 10);
-                inner.timer.cv.wait_for(&mut wheel, wait);
+                armed.wakes_at = now.saturating_add(wait.as_nanos() as Nanos);
+                inner.timer.cv.wait_for(&mut armed, wait);
+                armed.wakes_at = 0;
             }
         }
         for (_, _, entry) in due {
@@ -796,6 +818,37 @@ mod tests {
             0,
             "cancellation must remove wheel entries physically"
         );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn an_earlier_deadline_wakes_the_timer_thread_from_its_longest_sleep() {
+        use crate::reactor::{DirectPort, Unparker, Waiter};
+        use crate::time::SECS;
+        use crate::trace::Trace;
+        let rt = Runtime::builder().workers(1).build();
+        let ctx = rt.ctx();
+        // Older than the cap, so an instant compared with a duration shows.
+        std::thread::sleep(Duration::from_millis(120));
+        // A waiter 60 s out; once a 1 ms sleep has fired, the timer thread
+        // sleeps to its 100 ms cap.
+        let idle = Unparker::new(
+            Task::from_thunk(TaskId(1_000_000), Box::new(|| Trace::Ret)),
+            Arc::clone(&ctx),
+        );
+        let far = ctx.timer_wake(60 * SECS, Waiter::new(idle, Arc::new(DirectPort)));
+        rt.block_on(sys_sleep(MILLIS));
+        std::thread::sleep(Duration::from_millis(20));
+        // A 5 ms sleep is due about 75 ms before that wakeup, so arming it
+        // must signal the timer thread.
+        let started = Instant::now();
+        rt.block_on(sys_sleep(5 * MILLIS));
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "a 5 ms sleep took {took:?}"
+        );
+        far.cancel();
         rt.shutdown();
     }
 

@@ -16,8 +16,13 @@
 //! There is no separate connect gate. A passive open needs no record of
 //! its listener either: it is the one on its demux key's local port, and
 //! only a TCB that leaves `SynRcvd` is promoted to it.
+//!
+//! A connection that reaches TIME_WAIT leaves the demux table in the same
+//! step: its [`TimeWait`] record lingers beside the table, so the timer
+//! loop scans open connections only and a closed one's TCB is freed at
+//! once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -34,7 +39,7 @@ use eveth_core::{loop_m, Loop, ThreadM};
 use parking_lot::Mutex;
 
 use crate::segment::{Flags, Segment};
-use crate::tcb::{State, Tcb, TcpConfig, TcpStats};
+use crate::tcb::{State, Tcb, TcpConfig, TcpStats, TimeWait};
 use crate::transport::SegmentTransport;
 
 /// Demux key: local port + remote endpoint.
@@ -42,6 +47,46 @@ use crate::transport::SegmentTransport;
 struct ConnKey {
     local_port: u16,
     peer: Endpoint,
+}
+
+/// Closed connections in TIME_WAIT: their records by key, for demux and
+/// port choice, and their keys in expiry order — the linger is constant,
+/// so arrival order is deadline order.
+#[derive(Default)]
+struct Lingering {
+    records: HashMap<ConnKey, TimeWait>,
+    expiry: VecDeque<(Nanos, ConnKey)>,
+}
+
+impl Lingering {
+    fn insert(&mut self, key: ConnKey, record: TimeWait) {
+        self.expiry.push_back((record.until(), key));
+        self.records.insert(key, record);
+    }
+
+    /// Answers `seg` for `key`, if it is lingering (`None` if not): the
+    /// record's reply, and a RST ends the record.
+    fn on_segment(&mut self, key: &ConnKey, seg: &Segment) -> Option<Option<Segment>> {
+        let (reply, lingers) = self.records.get(key)?.on_segment(seg);
+        if !lingers {
+            self.records.remove(key);
+        }
+        Some(reply)
+    }
+
+    /// Ends every linger due by `now`. An entry whose record a RST ended
+    /// early ends nothing, even if its key lingers again since.
+    fn expire(&mut self, now: Nanos) {
+        while let Some(&(until, key)) = self.expiry.front() {
+            if until > now {
+                break;
+            }
+            self.expiry.pop_front();
+            if self.records.get(&key).is_some_and(|r| r.until() == until) {
+                self.records.remove(&key);
+            }
+        }
+    }
 }
 
 /// Most segments `worker_tcp_input` processes between two releases of the
@@ -69,7 +114,9 @@ pub struct TcpHost {
     host: HostId,
     cfg: TcpConfig,
     transport: Arc<dyn SegmentTransport>,
+    /// Open connections. Locked before `lingering` wherever both are held.
     conns: Mutex<HashMap<ConnKey, Arc<Mutex<Tcb>>>>,
+    lingering: Mutex<Lingering>,
     listeners: Mutex<HashMap<u16, Arc<ListenerInner>>>,
     /// Connections that started holding an ACK since the last batch end.
     ack_holders: Mutex<Vec<Arc<Mutex<Tcb>>>>,
@@ -96,6 +143,7 @@ impl TcpHost {
             cfg,
             transport,
             conns: Mutex::new(HashMap::new()),
+            lingering: Mutex::default(),
             listeners: Mutex::new(HashMap::new()),
             ack_holders: Mutex::new(Vec::with_capacity(ACK_BATCH)),
             rx: Chan::new(),
@@ -120,7 +168,9 @@ impl TcpHost {
     }
 
     /// Registers this host's counters on `registry` as
-    /// `eveth_tcp_*_total{labels}`, polled at exposition time. Opt-in, like
+    /// `eveth_tcp_*_total{labels}`, and the connections it holds as the
+    /// gauges `eveth_tcp_conns_open` and `eveth_tcp_conns_time_wait`, all
+    /// polled at exposition time. Opt-in, like
     /// `Telemetry::register_buffer_pool_metrics`: a hub that never calls
     /// this exposes exactly what it did before.
     pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
@@ -150,11 +200,28 @@ impl TcpHost {
             registry
                 .register_counter_fn(name, labels, move || cell(&stats).load(Ordering::Relaxed));
         }
+        type Level = fn(&TcpHost) -> usize;
+        let gauges: [(&str, Level); 2] = [
+            ("eveth_tcp_conns_open", TcpHost::conn_count),
+            ("eveth_tcp_conns_time_wait", TcpHost::time_wait_count),
+        ];
+        for (name, level) in gauges {
+            let host = Weak::clone(&self.self_weak);
+            registry.register_gauge_fn(name, labels, move || {
+                host.upgrade().map_or(0, |h| level(&h) as i64)
+            });
+        }
     }
 
-    /// Live connections in the demux table.
+    /// Open connections: the demux table. A connection in TIME_WAIT is
+    /// not one of them (see [`TcpHost::time_wait_count`]).
     pub fn conn_count(&self) -> usize {
         self.conns.lock().len()
+    }
+
+    /// Closed connections whose TIME_WAIT record still lingers.
+    pub fn time_wait_count(&self) -> usize {
+        self.lingering.lock().records.len()
     }
 
     /// Prints every connection's state — a debugging aid for stuck
@@ -182,13 +249,15 @@ impl TcpHost {
         self.self_weak.upgrade().expect("host alive")
     }
 
-    /// The demux key of the next ephemeral port with no live connection
-    /// to `remote` — the counter wraps, and a long-lived connection may
-    /// still own the port it was given a lap ago. `None` once every port
-    /// has been tried.
+    /// The demux key of the next ephemeral port with no open or lingering
+    /// connection to `remote` — the counter wraps, and a long-lived
+    /// connection may still own the port it was given a lap ago, or a
+    /// closed one still linger on it. `None` once every port has been
+    /// tried.
     fn ephemeral(
         &self,
         conns: &HashMap<ConnKey, Arc<Mutex<Tcb>>>,
+        lingering: &Lingering,
         remote: Endpoint,
     ) -> Option<ConnKey> {
         const PORTS: u32 = 25_000;
@@ -198,7 +267,7 @@ impl TcpHost {
                     + (self.next_ephemeral.fetch_add(1, Ordering::Relaxed) % PORTS) as u16,
                 peer: remote,
             })
-            .find(|key| !conns.contains_key(key))
+            .find(|key| !conns.contains_key(key) && !lingering.records.contains_key(key))
     }
 
     fn fresh_iss(&self) -> u32 {
@@ -225,11 +294,12 @@ impl TcpHost {
         };
         let existing = self.conns.lock().get(&key).cloned();
         if let Some(tcb_arc) = existing {
-            let (out, accepted, began_hold) = {
+            let (out, accepted, began_hold, record) = {
                 let mut tcb = tcb_arc.lock();
                 let (passive, held) = (tcb.state() == State::SynRcvd, tcb.ack_held());
                 let (out, became_established) = tcb.on_segment(seg, now);
-                (out, passive && became_established, !held && tcb.ack_held())
+                let accepted = passive && became_established;
+                (out, accepted, !held && tcb.ack_held(), tcb.time_wait(now))
             };
             if began_hold {
                 self.ack_holders.lock().push(Arc::clone(&tcb_arc));
@@ -238,7 +308,15 @@ impl TcpHost {
             if accepted {
                 self.promote_passive(&key, &tcb_arc);
             }
-            self.gc_if_closed(&key, &tcb_arc);
+            match record {
+                Some(record) => self.linger(key, record),
+                None => self.gc_if_closed(&key, &tcb_arc),
+            }
+            return;
+        }
+        let lingered = self.lingering.lock().on_segment(&key, &seg);
+        if let Some(reply) = lingered {
+            self.send_segs(src, Vec::from_iter(reply));
             return;
         }
         // No connection: maybe a SYN for a listener.
@@ -310,6 +388,15 @@ impl TcpHost {
         }
     }
 
+    /// Swaps a TCB that reached TIME_WAIT for its record. Both tables are
+    /// held across the swap, so the port is never free to a concurrent
+    /// `connect` in between.
+    fn linger(&self, key: ConnKey, record: TimeWait) {
+        let mut conns = self.conns.lock();
+        conns.remove(&key);
+        self.lingering.lock().insert(key, record);
+    }
+
     /// Ends a batch of arrivals: every ACK still held leaves (one that
     /// rode out on a reply since is no longer held).
     fn release_held_acks(&self) {
@@ -323,6 +410,7 @@ impl TcpHost {
     }
 
     fn process_ticks(&self, now: Nanos) {
+        self.lingering.lock().expire(now);
         let mut conns: Vec<(ConnKey, Arc<Mutex<Tcb>>)> = self
             .conns
             .lock()
@@ -347,9 +435,10 @@ impl fmt::Debug for TcpHost {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "TcpHost({}, conns={}, listeners={})",
+            "TcpHost({}, conns={}, time_wait={}, listeners={})",
             self.host,
             self.conn_count(),
+            self.time_wait_count(),
             self.listeners.lock().len()
         )
     }
@@ -619,7 +708,9 @@ impl NetStack for TcpHost {
                 // Port choice and demux insert share one critical section,
                 // so two concurrent connects cannot pick the same port.
                 let mut conns = host.conns.lock();
-                let key = host.ephemeral(&conns, remote).ok_or(NetError::AddrInUse)?;
+                let key = host
+                    .ephemeral(&conns, &host.lingering.lock(), remote)
+                    .ok_or(NetError::AddrInUse)?;
                 let local = Endpoint::new(host.host, key.local_port);
                 let mut tcb =
                     Tcb::new_active(host.cfg.clone(), local, remote, host.fresh_iss(), now);
@@ -676,58 +767,289 @@ mod tests {
     use eveth_core::do_m;
     use eveth_core::net::{recv_exact, send_all, send_all_vectored};
     use eveth_core::syscall::sys_fork;
+    use eveth_core::time::MILLIS;
     use eveth_simos::SimRuntime;
+    use std::collections::HashSet;
+
+    /// Two hosts on a lossless loopback, both on `cfg`.
+    fn pair(cfg: TcpConfig) -> (SimRuntime, Arc<TcpHost>, Arc<TcpHost>) {
+        let sim = SimRuntime::new_default();
+        let net = LoopbackNet::new();
+        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), cfg.clone());
+        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), cfg);
+        net.register(&a);
+        net.register(&b);
+        (sim, a, b)
+    }
+
+    /// Accepts forever; each connection is read to its end, then closed.
+    fn close_on_eof(lst: Arc<dyn Listener>) -> ThreadM<()> {
+        loop_m((), move |()| {
+            lst.accept().bind(|conn| {
+                let conn = conn.expect("accept");
+                sys_fork(do_m! {
+                    let eof <- conn.recv(16);
+                    let _ = eof.expect("read to the end");
+                    conn.close()
+                })
+                .map(|_| Loop::Continue(()))
+            })
+        })
+    }
 
     #[test]
     fn ephemeral_ports_skip_a_connection_held_open_across_the_wrap() {
-        let sim = SimRuntime::new_default();
-        let net = LoopbackNet::new();
-        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), TcpConfig::default());
-        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), TcpConfig::default());
-        net.register(&a);
-        net.register(&b);
+        let (sim, a, b) = pair(TcpConfig::default());
         let server_ep = Endpoint::new(HostId(2), 80);
 
-        // The server echoes one byte on its first connection — after the
-        // second one has been accepted.
+        // The server echoes one byte on its first connection, and closes
+        // the second on its end of stream.
         let server = do_m! {
             let lst <- b.listen(80);
             let lst = lst.expect("listen");
             let held <- lst.accept();
             let held = held.expect("accept held");
-            let _second <- lst.accept();
+            sys_fork(close_on_eof(lst));
             let byte <- recv_exact(&held, 1);
             send_all(&held, byte.expect("recv on held")).map(|sent| sent.expect("echo"))
         };
         let client = Arc::clone(&a);
-        let (held_port, second_port, echoed) = sim
+        let (ports, lingering, echoed) = sim
             .block_on(do_m! {
                 sys_fork(server);
                 let held <- client.connect(server_ep);
                 let held = held.expect("first connect");
+                // The next port's connection closes first: it lingers.
+                let closed <- client.connect(server_ep);
+                let closed = closed.expect("second connect");
+                closed.close();
+                let eof <- closed.recv(16);
+                let _ = eof.expect("the peer's FIN");
+                let lingering = client.time_wait_count();
                 // A full lap later the allocator is back at the held port.
-                let _ = client.next_ephemeral.fetch_add(25_000 - 1, Ordering::Relaxed);
-                let second <- client.connect(server_ep);
-                let second = second.expect("second connect");
+                let _ = client.next_ephemeral.fetch_add(25_000 - 2, Ordering::Relaxed);
+                let third <- client.connect(server_ep);
+                let third = third.expect("third connect");
                 let sent <- send_all(&held, Bytes::from_static(b"x"));
                 let _ = sent.expect("send on held");
                 let echoed <- recv_exact(&held, 1);
-                ThreadM::pure((held.local().port, second.local().port, echoed))
+                let ports = [&held, &closed, &third].map(|c| c.local().port);
+                ThreadM::pure((ports, lingering, echoed))
             })
             .expect("the held connection still reaches its peer");
         assert_eq!(&echoed.expect("echo")[..], b"x");
-        assert_eq!(second_port, held_port + 1, "the live port is skipped");
+        let [held_port, closed_port, third_port] = ports;
+        assert_eq!((closed_port, lingering), (held_port + 1, 1));
+        assert_eq!(
+            third_port,
+            held_port + 2,
+            "the open port and the lingering one are skipped"
+        );
+    }
+
+    /// Records every segment on its way through a lossless loopback.
+    struct Tap {
+        net: Arc<LoopbackNet>,
+        seen: Mutex<Vec<(HostId, Segment)>>,
+    }
+
+    impl SegmentTransport for Tap {
+        fn send(&self, src: HostId, dst: HostId, seg: Segment) {
+            self.seen.lock().push((src, seg.clone()));
+            self.net.send(src, dst, seg);
+        }
+    }
+
+    impl Tap {
+        /// The last segment `src` sent, and how many it has sent.
+        fn last_from(&self, src: HostId) -> (Segment, usize) {
+            let seen = self.seen.lock();
+            let mut sent = seen.iter().filter(|(from, _)| *from == src);
+            let count = sent.clone().count();
+            (sent.next_back().expect("a segment").1.clone(), count)
+        }
+    }
+
+    /// What a segment says on the wire, payload aside.
+    fn header(seg: &Segment) -> (u16, u16, u32, u32, Flags, u32) {
+        (
+            seg.src_port,
+            seg.dst_port,
+            seg.seq,
+            seg.ack,
+            seg.flags,
+            seg.wnd,
+        )
+    }
+
+    /// Host 1 dials host 2 and closes first; host 2 closes on the end of
+    /// stream. Returns once host 1 has read host 2's FIN.
+    fn close_actively(cfg: TcpConfig) -> (SimRuntime, Arc<Tap>, Arc<TcpHost>, Arc<TcpHost>) {
+        let sim = SimRuntime::new_default();
+        let net = LoopbackNet::new();
+        let tap = Arc::new(Tap {
+            net: net.clone(),
+            seen: Mutex::new(Vec::new()),
+        });
+        let a = TcpHost::start(sim.ctx(), HostId(1), tap.clone(), cfg.clone());
+        let b = TcpHost::start(sim.ctx(), HostId(2), tap.clone(), cfg);
+        net.register(&a);
+        net.register(&b);
+        let server = b.listen(80).bind(|lst| close_on_eof(lst.expect("listen")));
+        let client = Arc::clone(&a);
+        sim.block_on(do_m! {
+            sys_fork(server);
+            let conn <- client.connect(Endpoint::new(HostId(2), 80));
+            let conn = conn.expect("connect");
+            conn.close();
+            conn.recv(16).map(|eof| assert!(eof.expect("the peer's FIN").is_empty()))
+        })
+        .expect("orderly close");
+        (sim, tap, a, b)
+    }
+
+    #[test]
+    fn an_orderly_close_leaves_the_active_closer_a_record_not_a_tcb() {
+        let cfg = TcpConfig {
+            time_wait: 100 * MILLIS,
+            ..TcpConfig::default()
+        };
+        let (sim, _tap, a, b) = close_actively(cfg.clone());
+        let registry = Registry::new();
+        a.register_metrics(&registry, &[("host", "1")]);
+        let gauges = || {
+            ["eveth_tcp_conns_open", "eveth_tcp_conns_time_wait"]
+                .map(|name| registry.counter_value(name, &[("host", "1")]))
+        };
+        // At once: the TCB is gone from the demux table, the record is in.
+        assert_eq!((a.conn_count(), a.time_wait_count()), (0, 1));
+        assert_eq!(gauges(), [Some(0), Some(1)]);
+        // The passive closer keeps nothing once the last ACK is in.
+        let closed_at = sim.now();
+        sim.run_until(Some(closed_at + cfg.time_wait / 2));
+        assert_eq!((b.conn_count(), b.time_wait_count()), (0, 0));
+        assert_eq!(a.time_wait_count(), 1, "still lingering");
+        sim.run_until(Some(closed_at + cfg.time_wait + 2 * cfg.tick));
+        assert_eq!(a.time_wait_count(), 0, "2MSL is over");
+        assert_eq!(gauges(), [Some(0), Some(0)]);
+    }
+
+    #[test]
+    fn a_lingering_connection_acks_a_retransmitted_fin_as_its_tcb_did() {
+        let (sim, tap, a, b) = close_actively(TcpConfig::default());
+        let (fin, _) = tap.last_from(HostId(2));
+        let (ack, sent) = tap.last_from(HostId(1));
+        assert!(fin.flags.fin);
+        assert_eq!(ack.flags, Flags::ack());
+        // The FIN again, as if that ACK had been lost. The peer is stopped:
+        // its closed side would answer the ACK with a RST.
+        b.shutdown();
+        a.inject(HostId(2), fin);
+        sim.run_until(Some(sim.now() + MILLIS));
+        let (again, sent_now) = tap.last_from(HostId(1));
+        assert_eq!(sent_now, sent + 1, "one reply");
+        assert_eq!(header(&again), header(&ack));
+        assert_eq!(a.time_wait_count(), 1);
+    }
+
+    #[test]
+    fn a_reset_ends_a_lingering_connection() {
+        let (sim, tap, a, _b) = close_actively(TcpConfig::default());
+        let (fin, _) = tap.last_from(HostId(2));
+        let (_, sent) = tap.last_from(HostId(1));
+        let rst = Segment {
+            seq: fin.seq_end(),
+            flags: Flags::rst(),
+            ..fin
+        };
+        a.inject(HostId(2), rst);
+        sim.run_until(Some(sim.now() + MILLIS));
+        assert_eq!(a.time_wait_count(), 0);
+        assert_eq!(tap.last_from(HostId(1)).1, sent, "a RST is not answered");
+    }
+
+    #[test]
+    fn a_host_holding_1000_connections_dials_26000_more_across_the_port_wrap() {
+        const HELD: usize = 1_000;
+        const CHURNED: usize = 26_000;
+        // A dial takes about 6 µs of virtual time here, so about 16 k records
+        // still linger when the counter wraps: far more than none, and
+        // fewer than the 24 k ports the held connections leave.
+        let cfg = TcpConfig {
+            time_wait: 100 * MILLIS,
+            ..TcpConfig::default()
+        };
+        let (sim, a, b) = pair(cfg);
+        let server_ep = Endpoint::new(HostId(2), 80);
+        let server = b.listen(80).bind(|lst| close_on_eof(lst.expect("listen")));
+        let holder = Arc::clone(&a);
+        let hold = loop_m(
+            Vec::with_capacity(HELD),
+            move |mut held: Vec<Arc<dyn Conn>>| {
+                if held.len() == HELD {
+                    return ThreadM::pure(Loop::Break(held));
+                }
+                holder.connect(server_ep).map(move |conn| {
+                    held.push(conn.expect("held dial"));
+                    Loop::Continue(held)
+                })
+            },
+        );
+        let client = Arc::clone(&a);
+        let churn = move |held_ports: Arc<HashSet<u16>>| {
+            // (dials so far, the last port, records lingering at the wrap)
+            loop_m(
+                (0, 0, None),
+                move |(dialed, last_port, at_wrap): (usize, u16, Option<usize>)| {
+                    if dialed == CHURNED {
+                        return ThreadM::pure(Loop::Break(at_wrap));
+                    }
+                    let host = Arc::clone(&client);
+                    let held_ports = Arc::clone(&held_ports);
+                    client.connect(server_ep).bind(move |conn| {
+                        let conn = conn.expect("every dial succeeds");
+                        let key = ConnKey {
+                            local_port: conn.local().port,
+                            peer: server_ep,
+                        };
+                        assert!(
+                            !held_ports.contains(&key.local_port),
+                            "dial {dialed} got a held port"
+                        );
+                        assert!(
+                            !host.lingering.lock().records.contains_key(&key),
+                            "dial {dialed} got a lingering port"
+                        );
+                        let at_wrap = at_wrap
+                            .or((key.local_port < last_port).then(|| host.time_wait_count()));
+                        conn.close()
+                            .map(move |()| Loop::Continue((dialed + 1, key.local_port, at_wrap)))
+                    })
+                },
+            )
+        };
+        let (held, at_wrap) = sim
+            .block_on(do_m! {
+                sys_fork(server);
+                let held <- hold;
+                let ports = Arc::new(held.iter().map(|c| c.local().port).collect::<HashSet<_>>());
+                let at_wrap <- churn(ports);
+                ThreadM::pure((held, at_wrap))
+            })
+            .expect("every dial succeeds");
+        let at_wrap = at_wrap.expect("the port counter wrapped");
+        assert!(
+            at_wrap > 0,
+            "records were lingering when the counter wrapped"
+        );
+        sim.run_until(Some(sim.now() + 10 * MILLIS));
+        assert_eq!(a.conn_count(), held.len());
     }
 
     #[test]
     fn a_32k_reply_travels_as_windows_and_the_counters_say_so() {
         const VALUE: usize = 32 * 1024;
-        let sim = SimRuntime::new_default();
-        let net = LoopbackNet::new();
-        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), TcpConfig::default());
-        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), TcpConfig::default());
-        net.register(&a);
-        net.register(&b);
+        let (sim, a, b) = pair(TcpConfig::default());
         let registry = Registry::new();
         assert!(!registry.expose().contains("eveth_tcp_"), "opt-in");
         b.register_metrics(&registry, &[("host", "2")]);
@@ -794,6 +1116,9 @@ mod tests {
             ("eveth_tcp_dup_acks_received_total", 0),
             ("eveth_tcp_acks_coalesced_total", 0),
             ("eveth_tcp_conns_accepted_total", 1),
+            // Neither side has closed: one open connection, none lingering.
+            ("eveth_tcp_conns_open", 1),
+            ("eveth_tcp_conns_time_wait", 0),
         ] {
             assert_eq!(registry.counter_value(name, &label), Some(want), "{name}");
         }
@@ -801,6 +1126,7 @@ mod tests {
             .expose()
             .contains("eveth_tcp_pure_acks_total{host=\"2\"} 0"));
     }
+
     #[test]
     fn a_burst_longer_than_the_batch_is_acknowledged_inside_it() {
         // 100 segments leave in one burst (an open congestion window, room
@@ -814,12 +1140,7 @@ mod tests {
             ..TcpConfig::default()
         };
         let total = BURST * cfg.mss;
-        let sim = SimRuntime::new_default();
-        let net = LoopbackNet::new();
-        let a = TcpHost::start(sim.ctx(), HostId(1), net.clone(), cfg.clone());
-        let b = TcpHost::start(sim.ctx(), HostId(2), net.clone(), cfg);
-        net.register(&a);
-        net.register(&b);
+        let (sim, a, b) = pair(cfg);
         let server = do_m! {
             let lst <- b.listen(80);
             let conn <- lst.expect("listen").accept();

@@ -10,7 +10,8 @@
 //! * [`tcb`] — the per-connection state machine (handshake, sliding
 //!   windows, out-of-order reassembly, FIN/RST teardown) as a pure
 //!   transition system whose send and receive queues hold refcounted
-//!   windows of the application's buffers, not copies of their bytes;
+//!   windows of the application's buffers, not copies of their bytes —
+//!   and the [`TimeWait`] record that replaces a TCB once it is closed;
 //! * [`rtt`] — Jacobson/Karels RTO estimation with Karn's rule;
 //! * [`congestion`] — Reno: slow start, congestion avoidance, fast
 //!   retransmit/recovery;
@@ -77,5 +78,5 @@ pub mod transport;
 
 pub use host::{TcpConn, TcpHost, TcpListener};
 pub use segment::{Flags, Segment};
-pub use tcb::{State, Tcb, TcpConfig, TcpStats};
+pub use tcb::{State, Tcb, TcpConfig, TcpStats, TimeWait};
 pub use transport::{Faults, LoopbackNet, SegmentTransport};

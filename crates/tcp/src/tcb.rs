@@ -14,6 +14,10 @@
 //! resends after a timeout alike; its one segment builder also makes the
 //! fast retransmit's head segment, and counts every segment that starts
 //! below `snd_max` as one retransmission.
+//!
+//! A `Tcb` stops at [`State::TimeWait`]. What that state still needs — the
+//! bare ACK a retransmitted FIN gets, and the instant 2MSL ends — is a
+//! [`TimeWait`] record of its own, which the host keeps in the TCB's place.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,13 +132,20 @@ pub enum State {
     Closing,
     /// Passive close finished sending; awaiting final ACK.
     LastAck,
-    /// Lingering to absorb stray segments.
+    /// Both FINs acknowledged, ours last. The TCB's part ends here: a
+    /// [`TimeWait`] record lingers in its place.
     TimeWait,
     /// Gone.
     Closed,
 }
 
 impl State {
+    /// The TCB has nothing left to do: the connection is gone, or its
+    /// TIME_WAIT record answers for it.
+    fn ended(self) -> bool {
+        matches!(self, State::TimeWait | State::Closed)
+    }
+
     /// The three-way handshake is still running: no data moves, and a
     /// timeout resends the SYN (or SYN+ACK).
     pub(crate) fn handshaking(self) -> bool {
@@ -192,6 +203,33 @@ impl State {
     }
 }
 
+/// A connection in TIME_WAIT: what outlives its [`Tcb`] for 2MSL. No
+/// queues, timers or waiter lists — one bare ACK and one deadline.
+#[derive(Debug)]
+pub struct TimeWait {
+    /// The bare ACK the TCB last sent: a retransmitted FIN gets it again.
+    ack: Segment,
+    until: Nanos,
+}
+
+impl TimeWait {
+    /// When the linger ends.
+    pub fn until(&self) -> Nanos {
+        self.until
+    }
+
+    /// Answers a segment for the lingering connection. A retransmitted FIN
+    /// — our ACK of it was lost — gets the same bare ACK again; anything
+    /// else is absorbed. The flag is false when the segment ends the
+    /// linger: a RST.
+    pub(crate) fn on_segment(&self, seg: &Segment) -> (Option<Segment>, bool) {
+        if seg.flags.rst {
+            return (None, false);
+        }
+        (seg.flags.fin.then(|| self.ack.clone()), true)
+    }
+}
+
 /// The TCP control block: all state for one connection.
 pub struct Tcb {
     cfg: TcpConfig,
@@ -236,7 +274,6 @@ pub struct Tcb {
     ack_held: bool,
 
     // Lifecycle.
-    time_wait_deadline: Option<Nanos>,
     error: Option<NetError>,
     retransmit_count: u64,
     /// The owning host's counters (none for a bare TCB in unit tests).
@@ -316,7 +353,6 @@ impl Tcb {
             peer_fin: None,
             fin_received: false,
             ack_held: false,
-            time_wait_deadline: None,
             error: None,
             retransmit_count: 0,
             stats: None,
@@ -455,6 +491,15 @@ impl Tcb {
         self.segment(self.iss, self.rcv_nxt, Flags::syn_ack(), Bytes::new())
     }
 
+    /// The record that takes this TCB's place once it reached TIME_WAIT at
+    /// `now`; `None` in any other state.
+    pub fn time_wait(&self, now: Nanos) -> Option<TimeWait> {
+        (self.state == State::TimeWait).then(|| TimeWait {
+            ack: self.segment(self.snd_nxt, self.rcv_nxt, Flags::ack(), Bytes::new()),
+            until: now + self.cfg.time_wait,
+        })
+    }
+
     // -- Wakeups -------------------------------------------------------------
 
     fn wake(list: &mut Vec<Waiter>) {
@@ -468,13 +513,11 @@ impl Tcb {
         Self::wake(&mut self.send_waiters);
     }
 
-    /// Moves to `next`: TIME_WAIT starts its linger, CLOSED wakes everyone.
-    fn enter(&mut self, next: State, now: Nanos) {
+    /// Moves to `next`; CLOSED wakes everyone.
+    fn enter(&mut self, next: State) {
         self.state = next;
-        match next {
-            State::TimeWait => self.time_wait_deadline = Some(now + self.cfg.time_wait),
-            State::Closed => self.wake_all(),
-            _ => {}
+        if next == State::Closed {
+            self.wake_all();
         }
     }
 
@@ -671,10 +714,6 @@ impl Tcb {
     pub fn on_tick(&mut self, now: Nanos) -> Vec<Segment> {
         // Backstop: an ACK no batch end and no outgoing segment released.
         let mut out = Vec::from_iter(self.flush_ack());
-        if self.time_wait_deadline.is_some_and(|d| now >= d) {
-            self.time_wait_deadline = None;
-            self.enter(State::Closed, now);
-        }
         if self.rto_deadline.is_none_or(|d| now < d) {
             return out;
         }
@@ -685,7 +724,7 @@ impl Tcb {
             if self.syn_retries > self.cfg.max_syn_retries {
                 self.error = Some(NetError::Timeout);
                 self.rto_deadline = None;
-                self.enter(State::Closed, now);
+                self.enter(State::Closed);
                 return out;
             }
         }
@@ -723,24 +762,23 @@ impl Tcb {
     pub fn on_segment(&mut self, seg: Segment, now: Nanos) -> (Vec<Segment>, bool) {
         let mut became_established = false;
         let mut out = Vec::new();
+        if self.state.ended() {
+            return (out, false);
+        }
 
         if seg.flags.rst {
-            if self.state != State::Closed {
-                // A RST for an orderly-finished connection is not an error;
-                // one answering our SYN means nobody is listening.
-                if self.state == State::SynSent {
-                    self.error = Some(NetError::ConnectionRefused);
-                } else if self.state != State::TimeWait {
-                    self.error = Some(NetError::Reset);
-                }
-                self.ack_held = false; // nobody is left to acknowledge to
-                self.enter(State::Closed, now);
-            }
+            // One answering our SYN means nobody is listening.
+            self.error = Some(if self.state == State::SynSent {
+                NetError::ConnectionRefused
+            } else {
+                NetError::Reset
+            });
+            self.ack_held = false; // nobody is left to acknowledge to
+            self.enter(State::Closed);
             return (out, false);
         }
 
         match self.state {
-            State::Closed => return (out, false),
             State::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.iss.wrapping_add(1) {
                     self.irs = seg.seq;
@@ -764,13 +802,6 @@ impl Tcb {
                 self.establish(&seg);
                 became_established = true;
                 // Fall through: the ACK may carry data.
-            }
-            State::TimeWait => {
-                // Re-ACK retransmitted FINs.
-                if seg.flags.fin {
-                    out.push(self.ack_segment());
-                }
-                return (out, false);
             }
             _ => {}
         }
@@ -806,7 +837,7 @@ impl Tcb {
                 };
                 Self::wake(&mut self.send_waiters);
                 if let Some(next) = self.state.on_fin_acked().filter(|_| fin_acked) {
-                    self.enter(next, now);
+                    self.enter(next);
                 }
             } else if seg.ack == self.snd_una
                 && self.in_flight() > 0
@@ -852,7 +883,7 @@ impl Tcb {
             let fin_pos = seg.seq.wrapping_add(seg.payload.len() as u32);
             self.peer_fin = Some(fin_pos);
         }
-        self.maybe_consume_fin(now);
+        self.maybe_consume_fin();
 
         // ---- Replies: data (carrying the ACK) or a bare ACK.
         let data_out = self.output(now);
@@ -923,7 +954,7 @@ impl Tcb {
         Self::wake(&mut self.recv_waiters);
     }
 
-    fn maybe_consume_fin(&mut self, now: Nanos) {
+    fn maybe_consume_fin(&mut self) {
         let Some(fin_pos) = self.peer_fin else { return };
         if self.fin_received || self.rcv_nxt != fin_pos {
             return;
@@ -932,7 +963,7 @@ impl Tcb {
         self.fin_received = true;
         Self::wake(&mut self.recv_waiters);
         if let Some(next) = self.state.on_peer_fin() {
-            self.enter(next, now);
+            self.enter(next);
         }
     }
 
@@ -1156,13 +1187,27 @@ mod tests {
         // Server closes too.
         s.app_close();
         let fin2 = s.output(50_000);
-        settle(&mut s, &mut c, fin2, 50_000);
+        assert!(s.time_wait(50_000).is_none(), "only TIME_WAIT has a record");
+        settle(&mut s, &mut c, fin2.clone(), 50_000);
         assert_eq!(s.state(), State::Closed);
         assert_eq!(c.state(), State::TimeWait);
-        // TIME_WAIT expires.
-        let end = 50_000 + TcpConfig::default().time_wait + MILLIS;
-        c.on_tick(end);
-        assert_eq!(c.state(), State::Closed);
+        // TIME_WAIT is a record: it expires 2MSL after it began, and answers
+        // the FIN again with the ACK the TCB sent.
+        let record = c.time_wait(60_000).expect("the active closer lingers");
+        assert_eq!(record.until(), 60_000 + TcpConfig::default().time_wait);
+        let (again, lingers) = record.on_segment(&fin2[0]);
+        let again = again.expect("a retransmitted FIN is acknowledged");
+        assert!(lingers);
+        assert_eq!(
+            (again.flags, again.seq, again.ack),
+            (Flags::ack(), c.snd_nxt, c.rcv_nxt)
+        );
+        // The TCB itself is done: it neither ticks nor answers any more.
+        assert!(c
+            .on_tick(60_000 + 10 * TcpConfig::default().time_wait)
+            .is_empty());
+        assert!(c.on_segment(fin2[0].clone(), 70_000).0.is_empty());
+        assert_eq!(c.state(), State::TimeWait);
     }
 
     #[test]

@@ -93,12 +93,11 @@ fn simultaneous_close_reaches_time_wait_on_both() {
     // Simultaneous close: FIN crossed FIN → Closing → TimeWait.
     assert_eq!(c.state(), State::TimeWait);
     assert_eq!(s.state(), State::TimeWait);
-    // 2MSL expiry closes both.
-    let end = now + TcpConfig::default().time_wait + MILLIS;
-    c.on_tick(end);
-    s.on_tick(end);
-    assert_eq!(c.state(), State::Closed);
-    assert_eq!(s.state(), State::Closed);
+    // Each side's record takes its place and ends 2MSL later.
+    for tcb in [&c, &s] {
+        let record = tcb.time_wait(now).expect("both sides linger");
+        assert_eq!(record.until(), now + TcpConfig::default().time_wait);
+    }
 }
 
 #[test]

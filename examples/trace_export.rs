@@ -11,6 +11,8 @@
 //! cargo run --example trace_export [-- out.json]
 //! ```
 //!
+//! Without an argument it writes `target/trace_export.json`.
+//!
 //! Then load the JSON in Perfetto: open <https://ui.perfetto.dev>, press
 //! "Open trace file" and pick the exported file (legacy
 //! `chrome://tracing` loads it too). Each monadic thread renders as its
@@ -21,9 +23,10 @@ use eveth::simos::cost::CostModel;
 use eveth_bench::workloads::{kv_trace_run, KvRunParams};
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "trace_export.json".to_string());
+    let out = std::env::args().nth(1).unwrap_or_else(|| {
+        std::fs::create_dir_all("target").expect("target/ created");
+        "target/trace_export.json".to_string()
+    });
 
     // The same fixed cell CI exports (`EVETH_TRACE_OUT` on the fig_kv
     // binary): loopback link, 4 virtual CPUs, a single shard under 32
