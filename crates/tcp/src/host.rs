@@ -175,7 +175,7 @@ impl TcpHost {
     /// this exposes exactly what it did before.
     pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
         type Cell = fn(&TcpStats) -> &AtomicU64;
-        let cells: [(&str, Cell); 12] = [
+        let cells: [(&str, Cell); 13] = [
             ("eveth_tcp_segs_sent_total", |s| &s.segs_sent),
             ("eveth_tcp_segs_received_total", |s| &s.segs_received),
             ("eveth_tcp_conns_opened_total", |s| &s.conns_opened),
@@ -190,6 +190,7 @@ impl TcpHost {
             ("eveth_tcp_retransmits_total", |s| &s.retransmits),
             ("eveth_tcp_pure_acks_total", |s| &s.pure_acks),
             ("eveth_tcp_acks_coalesced_total", |s| &s.acks_coalesced),
+            ("eveth_tcp_acks_on_tick_total", |s| &s.acks_on_tick),
             ("eveth_tcp_rto_fires_total", |s| &s.rto_fires),
             ("eveth_tcp_dup_acks_received_total", |s| {
                 &s.dup_acks_received
@@ -445,7 +446,8 @@ impl fmt::Debug for TcpHost {
 }
 
 /// One segment per trip, as the paper's loop; the ACKs held along the way
-/// leave in the trip that finds `rx` dry or completes [`ACK_BATCH`].
+/// leave in the trip that finds `rx` dry or completes [`ACK_BATCH`]. An ACK
+/// delayed to the reply stays owed: the reply or the tick takes it.
 fn worker_tcp_input(host: Arc<TcpHost>) -> ThreadM<()> {
     loop_m(0, move |batched: usize| {
         let h = Arc::clone(&host);
@@ -1115,6 +1117,9 @@ mod tests {
             ("eveth_tcp_rto_fires_total", 0),
             ("eveth_tcp_dup_acks_received_total", 0),
             ("eveth_tcp_acks_coalesced_total", 0),
+            // The server received no data after the handshake: it owed
+            // no ACK for the tick to send.
+            ("eveth_tcp_acks_on_tick_total", 0),
             ("eveth_tcp_conns_accepted_total", 1),
             // Neither side has closed: one open connection, none lingering.
             ("eveth_tcp_conns_open", 1),

@@ -20,7 +20,8 @@ pub struct Flags {
     /// Hard reset.
     pub rst: bool,
     /// Push — the sender's buffer is empty after this segment (or it is a
-    /// retransmission): acknowledge now.
+    /// retransmission): acknowledge now, or with the reply if the segment
+    /// is shorter than an MSS.
     pub psh: bool,
 }
 

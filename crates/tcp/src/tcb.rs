@@ -107,6 +107,10 @@ pub struct TcpStats {
     /// Data segments that got no ACK of their own: a later segment's ACK
     /// covered them.
     pub acks_coalesced: AtomicU64,
+    /// ACKs owed for received data that no outgoing segment carried and no
+    /// batch end released, so the tick sent them: what the delay to the
+    /// reply costs in latency.
+    pub acks_on_tick: AtomicU64,
     /// Retransmission timeouts that fired (handshake included).
     pub rto_fires: AtomicU64,
     /// Duplicate ACKs received while data was in flight.
@@ -203,6 +207,20 @@ impl State {
     }
 }
 
+/// The ACK this side owes for accepted payload and no segment has carried
+/// yet — the one ACK state a [`Tcb`] keeps. Ordered by how soon it leaves,
+/// so a new debt and an old one combine with `max`: the earliest release
+/// wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum AckOwed {
+    /// Nothing owed.
+    Nothing,
+    /// The end of a short write: the reply carries it, else the tick.
+    Reply,
+    /// The middle of a burst: the batch end releases it, if nothing sooner.
+    BatchEnd,
+}
+
 /// A connection in TIME_WAIT: what outlives its [`Tcb`] for 2MSL. No
 /// queues, timers or waiter lists — one bare ACK and one deadline.
 #[derive(Debug)]
@@ -270,8 +288,8 @@ pub struct Tcb {
     peer_fin: Option<u32>,
     fin_received: bool,
     /// Payload was accepted and its ACK has not left: it rides on the next
-    /// segment this side builds, or on [`Tcb::flush_ack`].
-    ack_held: bool,
+    /// segment this side builds, or leaves on [`Tcb::flush_ack`] or the tick.
+    ack_owed: AckOwed,
 
     // Lifecycle.
     error: Option<NetError>,
@@ -352,7 +370,7 @@ impl Tcb {
             ooo_bytes: 0,
             peer_fin: None,
             fin_received: false,
-            ack_held: false,
+            ack_owed: AckOwed::Nothing,
             error: None,
             retransmit_count: 0,
             stats: None,
@@ -458,27 +476,31 @@ impl Tcb {
     /// Builds a post-handshake segment. Each one carries the cumulative
     /// ACK, so whatever was held leaves with it.
     fn make_seg(&mut self, seq: u32, flags: Flags, payload: Bytes) -> Segment {
-        self.ack_held = false;
+        self.ack_owed = AckOwed::Nothing;
         self.segment(seq, self.rcv_nxt, flags, payload)
     }
 
     /// A bare ACK, now: the current `rcv_nxt` and receive window. Every
-    /// immediate acknowledgement, the release of a held one and the
-    /// window update after a read reopens a closed window are this call.
+    /// immediate acknowledgement, the release of a held or delayed one and
+    /// the window update after a read reopens a closed window are this
+    /// call.
     pub fn ack_segment(&mut self) -> Segment {
         self.make_seg(self.snd_nxt, Flags::ack(), Bytes::new())
     }
 
-    /// The ACK held for in-order data (see [`Tcb::on_segment`]), if no
-    /// outgoing segment has carried it yet. The host calls this when a batch
-    /// of arrivals ends; [`Tcb::on_tick`] is the backstop.
+    /// The ACK held for the middle of a burst (see [`Tcb::on_segment`]), if
+    /// no outgoing segment has carried it yet. The host calls this when a
+    /// batch of arrivals ends. The ACK of a short write's end is not
+    /// released here: it waits for the reply, with [`Tcb::on_tick`] as the
+    /// backstop for both.
     pub fn flush_ack(&mut self) -> Option<Segment> {
-        self.ack_held.then(|| self.ack_segment())
+        self.ack_held().then(|| self.ack_segment())
     }
 
-    /// True while an ACK is held.
+    /// True while an ACK is held for the batch end: [`Tcb::flush_ack`]
+    /// would send it.
     pub fn ack_held(&self) -> bool {
-        self.ack_held
+        self.ack_owed == AckOwed::BatchEnd
     }
 
     /// The initial SYN (active open).
@@ -687,8 +709,9 @@ impl Tcb {
             let (chunk, copied) = self.snd_buf.range(offset, n);
             self.note_payload(n, copied);
             // PSH marks the end of what was written — the receiver
-            // acknowledges there at once and holds its ACK before — and
-            // every resend, so that recovery is clocked segment by segment.
+            // acknowledges there, at once or with its reply to a short
+            // write, and holds its ACK before — and every resend, so that
+            // recovery is clocked segment by segment.
             flags.psh = offset + n == self.snd_buf.len() || seq_lt(seq, self.snd_max);
             chunk
         } else if self.fin_queued && seq == self.fin_seq() {
@@ -713,7 +736,11 @@ impl Tcb {
     /// Advances timers to `now`; returns segments to (re)transmit.
     pub fn on_tick(&mut self, now: Nanos) -> Vec<Segment> {
         // Backstop: an ACK no batch end and no outgoing segment released.
-        let mut out = Vec::from_iter(self.flush_ack());
+        let mut out = Vec::new();
+        if self.ack_owed != AckOwed::Nothing {
+            self.count(|s| &s.acks_on_tick);
+            out.push(self.ack_segment());
+        }
         if self.rto_deadline.is_none_or(|d| now < d) {
             return out;
         }
@@ -756,9 +783,14 @@ impl Tcb {
     /// returned flag is true if the connection just became `Established`
     /// (the host promotes a passive one to its listener's accept queue).
     ///
-    /// Payload is acknowledged in the replies — except the middle of a
-    /// burst (in order, nothing missing, full-sized, no PSH, no FIN), whose
-    /// ACK is held for the next outgoing segment or [`Tcb::flush_ack`].
+    /// Payload is acknowledged in the replies, with two exceptions for an
+    /// in-order segment (nothing missing, no FIN):
+    /// - the middle of a burst (full-sized, no PSH) holds its ACK for the
+    ///   next outgoing segment or [`Tcb::flush_ack`] at the batch end;
+    /// - the end of a short write (PSH, under an MSS, at least an MSS of
+    ///   receive window left, and this side still able to write) delays its
+    ///   ACK to the next outgoing segment — normally the reply — or the
+    ///   next [`Tcb::on_tick`].
     pub fn on_segment(&mut self, seg: Segment, now: Nanos) -> (Vec<Segment>, bool) {
         let mut became_established = false;
         let mut out = Vec::new();
@@ -773,7 +805,7 @@ impl Tcb {
             } else {
                 NetError::Reset
             });
-            self.ack_held = false; // nobody is left to acknowledge to
+            self.ack_owed = AckOwed::Nothing; // nobody is left to acknowledge to
             self.enter(State::Closed);
             return (out, false);
         }
@@ -857,24 +889,33 @@ impl Tcb {
 
         // ---- Payload processing.
         if !seg.payload.is_empty() {
-            if self.ack_held {
+            if self.ack_owed != AckOwed::Nothing {
                 self.count(|s| &s.acks_coalesced); // this segment's ACK covers it
             }
-            // The middle of a burst — in order, nothing missing, full-sized,
-            // the sender not done (no PSH, no FIN) — is acknowledged with
-            // what follows it. Anything loss recovery or a writer blocked
-            // on the send buffer waits for is acknowledged now.
-            let mid_burst = seg.seq == self.rcv_nxt
-                && self.ooo.is_empty()
-                && seg.payload.len() >= self.cfg.mss
-                && !seg.flags.psh
-                && !seg.flags.fin;
-            if mid_burst {
-                self.ack_held = true;
-            } else {
+            let in_order = seg.seq == self.rcv_nxt && self.ooo.is_empty() && !seg.flags.fin;
+            let full = seg.payload.len() >= self.cfg.mss;
+            self.ingest_payload(seg.seq, seg.payload.clone());
+            // The middle of a burst is acknowledged with what follows it.
+            // The end of a short write is acknowledged by the answer to it,
+            // while an answer can still come and the window the sender
+            // sees stays open. Anything else — what loss recovery or a
+            // sender held back by its windows waits for — is acknowledged
+            // now.
+            let owed = match (in_order, full, seg.flags.psh) {
+                (true, true, false) => AckOwed::BatchEnd,
+                (true, false, true)
+                    if self.state.accepts_writes()
+                        && !self.fin_queued
+                        && self.recv_window() as usize >= self.cfg.mss =>
+                {
+                    AckOwed::Reply
+                }
+                _ => AckOwed::Nothing,
+            };
+            if owed == AckOwed::Nothing {
                 need_ack = true;
             }
-            self.ingest_payload(seg.seq, seg.payload.clone());
+            self.ack_owed = self.ack_owed.max(owed);
         }
 
         // ---- FIN processing.

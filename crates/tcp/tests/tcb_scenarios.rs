@@ -1,12 +1,15 @@
 //! TCB scenario tests beyond the unit suite: simultaneous close, rollback
-//! recovery, window dynamics, RTO backoff, and reordering — each driven by
-//! hand-delivering segments to a pair of state machines.
+//! recovery, window dynamics, RTO backoff, reordering and the ACK policy —
+//! each driven by hand-delivering segments to a pair of state machines.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use bytes::{BufferPool, Bytes};
 use eveth_core::net::{Endpoint, HostId, NetError};
 use eveth_core::time::MILLIS;
-use eveth_tcp::segment::Segment;
-use eveth_tcp::tcb::{State, Tcb, TcpConfig};
+use eveth_tcp::segment::{Flags, Segment};
+use eveth_tcp::tcb::{State, Tcb, TcpConfig, TcpStats};
 
 fn pair(cfg: TcpConfig) -> (Tcb, Tcb) {
     pair_from(cfg, 100)
@@ -433,9 +436,14 @@ fn short_replies_waiting_for_an_ack_or_a_reader_pin_no_pool_slab() {
     }
     assert_eq!(s.send_buffered(), 512);
     assert_eq!(pool.free_slabs(), 64, "the send queue holds no slab");
-    // Delivered, acknowledged, assembled — and left unread.
+    // Delivered, assembled — and left unread. A short write waits for its
+    // reply to carry the ACK; none comes, so the tick sends it.
     let first = s.output(10_000);
-    exchange(&mut s, &mut c, first, 10_000);
+    let now = exchange(&mut s, &mut c, first, 10_000);
+    assert_eq!((s.send_buffered(), c.recv_buffered()), (512, 512));
+    assert_eq!(pool.free_slabs(), 64, "the send queue still holds no slab");
+    let ack = c.on_tick(now + 10 * MILLIS);
+    exchange(&mut c, &mut s, ack, now + 10 * MILLIS);
     assert_eq!((s.send_buffered(), c.recv_buffered()), (0, 512));
     assert_eq!(pool.free_slabs(), 64, "the receive queue holds no slab");
     let (data, _) = c.app_read(4096).unwrap();
@@ -563,4 +571,209 @@ fn a_reset_drops_the_held_ack() {
     s.on_segment(c.app_abort(), 21_000);
     assert_eq!(s.state(), State::Closed);
     assert!(s.flush_ack().is_none(), "no ACK to a peer that reset");
+}
+
+fn is_pure_ack(seg: &Segment) -> bool {
+    seg.payload.is_empty() && seg.flags == Flags::ack()
+}
+
+/// `from` writes `len` bytes and `to` reads them; every answer is delivered
+/// back. Returns each segment either side sent.
+fn write_and_read(from: &mut Tcb, to: &mut Tcb, len: usize, now: u64) -> Vec<Segment> {
+    assert_eq!(from.app_write(Bytes::from(vec![7u8; len])).unwrap(), len);
+    let mut wire = from.output(now);
+    let mut answers = Vec::new();
+    for seg in &wire {
+        answers.extend(to.on_segment(seg.clone(), now + 500).0);
+    }
+    for seg in &answers {
+        wire.extend(from.on_segment(seg.clone(), now + 1_000).0);
+    }
+    wire.extend(answers);
+    let (data, _) = to.app_read(len).unwrap();
+    assert_eq!(data.map(|d| d.len()), Some(len));
+    wire
+}
+
+#[test]
+fn fifty_requests_and_replies_cost_a_hundred_segments_and_no_bare_ack() {
+    const EXCHANGES: u64 = 50;
+    let stats = Arc::new(TcpStats::default());
+    let (mut c, mut s) = pair(TcpConfig::default());
+    c.report_to(Arc::clone(&stats));
+    s.report_to(Arc::clone(&stats));
+    let mut wire = Vec::new();
+    for i in 0..EXCHANGES {
+        let now = 10_000 + i * 4_000;
+        wire.extend(write_and_read(&mut c, &mut s, 100, now));
+        assert_eq!(
+            s.send_buffered(),
+            0,
+            "request {i} acknowledged the reply before it"
+        );
+        wire.extend(write_and_read(&mut s, &mut c, 8, now + 2_000));
+        assert_eq!(c.send_buffered(), 0, "the reply acknowledged request {i}");
+    }
+    assert_eq!(wire.len() as u64, 2 * EXCHANGES);
+    assert_eq!(wire.iter().filter(|seg| is_pure_ack(seg)).count(), 0);
+    assert_eq!(stats.acks_on_tick.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn a_short_write_is_acknowledged_by_the_reply_or_else_by_the_tick() {
+    let tick = TcpConfig::default().tick;
+    let request = |c: &mut Tcb, s: &mut Tcb| {
+        c.app_write(Bytes::from(vec![5u8; 100])).unwrap();
+        let sent = c.output(10_000);
+        assert_eq!(sent.len(), 1);
+        assert!(
+            s.on_segment(sent[0].clone(), 11_000).0.is_empty(),
+            "no bare ACK"
+        );
+        sent[0].seq_end()
+    };
+
+    // No reply: the batch end releases nothing, the tick one bare ACK.
+    let stats = Arc::new(TcpStats::default());
+    let (mut c, mut s) = pair(TcpConfig::default());
+    s.report_to(Arc::clone(&stats));
+    let end = request(&mut c, &mut s);
+    assert!(!s.ack_held());
+    assert!(s.flush_ack().is_none(), "not the batch end's to send");
+    let acks = s.on_tick(tick);
+    assert_eq!(acks.len(), 1);
+    assert!(is_pure_ack(&acks[0]) && acks[0].ack == end);
+    assert_eq!(stats.acks_on_tick.load(Ordering::Relaxed), 1);
+    assert!(s.on_tick(2 * tick).is_empty(), "sent once");
+    c.on_segment(acks[0].clone(), tick + 1_000);
+    assert_eq!(c.send_buffered(), 0);
+
+    // A reply written before the tick carries it; the tick sends nothing.
+    let (mut c, mut s) = pair(TcpConfig::default());
+    s.report_to(Arc::clone(&stats));
+    let end = request(&mut c, &mut s);
+    s.app_write(Bytes::from_static(b"STORED\r\n")).unwrap();
+    let reply = s.output(12_000);
+    assert_eq!((reply.len(), reply[0].ack), (1, end));
+    assert!(s.on_tick(tick).is_empty());
+    assert_eq!(stats.acks_on_tick.load(Ordering::Relaxed), 1);
+    c.on_segment(reply[0].clone(), 13_000);
+    assert_eq!(c.send_buffered(), 0);
+}
+
+/// A connected pair, and what the client sends once it wrote `len` bytes
+/// with room for `cwnd_mss` segments in flight.
+fn written(cwnd_mss: u32, len: usize) -> (Tcb, Tcb, Vec<Segment>) {
+    let (mut c, s) = burst_pair(cwnd_mss);
+    c.app_write(Bytes::from(vec![2u8; len])).unwrap();
+    let segs = c.output(10_000);
+    (c, s, segs)
+}
+
+#[test]
+fn everything_but_a_short_write_or_a_burst_is_still_acknowledged_at_once() {
+    type Case = fn() -> (Tcb, Vec<Segment>);
+    // Each case: a receiver and the segments it gets in turn. The last one
+    // must be answered with a bare ACK there and then.
+    let cases: [(&str, Case); 10] = [
+        ("out-of-order payload", || {
+            let (_, s, segs) = written(10, 2 * MSS + 100);
+            (s, vec![segs[1].clone()])
+        }),
+        ("the segment that fills a gap", || {
+            let (_, s, segs) = written(10, 2 * MSS + 100);
+            (s, vec![segs[1].clone(), segs[0].clone()])
+        }),
+        ("duplicate payload", || {
+            let (_, s, segs) = written(2, 100);
+            (s, vec![segs[0].clone(), segs[0].clone()])
+        }),
+        ("a FIN", || {
+            let (mut c, s) = pair(TcpConfig::default());
+            c.app_close();
+            (s, c.output(10_000))
+        }),
+        ("a resent SYN+ACK", || {
+            let (c, s) = pair(TcpConfig::default());
+            (c, vec![s.syn_ack_segment()])
+        }),
+        ("the handshake's final ACK", || {
+            let (a, b) = (Endpoint::new(HostId(1), 1000), Endpoint::new(HostId(2), 80));
+            let cfg = TcpConfig::default();
+            let c = Tcb::new_active(cfg.clone(), a, b, 100, 0);
+            let s = Tcb::new_passive(cfg, b, a, 5000, &c.syn_segment(), 0);
+            (c, vec![s.syn_ack_segment()])
+        }),
+        ("a full-sized write ending in PSH", || {
+            let (_, s, segs) = written(2, MSS);
+            assert!(segs[0].flags.psh);
+            (s, segs)
+        }),
+        ("a short segment without PSH", || {
+            let (_, s, mut segs) = written(2, 100);
+            segs[0].flags.psh = false;
+            (s, segs)
+        }),
+        ("a short write that leaves under an MSS of window", || {
+            let (mut c, s) = pair(TcpConfig {
+                recv_window: MSS + 50,
+                ..Default::default()
+            });
+            c.app_write(Bytes::from(vec![2u8; 100])).unwrap();
+            (s, c.output(10_000))
+        }),
+        ("a short write to a side that closed", || {
+            let (mut c, mut s) = pair(TcpConfig::default());
+            s.app_close();
+            let fin = s.output(10_000);
+            let now = exchange(&mut s, &mut c, fin, 10_000);
+            c.app_write(Bytes::from(vec![2u8; 100])).unwrap();
+            (s, c.output(now))
+        }),
+    ];
+    for (name, case) in cases {
+        let (mut rx, segs) = case();
+        let mut answer = Vec::new();
+        for seg in segs {
+            answer = rx.on_segment(seg, 20_000).0;
+        }
+        assert!(
+            answer.len() == 1 && is_pure_ack(&answer[0]),
+            "{name}: answered with {answer:?}"
+        );
+    }
+}
+
+#[test]
+fn a_lost_short_tail_is_resent_and_acknowledged_within_an_rto_and_a_tick() {
+    let cfg = TcpConfig::default();
+    let (mut c, mut s) = burst_pair(10);
+    c.app_write(Bytes::from(vec![8u8; 2 * MSS + 100])).unwrap();
+    let mut segs = c.output(10_000);
+    assert_eq!(segs.len(), 3);
+    let _lost = segs.pop();
+    for seg in segs {
+        assert!(s.on_segment(seg, 20_000).0.is_empty());
+    }
+    let acked_at = 30_000;
+    let ack = s.flush_ack().expect("the batch end acknowledges the burst");
+    c.on_segment(ack, acked_at);
+    assert_eq!(c.send_buffered(), 100);
+    // Both sides tick, the receiver first: the resent tail arrives just
+    // after its tick, so its delayed ACK waits for the next one.
+    let mut now = acked_at;
+    while c.send_buffered() > 0 {
+        now += cfg.tick;
+        assert!(now <= acked_at + cfg.min_rto + cfg.tick, "stalled");
+        for ack in s.on_tick(now) {
+            c.on_segment(ack, now);
+        }
+        for seg in c.on_tick(now) {
+            for ack in s.on_segment(seg, now).0 {
+                c.on_segment(ack, now);
+            }
+        }
+    }
+    assert_eq!(c.retransmits(), 1);
+    assert_eq!(s.recv_buffered(), 2 * MSS + 100);
 }
