@@ -11,7 +11,6 @@ use eveth_simos::SimRuntime;
 use eveth_tcp::host::TcpHost;
 use eveth_tcp::tcb::TcpConfig;
 use eveth_tcp::transport::SegmentTransport;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 struct SimNetTransport {
@@ -97,8 +96,8 @@ fn main() {
             sim.now() / 1_000_000,
             a,
             b,
-            net.stats().sent.load(Ordering::Relaxed),
-            net.stats().dropped.load(Ordering::Relaxed),
+            net.stats().sent.get(),
+            net.stats().dropped.get(),
             report.io_wait_ns / 1_000,
             report.io_waits,
             report.lock_wait_ns / 1_000,

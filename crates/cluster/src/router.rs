@@ -1155,9 +1155,11 @@ impl Router {
 
     /// Registers the router's counters and the framework's lifecycle
     /// counters into an attached telemetry hub. Call before spawning
-    /// [`Router::run`].
+    /// [`Router::run`]. First attach wins; later calls change nothing.
     pub fn attach_telemetry(&self, telemetry: &Arc<Telemetry>) {
-        self.server.attach_telemetry(telemetry, "router");
+        if !self.server.attach_telemetry(telemetry, "router") {
+            return;
+        }
         let reg = telemetry.registry();
         let s = &self.shared.stats;
         reg.register_counter("eveth_router_commands_total", &[], &s.commands);

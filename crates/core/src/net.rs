@@ -101,8 +101,7 @@ pub trait Conn: Send + Sync {
     /// block (data, EOF or error), after which `recv` completes promptly;
     /// `Interest::Write` is the send-side twin. Both bundled socket stacks
     /// return `Some`. There is no second way to wait: the composed helpers
-    /// ([`session_input`], [`send_all_within`],
-    /// [`send_all_within_vectored`]) answer `None` with a
+    /// ([`session_input`], [`send_all_within`]) answer `None` with a
     /// [`NetError::Protocol`] instead of blocking or forking a helper.
     fn readiness_fd(&self) -> Option<crate::reactor::Fd>;
 
@@ -396,56 +395,16 @@ fn send_wait(fd: &Fd, shutdown: &Signal, deadline: Option<Nanos>) -> ThreadM<Sen
     })
 }
 
-/// Sends all of `data` like [`send_all`], but as a composed event wait:
-/// each round is one [`choose`] over write readiness, an overall deadline
-/// (`timeout` nanoseconds from the start; `0` disables it) and a shutdown
-/// broadcast — so a server never commits to a blocking `send` against a
-/// zero-window peer that will stall shutdown forever.
+/// Sends every byte of every buffer like [`send_all_vectored`], but as a
+/// composed event wait: each round is one [`choose`] over write
+/// readiness, an overall deadline (`timeout` nanoseconds from the start;
+/// `0` disables it) and a shutdown broadcast — so a server never commits
+/// to a blocking `send` against a zero-window peer that will stall
+/// shutdown forever. A single buffer is a one-element `Vec`.
 ///
 /// A connection without a readiness descriptor is answered with a
 /// transport error ([`SendInput::Done`] of `Err`).
 pub fn send_all_within(
-    conn: &Arc<dyn Conn>,
-    data: Bytes,
-    timeout: Nanos,
-    shutdown: &Signal,
-) -> ThreadM<SendInput> {
-    let Some(fd) = conn.readiness_fd() else {
-        return ThreadM::pure(SendInput::Done(Err(no_readiness_fd())));
-    };
-    let conn = Arc::clone(conn);
-    let shutdown = shutdown.clone();
-    sys_time().bind(move |t0| {
-        let deadline = (timeout > 0).then(|| t0.saturating_add(timeout));
-        loop_m(data, move |remaining| {
-            if remaining.is_empty() {
-                return ThreadM::pure(Loop::Break(SendInput::Done(Ok(()))));
-            }
-            let conn = Arc::clone(&conn);
-            send_wait(&fd, &shutdown, deadline).bind(move |wake| match wake {
-                SendWake::Timeout => ThreadM::pure(Loop::Break(SendInput::Timeout)),
-                SendWake::Shutdown => ThreadM::pure(Loop::Break(SendInput::Shutdown)),
-                SendWake::Writable => conn.send(remaining.clone()).map(move |r| match r {
-                    Ok(n) => {
-                        let rest = remaining.slice(n..);
-                        if rest.is_empty() {
-                            Loop::Break(SendInput::Done(Ok(())))
-                        } else {
-                            Loop::Continue(rest)
-                        }
-                    }
-                    Err(e) => Loop::Break(SendInput::Done(Err(e))),
-                }),
-            })
-        })
-    })
-}
-
-/// Sends every byte of every buffer like [`send_all_vectored`], but as a
-/// composed event wait — the vectored [`send_all_within`], with the same
-/// per-round wait and the same answer to a connection without a
-/// readiness descriptor.
-pub fn send_all_within_vectored(
     conn: &Arc<dyn Conn>,
     mut bufs: Vec<Bytes>,
     timeout: Nanos,

@@ -24,8 +24,8 @@
 //!
 //! A service supplies only what is actually service-specific: per-session
 //! state (typically a protocol parser), a chunk handler that parses /
-//! executes / replies, and optional hooks for session-end bookkeeping and
-//! exception recovery. Both bundled services (`eveth-kv`'s `KvServer`,
+//! executes / replies, and an optional exception-recovery hook. Both
+//! bundled services (`eveth-kv`'s `KvServer`,
 //! `eveth-http`'s `WebServer`) are thin [`Service`] implementations over
 //! this module.
 //!
@@ -64,7 +64,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -73,8 +73,8 @@ use crate::do_m;
 use crate::event::{choose, sync, Signal};
 use crate::exception::Exception;
 use crate::net::{
-    send_all, send_all_vectored, send_all_within, send_all_within_vectored, session_input, Conn,
-    Listener, NetError, NetStack, SendInput, SessionInput,
+    send_all, send_all_vectored, send_all_within, session_input, Conn, Listener, NetError,
+    NetStack, SendInput, SessionInput,
 };
 use crate::syscall::{span, sys_catch, sys_fork, sys_nbio, sys_throw};
 use crate::telemetry::metrics::{Counter, Gauge};
@@ -91,34 +91,18 @@ pub enum Step<S> {
     Close,
 }
 
-/// Why a session ended — handed to [`Service::on_end`] so services keep
-/// their own counters without owning the loop.
-#[derive(Debug)]
-pub enum SessionEnd {
-    /// The peer closed the stream (recv returned end-of-stream).
-    PeerClosed,
-    /// The transport failed mid-session.
-    TransportError(NetError),
-    /// The idle deadline won the session's `choose`.
-    Idle,
-    /// The server-wide shutdown broadcast won the session's `choose`.
-    Shutdown,
-    /// The service returned [`Step::Close`] (protocol quit, non-keep-alive
-    /// response, protocol error already answered, …).
-    ServiceClosed,
-}
-
 /// A network service, expressed as pure protocol logic over the framework's
 /// lifecycle: the server owns listening, accepting, the per-session
 /// readiness/idle/shutdown `choose`, connection tracking and draining; the
-/// service owns parsing and replying.
+/// service owns parsing and replying. The lifecycle is counted once, in
+/// the server's [`ServerStats`]; a service counts only its protocol.
 pub trait Service: Send + Sync + 'static {
     /// Per-connection state, created by [`Service::open`] — typically an
     /// incremental protocol parser.
     type Session: Send + 'static;
 
     /// Called once per accepted connection; returns the fresh session
-    /// state. A good place to bump service-level connection counters.
+    /// state.
     fn open(&self, conn: &Arc<dyn Conn>) -> Self::Session;
 
     /// Handles one received chunk: parse, execute every complete request
@@ -131,17 +115,6 @@ pub trait Service: Send + Sync + 'static {
         session: Self::Session,
         chunk: Bytes,
     ) -> ThreadM<Step<Self::Session>>;
-
-    /// Observation hook: the session ended for `end`. Non-monadic —
-    /// bookkeeping only (the server already closes the connection where
-    /// appropriate). The framework's own [`ServerStats`] is the
-    /// authoritative lifecycle count; services use this hook to *mirror*
-    /// events into their protocol-level statistics (e.g. a public
-    /// `idle_reaped` counter kept for API compatibility) — both are driven
-    /// from the same call site, so they cannot drift.
-    fn on_end(&self, end: &SessionEnd) {
-        let _ = end;
-    }
 
     /// Recovery hook: the session thread threw. The default closes the
     /// connection; services may first attempt a protocol-level error
@@ -184,7 +157,7 @@ impl ReplyHandle {
         if self.send_timeout == 0 {
             return send_all(conn, data);
         }
-        let bounded = send_all_within(conn, data, self.send_timeout, &self.shutdown);
+        let bounded = send_all_within(conn, vec![data], self.send_timeout, &self.shutdown);
         self.settle(bounded)
     }
 
@@ -198,7 +171,7 @@ impl ReplyHandle {
         if self.send_timeout == 0 {
             return send_all_vectored(conn, bufs);
         }
-        let bounded = send_all_within_vectored(conn, bufs, self.send_timeout, &self.shutdown);
+        let bounded = send_all_within(conn, bufs, self.send_timeout, &self.shutdown);
         self.settle(bounded)
     }
 
@@ -295,8 +268,8 @@ pub struct Server<S: Service> {
     /// 0` alone must not fire `drained`.
     acceptor_done: std::sync::atomic::AtomicBool,
     /// Attached telemetry hub plus the span label sessions are annotated
-    /// with; `None` until [`Server::attach_telemetry`].
-    telemetry: Mutex<Option<(Arc<Telemetry>, Arc<str>)>>,
+    /// with; unset until [`Server::attach_telemetry`].
+    telemetry: OnceLock<(Arc<Telemetry>, Arc<str>)>,
     /// Serializes drain-barrier checks. The lifecycle counters are plain
     /// Relaxed metrics cells; every transition updates *then* takes this
     /// lock to re-check, so the last transition's checker observes all
@@ -315,7 +288,7 @@ impl<S: Service> Server<S> {
             shutdown: Signal::new(),
             drained: Signal::new(),
             acceptor_done: std::sync::atomic::AtomicBool::new(false),
-            telemetry: Mutex::new(None),
+            telemetry: OnceLock::new(),
             drain_check: Mutex::new(()),
         });
         srv.service.attach_lifecycle(&ReplyHandle {
@@ -334,51 +307,50 @@ impl<S: Service> Server<S> {
     /// [`ServerStats::session_lock_wait_ns`] at session exit.
     ///
     /// Attach *before* spawning [`Server::run`] so no session escapes the
-    /// annotation. Idempotent-ish: a second call re-registers under the
-    /// new label; sessions use the latest label.
-    pub fn attach_telemetry(&self, telemetry: &Arc<Telemetry>, service_label: &str) {
+    /// annotation. First attach wins; later calls return `false` and
+    /// change nothing (a second exit hook would count every session's
+    /// waits twice).
+    pub fn attach_telemetry(&self, telemetry: &Arc<Telemetry>, service_label: &str) -> bool {
+        if self
+            .telemetry
+            .set((Arc::clone(telemetry), Arc::from(service_label)))
+            .is_err()
+        {
+            return false;
+        }
         let reg = telemetry.registry();
         let labels: &[(&str, &str)] = &[("service", service_label)];
-        reg.register_counter("eveth_server_accepted_total", labels, &self.stats.accepted);
-        reg.register_gauge("eveth_server_active_sessions", labels, &self.stats.active);
-        reg.register_counter(
-            "eveth_server_idle_reaped_total",
-            labels,
-            &self.stats.idle_reaped,
-        );
-        reg.register_counter(
-            "eveth_server_session_errors_total",
-            labels,
-            &self.stats.session_errors,
-        );
-        reg.register_counter(
-            "eveth_server_send_timeouts_total",
-            labels,
-            &self.stats.send_timeouts,
-        );
-        reg.register_counter(
-            "eveth_server_session_io_wait_ns_total",
-            labels,
-            &self.stats.session_io_wait_ns,
-        );
-        reg.register_counter(
-            "eveth_server_session_lock_wait_ns_total",
-            labels,
-            &self.stats.session_lock_wait_ns,
-        );
-        let io_roll = self.stats.session_io_wait_ns.clone();
-        let lock_roll = self.stats.session_lock_wait_ns.clone();
+        let s = &self.stats;
+        reg.register_gauge("eveth_server_active_sessions", labels, &s.active);
+        for (name, cell) in [
+            ("eveth_server_accepted_total", &s.accepted),
+            ("eveth_server_idle_reaped_total", &s.idle_reaped),
+            ("eveth_server_session_errors_total", &s.session_errors),
+            ("eveth_server_send_timeouts_total", &s.send_timeouts),
+            (
+                "eveth_server_session_io_wait_ns_total",
+                &s.session_io_wait_ns,
+            ),
+            (
+                "eveth_server_session_lock_wait_ns_total",
+                &s.session_lock_wait_ns,
+            ),
+        ] {
+            reg.register_counter(name, labels, cell);
+        }
+        let io_roll = s.session_io_wait_ns.clone();
+        let lock_roll = s.session_lock_wait_ns.clone();
         telemetry.on_span_exit(service_label, move |span| {
             io_roll.add(span.io_wait_ns);
             lock_roll.add(span.lock_wait_ns);
         });
-        *self.telemetry.lock() = Some((Arc::clone(telemetry), Arc::from(service_label)));
+        true
     }
 
     /// The telemetry hub attached via [`Server::attach_telemetry`], if
     /// any.
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.telemetry.lock().as_ref().map(|(t, _)| Arc::clone(t))
+        self.telemetry.get().map(|(t, _)| Arc::clone(t))
     }
 
     /// The hosted service (for its protocol-level statistics and state).
@@ -458,7 +430,7 @@ impl<S: Service> Server<S> {
 
     /// One session finished: release its slot and re-check the drain
     /// barrier.
-    fn session_ended(&self) {
+    fn session_exited(&self) {
         self.stats.active.decr();
         self.maybe_drained();
     }
@@ -543,7 +515,7 @@ fn accept_loop<S: Service>(srv: Arc<Server<S>>, listener: Arc<dyn Listener>) -> 
                 let body = session(Arc::clone(&srv), Arc::clone(&conn));
                 // Name the session's span after the service so telemetry
                 // can attribute its waits (and roll them up at exit).
-                let body = match srv.telemetry.lock().as_ref() {
+                let body = match srv.telemetry.get() {
                     Some((_, label)) => span(Arc::clone(label), body),
                     None => body,
                 };
@@ -563,9 +535,9 @@ fn accept_loop<S: Service>(srv: Arc<Server<S>>, listener: Arc<dyn Listener>) -> 
                 let tracker = Arc::clone(&srv);
                 let escape_tracker = Arc::clone(&srv);
                 let tracked = sys_catch(
-                    guarded.bind(move |_| sys_nbio(move || tracker.session_ended())),
+                    guarded.bind(move |_| sys_nbio(move || tracker.session_exited())),
                     move |e| {
-                        escape_tracker.session_ended();
+                        escape_tracker.session_exited();
                         sys_throw(e)
                     },
                 );
@@ -591,37 +563,25 @@ fn session<S: Service>(srv: Arc<Server<S>>, conn: Arc<dyn Conn>) -> ThreadM<()> 
         )
         .bind(move |input| match input {
             SessionInput::Data(Ok(chunk)) if chunk.is_empty() => {
-                srv.service.on_end(&SessionEnd::PeerClosed);
                 conn.close().map(|_| Loop::Break(()))
             }
             SessionInput::Data(Ok(chunk)) => {
-                let srv2 = Arc::clone(&srv);
                 let conn2 = Arc::clone(&conn);
                 srv.service
-                    .on_chunk(Arc::clone(&conn), state, chunk)
+                    .on_chunk(conn, state, chunk)
                     .bind(move |step| match step {
                         Step::Continue(next) => ThreadM::pure(Loop::Continue(next)),
-                        Step::Close => {
-                            srv2.service.on_end(&SessionEnd::ServiceClosed);
-                            conn2.close().map(|_| Loop::Break(()))
-                        }
+                        Step::Close => conn2.close().map(|_| Loop::Break(())),
                     })
             }
-            SessionInput::Data(Err(e)) => {
-                srv.service.on_end(&SessionEnd::TransportError(e));
-                ThreadM::pure(Loop::Break(()))
-            }
+            SessionInput::Data(Err(_)) => ThreadM::pure(Loop::Break(())),
             SessionInput::IdleTimeout => {
                 // The stalled connection is reaped; live sessions are
                 // untouched (each races its own deadline).
                 srv.stats.idle_reaped.incr();
-                srv.service.on_end(&SessionEnd::Idle);
                 conn.close().map(|_| Loop::Break(()))
             }
-            SessionInput::Shutdown => {
-                srv.service.on_end(&SessionEnd::Shutdown);
-                conn.close().map(|_| Loop::Break(()))
-            }
+            SessionInput::Shutdown => conn.close().map(|_| Loop::Break(())),
         })
     })
 }

@@ -1,7 +1,7 @@
-//! The metrics registry: counters, gauges and fixed-bucket histograms with
-//! a Prometheus-style text exposition format.
+//! The metrics registry: counters and gauges with a Prometheus-style text
+//! exposition format.
 //!
-//! Every handle ([`Counter`], [`Gauge`], [`Histogram`]) is a cheap `Arc`
+//! Every handle ([`Counter`], [`Gauge`]) is a cheap `Arc`
 //! clone around atomics — recording on the hot path is one relaxed
 //! `fetch_add`, never an allocation or a lock. The [`Registry`] is the one
 //! source of truth a debug endpoint reads: handles register under a metric
@@ -94,99 +94,6 @@ impl Gauge {
     }
 }
 
-/// Default histogram bucket bounds: powers of four from 1 µs to ~4.3 s
-/// (nanosecond samples), a decent spread for virtual-time latencies.
-pub const DEFAULT_BUCKETS: [u64; 12] = [
-    1_000,
-    4_000,
-    16_000,
-    64_000,
-    256_000,
-    1_024_000,
-    4_096_000,
-    16_384_000,
-    65_536_000,
-    262_144_000,
-    1_048_576_000,
-    4_294_967_296,
-];
-
-#[derive(Debug)]
-struct HistogramInner {
-    bounds: Vec<u64>,
-    /// One cell per bound plus the overflow (`+Inf`) cell.
-    cells: Vec<AtomicU64>,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-/// A fixed-bucket histogram: recording is a binary search over the bounds
-/// plus two relaxed adds — allocation-free on the hot path.
-///
-/// For *exact* percentiles over bounded sample counts (the bench tables),
-/// use [`LatencyHistogram`] instead; this type is for always-on metrics
-/// where constant memory matters more than exactness.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Histogram {
-    /// A histogram over [`DEFAULT_BUCKETS`].
-    pub fn new() -> Self {
-        Self::with_bounds(&DEFAULT_BUCKETS)
-    }
-
-    /// A histogram with explicit ascending bucket upper bounds.
-    pub fn with_bounds(bounds: &[u64]) -> Self {
-        let mut b = bounds.to_vec();
-        b.sort_unstable();
-        b.dedup();
-        let cells = (0..=b.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramInner {
-            bounds: b,
-            cells,
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }))
-    }
-
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        let i = self.0.bounds.partition_point(|&b| b < v);
-        self.0.cells[i].fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// `(upper_bound, cumulative_count)` rows, ending with the `+Inf`
-    /// bucket (`u64::MAX` stands in for infinity).
-    pub fn cumulative(&self) -> Vec<(u64, u64)> {
-        let mut acc = 0;
-        let mut out = Vec::with_capacity(self.0.cells.len());
-        for (i, cell) in self.0.cells.iter().enumerate() {
-            acc += cell.load(Ordering::Relaxed);
-            let bound = self.0.bounds.get(i).copied().unwrap_or(u64::MAX);
-            out.push((bound, acc));
-        }
-        out
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A latency recorder with exact nearest-rank percentiles.
 ///
 /// Samples are virtual-time nanoseconds, so the workloads record at most a
@@ -269,10 +176,9 @@ impl LatencyHistogram {
 enum Source {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
-    /// A closure counter: reads a value owned elsewhere (e.g. STM
-    /// `TxnStats`, the store's shard-gate wait) without porting the owner
-    /// onto registry handles.
+    /// A closure counter: a value computed at exposition time (e.g. the
+    /// store's shard-gate wait, a sum of STM cells) rather than kept in a
+    /// cell of its own.
     CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
     /// A closure gauge: a point-in-time level owned elsewhere (e.g. the
     /// buffer pool's free-slab occupancy) polled at exposition time.
@@ -284,7 +190,6 @@ impl std::fmt::Debug for Source {
         f.write_str(match self {
             Source::Counter(_) => "counter",
             Source::Gauge(_) => "gauge",
-            Source::Histogram(_) => "histogram",
             Source::CounterFn(_) => "counter(fn)",
             Source::GaugeFn(_) => "gauge(fn)",
         })
@@ -296,7 +201,6 @@ impl Source {
         match self {
             Source::Counter(_) | Source::CounterFn(_) => "counter",
             Source::Gauge(_) | Source::GaugeFn(_) => "gauge",
-            Source::Histogram(_) => "histogram",
         }
     }
 }
@@ -314,16 +218,6 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
         .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
         .collect();
     format!("{{{}}}", body.join(","))
-}
-
-/// Merges an extra label into an already-rendered label block (used for
-/// histogram `le` labels).
-fn with_extra_label(rendered: &str, key: &str, value: &str) -> String {
-    if rendered.is_empty() {
-        format!("{{{key}=\"{value}\"}}")
-    } else {
-        format!("{},{key}=\"{value}\"}}", &rendered[..rendered.len() - 1])
-    }
 }
 
 /// A registry of metric sources keyed by `(name, labels)`.
@@ -376,22 +270,10 @@ impl Registry {
         self.insert(name, labels, Source::Gauge(g.clone()));
     }
 
-    /// Creates (or replaces) a histogram under `name{labels}` and returns
-    /// its handle.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        let h = Histogram::new();
-        self.register_histogram(name, labels, &h);
-        h
-    }
-
-    /// Registers an existing histogram handle under `name{labels}`.
-    pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.insert(name, labels, Source::Histogram(h.clone()));
-    }
-
     /// Registers a closure-backed counter: `f` is polled at exposition
-    /// time. The route for surfacing counters owned by foreign types (STM
-    /// transaction stats, store lock waits) without rewriting them.
+    /// time. The route for counts computed from state owned elsewhere
+    /// (store lock waits, a sum of other cells) rather than counted in a
+    /// [`Counter`].
     pub fn register_counter_fn(
         &self,
         name: &str,
@@ -422,7 +304,6 @@ impl Registry {
             Source::CounterFn(f) => Some(f()),
             Source::Gauge(g) => Some(g.get().max(0) as u64),
             Source::GaugeFn(f) => Some(f().max(0) as u64),
-            Source::Histogram(h) => Some(h.count()),
         }
     }
 
@@ -436,33 +317,12 @@ impl Registry {
             if name != last_family {
                 let _ = writeln!(out, "# TYPE {name} {}", src.type_name());
             }
-            match src {
-                Source::Counter(c) => {
-                    let _ = writeln!(out, "{name}{labels} {}", c.get());
-                }
-                Source::CounterFn(f) => {
-                    let _ = writeln!(out, "{name}{labels} {}", f());
-                }
-                Source::Gauge(g) => {
-                    let _ = writeln!(out, "{name}{labels} {}", g.get());
-                }
-                Source::GaugeFn(f) => {
-                    let _ = writeln!(out, "{name}{labels} {}", f());
-                }
-                Source::Histogram(h) => {
-                    for (bound, cum) in h.cumulative() {
-                        let le = if bound == u64::MAX {
-                            "+Inf".to_string()
-                        } else {
-                            bound.to_string()
-                        };
-                        let lb = with_extra_label(labels, "le", &le);
-                        let _ = writeln!(out, "{name}_bucket{lb} {cum}");
-                    }
-                    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum());
-                    let _ = writeln!(out, "{name}_count{labels} {}", h.count());
-                }
-            }
+            let _ = match src {
+                Source::Counter(c) => writeln!(out, "{name}{labels} {}", c.get()),
+                Source::CounterFn(f) => writeln!(out, "{name}{labels} {}", f()),
+                Source::Gauge(g) => writeln!(out, "{name}{labels} {}", g.get()),
+                Source::GaugeFn(f) => writeln!(out, "{name}{labels} {}", f()),
+            };
             last_family = name;
         }
         out
@@ -493,25 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_cumulative() {
-        let h = Histogram::with_bounds(&[10, 100, 1000]);
-        for v in [5, 50, 500, 5000, 7] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 5562);
-        let rows = h.cumulative();
-        assert_eq!(rows, vec![(10, 2), (100, 3), (1000, 4), (u64::MAX, 5)]);
-    }
-
-    #[test]
     fn exposition_is_sorted_and_deterministic() {
         let reg = Registry::new();
         reg.counter("eveth_b_total", &[("svc", "kv")]).add(2);
         reg.counter("eveth_a_total", &[]).incr();
         reg.gauge("eveth_live", &[]).set(7);
-        let h = reg.histogram("eveth_lat_ns", &[("svc", "kv")]);
-        h.record(1);
         let once = reg.expose();
         assert_eq!(once, reg.expose(), "byte-stable across calls");
         let a = once.find("eveth_a_total 1").unwrap();
@@ -519,9 +365,6 @@ mod tests {
         assert!(a < b, "families sorted by name:\n{once}");
         assert!(once.contains("# TYPE eveth_a_total counter"));
         assert!(once.contains("# TYPE eveth_live gauge"));
-        assert!(once.contains("eveth_lat_ns_bucket{svc=\"kv\",le=\"1000\"} 1"));
-        assert!(once.contains("eveth_lat_ns_bucket{svc=\"kv\",le=\"+Inf\"} 1"));
-        assert!(once.contains("eveth_lat_ns_count{svc=\"kv\"} 1"));
     }
 
     #[test]
@@ -563,10 +406,5 @@ mod tests {
             render_labels(&[("z", "1"), ("a", "x\"y")]),
             "{a=\"x\\\"y\",z=\"1\"}"
         );
-        assert_eq!(
-            with_extra_label("{a=\"1\"}", "le", "+Inf"),
-            "{a=\"1\",le=\"+Inf\"}"
-        );
-        assert_eq!(with_extra_label("", "le", "10"), "{le=\"10\"}");
     }
 }

@@ -58,4 +58,4 @@ pub mod server;
 pub use cache::FileCache;
 pub use parser::{Method, ParseError, Request, RequestParser, Version};
 pub use response::Response;
-pub use server::{ServerConfig, ServerStats, WebServer};
+pub use server::{HttpStats, ServerConfig, WebServer};

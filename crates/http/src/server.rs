@@ -25,9 +25,7 @@ use bytes::Bytes;
 use eveth_core::aio::{AioFile, FileStore};
 use eveth_core::event::Signal;
 use eveth_core::net::{Conn, NetError, NetStack};
-use eveth_core::service::{
-    ReplyHandle, Server, ServerConfig as LifecycleConfig, Service, SessionEnd, Step,
-};
+use eveth_core::service::{ReplyHandle, Server, ServerConfig as LifecycleConfig, Service, Step};
 use eveth_core::syscall::{sys_aio_read, sys_blio, sys_nbio, sys_throw};
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::telemetry::Telemetry;
@@ -74,22 +72,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// Aggregate server counters (telemetry metrics cells, registered as-is
-/// by [`WebServer::attach_telemetry`]).
+/// Aggregate protocol counters (telemetry metrics cells, registered as-is
+/// by [`WebServer::attach_telemetry`]). The connection lifecycle is counted
+/// by the framework's `ServerStats`.
 #[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: Counter,
+pub struct HttpStats {
     /// Requests served (any status).
     pub requests: Counter,
     /// Response bytes written (heads + bodies).
     pub bytes_sent: Counter,
     /// 404 responses.
     pub not_found: Counter,
-    /// Sessions terminated by an exception.
-    pub errors: Counter,
-    /// Keep-alive connections reaped by the per-session idle deadline.
-    pub idle_reaped: Counter,
 }
 
 /// The HTTP-specific state shared by every session thread (file store,
@@ -100,7 +93,7 @@ struct WebShared {
     files: Arc<dyn FileStore>,
     cache: Arc<FileCache>,
     cfg: ServerConfig,
-    stats: Arc<ServerStats>,
+    stats: Arc<HttpStats>,
     /// The framework's reply path, handed down once by
     /// [`Service::attach_lifecycle`].
     replies: std::sync::OnceLock<ReplyHandle>,
@@ -128,7 +121,6 @@ impl Service for WebService {
     type Session = RequestParser;
 
     fn open(&self, _conn: &Arc<dyn Conn>) -> RequestParser {
-        self.shared.stats.connections.incr();
         RequestParser::new()
     }
 
@@ -145,17 +137,10 @@ impl Service for WebService {
         }
     }
 
-    fn on_end(&self, end: &SessionEnd) {
-        if matches!(end, SessionEnd::Idle) {
-            self.shared.stats.idle_reaped.incr();
-        }
-    }
-
     /// Exceptions end the session but never the server: the handler
     /// attempts a 500 and closes (paper §5.2: "I/O errors are handled
     /// gracefully using exceptions").
     fn on_exception(&self, conn: Arc<dyn Conn>, _error: &Exception) -> ThreadM<()> {
-        self.shared.stats.errors.incr();
         do_m! {
             conn.send(Response::internal_error().into_bytes());
             conn.close()
@@ -190,7 +175,7 @@ impl WebServer {
         let shared = Arc::new(WebShared {
             files,
             cache: Arc::new(FileCache::new(cfg.cache_bytes)),
-            stats: Arc::new(ServerStats::default()),
+            stats: Arc::new(HttpStats::default()),
             cfg: cfg.clone(),
             replies: std::sync::OnceLock::new(),
         });
@@ -214,17 +199,17 @@ impl WebServer {
     /// framework's `session_*_wait_ns` counters at exit), the framework's
     /// lifecycle counters register as `eveth_server_*{service="http"}`,
     /// and the HTTP protocol counters register as `eveth_http_*`. Call
-    /// before spawning [`WebServer::run`].
+    /// before spawning [`WebServer::run`]. First attach wins; later calls
+    /// change nothing.
     pub fn attach_telemetry(&self, telemetry: &Arc<Telemetry>) {
-        self.server.attach_telemetry(telemetry, "http");
+        if !self.server.attach_telemetry(telemetry, "http") {
+            return;
+        }
         let reg = telemetry.registry();
         let s = &self.shared.stats;
-        reg.register_counter("eveth_http_connections_total", &[], &s.connections);
         reg.register_counter("eveth_http_requests_total", &[], &s.requests);
         reg.register_counter("eveth_http_bytes_sent_total", &[], &s.bytes_sent);
         reg.register_counter("eveth_http_not_found_total", &[], &s.not_found);
-        reg.register_counter("eveth_http_errors_total", &[], &s.errors);
-        reg.register_counter("eveth_http_idle_reaped_total", &[], &s.idle_reaped);
     }
 
     /// Initiates graceful shutdown (callable from any context): the
@@ -252,8 +237,9 @@ impl WebServer {
         &self.server
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &Arc<ServerStats> {
+    /// Protocol counters. The connection lifecycle is counted by the
+    /// framework: [`Server::stats`] on [`WebServer::server`].
+    pub fn stats(&self) -> &Arc<HttpStats> {
         &self.shared.stats
     }
 

@@ -13,10 +13,10 @@ use std::sync::Arc;
 
 use eveth_core::event::{choose, sync, timeout_evt, Signal};
 use eveth_core::syscall::sys_time;
+use eveth_core::telemetry::metrics::Counter;
 use eveth_core::time::Nanos;
 use eveth_core::{do_m, loop_m, Loop, ThreadM};
 
-use crate::stats::Counter;
 use crate::store::ShardedStore;
 
 /// Runs forever: every `interval` nanoseconds, purge the next shard
@@ -24,11 +24,7 @@ use crate::store::ShardedStore;
 /// `sweeps` (when provided) counts completed whole-store passes.
 ///
 /// [`janitor_until`] is the stoppable form; this one never returns.
-pub fn janitor(
-    store: Arc<ShardedStore>,
-    interval: Nanos,
-    sweeps: Option<Arc<Counter>>,
-) -> ThreadM<()> {
+pub fn janitor(store: Arc<ShardedStore>, interval: Nanos, sweeps: Option<Counter>) -> ThreadM<()> {
     janitor_until(store, interval, sweeps, Signal::new())
 }
 
@@ -39,7 +35,7 @@ pub fn janitor(
 pub fn janitor_until(
     store: Arc<ShardedStore>,
     interval: Nanos,
-    sweeps: Option<Arc<Counter>>,
+    sweeps: Option<Counter>,
     stop: Signal,
 ) -> ThreadM<()> {
     let shards = store.shard_count();
@@ -100,12 +96,8 @@ mod tests {
             .unwrap();
             assert_eq!(store.len_now(), 32, "{backend:?}");
 
-            let sweeps = Arc::new(Counter::default());
-            sim.spawn(janitor(
-                Arc::clone(&store),
-                MILLIS,
-                Some(Arc::clone(&sweeps)),
-            ));
+            let sweeps = Counter::new();
+            sim.spawn(janitor(Arc::clone(&store), MILLIS, Some(sweeps.clone())));
             // Run the simulation long enough for a full round-robin pass
             // after the deadline.
             sim.run_until(Some(10 * MILLIS));

@@ -80,5 +80,5 @@ pub mod store;
 pub use client::{KvClient, KvClientError, ReplyFramer};
 pub use protocol::{Command, CommandParser, ProtoError, Reply, ReplyParser};
 pub use server::{KvConfig, KvServer};
-pub use stats::{ServerStats, StatsSnapshot};
+pub use stats::{KvStats, StatsSnapshot};
 pub use store::{Backend, Entry, ShardedStore, StoreConfig};

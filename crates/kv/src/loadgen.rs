@@ -15,12 +15,12 @@ use std::sync::Arc;
 use bytes::{BufferPool, Bytes, BytesMut};
 use eveth_core::net::{Endpoint, NetStack};
 use eveth_core::syscall::{sys_nbio, sys_time};
+use eveth_core::telemetry::metrics::{Counter, LatencyHistogram};
 use eveth_core::time::Nanos;
 use eveth_core::{do_m, loop_m, Loop, ThreadM};
 
 use crate::client::{KvClient, KvClientError, ReadEvent};
 use crate::protocol::Reply;
-use crate::stats::{Counter, LatencyHistogram};
 
 /// Load-generator parameters.
 #[derive(Debug, Clone)]

@@ -24,15 +24,15 @@ use std::sync::Arc;
 use bytes::Bytes;
 use eveth_core::event::Signal;
 use eveth_core::net::{Conn, NetStack};
-use eveth_core::service::{ReplyHandle, Server, ServerConfig, Service, SessionEnd, Step};
+use eveth_core::service::{ReplyHandle, Server, ServerConfig, Service, Step};
 use eveth_core::syscall::{sys_fork, sys_time};
 use eveth_core::telemetry::Telemetry;
 use eveth_core::time::{Nanos, MILLIS};
-use eveth_core::{do_m, Exception, ThreadM};
+use eveth_core::{do_m, ThreadM};
 
 use crate::expiry::janitor_until;
 use crate::protocol::{Command, CommandParser, ProtoError, Reply, ReplyQueue, StoreMode};
-use crate::stats::{ServerStats, StatsSnapshot};
+use crate::stats::{KvStats, StatsSnapshot};
 use crate::store::{CasOutcome, ConcatOutcome, CounterResult, Entry, ShardedStore, StoreConfig};
 
 /// KV server tunables.
@@ -80,7 +80,7 @@ impl Default for KvConfig {
 struct KvShared {
     store: Arc<ShardedStore>,
     cfg: KvConfig,
-    stats: Arc<ServerStats>,
+    stats: Arc<KvStats>,
     /// The framework's reply path, handed down once by
     /// [`Service::attach_lifecycle`].
     replies: std::sync::OnceLock<ReplyHandle>,
@@ -111,7 +111,6 @@ impl Service for KvService {
     type Session = CommandParser;
 
     fn open(&self, _conn: &Arc<dyn Conn>) -> CommandParser {
-        self.shared.stats.connections.incr();
         // The parser rejects a declared `set` payload over the store's cap
         // before buffering it, so a hostile byte count cannot balloon
         // memory.
@@ -160,19 +159,6 @@ impl Service for KvService {
         }
     }
 
-    fn on_end(&self, end: &SessionEnd) {
-        if matches!(end, SessionEnd::Idle) {
-            // The stalled connection was reaped; live sessions are
-            // untouched (each races its own deadline).
-            self.shared.stats.idle_reaped.incr();
-        }
-    }
-
-    fn on_exception(&self, conn: Arc<dyn Conn>, _error: &Exception) -> ThreadM<()> {
-        self.shared.stats.session_errors.incr();
-        conn.close()
-    }
-
     fn attach_lifecycle(&self, replies: &ReplyHandle) {
         let _ = self.shared.replies.set(replies.clone());
     }
@@ -196,7 +182,7 @@ impl KvServer {
     pub fn new(stack: Arc<dyn NetStack>, cfg: KvConfig) -> Arc<Self> {
         let shared = Arc::new(KvShared {
             store: ShardedStore::new(cfg.store.clone()),
-            stats: Arc::new(ServerStats::default()),
+            stats: Arc::new(KvStats::default()),
             cfg: cfg.clone(),
             replies: std::sync::OnceLock::new(),
         });
@@ -221,12 +207,13 @@ impl KvServer {
     /// lifecycle counters register as `eveth_server_*{service="kv"}`, and
     /// the KV protocol, per-shard and store contention counters register
     /// as `eveth_kv_*` / `eveth_stm_*`. Call before spawning
-    /// [`KvServer::run`].
+    /// [`KvServer::run`]. First attach wins; later calls change nothing.
     pub fn attach_telemetry(&self, telemetry: &Arc<Telemetry>) {
-        self.server.attach_telemetry(telemetry, "kv");
+        if !self.server.attach_telemetry(telemetry, "kv") {
+            return;
+        }
         let reg = telemetry.registry();
         let s = &self.shared.stats;
-        reg.register_counter("eveth_kv_connections_total", &[], &s.connections);
         reg.register_counter("eveth_kv_commands_total", &[], &s.commands);
         reg.register_counter("eveth_kv_bytes_in_total", &[], &s.bytes_in);
         reg.register_counter("eveth_kv_bytes_out_total", &[], &s.bytes_out);
@@ -242,9 +229,13 @@ impl KvServer {
                 reg.register_counter(&format!("eveth_kv_shard_{name}_total"), labels, cell);
             }
         }
-        // Foreign counters (the store's lock gates, the STM transaction
-        // stats) are polled at exposition time rather than rewritten onto
-        // registry handles.
+        let stm = self.shared.store.stm_stats();
+        let labels: &[(&str, &str)] = &[("store", "kv")];
+        reg.register_counter("eveth_stm_conflicts_total", labels, &stm.conflicts);
+        reg.register_counter("eveth_stm_retry_waits_total", labels, &stm.retry_waits);
+        reg.register_counter("eveth_stm_commits_total", labels, &stm.commits);
+        // Counts computed from the store (its lock gates, the sum of two
+        // STM cells) are polled at exposition time.
         let store = Arc::clone(&self.shared.store);
         reg.register_counter_fn("eveth_kv_store_lock_wait_ns_total", &[], move || {
             store.lock_wait_ns()
@@ -253,10 +244,10 @@ impl KvServer {
         reg.register_counter_fn("eveth_kv_store_lock_contentions_total", &[], move || {
             store.lock_contentions()
         });
-        self.shared
-            .store
-            .stm_stats()
-            .register_into(reg, &[("store", "kv")]);
+        let store = Arc::clone(&self.shared.store);
+        reg.register_counter_fn("eveth_stm_retries_total", labels, move || {
+            store.stm_retries()
+        });
     }
 
     /// Initiates graceful shutdown (callable from any context): the
@@ -284,8 +275,9 @@ impl KvServer {
         &self.server
     }
 
-    /// Aggregate server counters.
-    pub fn stats(&self) -> &Arc<ServerStats> {
+    /// Aggregate protocol counters. The connection lifecycle is counted
+    /// by the framework: [`Server::stats`] on [`KvServer::server`].
+    pub fn stats(&self) -> &Arc<KvStats> {
         &self.shared.stats
     }
 
@@ -315,7 +307,7 @@ impl KvServer {
             let sweep = janitor_until(
                 Arc::clone(&self.shared.store),
                 self.shared.cfg.janitor_interval,
-                Some(Arc::clone(&self.shared.stats.janitor_sweeps)),
+                Some(self.shared.stats.janitor_sweeps.clone()),
                 self.server.shutdown_signal().clone(),
             );
             let server = Arc::clone(&self.server);
@@ -563,8 +555,9 @@ fn execute(srv: Arc<KvShared>, cmd: Command, now: Nanos) -> ThreadM<Vec<Reply>> 
         Command::Stats => {
             let stat = |name: &str, value: u64| Reply::Stat(name.into(), value.to_string());
             let server = &srv.stats;
+            let framework = srv.replies().stats();
             let mut replies = vec![
-                stat("connections", server.connections.get()),
+                stat("connections", framework.accepted.get()),
                 stat("commands", server.commands.get()),
                 stat("bytes_in", server.bytes_in.get()),
                 stat("bytes_out", server.bytes_out.get()),
@@ -575,10 +568,9 @@ fn execute(srv: Arc<KvShared>, cmd: Command, now: Nanos) -> ThreadM<Vec<Reply>> 
                 let total = shards.iter().map(|sh| sh.cells()[i].1.get()).sum();
                 replies.push(stat(name, total));
             }
-            let framework = srv.replies().stats();
             replies.extend([
                 stat("janitor_sweeps", server.janitor_sweeps.get()),
-                stat("idle_reaped", server.idle_reaped.get()),
+                stat("idle_reaped", framework.idle_reaped.get()),
                 stat("curr_items", store.len_now() as u64),
                 stat("shards", store.shard_count() as u64),
                 stat("lock_wait_ns", store.lock_wait_ns()),

@@ -1,16 +1,11 @@
-//! Per-shard and aggregate server counters, surfaced by the `stats`
-//! command and by the benchmarks.
-//!
-//! The counter and latency-recorder types live in
-//! `eveth_core::telemetry::metrics` since the telemetry fabric landed —
-//! the same handles a [`Registry`](eveth_core::telemetry::metrics::Registry)
-//! exposes over `/metrics` — and are re-exported here so every existing
-//! `crate::stats::Counter` user (shards, the janitor, the load
-//! generator) keeps compiling unchanged.
+//! Per-shard and aggregate protocol counters, surfaced by the `stats`
+//! command and by the benchmarks. The connection lifecycle (accepts, idle
+//! reaps, session errors) is the framework's `ServerStats`, not counted
+//! here.
 
 use std::fmt;
 
-pub use eveth_core::telemetry::metrics::{Counter, LatencyHistogram};
+use eveth_core::telemetry::metrics::Counter;
 
 /// Counters kept independently per shard (no cross-shard contention).
 #[derive(Debug, Default)]
@@ -67,11 +62,9 @@ impl ShardStats {
     }
 }
 
-/// Aggregate, server-wide counters.
+/// Aggregate, server-wide protocol counters.
 #[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: Counter,
+pub struct KvStats {
     /// Commands executed (all kinds).
     pub commands: Counter,
     /// Request bytes received.
@@ -80,14 +73,9 @@ pub struct ServerStats {
     pub bytes_out: Counter,
     /// Protocol errors answered with `CLIENT_ERROR`/`ERROR`.
     pub protocol_errors: Counter,
-    /// Sessions terminated by an exception.
-    pub session_errors: Counter,
-    /// Connections reaped by the per-session idle deadline (the
-    /// `timeout_evt` branch of the session's `choose` won).
-    pub idle_reaped: Counter,
     /// Janitor sweeps completed (whole-store passes; shared with the
     /// janitor thread, which increments it).
-    pub janitor_sweeps: std::sync::Arc<Counter>,
+    pub janitor_sweeps: Counter,
 }
 
 /// A point-in-time aggregate view across shards, for `stats` output and
@@ -174,6 +162,7 @@ impl fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eveth_core::telemetry::metrics::LatencyHistogram;
 
     #[test]
     fn gather_sums_across_shards() {

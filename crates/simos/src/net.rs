@@ -10,11 +10,11 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use eveth_core::hash::DetHashSet;
 use eveth_core::net::HostId;
+use eveth_core::telemetry::metrics::{Counter, Registry};
 use eveth_core::time::{Nanos, SECS};
 use parking_lot::Mutex;
 
@@ -73,19 +73,20 @@ impl LinkParams {
 /// plus the type-erased payload.
 pub type PacketHandler = Arc<dyn Fn(HostId, Box<dyn Any + Send>) + Send + Sync>;
 
-/// Delivery counters.
+/// Delivery counters, registered on a telemetry `Registry` by
+/// [`SimNet::register_metrics`].
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Packets handed to [`SimNet::send`].
-    pub sent: AtomicU64,
+    pub sent: Counter,
     /// Packets delivered to a handler.
-    pub delivered: AtomicU64,
+    pub delivered: Counter,
     /// Packets dropped by loss, downed links, or crashed hosts.
-    pub dropped: AtomicU64,
+    pub dropped: Counter,
     /// Packets addressed to unregistered hosts.
-    pub unroutable: AtomicU64,
+    pub unroutable: Counter,
     /// Wire bytes sent.
-    pub bytes: AtomicU64,
+    pub bytes: Counter,
 }
 
 struct NetState {
@@ -197,14 +198,28 @@ impl SimNet {
         &self.stats
     }
 
+    /// Registers the delivery counters on `registry` as
+    /// `eveth_link_{sent,delivered,dropped,unroutable,bytes}_total{labels}`.
+    /// Opt-in, like `TcpHost::register_metrics`.
+    pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
+        let s = &self.stats;
+        for (name, cell) in [
+            ("eveth_link_sent_total", &s.sent),
+            ("eveth_link_delivered_total", &s.delivered),
+            ("eveth_link_dropped_total", &s.dropped),
+            ("eveth_link_unroutable_total", &s.unroutable),
+            ("eveth_link_bytes_total", &s.bytes),
+        ] {
+            registry.register_counter(name, labels, cell);
+        }
+    }
+
     /// Sends a packet of `wire_bytes` from `src` to `dst`. The payload is
     /// delivered (or dropped) according to the link's parameters; FIFO
     /// ordering holds per directed link.
     pub fn send(&self, src: HostId, dst: HostId, wire_bytes: usize, payload: Box<dyn Any + Send>) {
-        self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
+        self.stats.sent.incr();
+        self.stats.bytes.add(wire_bytes as u64);
 
         let arrive = {
             let mut st = self.state.lock();
@@ -215,7 +230,7 @@ impl SimNet {
                 || st.crashed.contains(&src)
                 || st.crashed.contains(&dst)
             {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                self.stats.dropped.incr();
                 return;
             }
             let params = *st.links.get(&(src, dst)).unwrap_or(&st.default_link);
@@ -225,7 +240,7 @@ impl SimNet {
             st.rng ^= st.rng << 17;
             let roll = (st.rng >> 11) as f64 / (1u64 << 53) as f64;
             if roll < params.loss {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                self.stats.dropped.incr();
                 return;
             }
             let now = self.clock.now();
@@ -241,11 +256,11 @@ impl SimNet {
             let handler = net.state.lock().hosts.get(&dst).cloned();
             match handler {
                 Some(h) => {
-                    net.stats.delivered.fetch_add(1, Ordering::Relaxed);
+                    net.stats.delivered.incr();
                     h(src, payload);
                 }
                 None => {
-                    net.stats.unroutable.fetch_add(1, Ordering::Relaxed);
+                    net.stats.unroutable.incr();
                 }
             }
         });
@@ -258,8 +273,8 @@ impl fmt::Debug for SimNet {
             f,
             "SimNet(hosts={}, sent={}, dropped={})",
             self.state.lock().hosts.len(),
-            self.stats.sent.load(Ordering::Relaxed),
-            self.stats.dropped.load(Ordering::Relaxed)
+            self.stats.sent.get(),
+            self.stats.dropped.get()
         )
     }
 }
@@ -332,7 +347,7 @@ mod tests {
         let (clock, net, _inbox) = collect_net(LinkParams::loopback(), 5);
         net.send(HostId(1), HostId(77), 100, Box::new(0u32));
         while clock.fire_next() {}
-        assert_eq!(net.stats().unroutable.load(Ordering::Relaxed), 1);
+        assert_eq!(net.stats().unroutable.get(), 1);
     }
 
     #[test]
@@ -348,7 +363,7 @@ mod tests {
         clock.schedule_at(1_000_000, move || *fired2.lock() = true);
         while clock.fire_next() {}
         assert!(inbox.lock().is_empty(), "downed link must drop everything");
-        assert_eq!(net.stats().dropped.load(Ordering::Relaxed), 20);
+        assert_eq!(net.stats().dropped.get(), 20);
         assert!(*fired.lock(), "virtual time must still advance");
         assert_eq!(clock.now(), 1_000_000);
 
@@ -357,7 +372,7 @@ mod tests {
         net.send(HostId(1), HostId(9), 1500, Box::new(99u32));
         while clock.fire_next() {}
         assert_eq!(*inbox.lock(), vec![99]);
-        assert_eq!(net.stats().dropped.load(Ordering::Relaxed), 20);
+        assert_eq!(net.stats().dropped.get(), 20);
     }
 
     #[test]
@@ -368,7 +383,7 @@ mod tests {
         net.send(HostId(9), HostId(1), 100, Box::new(2u32));
         while clock.fire_next() {}
         assert!(inbox.lock().is_empty());
-        assert_eq!(net.stats().dropped.load(Ordering::Relaxed), 2);
+        assert_eq!(net.stats().dropped.get(), 2);
         net.set_host_up(HostId(9));
         net.send(HostId(1), HostId(9), 100, Box::new(3u32));
         while clock.fire_next() {}

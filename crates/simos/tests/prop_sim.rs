@@ -82,7 +82,7 @@ proptest! {
             prop_assert!(w[0] < w[1], "reordered: {:?}", w);
         }
         let delivered = got.len() as u64;
-        let dropped = net.stats().dropped.load(Ordering::Relaxed);
+        let dropped = net.stats().dropped.get();
         prop_assert_eq!(delivered + dropped, sizes.len() as u64);
     }
 

@@ -2,10 +2,11 @@
 //! `retry` and `or_else`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use eveth_core::syscall::{sys_nbio, sys_park, sys_yield};
+use eveth_core::telemetry::metrics::Counter;
 use eveth_core::{loop_m, Loop, ThreadM};
 
 use crate::tvar::{ReadEntry, StmEntry, TVar, WriteEntry, GLOBAL_CLOCK};
@@ -204,16 +205,17 @@ where
 /// the same `TxnStats` to every [`atomically_m_with_stats`] call over a
 /// shared datum (as the KV store's STM backend does per store) makes that
 /// contention observable: `conflicts + retry_waits` is the number of
-/// wasted attempts.
+/// wasted attempts. The cells are registry [`Counter`]s, so an owner
+/// registers them on a telemetry `Registry` as they are.
 #[derive(Debug, Default)]
 pub struct TxnStats {
     /// Attempts invalidated by a concurrent commit (re-run immediately).
-    pub conflicts: AtomicU64,
+    pub conflicts: Counter,
     /// Attempts that blocked on [`Txn::retry`] (re-run after a commit to
     /// the read set).
-    pub retry_waits: AtomicU64,
+    pub retry_waits: Counter,
     /// Attempts that committed.
-    pub commits: AtomicU64,
+    pub commits: Counter,
 }
 
 impl TxnStats {
@@ -225,33 +227,7 @@ impl TxnStats {
     /// Total re-executed attempts (conflicts + retry blocks) — the STM
     /// analogue of lock contentions.
     pub fn retries(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed) + self.retry_waits.load(Ordering::Relaxed)
-    }
-
-    /// Registers these counters into a telemetry registry as
-    /// `eveth_stm_{conflicts,retry_waits,commits,retries}_total{labels}`,
-    /// polled at exposition time. This is how STM contention — invisible
-    /// to lock-wait accounting because it re-executes instead of parking —
-    /// reaches `/metrics` without this type changing shape.
-    pub fn register_into(
-        self: &Arc<Self>,
-        registry: &eveth_core::telemetry::metrics::Registry,
-        labels: &[(&str, &str)],
-    ) {
-        let s = Arc::clone(self);
-        registry.register_counter_fn("eveth_stm_conflicts_total", labels, move || {
-            s.conflicts.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.register_counter_fn("eveth_stm_retry_waits_total", labels, move || {
-            s.retry_waits.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.register_counter_fn("eveth_stm_commits_total", labels, move || {
-            s.commits.load(Ordering::Relaxed)
-        });
-        let s = Arc::clone(self);
-        registry.register_counter_fn("eveth_stm_retries_total", labels, move || s.retries());
+        self.conflicts.get() + self.retry_waits.get()
     }
 }
 
@@ -309,9 +285,9 @@ where
             let res = attempt(b.as_ref());
             if let Some(stats) = &stats {
                 match res.as_ref().map_err(|aborted| &aborted.why) {
-                    Ok(_) => stats.commits.fetch_add(1, Ordering::Relaxed),
-                    Err(StmAbort::Conflict) => stats.conflicts.fetch_add(1, Ordering::Relaxed),
-                    Err(StmAbort::Retry) => stats.retry_waits.fetch_add(1, Ordering::Relaxed),
+                    Ok(_) => stats.commits.incr(),
+                    Err(StmAbort::Conflict) => stats.conflicts.incr(),
+                    Err(StmAbort::Retry) => stats.retry_waits.incr(),
                 };
             }
             res
@@ -508,12 +484,12 @@ mod tests {
             )
         });
         assert_eq!(got, 5);
-        assert_eq!(stats.commits.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.commits.get(), 1);
         assert!(
-            stats.retry_waits.load(Ordering::Relaxed) >= 1,
+            stats.retry_waits.get() >= 1,
             "the consumer must have blocked at least once"
         );
-        assert_eq!(stats.retries(), stats.retry_waits.load(Ordering::Relaxed));
+        assert_eq!(stats.retries(), stats.retry_waits.get());
         rt.shutdown();
     }
 

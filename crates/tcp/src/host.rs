@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
@@ -169,37 +169,34 @@ impl TcpHost {
 
     /// Registers this host's counters on `registry` as
     /// `eveth_tcp_*_total{labels}`, and the connections it holds as the
-    /// gauges `eveth_tcp_conns_open` and `eveth_tcp_conns_time_wait`, all
+    /// gauges `eveth_tcp_conns_open` and `eveth_tcp_conns_time_wait`,
     /// polled at exposition time. Opt-in, like
     /// `Telemetry::register_buffer_pool_metrics`: a hub that never calls
     /// this exposes exactly what it did before.
     pub fn register_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
-        type Cell = fn(&TcpStats) -> &AtomicU64;
-        let cells: [(&str, Cell); 13] = [
-            ("eveth_tcp_segs_sent_total", |s| &s.segs_sent),
-            ("eveth_tcp_segs_received_total", |s| &s.segs_received),
-            ("eveth_tcp_conns_opened_total", |s| &s.conns_opened),
-            ("eveth_tcp_conns_accepted_total", |s| &s.conns_accepted),
-            ("eveth_tcp_resets_sent_total", |s| &s.resets_sent),
-            ("eveth_tcp_payload_bytes_aliased_total", |s| {
-                &s.payload_bytes_aliased
-            }),
-            ("eveth_tcp_payload_bytes_copied_total", |s| {
-                &s.payload_bytes_copied
-            }),
-            ("eveth_tcp_retransmits_total", |s| &s.retransmits),
-            ("eveth_tcp_pure_acks_total", |s| &s.pure_acks),
-            ("eveth_tcp_acks_coalesced_total", |s| &s.acks_coalesced),
-            ("eveth_tcp_acks_on_tick_total", |s| &s.acks_on_tick),
-            ("eveth_tcp_rto_fires_total", |s| &s.rto_fires),
-            ("eveth_tcp_dup_acks_received_total", |s| {
-                &s.dup_acks_received
-            }),
-        ];
-        for (name, cell) in cells {
-            let stats = Arc::clone(&self.stats);
-            registry
-                .register_counter_fn(name, labels, move || cell(&stats).load(Ordering::Relaxed));
+        let s = &self.stats;
+        for (name, cell) in [
+            ("eveth_tcp_segs_sent_total", &s.segs_sent),
+            ("eveth_tcp_segs_received_total", &s.segs_received),
+            ("eveth_tcp_conns_opened_total", &s.conns_opened),
+            ("eveth_tcp_conns_accepted_total", &s.conns_accepted),
+            ("eveth_tcp_resets_sent_total", &s.resets_sent),
+            (
+                "eveth_tcp_payload_bytes_aliased_total",
+                &s.payload_bytes_aliased,
+            ),
+            (
+                "eveth_tcp_payload_bytes_copied_total",
+                &s.payload_bytes_copied,
+            ),
+            ("eveth_tcp_retransmits_total", &s.retransmits),
+            ("eveth_tcp_pure_acks_total", &s.pure_acks),
+            ("eveth_tcp_acks_coalesced_total", &s.acks_coalesced),
+            ("eveth_tcp_acks_on_tick_total", &s.acks_on_tick),
+            ("eveth_tcp_rto_fires_total", &s.rto_fires),
+            ("eveth_tcp_dup_acks_received_total", &s.dup_acks_received),
+        ] {
+            registry.register_counter(name, labels, cell);
         }
         type Level = fn(&TcpHost) -> usize;
         let gauges: [(&str, Level); 2] = [
@@ -279,16 +276,16 @@ impl TcpHost {
 
     fn send_segs(&self, peer_host: HostId, segs: Vec<Segment>) {
         for seg in segs {
-            self.stats.segs_sent.fetch_add(1, Ordering::Relaxed);
+            self.stats.segs_sent.incr();
             if seg.payload.is_empty() && seg.flags == Flags::ack() {
-                self.stats.pure_acks.fetch_add(1, Ordering::Relaxed);
+                self.stats.pure_acks.incr();
             }
             self.transport.send(self.host, peer_host, seg);
         }
     }
 
     fn process_segment(&self, src: HostId, seg: Segment, now: Nanos) {
-        self.stats.segs_received.fetch_add(1, Ordering::Relaxed);
+        self.stats.segs_received.incr();
         let key = ConnKey {
             local_port: seg.dst_port,
             peer: Endpoint::new(src, seg.src_port),
@@ -344,7 +341,7 @@ impl TcpHost {
         }
         // Otherwise: refuse with RST (unless it *is* a RST).
         if !seg.flags.rst {
-            self.stats.resets_sent.fetch_add(1, Ordering::Relaxed);
+            self.stats.resets_sent.incr();
             let rst = Segment {
                 src_port: seg.dst_port,
                 dst_port: seg.src_port,
@@ -374,7 +371,7 @@ impl TcpHost {
             None => false,
         };
         if pushed {
-            self.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
+            self.stats.conns_accepted.incr();
         } else {
             // Listener vanished or shut down: abort the orphan.
             let rst = tcb_arc.lock().app_abort();
@@ -721,7 +718,7 @@ impl NetStack for TcpHost {
                 let tcb = Arc::new(Mutex::new(tcb));
                 conns.insert(key, Arc::clone(&tcb));
                 drop(conns);
-                host.stats.conns_opened.fetch_add(1, Ordering::Relaxed);
+                host.stats.conns_opened.incr();
                 host.send_segs(remote.host, vec![syn]);
                 Ok(TcpConn::attach(Arc::clone(&host), key, tcb))
             })
@@ -1087,19 +1084,19 @@ mod tests {
         // windows; only the header's copy-break and the two segments that
         // straddle header/value and value/trailer were copied.
         let sent = b.stats();
-        let aliased = sent.payload_bytes_aliased.load(Ordering::Relaxed);
-        let copied = sent.payload_bytes_copied.load(Ordering::Relaxed);
+        let aliased = sent.payload_bytes_aliased.get();
+        let copied = sent.payload_bytes_copied.get();
         assert!(aliased >= 30 * 1024, "aliased {aliased}");
         assert!(copied <= 2 * 1460, "copied {copied}");
-        assert_eq!(sent.retransmits.load(Ordering::Relaxed), 0);
-        assert_eq!(sent.pure_acks.load(Ordering::Relaxed), 0);
+        assert_eq!(sent.retransmits.get(), 0);
+        assert_eq!(sent.pure_acks.get(), 0);
         // The receiver acknowledged each burst, not each segment: the
         // handshake, one ACK per slow-start window (2, 4, 8 segments) and
         // one for the PSH that ends the reply. Every data segment is
         // accounted for, by an ACK of its own or by a later one.
         let segments = total.div_ceil(1460) as u64;
-        let acks = a.stats().pure_acks.load(Ordering::Relaxed);
-        let coalesced = a.stats().acks_coalesced.load(Ordering::Relaxed);
+        let acks = a.stats().pure_acks.get();
+        let coalesced = a.stats().acks_coalesced.get();
         assert!(
             acks <= 6 && acks < segments / 2,
             "{acks} bare ACKs for {segments} segments"
@@ -1163,11 +1160,8 @@ mod tests {
         assert_eq!(got.len(), total);
         // The handshake, segment 64, and the PSH that ends the burst.
         let stats = a.stats();
-        assert_eq!(stats.pure_acks.load(Ordering::Relaxed), 3);
-        assert_eq!(
-            stats.acks_coalesced.load(Ordering::Relaxed),
-            BURST as u64 - 2
-        );
-        assert_eq!(b.stats().retransmits.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.pure_acks.get(), 3);
+        assert_eq!(stats.acks_coalesced.get(), BURST as u64 - 2);
+        assert_eq!(b.stats().retransmits.get(), 0);
     }
 }

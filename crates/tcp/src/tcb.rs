@@ -21,12 +21,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::net::{Endpoint, NetError};
 use eveth_core::reactor::Waiter;
+use eveth_core::telemetry::metrics::Counter;
 use eveth_core::time::{Nanos, MILLIS};
 
 use crate::congestion::{CcAction, Reno};
@@ -84,37 +84,37 @@ impl Default for TcpConfig {
 #[derive(Debug, Default)]
 pub struct TcpStats {
     /// Segments handed to the transport.
-    pub segs_sent: AtomicU64,
+    pub segs_sent: Counter,
     /// Segments received from the transport.
-    pub segs_received: AtomicU64,
+    pub segs_received: Counter,
     /// Connections actively opened.
-    pub conns_opened: AtomicU64,
+    pub conns_opened: Counter,
     /// Connections accepted from listeners.
-    pub conns_accepted: AtomicU64,
+    pub conns_accepted: Counter,
     /// RSTs emitted for unmatched segments.
-    pub resets_sent: AtomicU64,
+    pub resets_sent: Counter,
     /// Payload bytes that entered or left a TCB queue as a refcounted
     /// window of the buffer they already were in.
-    pub payload_bytes_aliased: AtomicU64,
+    pub payload_bytes_aliased: Counter,
     /// Payload bytes that entered or left a TCB queue by being copied: a
     /// segment or read gathered across chunks, a piece under the
     /// copy-break.
-    pub payload_bytes_copied: AtomicU64,
+    pub payload_bytes_copied: Counter,
     /// Segments retransmitted (RTO and fast retransmit).
-    pub retransmits: AtomicU64,
+    pub retransmits: Counter,
     /// Bare ACKs sent: no payload, no SYN, FIN or RST.
-    pub pure_acks: AtomicU64,
+    pub pure_acks: Counter,
     /// Data segments that got no ACK of their own: a later segment's ACK
     /// covered them.
-    pub acks_coalesced: AtomicU64,
+    pub acks_coalesced: Counter,
     /// ACKs owed for received data that no outgoing segment carried and no
     /// batch end released, so the tick sent them: what the delay to the
     /// reply costs in latency.
-    pub acks_on_tick: AtomicU64,
+    pub acks_on_tick: Counter,
     /// Retransmission timeouts that fired (handshake included).
-    pub rto_fires: AtomicU64,
+    pub rto_fires: Counter,
     /// Duplicate ACKs received while data was in flight.
-    pub dup_acks_received: AtomicU64,
+    pub dup_acks_received: Counter,
 }
 
 /// TCP connection states (RFC 793 §3.2; LISTEN lives at the host level).
@@ -385,9 +385,9 @@ impl Tcb {
         self.stats = Some(stats);
     }
 
-    fn count(&self, cell: fn(&TcpStats) -> &AtomicU64) {
+    fn count(&self, cell: impl Fn(&TcpStats) -> &Counter) {
         if let Some(stats) = &self.stats {
-            cell(stats).fetch_add(1, Ordering::Relaxed);
+            cell(stats).incr();
         }
     }
 
@@ -395,12 +395,8 @@ impl Tcb {
     /// of them physically.
     fn note_payload(&self, total: usize, copied: usize) {
         if let Some(stats) = &self.stats {
-            stats
-                .payload_bytes_aliased
-                .fetch_add((total - copied) as u64, Ordering::Relaxed);
-            stats
-                .payload_bytes_copied
-                .fetch_add(copied as u64, Ordering::Relaxed);
+            stats.payload_bytes_aliased.add((total - copied) as u64);
+            stats.payload_bytes_copied.add(copied as u64);
         }
     }
 

@@ -2,7 +2,6 @@
 //! recovery, window dynamics, RTO backoff, reordering and the ACK policy —
 //! each driven by hand-delivering segments to a pair of state machines.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::{BufferPool, Bytes};
@@ -616,7 +615,7 @@ fn fifty_requests_and_replies_cost_a_hundred_segments_and_no_bare_ack() {
     }
     assert_eq!(wire.len() as u64, 2 * EXCHANGES);
     assert_eq!(wire.iter().filter(|seg| is_pure_ack(seg)).count(), 0);
-    assert_eq!(stats.acks_on_tick.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.acks_on_tick.get(), 0);
 }
 
 #[test]
@@ -643,7 +642,7 @@ fn a_short_write_is_acknowledged_by_the_reply_or_else_by_the_tick() {
     let acks = s.on_tick(tick);
     assert_eq!(acks.len(), 1);
     assert!(is_pure_ack(&acks[0]) && acks[0].ack == end);
-    assert_eq!(stats.acks_on_tick.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.acks_on_tick.get(), 1);
     assert!(s.on_tick(2 * tick).is_empty(), "sent once");
     c.on_segment(acks[0].clone(), tick + 1_000);
     assert_eq!(c.send_buffered(), 0);
@@ -656,7 +655,7 @@ fn a_short_write_is_acknowledged_by_the_reply_or_else_by_the_tick() {
     let reply = s.output(12_000);
     assert_eq!((reply.len(), reply[0].ack), (1, end));
     assert!(s.on_tick(tick).is_empty());
-    assert_eq!(stats.acks_on_tick.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.acks_on_tick.get(), 1);
     c.on_segment(reply[0].clone(), 13_000);
     assert_eq!(c.send_buffered(), 0);
 }

@@ -128,7 +128,7 @@ fn main() {
     })
     .expect("simulation completed");
 
-    let retr: u64 = net.stats().dropped.load(Ordering::Relaxed);
+    let retr: u64 = net.stats().dropped.get();
     println!(
         "echoed {} KB across {CLIENTS} clients in {:.1} ms of virtual time",
         echoed_bytes.load(Ordering::SeqCst) / 1024,
@@ -136,7 +136,7 @@ fn main() {
     );
     println!(
         "network: {} segments sent, {} dropped by the lossy link (recovered by retransmission)",
-        net.stats().sent.load(Ordering::Relaxed),
+        net.stats().sent.get(),
         retr
     );
     println!(

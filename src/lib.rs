@@ -149,10 +149,7 @@ mod tests {
         assert_eq!(back.len(), 1024);
         assert!(back.iter().all(|&x| x == 0xAB));
         assert!(
-            net.stats()
-                .dropped
-                .load(std::sync::atomic::Ordering::Relaxed)
-                > 0,
+            net.stats().dropped.get() > 0,
             "the lossy link must actually drop segments for this test to bite"
         );
         // 200 KB over 100 Mbps is ≥ 16 ms of serialization alone.

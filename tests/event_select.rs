@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth::core::event::{always, choose, guard, never, sync, timeout_evt, Signal};
-use eveth::core::net::{send_all, Endpoint, HostId, NetStack};
+use eveth::core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth::core::sync::{Chan, MVar};
 use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep, sys_time};
 use eveth::core::time::{Nanos, MILLIS};
@@ -365,11 +365,23 @@ fn kv_idle_timeout_reaps_stalled_connection_only() {
         20 * 4,
         "the live pipelined connection is answered in full"
     );
-    assert_eq!(
-        server.stats().idle_reaped.get(),
-        1,
-        "exactly the stalled session is reaped"
-    );
+    let reaped = server.server().stats().idle_reaped.get();
+    assert_eq!(reaped, 1, "exactly the stalled session is reaped");
+    // `stats` reports the framework's count: one reap, counted once.
+    let stack = fabric.stack(HostId(4));
+    let reply = sim
+        .block_on(do_m! {
+            let conn <- stack.connect(Endpoint::new(HostId(1), 11211));
+            let conn = conn.unwrap();
+            let sent <- send_all(&conn, Bytes::from_static(b"stats\r\nquit\r\n"));
+            let _ = sent.unwrap();
+            recv_to_end(&conn, 64 * 1024)
+        })
+        .unwrap()
+        .unwrap();
+    let text = String::from_utf8(reply.to_vec()).unwrap();
+    let line = format!("STAT idle_reaped {reaped}\r\n");
+    assert!(text.contains(&line), "`stats` lacks {line:?}:\n{text}");
     let eof_at = stalled_eof_at.load(Ordering::SeqCst);
     assert!(
         eof_at >= IDLE,

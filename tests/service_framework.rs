@@ -18,7 +18,7 @@
 //!   still fires;
 //! * readiness is the only way to wait on a connection: a `Conn` without
 //!   a readiness descriptor gets a transport error from `session_input`,
-//!   `send_all_within_vectored` and the router's fan-in — never a hang,
+//!   `send_all_within` and the router's fan-in — never a hang,
 //!   never a forked helper thread;
 //! * a `Server<S>`-hosted service stays deterministic: same seed + config
 //!   ⇒ byte-identical `SimReport` at every CPU count, with identical
@@ -32,8 +32,8 @@ use eveth::cluster::{Router, RouterConfig};
 use eveth::core::event::{choose, never, sync, timeout_evt, Signal};
 use eveth::core::io::ramdisk::MemStore;
 use eveth::core::net::{
-    queue_accept_evt, recv_exact, send_all, send_all_within, send_all_within_vectored,
-    session_input, Conn, Endpoint, HostId, Listener, NetError, NetStack, SendInput, SessionInput,
+    queue_accept_evt, recv_exact, send_all, send_all_within, session_input, Conn, Endpoint, HostId,
+    Listener, NetError, NetStack, SendInput, SessionInput,
 };
 use eveth::core::reactor::{AcceptQueue, Fd};
 use eveth::core::service::{Server, ServerConfig, ServerStats, Service, Step};
@@ -247,14 +247,15 @@ fn send_all_within_times_out_against_zero_window_peer_over_lossy_tcp() {
             let conn = conn.unwrap();
             // A small write fits the send buffer and completes promptly.
             let quick = Signal::new();
-            let sent_small <- send_all_within(&conn, Bytes::from_static(b"hello"), DEADLINE, &quick);
+            let hello = vec![Bytes::from_static(b"hello")];
+            let sent_small <- send_all_within(&conn, hello, DEADLINE, &quick);
             let t0 <- sys_time();
             // 1 MB against a 64 KB send buffer + unread peer: the window
             // fills and write readiness never returns — the deadline
             // branch must win.
             let stop = Signal::new();
             let big = Bytes::from(vec![0u8; 1_000_000]);
-            let outcome <- send_all_within(&conn, big, DEADLINE, &stop);
+            let outcome <- send_all_within(&conn, vec![big], DEADLINE, &stop);
             let t1 <- sys_time();
             ThreadM::pure((outcome, sent_small, t1 - t0))
         })
@@ -297,7 +298,7 @@ fn send_all_within_observes_the_shutdown_broadcast() {
         .block_on(do_m! {
             let conn <- client_stack.connect(Endpoint::new(HostId(1), 81));
             let conn = conn.unwrap();
-            send_all_within(&conn, Bytes::from(vec![1u8; 1_000_000]), 0, &stop)
+            send_all_within(&conn, vec![Bytes::from(vec![1u8; 1_000_000])], 0, &stop)
         })
         .unwrap();
     assert!(
@@ -501,7 +502,7 @@ fn conn_without_readiness_fd_gets_a_transport_error_not_a_helper_thread() {
         "session_input: {input:?}"
     );
     let sent = sim
-        .block_on(send_all_within_vectored(
+        .block_on(send_all_within(
             &conn,
             vec![Bytes::from_static(b"reply")],
             0,
@@ -510,7 +511,7 @@ fn conn_without_readiness_fd_gets_a_transport_error_not_a_helper_thread() {
         .unwrap();
     assert!(
         matches!(sent, SendInput::Done(Err(NetError::Protocol(_)))),
-        "send_all_within_vectored: {sent:?}"
+        "send_all_within: {sent:?}"
     );
     assert_eq!(sim.live_threads(), threads, "no helper thread was forked");
     assert!(

@@ -5,7 +5,8 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use eveth::core::net::{recv_exact, recv_to_end, send_all, Endpoint, HostId, NetError, NetStack};
-use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep};
+use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep, sys_time};
+use eveth::core::telemetry::metrics::Registry;
 use eveth::core::time::{MILLIS, SECS};
 use eveth::glue;
 use eveth::simos::net::{LinkParams, SimNet};
@@ -53,12 +54,7 @@ fn run_transfer(bytes: usize, loss: f64, seed: u64) -> (u64, u64) {
         .unwrap();
     assert_eq!(back.len(), 128);
     assert!(back.iter().all(|&x| x == 0xAB));
-    (
-        sim.now(),
-        net.stats()
-            .dropped
-            .load(std::sync::atomic::Ordering::Relaxed),
-    )
+    (sim.now(), net.stats().dropped.get())
 }
 
 #[test]
@@ -80,6 +76,58 @@ fn large_transfer_with_loss_retransmits() {
     let (t, dropped) = run_transfer(200_000, 0.02, 42);
     assert!(dropped > 0, "lossy link must drop something");
     assert!(t >= 16_000_000);
+}
+
+/// What TCP did during a partition, read off one `Registry`: the cut link
+/// counts what it dropped, the sender's retransmission timer fires until
+/// the link heals, and the transfer still completes.
+#[test]
+fn a_cut_link_shows_its_drops_and_the_senders_rto_fires_on_one_registry() {
+    const BYTES: usize = 200_000;
+    let (sim, net, [a, b]) = hosts(LinkParams::ethernet_100mbps(), 3, TcpConfig::default());
+    let registry = Registry::new();
+    net.register_metrics(&registry, &[]);
+    a.register_metrics(&registry, &[("host", "1")]);
+    b.register_metrics(&registry, &[("host", "2")]);
+    // Mid-transfer (200 KB needs 16 ms on the wire), cut the data
+    // direction; heal after the first RTO has fired.
+    let (cut, heal) = (Arc::clone(&net), Arc::clone(&net));
+    sim.clock()
+        .schedule_at(4 * MILLIS, move || cut.set_link_down(HostId(1), HostId(2)));
+    sim.clock()
+        .schedule_at(300 * MILLIS, move || heal.set_link_up(HostId(1), HostId(2)));
+
+    let server = do_m! {
+        let lst <- b.listen(80);
+        let conn <- lst.unwrap().accept();
+        let conn = conn.unwrap();
+        let got <- recv_exact(&conn, BYTES);
+        send_all(&conn, got.unwrap().slice(..1))
+    };
+    let done = Arc::new(Mutex::new(None));
+    let slot = Arc::clone(&done);
+    sim.spawn(do_m! {
+        sys_fork(server.map(|_| ()));
+        let conn <- a.connect(Endpoint::new(HostId(2), 80));
+        let conn = conn.unwrap();
+        let sent <- send_all(&conn, Bytes::from(vec![0xAB; BYTES]));
+        let _ = sent.unwrap();
+        let echo <- recv_exact(&conn, 1);
+        let now <- sys_time();
+        sys_nbio(move || *slot.lock().unwrap() = Some((echo.unwrap(), now)))
+    });
+    sim.run_until(Some(10 * SECS));
+    let (echo, finished) = done.lock().unwrap().take().expect("the transfer completed");
+    assert_eq!(&echo[..], &[0xAB]);
+    assert!(finished >= 300 * MILLIS, "the transfer outlived the cut");
+
+    let dropped = registry.counter_value("eveth_link_dropped_total", &[]);
+    assert!(
+        dropped > Some(0),
+        "the cut link dropped segments: {dropped:?}"
+    );
+    let fired = registry.counter_value("eveth_tcp_rto_fires_total", &[("host", "1")]);
+    assert!(fired > Some(0), "the sender's RTO fired: {fired:?}");
 }
 
 /// The server writes `bytes` and closes over a 5 % lossy link; the client

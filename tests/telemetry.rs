@@ -216,15 +216,21 @@ fn debug_service_metrics_reconcile_with_kv_shard_stats() {
     // The wire body was rendered after the load drained, so the KV-side
     // counters it reports are final — they must equal the live handles.
     let reg = art.telemetry.registry();
-    for name in [
-        "eveth_kv_connections_total",
-        "eveth_kv_commands_total",
-        "eveth_kv_bytes_in_total",
-    ] {
+    for name in ["eveth_kv_commands_total", "eveth_kv_bytes_in_total"] {
         let live = reg.counter_value(name, &[]).expect("registered");
         assert_eq!(metric_line(body, name), Some(live), "{name} reconciles");
         assert!(live > 0, "{name} saw traffic");
     }
+    // Connections are the framework's count, the only one kept.
+    let accepted = reg
+        .counter_value("eveth_server_accepted_total", &[("service", "kv")])
+        .expect("registered");
+    assert_eq!(
+        metric_line(body, "eveth_server_accepted_total{service=\"kv\"}"),
+        Some(accepted),
+        "accepts reconcile"
+    );
+    assert!(accepted > 0, "the kv server accepted connections");
     for shard in 0..p.shards {
         for kind in ["hits", "misses", "sets"] {
             let probe = format!("eveth_kv_shard_{kind}_total{{shard=\"{shard}\"}}");
@@ -263,12 +269,23 @@ fn debug_service_metrics_reconcile_with_kv_shard_stats() {
     assert!(art.threads_body.contains("state="));
 }
 
+/// What [`kv_with_every_store_counter_bumped`] observed.
+struct Bumped {
+    /// The `stats` reply.
+    stats: String,
+    /// The `/metrics` body.
+    metrics: String,
+    /// Every store counter's `stats` name and the value it was bumped to.
+    expected: Vec<(&'static str, u64)>,
+    /// The framework's accept count once the `stats` session ended.
+    accepted: u64,
+}
+
 /// A two-shard KV server with telemetry attached and every store
 /// counter of shard 1 bumped to a value of its own (1..=13, in
-/// `ShardStats` field order, each under the name `stats` reports it by);
-/// returns the `stats` reply, the `/metrics` body and the expected
-/// `(name, value)` list.
-fn kv_with_every_store_counter_bumped() -> (String, String, Vec<(&'static str, u64)>) {
+/// `ShardStats` field order, each under the name `stats` reports it by),
+/// asked for `stats` over one connection.
+fn kv_with_every_store_counter_bumped() -> Bumped {
     let tel = Telemetry::new();
     let sim = sim_with_telemetry(&tel);
     let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
@@ -318,14 +335,24 @@ fn kv_with_every_store_counter_bumped() -> (String, String, Vec<(&'static str, u
         })
         .unwrap()
         .unwrap();
-    let stats = String::from_utf8(reply.to_vec()).unwrap();
-    (stats, tel.registry().expose(), expected)
+    Bumped {
+        stats: String::from_utf8(reply.to_vec()).unwrap(),
+        metrics: tel.registry().expose(),
+        expected,
+        accepted: server.server().stats().accepted.get(),
+    }
 }
 
 #[test]
 fn stats_reports_every_store_counter() {
-    let (stats, _, expected) = kv_with_every_store_counter_bumped();
-    for (name, value) in expected {
+    let Bumped {
+        stats,
+        expected,
+        accepted,
+        ..
+    } = kv_with_every_store_counter_bumped();
+    // Connections are the framework's accept count, counted once.
+    for (name, value) in expected.into_iter().chain([("connections", accepted)]) {
         let line = format!("STAT {name} {value}\r\n");
         assert!(stats.contains(&line), "`stats` lacks {line:?}:\n{stats}");
     }
@@ -333,7 +360,11 @@ fn stats_reports_every_store_counter() {
 
 #[test]
 fn metrics_expose_every_store_counter_per_shard() {
-    let (_, body, expected) = kv_with_every_store_counter_bumped();
+    let Bumped {
+        metrics: body,
+        expected,
+        ..
+    } = kv_with_every_store_counter_bumped();
     for (name, value) in expected {
         // `get_hits`/`get_misses` are `stats` names; the metrics never
         // carried the prefix.
@@ -343,6 +374,51 @@ fn metrics_expose_every_store_counter_per_shard() {
             assert_eq!(metric_line(&body, &probe), Some(want), "{probe}");
         }
     }
+}
+
+/// A second attach on the same hub subscribes the session-wait rollup no
+/// second time: what the framework rolls up equals what the `kv` session
+/// spans waited, not twice that.
+#[test]
+fn a_second_attach_does_not_double_the_session_wait_rollup() {
+    let tel = Telemetry::new();
+    let sim = sim_with_telemetry(&tel);
+    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let server = KvServer::new(fabric.stack(HostId(1)), KvConfig::default());
+    server.attach_telemetry(&tel);
+    server.attach_telemetry(&tel);
+    sim.spawn(server.run());
+
+    let client = fabric.stack(HostId(2));
+    sim.block_on(eveth::do_m! {
+        let conn <- client.connect(Endpoint::new(HostId(1), 11211));
+        let conn = conn.unwrap();
+        let sent <- send_all(&conn, bytes::Bytes::from_static(b"set k 0 0 1\r\nv\r\n"));
+        let _ = sent.unwrap();
+        // The session parks on its socket meanwhile: I/O wait to roll up.
+        sys_sleep(MILLIS);
+        let sent <- send_all(&conn, bytes::Bytes::from_static(b"quit\r\n"));
+        let _ = sent.unwrap();
+        recv_to_end(&conn, 1024)
+    })
+    .unwrap()
+    .unwrap();
+    sim.run_until(Some(sim.now() + MILLIS));
+
+    let waited: u64 = tel
+        .spans()
+        .iter()
+        .filter(|s| s.name.as_deref() == Some("kv"))
+        .map(|s| s.io_wait_ns)
+        .sum();
+    assert!(waited >= MILLIS, "the session parked on I/O: {waited}");
+    assert_eq!(
+        tel.registry().counter_value(
+            "eveth_server_session_io_wait_ns_total",
+            &[("service", "kv")]
+        ),
+        Some(waited)
+    );
 }
 
 #[test]
