@@ -23,22 +23,25 @@
 //!
 //! Synchronization runs entirely as library code on the scheduler-extension
 //! interface ([`sys_park`]), exactly as the paper
-//! claims new primitives should (§4.7). `sync` repeatedly:
+//! claims new primitives should (§4.7). `sync`:
 //!
-//! 1. **polls** every branch in declaration order — the first ready branch
-//!    commits (the stable tie-break that makes `choose` deterministic
-//!    under the simulator);
-//! 2. if none is ready, **parks once**, handing each branch a clone of the
-//!    thread's one-shot [`Unparker`] — the shared commit token. Branches
-//!    register with their devices (wait queue, timer wheel, readiness
-//!    table); whichever fires first wins the token, the rest find it
-//!    spent;
+//! 1. in one [`sys_nbio`] step, forces the guards into a flat branch list
+//!    and **polls** every branch in declaration order — the first ready
+//!    branch commits (the stable tie-break that makes `choose`
+//!    deterministic under the simulator). An event that is already ready
+//!    costs this one step and no park;
+//! 2. only if none is ready, **parks once**, handing each branch a clone
+//!    of the thread's one-shot [`Unparker`] — the shared commit token.
+//!    Branches register with their devices (wait queue, timer wheel,
+//!    readiness table); whichever fires first wins the token, the rest
+//!    find it spent;
 //! 3. on wake, polls again and **cancels the losing registrations** — a
 //!    queued waiter is withdrawn from its [`WaitQ`], an armed timer is
 //!    disarmed (eagerly under simulation, so an abandoned timeout cannot
 //!    extend virtual time), and a consumed wakeup that ended up committing
 //!    elsewhere is passed on to the device's next waiter (the baton in
-//!    [`Registration::new`]), so no wakeup is ever lost.
+//!    [`Registration::new`]), so no wakeup is ever lost. If nothing is
+//!    ready after all, it parks again (step 2).
 //!
 //! The park is provisionally charged as [`WaitKind::Lock`]; the winning
 //! branch reclassifies the episode ([`Unparker::reclassify`]) so blocked
@@ -77,9 +80,9 @@ use std::sync::Arc;
 use parking_lot::Mutex as PlMutex;
 
 use crate::engine::WaitKind;
-use crate::reactor::{DirectPort, EventPort, Fd, Interest, Unparker, WaitQ, Waiter};
+use crate::reactor::{EventPort, Fd, Interest, Unparker, WaitQ, Waiter};
 use crate::syscall::{sys_nbio, sys_park, sys_time};
-use crate::thread::{loop_m, Loop, ThreadM};
+use crate::thread::ThreadM;
 use crate::time::Nanos;
 
 // ---------------------------------------------------------------------------
@@ -221,11 +224,11 @@ impl fmt::Debug for Registration {
 /// The port a branch's waiter wakes through: records the winning branch's
 /// readiness (for `readiness_evt`'s commit latch), reclassifies the park
 /// episode to the branch's wait class, then forwards to the real delivery
-/// route.
+/// route — or, with no `inner` route, unparks inline.
 struct BranchPort {
     kind: WaitKind,
     fired: Option<Arc<AtomicBool>>,
-    inner: Arc<dyn EventPort>,
+    inner: Option<Arc<dyn EventPort>>,
 }
 
 impl EventPort for BranchPort {
@@ -234,7 +237,12 @@ impl EventPort for BranchPort {
             fired.store(true, Ordering::SeqCst);
         }
         unparker.reclassify(self.kind);
-        self.inner.notify(unparker);
+        match &self.inner {
+            Some(port) => port.notify(unparker),
+            None => {
+                unparker.unpark();
+            }
+        }
     }
 }
 
@@ -248,7 +256,7 @@ pub fn branch_waiter(unparker: &Unparker, kind: WaitKind) -> Waiter {
         Arc::new(BranchPort {
             kind,
             fired: None,
-            inner: Arc::new(DirectPort),
+            inner: None,
         }),
     )
 }
@@ -501,7 +509,7 @@ pub fn readiness_evt(fd: &Fd, interest: Interest) -> Event<()> {
                     Arc::new(BranchPort {
                         kind: WaitKind::Io,
                         fired: Some(Arc::clone(&fired)),
-                        inner: u.runtime_ctx().event_port(),
+                        inner: Some(u.runtime_ctx().event_port()),
                     }),
                 );
                 fd.device().register(interest, waiter);
@@ -520,9 +528,11 @@ pub fn readiness_evt(fd: &Fd, interest: Interest) -> Event<()> {
 /// and yields its (wrapped) result.
 ///
 /// This is the only place events touch the scheduler, and it does so
-/// purely through [`sys_park`] +
-/// [`sys_time`] — the generalized
-/// multi-registration park described in the [module docs](self).
+/// purely through [`sys_time`], [`sys_nbio`] and [`sys_park`] — the
+/// generalized multi-registration park described in the
+/// [module docs](self). The `sys_nbio` that forces the guards also runs
+/// the first poll, so an event that is already ready commits in that one
+/// step; only a miss builds the shared state of the park rounds.
 pub fn sync<A: Send + 'static>(ev: Event<A>) -> ThreadM<A> {
     sys_time().bind(move |t0| {
         sys_nbio(move || {
@@ -530,81 +540,94 @@ pub fn sync<A: Send + 'static>(ev: Event<A>) -> ThreadM<A> {
             // synchronization, so guard thunks run anew each time.
             let mut branches = Vec::new();
             (ev.build)(t0, &mut branches);
-            Arc::new(PlMutex::new(branches))
+            match commit(&mut branches, t0) {
+                Some((_, v)) => Ok(v),
+                None => Err(branches),
+            }
         })
-        .bind(|branches| {
-            type Regs = Arc<PlMutex<Vec<Registration>>>;
-            loop_m(None::<Regs>, move |prior: Option<Regs>| {
-                let poll_branches = Arc::clone(&branches);
-                let park_branches = Arc::clone(&branches);
-                sys_time().bind(move |now| {
-                    sys_nbio(move || {
-                        // Deterministic tie-break: first ready branch in
-                        // declaration order commits.
-                        let won = {
-                            let mut bs = poll_branches.lock();
-                            let mut won = None;
-                            for (i, b) in bs.iter_mut().enumerate() {
-                                if let Some(v) = (b.poll)(now) {
-                                    won = Some((i, v));
-                                    break;
-                                }
-                            }
-                            // Commit decided: tell every abandoned branch
-                            // so — the hook behind `with_nack`'s negative
-                            // acknowledgement. Runs whether or not a park
-                            // round ever happened (a first-poll win still
-                            // abandons the other branches). Done in this
-                            // lock scope so the common no-hook sync pays
-                            // no second acquisition.
-                            if let Some((wi, _)) = &won {
-                                for (i, b) in bs.iter_mut().enumerate() {
-                                    if i != *wi {
-                                        if let Some(hook) = b.abandon.take() {
-                                            hook();
-                                        }
-                                    }
-                                }
-                            }
-                            won
-                        };
-                        // Retire the previous park round. Losing branches
-                        // withdraw their waiters/timers; a consumed wakeup
-                        // that committed elsewhere is batoned onward. The
-                        // winner's consumed wakeup is simply its own.
-                        if let Some(regs) = prior {
-                            let winner = won.as_ref().map(|(i, _)| *i);
-                            for (i, reg) in regs.lock().drain(..).enumerate() {
-                                reg.cancel(Some(i) != winner);
-                            }
-                        }
-                        won
-                    })
-                    .bind(move |won| match won {
-                        Some((_, v)) => ThreadM::pure(Loop::Break(v)),
-                        None => {
-                            // Nothing ready: park once, registering every
-                            // branch with a clone of the one-shot token.
-                            // A registration may wake immediately (its
-                            // condition held at registration time); later
-                            // branches can then skip registering — the
-                            // next poll decides the winner either way.
-                            let regs: Regs = Arc::new(PlMutex::new(Vec::new()));
-                            let filled = Arc::clone(&regs);
-                            sys_park(move |u| {
-                                let mut bs = park_branches.lock();
-                                let mut rs = filled.lock();
-                                for b in bs.iter_mut() {
-                                    rs.push((b.register)(&u));
-                                    if u.is_spent() {
-                                        break;
-                                    }
-                                }
-                            })
-                            .map(move |_| Loop::Continue(Some(regs)))
-                        }
-                    })
-                })
+        // A closure per poll site, not one helper shared with
+        // `park_round`: the shared helper measured one more heap
+        // allocation per connection.
+        .bind(|first| match first {
+            Ok(v) => ThreadM::pure(v),
+            Err(branches) => park_round(Arc::new(PlMutex::new(Round {
+                branches,
+                regs: Vec::new(),
+            }))),
+        })
+    })
+}
+
+/// Polls `branches` in declaration order — the deterministic tie-break:
+/// the first ready branch commits. On a commit, every other branch's
+/// abandon hook runs (the hook behind [`with_nack`]'s negative
+/// acknowledgement), whether or not a park round ever happened.
+fn commit<A>(branches: &mut [Branch<A>], now: Nanos) -> Option<(usize, A)> {
+    let (wi, v) = branches
+        .iter_mut()
+        .enumerate()
+        .find_map(|(i, b)| (b.poll)(now).map(|v| (i, v)))?;
+    for (i, b) in branches.iter_mut().enumerate() {
+        if i != wi {
+            if let Some(hook) = b.abandon.take() {
+                hook();
+            }
+        }
+    }
+    Some((wi, v))
+}
+
+/// A synchronization that missed its first poll: its branches, and the
+/// registrations of the park round in flight (index `i` undoes branch
+/// `i`; a round that woke early holds fewer). Shared behind a lock: the
+/// registering `sys_park` closure and the re-poll after the wake may run
+/// on different workers.
+struct Round<A> {
+    branches: Vec<Branch<A>>,
+    regs: Vec<Registration>,
+}
+
+/// One park round and its re-poll, repeated until a branch commits.
+///
+/// Parks once, registering every branch with a clone of the one-shot
+/// token. A registration may wake immediately (its condition held at
+/// registration time); later branches then skip registering — the
+/// re-poll decides the winner either way. The re-poll retires the round:
+/// losing branches withdraw their waiters and timers, and a consumed
+/// wakeup that committed elsewhere is batoned onward; the winner's
+/// consumed wakeup is simply its own. While parked, the thread holds the
+/// `Round` and one continuation frame that owns it.
+fn park_round<A: Send + 'static>(round: Arc<PlMutex<Round<A>>>) -> ThreadM<A> {
+    let fill = Arc::clone(&round);
+    sys_park(move |u| {
+        let Round { branches, regs } = &mut *fill.lock();
+        for b in branches.iter_mut() {
+            regs.push((b.register)(&u));
+            if u.is_spent() {
+                break;
+            }
+        }
+    })
+    .bind(move |()| {
+        sys_time().bind(move |now| {
+            sys_nbio(move || {
+                let won = {
+                    let Round { branches, regs } = &mut *round.lock();
+                    let won = commit(branches, now);
+                    let winner = won.as_ref().map(|(i, _)| *i);
+                    for (i, reg) in regs.drain(..).enumerate() {
+                        reg.cancel(Some(i) != winner);
+                    }
+                    won
+                };
+                match won {
+                    Some((_, v)) => Ok(v),
+                    None => Err(round),
+                }
+            })
+            .bind(|polled| match polled {
+                Ok(v) => ThreadM::pure(v),
+                Err(round) => park_round(round),
             })
         })
     })
@@ -745,6 +768,48 @@ mod tests {
     fn always_commits_immediately() {
         let rt = Runtime::builder().workers(1).build();
         assert_eq!(rt.block_on(sync(always(42))), 42);
+        rt.shutdown();
+    }
+
+    /// Charged steps and parks of `block_on(m)` on `rt`.
+    fn charged<T: Send + 'static>(rt: &Runtime, m: ThreadM<T>) -> (u64, u64) {
+        let before = rt.stats();
+        rt.block_on(m);
+        let after = rt.stats();
+        (after.steps - before.steps, after.parks - before.parks)
+    }
+
+    /// Charged steps and parks `m` costs beyond a bare
+    /// `block_on(ThreadM::pure(()))`.
+    fn cost_of<T: Send + 'static>(rt: &Runtime, m: ThreadM<T>) -> (u64, u64) {
+        let (base_steps, base_parks) = charged(rt, ThreadM::pure(()));
+        let (steps, parks) = charged(rt, m);
+        (steps - base_steps, parks - base_parks)
+    }
+
+    #[test]
+    fn a_ready_event_commits_in_one_step_without_parking() {
+        let rt = Runtime::builder().workers(1).build();
+        assert_eq!(cost_of(&rt, sync(always(1))), (1, 0), "always");
+        let ch: Chan<u8> = Chan::new();
+        ch.push_now(7);
+        assert_eq!(cost_of(&rt, ch.read()), (1, 0), "read of a queued item");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_read_on_an_empty_channel_parks_once() {
+        let rt = Runtime::builder().workers(1).build();
+        let ch: Chan<u8> = Chan::new();
+        let tx = ch.clone();
+        let m = crate::do_m! {
+            sys_fork(crate::do_m! {
+                crate::syscall::sys_sleep(MILLIS);
+                tx.write(5)
+            });
+            ch.read()
+        };
+        assert_eq!(cost_of(&rt, m).1, 1);
         rt.shutdown();
     }
 

@@ -87,10 +87,10 @@ pub trait EventPort: Send + Sync {
     fn notify(&self, unparker: Unparker);
 }
 
-/// An [`EventPort`] that unparks inline, bypassing any event-loop queue.
-/// The inner port of every `choose` branch waiter
-/// ([`branch_waiter`](crate::event::branch_waiter)), and what unit tests
-/// hand to a [`Waiter`] they wake by hand.
+/// An [`EventPort`] that unparks inline, bypassing any event-loop queue —
+/// what unit tests hand to a [`Waiter`] they wake by hand. (A `choose`
+/// branch waiter, [`branch_waiter`](crate::event::branch_waiter), unparks
+/// inline too, without a port of its own.)
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DirectPort;
 
