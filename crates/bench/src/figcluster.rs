@@ -200,8 +200,8 @@ fn probe_thread(
                 let got <- client.request(wire, 1);
                 let t1 <- sys_time();
                 let next = match got {
-                    Ok(replies) => {
-                        if replies.iter().any(|r| matches!(r, Reply::Value { .. })) {
+                    Ok(framed) => {
+                        if framed.iter().any(|f| f.values > 0) {
                             log.lock().unwrap().push((t1, t1.saturating_sub(t0)));
                         }
                         Some(client)
@@ -311,7 +311,7 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
                 Bytes::from(format!("set {PROBE_KEY} 0 0 5\r\nalive\r\n")),
                 1,
             );
-            let _ = assert_eq!(put.unwrap(), vec![Reply::Stored], "probe key seeded");
+            let _ = assert_eq!(put.unwrap()[0].closing, Reply::Stored, "probe key seeded");
             client.close()
         })
         .expect("probe seed ran");

@@ -346,41 +346,6 @@ fn server_error_bytes() -> Vec<Bytes> {
     vec![Bytes::from(out)]
 }
 
-/// Removes the trailing `END\r\n` from a sub-get's reply run without
-/// copying the payload: the suffix may straddle segment boundaries, so
-/// walk bytes from the back, then pop/trim whole segments. Returns
-/// `None` when the run does not end in END (the sub-get failed).
-fn strip_end(mut segs: Vec<Bytes>) -> Option<Vec<Bytes>> {
-    const END: &[u8] = wire::END;
-    let mut tail = [0u8; 5];
-    let mut got = 0;
-    'fill: for seg in segs.iter().rev() {
-        for &b in seg.iter().rev() {
-            got += 1;
-            tail[END.len() - got] = b;
-            if got == END.len() {
-                break 'fill;
-            }
-        }
-    }
-    if got < END.len() || tail != END {
-        return None;
-    }
-    let mut drop = END.len();
-    while drop > 0 {
-        let last = segs.last_mut().expect("suffix verified");
-        if last.len() <= drop {
-            drop -= last.len();
-            segs.pop();
-        } else {
-            let keep = last.len() - drop;
-            *last = last.slice(..keep);
-            drop = 0;
-        }
-    }
-    Some(segs)
-}
-
 fn closing_is_error(r: &Reply) -> bool {
     matches!(
         r,
@@ -725,12 +690,11 @@ fn drain_framed(
         return false;
     }
     let mut guard = st.lock();
-    while p.framer.ready() > 0 {
+    while let Some(framed) = p.framer.pop() {
         let Some((slot, role)) = p.jobs.pop_front() else {
             // More replies than questions: protocol violation.
             return false;
         };
-        let framed = p.framer.pop().expect("ready > 0");
         match role {
             Role::Read => {
                 let BatchState { slots, repairs } = &mut *guard;
@@ -1006,9 +970,9 @@ impl Service for RouterService {
                 match slot {
                     SlotState::Ready(bytes) => segs.extend(bytes),
                     // A split multi-key get: the next `parts` slots each
-                    // hold one sub-get's full reply. Stitch them back
-                    // into one response by stripping each part's
-                    // terminating END and emitting a single final END —
+                    // hold one sub-get's reply frames. Stitch them back
+                    // into one response by dropping each part's last
+                    // frame, its END, and emitting a single final END —
                     // sub-slots were pushed in key order, and a single
                     // node answers VALUEs in key order too, so the
                     // stitched bytes match the unsplit reply. Any part
@@ -1020,10 +984,12 @@ impl Service for RouterService {
                         let mut dead = false;
                         for _ in 0..parts {
                             match slots.next() {
-                                Some(SlotState::Ready(bytes)) => match strip_end(bytes) {
-                                    Some(run) => body.extend(run),
-                                    None => dead = true,
-                                },
+                                Some(SlotState::Ready(mut frames))
+                                    if frames.last().is_some_and(|f| f[..] == *wire::END) =>
+                                {
+                                    frames.pop();
+                                    body.extend(frames);
+                                }
                                 _ => dead = true,
                             }
                         }

@@ -3,21 +3,25 @@
 //!
 //! Extracted from the load generator so every consumer of the memcached
 //! wire protocol — the loadgen, the cluster router, examples — shares
-//! one client instead of each re-implementing the read loop. The shape
-//! is the loadgen's original: one [`ReplyParser`] per batch, drain
-//! buffered replies before touching the socket, attribute each closed
-//! command the virtual time between the batch send and the chunk that
-//! answered it. Consumers observe the stream through a [`ReadEvent`]
-//! callback (counters, latency histograms) while transport and protocol
-//! failures come back as typed [`KvClientError`]s.
+//! one client instead of each re-implementing the read loop. Replies are
+//! grouped into commands in one place, [`ReplyFramer`]: a fold over the
+//! frames the [`ReplyParser`] cuts, which closes a command at each reply
+//! that [`Reply::closes_command`] and hands it out as a [`Framed`] — the
+//! reply that closed it, its `VALUE` count and its raw frames.
+//! [`read_pipelined`] reports every command a chunk closes before the
+//! next recv and attributes each the virtual time between the batch send
+//! and the chunk that answered it. Consumers observe the stream through a
+//! [`ReadEvent`] callback (counters, latency histograms) while transport
+//! and protocol failures come back as typed [`KvClientError`]s.
 //!
-//! For consumers that must *forward* response bytes verbatim rather than
-//! interpret them — the cluster router — [`ReplyFramer`] splits a raw
-//! response stream into per-command byte runs (zero-copy windows of the
-//! received chunks) using the same parser for framing only.
+//! A consumer that must *forward* response bytes verbatim rather than
+//! interpret them — the cluster router — sends on the frames the parser
+//! handed out: zero-copy windows of the received chunks, or of the
+//! parser's staging buffer where a reply straddled two chunks.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -49,23 +53,19 @@ impl fmt::Display for KvClientError {
 impl std::error::Error for KvClientError {}
 
 /// One observable event while reading a batch's replies; consumers fold
-/// these into their own accounting (the loadgen's counters, the router's
-/// stats) without owning the read loop.
+/// these into their own accounting (the loadgen's counters, a scripted
+/// client's reply list) without owning the read loop.
 #[derive(Debug)]
 pub enum ReadEvent<'a> {
     /// A chunk of this many bytes arrived from the socket.
     Chunk(usize),
-    /// One parsed reply.
-    Reply {
-        /// The reply itself.
-        reply: &'a Reply,
+    /// One command answered in full.
+    Command {
+        /// Its response.
+        framed: &'a Framed,
         /// Virtual time between the batch send and the chunk that
-        /// carried this reply.
+        /// closed this command.
         lat: Nanos,
-        /// True when this reply completes a command
-        /// ([`Reply::closes_command`]); exactly the replies that advance
-        /// the answered count.
-        closes: bool,
     },
     /// The transport failed or the server closed mid-batch; the read
     /// returns [`KvClientError::Transport`] right after.
@@ -79,11 +79,11 @@ pub enum ReadEvent<'a> {
 /// folding every event into `observe` (threaded through the loop as
 /// `state`). Returns the final state, or the first failure.
 ///
-/// This is the loadgen's original read loop, verbatim: buffered replies
-/// drain before each recv, and latency is attributed per *chunk arrival*
-/// (`sys_time` once per chunk, not per reply). The observer must be
-/// `Clone` because the loop re-enters it each iteration; closures over
-/// refcounted stats handles clone for free.
+/// Every command a chunk closes is reported before the next recv, and
+/// latency is attributed per *chunk arrival* (`sys_time` once per chunk,
+/// not per reply). The observer must be `Clone` because the loop
+/// re-enters it each iteration; closures over refcounted stats handles
+/// clone for free.
 pub fn read_pipelined<S, F>(
     conn: Arc<dyn Conn>,
     expected: usize,
@@ -96,26 +96,12 @@ where
     F: Fn(&mut S, ReadEvent<'_>) + Clone + Send + Sync + 'static,
 {
     loop_m(
-        (ReplyParser::new(), 0usize, init, sent_at),
-        move |(mut parser, mut answered, mut st, arrived_at)| {
-            let observe = observe.clone();
-            let conn = Arc::clone(&conn);
-            // Drain everything already buffered before touching the
-            // socket; these replies came in with the previous chunk.
-            let lat = arrived_at.saturating_sub(sent_at);
-            loop {
-                match parser.try_next() {
-                    Err(e) => {
-                        observe(&mut st, ReadEvent::ProtocolError);
-                        return ThreadM::pure(Loop::Break(Err(KvClientError::Protocol(e))));
-                    }
-                    Ok(None) => break,
-                    Ok(Some(reply)) => answered += note(&observe, &mut st, &reply, lat),
-                }
-            }
+        (ReplyFramer::new(), 0usize, init),
+        move |(mut framer, mut answered, mut st)| {
             if answered >= expected {
                 return ThreadM::pure(Loop::Break(Ok(st)));
             }
+            let observe = observe.clone();
             conn.recv(64 * 1024).bind(move |chunk| match chunk {
                 Err(e) => {
                     observe(&mut st, ReadEvent::TransportError);
@@ -127,36 +113,33 @@ where
                 }
                 Ok(chunk) => sys_time().bind(move |now| {
                     observe(&mut st, ReadEvent::Chunk(chunk.len()));
-                    match parser.feed_bytes(chunk) {
-                        Err(e) => {
-                            observe(&mut st, ReadEvent::ProtocolError);
-                            ThreadM::pure(Loop::Break(Err(KvClientError::Protocol(e))))
-                        }
-                        Ok(first) => {
-                            if let Some(reply) = first {
-                                let lat = now.saturating_sub(sent_at);
-                                answered += note(&observe, &mut st, &reply, lat);
+                    framer.parser.push(chunk);
+                    let lat = now.saturating_sub(sent_at);
+                    loop {
+                        match framer.next_command() {
+                            Err(e) => {
+                                observe(&mut st, ReadEvent::ProtocolError);
+                                return ThreadM::pure(Loop::Break(Err(KvClientError::Protocol(e))));
                             }
-                            ThreadM::pure(Loop::Continue((parser, answered, st, now)))
+                            Ok(None) => {
+                                return ThreadM::pure(Loop::Continue((framer, answered, st)));
+                            }
+                            Ok(Some(framed)) => {
+                                observe(
+                                    &mut st,
+                                    ReadEvent::Command {
+                                        framed: &framed,
+                                        lat,
+                                    },
+                                );
+                                answered += 1;
+                            }
                         }
                     }
                 }),
             })
         },
     )
-}
-
-/// Reports one parsed reply to the observer; returns how many commands it
-/// answered (1 if it closes its command, else 0).
-fn note<S>(
-    observe: &impl Fn(&mut S, ReadEvent<'_>),
-    st: &mut S,
-    reply: &Reply,
-    lat: Nanos,
-) -> usize {
-    let closes = reply.closes_command();
-    observe(st, ReadEvent::Reply { reply, lat, closes });
-    usize::from(closes)
 }
 
 /// A connected KV wire client over any [`Conn`]. Cloning is cheap
@@ -208,15 +191,15 @@ impl KvClient {
         read_pipelined(Arc::clone(&self.conn), expected, sent_at, init, observe)
     }
 
-    /// One full exchange: timestamp, send, read `expected` replies,
-    /// collecting them. The convenience entry point for scripted
-    /// clients; the loadgen drives [`KvClient::send`] and
+    /// One full exchange: timestamp, send, read the responses to
+    /// `expected` commands, collecting them. The convenience entry point
+    /// for scripted clients; the loadgen drives [`KvClient::send`] and
     /// [`KvClient::read_pipelined`] separately to own its accounting.
     pub fn request(
         &self,
         wire: Bytes,
         expected: usize,
-    ) -> ThreadM<Result<Vec<Reply>, KvClientError>> {
+    ) -> ThreadM<Result<Vec<Framed>, KvClientError>> {
         let this = self.clone();
         sys_time().bind(move |t_send| {
             this.send(wire).bind(move |sent| match sent {
@@ -225,9 +208,9 @@ impl KvClient {
                     expected,
                     t_send,
                     Vec::with_capacity(expected),
-                    |acc: &mut Vec<Reply>, ev| {
-                        if let ReadEvent::Reply { reply, .. } = ev {
-                            acc.push(reply.clone());
+                    |acc: &mut Vec<Framed>, ev| {
+                        if let ReadEvent::Command { framed, .. } = ev {
+                            acc.push(framed.clone());
                         }
                     },
                 ),
@@ -248,15 +231,16 @@ impl fmt::Debug for KvClient {
 }
 
 /// One command's complete response, framed out of the raw stream.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Framed {
-    /// The exact response bytes, as zero-copy windows of the received
-    /// chunks — forwardable verbatim.
+    /// The raw frame of each reply in the response, in order, exactly as
+    /// the [`ReplyParser`] cut it — forwardable verbatim.
     pub bytes: Vec<Bytes>,
-    /// The reply that closed the command (`END`, `STORED`, …).
+    /// The reply that closed the command (`END`, `STORED`, …); its frame
+    /// is the last of `bytes`.
     pub closing: Reply,
     /// `VALUE` lines inside this response — zero means a clean miss for
-    /// a single-key `get`.
+    /// a `get`.
     pub values: usize,
     /// The first parsed `VALUE`/`VALUE …cas` reply, kept so a consumer
     /// can act on the payload (the router's read-repair re-`set`s it)
@@ -264,25 +248,20 @@ pub struct Framed {
     pub first_value: Option<Reply>,
 }
 
-/// Splits a raw response stream into per-command byte runs without
-/// interpreting them: the parser is used for *framing only*, so the
-/// bytes forwarded downstream are exactly the bytes the backend sent
-/// (including reply payloads the parsed [`Reply`] does not retain, like
-/// `VERSION`/`CLIENT_ERROR` text).
+/// Groups a raw response stream into commands: a fold over the frames
+/// the [`ReplyParser`] cuts, closing a command at each reply that
+/// [`Reply::closes_command`]. The frames are kept as cut, so the bytes a
+/// consumer forwards are exactly the bytes the backend sent (including
+/// reply text the parsed [`Reply`] does not retain, like
+/// `VERSION`/`CLIENT_ERROR`).
 #[derive(Debug, Default)]
 pub struct ReplyFramer {
     parser: ReplyParser,
-    /// Received chunks not yet fully claimed into framed commands.
-    chunks: VecDeque<Bytes>,
-    /// Bytes of `chunks.front()` already claimed.
-    head_consumed: usize,
-    /// Total bytes fed / claimed; `fed - parser.buffered()` is the
-    /// stream offset just past the last fully parsed reply.
-    fed: usize,
-    claimed: usize,
-    /// `VALUE` lines seen since the last command boundary.
-    values_open: usize,
-    first_value_open: Option<Reply>,
+    /// The open command: its frames so far, its `VALUE` count and its
+    /// first `VALUE`.
+    frames: Vec<Bytes>,
+    values: usize,
+    first_value: Option<Reply>,
     ready: VecDeque<Framed>,
 }
 
@@ -292,42 +271,19 @@ impl ReplyFramer {
         ReplyFramer::default()
     }
 
-    /// Completed commands waiting in [`ReplyFramer::pop`] order.
-    pub fn ready(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// Feeds one received chunk; returns how many commands completed.
+    /// Feeds one received chunk; returns how many commands it closed,
+    /// now waiting in [`ReplyFramer::pop`] order.
     ///
     /// # Errors
     ///
     /// [`ProtoError`] if the stream is not a valid reply sequence.
     pub fn feed(&mut self, chunk: Bytes) -> Result<usize, ProtoError> {
-        self.fed += chunk.len();
-        self.chunks.push_back(chunk.clone());
-        let mut completed = 0;
-        let mut next = self.parser.feed_bytes(chunk)?;
-        while let Some(reply) = next {
-            if reply.closes_command() {
-                let boundary = self.fed - self.parser.buffered();
-                let bytes = self.claim(boundary);
-                self.ready.push_back(Framed {
-                    bytes,
-                    closing: reply,
-                    values: self.values_open,
-                    first_value: self.first_value_open.take(),
-                });
-                self.values_open = 0;
-                completed += 1;
-            } else if matches!(reply, Reply::Value { .. }) {
-                if self.values_open == 0 {
-                    self.first_value_open = Some(reply);
-                }
-                self.values_open += 1;
-            }
-            next = self.parser.try_next()?;
+        self.parser.push(chunk);
+        let before = self.ready.len();
+        while let Some(framed) = self.next_command()? {
+            self.ready.push_back(framed);
         }
-        Ok(completed)
+        Ok(self.ready.len() - before)
     }
 
     /// Pops the next completed command's response.
@@ -335,24 +291,25 @@ impl ReplyFramer {
         self.ready.pop_front()
     }
 
-    /// Claims stream bytes `[claimed, upto)` as zero-copy windows.
-    fn claim(&mut self, upto: usize) -> Vec<Bytes> {
-        let mut need = upto - self.claimed;
-        let mut segs = Vec::new();
-        while need > 0 {
-            let front = self.chunks.front().expect("claimed past fed bytes");
-            let avail = front.len() - self.head_consumed;
-            let take = avail.min(need);
-            segs.push(front.slice(self.head_consumed..self.head_consumed + take));
-            self.head_consumed += take;
-            need -= take;
-            if self.head_consumed == front.len() {
-                self.chunks.pop_front();
-                self.head_consumed = 0;
+    /// Folds buffered frames into the open command until a reply closes
+    /// it.
+    fn next_command(&mut self) -> Result<Option<Framed>, ProtoError> {
+        while let Some((reply, frame)) = self.parser.next_frame()? {
+            self.frames.push(frame);
+            if reply.closes_command() {
+                return Ok(Some(Framed {
+                    bytes: mem::take(&mut self.frames),
+                    closing: reply,
+                    values: mem::take(&mut self.values),
+                    first_value: self.first_value.take(),
+                }));
+            }
+            if matches!(reply, Reply::Value { .. }) {
+                self.values += 1;
+                self.first_value.get_or_insert(reply);
             }
         }
-        self.claimed = upto;
-        segs
+        Ok(None)
     }
 }
 

@@ -24,8 +24,9 @@
 //!   connection, pipelined execution with coalesced replies;
 //! * [`client`] — the reusable wire client (connect, pipelined
 //!   request/response, typed errors) shared by the loadgen and the
-//!   cluster router, plus [`client::ReplyFramer`] for
-//!   byte-exact forwarding;
+//!   cluster router, and [`client::ReplyFramer`], the one place replies
+//!   are grouped into commands (with their raw frames, for byte-exact
+//!   forwarding);
 //! * [`loadgen`] — monadic client threads issuing pipelined get/set mixes
 //!   over zipfian keys.
 //!

@@ -319,34 +319,26 @@ pub fn preload_thread(
 }
 
 /// Folds one [`ReadEvent`] from the shared wire client into the load
-/// counters. An `END` closes a get (its preceding `VALUE` lines are the
-/// hits), `STORED`/`NOT_FOUND`/numbers close their command; each closed
-/// command records its latency — the virtual time between the batch send
-/// and the chunk that answered it — into the histogram.
-fn observe_load(stats: &KvLoadStats, hits_in_get: &mut u64, ev: ReadEvent<'_>) {
+/// counters. A `get` closed by `END` is a hit per `VALUE` it carried, or
+/// a miss with none; `STORED` counts a store. Each closed command records
+/// its latency — the virtual time between the batch send and the chunk
+/// that answered it — into the histogram.
+fn observe_load(stats: &KvLoadStats, ev: ReadEvent<'_>) {
     match ev {
         ReadEvent::Chunk(n) => stats.bytes_in.add(n as u64),
         ReadEvent::TransportError => stats.transport_errors.incr(),
         ReadEvent::ProtocolError => stats.errors.incr(),
-        ReadEvent::Reply { reply, lat, closes } => {
-            match reply {
-                Reply::Value { .. } => *hits_in_get += 1,
-                Reply::End => {
-                    stats.hits.add(*hits_in_get);
-                    if *hits_in_get == 0 {
-                        stats.misses.incr();
-                    }
-                    *hits_in_get = 0;
-                }
+        ReadEvent::Command { framed, lat } => {
+            match framed.closing {
+                Reply::End if framed.values == 0 => stats.misses.incr(),
+                Reply::End => stats.hits.add(framed.values as u64),
                 Reply::Stored => stats.stored.incr(),
                 Reply::Error | Reply::ClientError(_) | Reply::ServerError(_) => {
                     stats.errors.incr();
                 }
                 _ => {}
             }
-            if closes {
-                stats.latency.record(lat);
-            }
+            stats.latency.record(lat);
         }
     }
 }
@@ -359,9 +351,9 @@ fn read_replies(
     stats: Arc<KvLoadStats>,
     expected: usize,
     sent_at: Nanos,
-) -> ThreadM<Result<u64, KvClientError>> {
-    client.read_pipelined(expected, sent_at, 0u64, move |hits_in_get, ev| {
-        observe_load(&stats, hits_in_get, ev)
+) -> ThreadM<Result<(), KvClientError>> {
+    client.read_pipelined(expected, sent_at, (), move |(), ev| {
+        observe_load(&stats, ev)
     })
 }
 

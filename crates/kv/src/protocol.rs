@@ -31,6 +31,25 @@
 //! `VALUE` line; `cas` stores only if the stamp is unchanged. [`Command`]
 //! follows the shapes: one variant per shape, the verb that picked it
 //! carried as a small field (`with_cas`, [`StoreMode`], `decr`).
+//!
+//! Replies follow the same line grammar:
+//!
+//! ```text
+//! value       VALUE <key> <flags> <bytes> [<cas unique>]\r\n<data>\r\n
+//! stat        STAT <name> <value text>\r\n
+//! text        VERSION | CLIENT_ERROR | SERVER_ERROR <text>\r\n
+//! number      <decimal>\r\n
+//! fixed       END | STORED | NOT_STORED | EXISTS | TOUCHED | DELETED
+//!             | NOT_FOUND | ERROR\r\n
+//! ```
+//!
+//! Both directions are cut by the same three rules, each stated once: one
+//! non-allocating field tokenizer (`Fields`: fields are separated by runs
+//! of spaces), one number rule (`parse_u64`: decimal digits only, no sign)
+//! and one frame rule (`scan_frame`: a line of bounded length — 8 KiB
+//! unless a [`CommandParser`] is given another limit — then the data block
+//! its head declares and that block's CRLF). A field the grammar does not
+//! name is an error on either side.
 
 use std::fmt;
 use std::mem;
@@ -45,6 +64,10 @@ pub const MAX_KEY_LEN: usize = 250;
 /// default declared-size limit of [`CommandParser`], and the fixed limit
 /// [`ReplyParser`] holds a peer's `VALUE` header to.
 pub const MAX_VALUE_LEN: usize = 1024 * 1024;
+
+/// Cap on one reply line before its CRLF, and the default cap on one
+/// command line.
+const MAX_LINE_LEN: usize = 8 * 1024;
 
 /// The five wire shapes of a command line (see the module grammar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -452,7 +475,7 @@ pub struct CommandParser {
 impl CommandParser {
     /// A parser with an 8 KB command-line limit and a 1 MiB value limit.
     pub fn new() -> Self {
-        Self::with_limit(8 * 1024)
+        Self::with_limit(MAX_LINE_LEN)
     }
 
     /// A parser with an explicit command-line limit and the default 1 MiB
@@ -507,7 +530,9 @@ impl CommandParser {
     /// without feeding anything — the drain step for pipelined bursts.
     pub fn try_next(&mut self) -> Result<Option<Command>, ProtoError> {
         let (limit, value_limit) = (self.limit, self.value_limit);
-        let frame = self.buf.next_frame(|buf| scan(buf, limit, value_limit))?;
+        let frame = self.buf.next_frame(|buf| {
+            scan_frame(buf, limit, |line| ParsedLine::parse(line, value_limit))
+        })?;
         Ok(frame.map(|(head, raw)| head.into_command(raw)))
     }
 }
@@ -586,36 +611,93 @@ impl FrameBuf {
     }
 }
 
-/// Scans `buf` for one complete command without consuming anything,
-/// enforcing the line limit and the *declared* value limit — a client
-/// announcing a huge `set` is rejected before any payload is buffered.
-fn scan(
+// ---------------------------------------------------------------------------
+// The line grammar, shared by commands and replies.
+// ---------------------------------------------------------------------------
+
+/// The one field tokenizer: the `(start, end)` spans of a line's fields,
+/// a run of spaces counting as one separator. Allocates nothing.
+struct Fields<'a> {
+    line: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn new(line: &'a [u8]) -> Self {
+        Fields { line, pos: 0 }
+    }
+
+    /// The rest of the line after the fields taken so far, without its
+    /// leading spaces: the free text of a `STAT` value.
+    fn rest(mut self) -> &'a [u8] {
+        self.skip_spaces();
+        &self.line[self.pos..]
+    }
+
+    fn skip_spaces(&mut self) {
+        while self.line.get(self.pos) == Some(&b' ') {
+            self.pos += 1;
+        }
+    }
+}
+
+impl Iterator for Fields<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        self.skip_spaces();
+        let start = self.pos;
+        while self.pos < self.line.len() && self.line[self.pos] != b' ' {
+            self.pos += 1;
+        }
+        (self.pos > start).then_some((start, self.pos))
+    }
+}
+
+/// The one number rule: decimal digits only (no sign), and no overflow.
+fn parse_u64(field: &[u8]) -> Option<u64> {
+    if field.is_empty() || field.len() > 20 {
+        return None;
+    }
+    let mut v: u64 = 0;
+    for &b in field {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add((b - b'0') as u64)?;
+    }
+    Some(v)
+}
+
+/// The one frame rule: a line of at most `limit` bytes up to its CRLF,
+/// then — when `head` reads the line as declaring one — a data block of
+/// the declared length and its own CRLF. Inspects `buf` without consuming
+/// it and answers the head and the frame's length, or `None` while bytes
+/// are missing; the [`FrameBuf::next_frame`] scanner of both directions.
+fn scan_frame<H>(
     buf: &[u8],
     limit: usize,
-    value_limit: usize,
-) -> Result<Option<(ParsedLine, usize)>, ProtoError> {
+    head: impl FnOnce(&[u8]) -> Result<(H, Option<usize>), ProtoError>,
+) -> Result<Option<(H, usize)>, ProtoError> {
     let Some(line_end) = find_crlf(buf) else {
-        if buf.len() > limit {
-            return Err(ProtoError::TooLarge);
-        }
-        return Ok(None);
+        return if buf.len() > limit {
+            Err(ProtoError::TooLarge)
+        } else {
+            Ok(None)
+        };
     };
     if line_end > limit {
         return Err(ProtoError::TooLarge);
     }
-    // `set` carries a data block: wait until line + payload + CRLF are
-    // all buffered before consuming anything.
-    let head = ParsedLine::parse(&buf[..line_end])?;
-    let total = match head.payload_len() {
+    let (head, block) = head(&buf[..line_end])?;
+    let total = match block {
+        // The block length was capped by `head`, so this cannot overflow.
         Some(n) => {
-            if n > value_limit {
-                return Err(ProtoError::Malformed("value too large"));
-            }
             let need = line_end + 2 + n + 2;
             if buf.len() < need {
                 return Ok(None);
             }
-            if &buf[line_end + 2 + n..need] != b"\r\n" {
+            if &buf[need - 2..need] != wire::CRLF {
                 return Err(ProtoError::Malformed("data block not CRLF-terminated"));
             }
             need
@@ -625,21 +707,25 @@ fn scan(
     Ok(Some((head, total)))
 }
 
+fn find_crlf(buf: &[u8]) -> Option<usize> {
+    buf.windows(2).position(|w| w == b"\r\n")
+}
+
 impl Default for CommandParser {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// A scanned command line: the verb, the offsets of its arguments —
-/// resolved into `Bytes` slices only once the whole command is buffered —
+/// A scanned command line: the verb, the span of its (first) key —
+/// resolved into a `Bytes` slice only once the whole command is buffered —
 /// and its numeric fields, parsed once.
 struct ParsedLine {
     verb: Verb,
     /// Length of the command line (the offset of its CR in the frame).
     line_len: usize,
-    /// (start, end) offsets of each argument within the line.
-    args: Vec<(usize, usize)>,
+    /// Span of the key within the line; for `get`/`gets`, of the first.
+    key: (usize, usize),
     noreply: bool,
     /// The line's numeric fields in wire order: `[flags, exptime, bytes,
     /// cas unique]` for the storage shape, `[number]` for key+number.
@@ -647,45 +733,66 @@ struct ParsedLine {
 }
 
 impl ParsedLine {
-    fn parse(line: &[u8]) -> Result<ParsedLine, ProtoError> {
-        let mut fields = split_fields(line);
-        let (vs, ve) = *fields
-            .first()
+    /// Reads a command line; answers it and the length of the data block
+    /// it declares, which must not exceed `value_limit`.
+    fn parse(line: &[u8], value_limit: usize) -> Result<(ParsedLine, Option<usize>), ProtoError> {
+        let mut fields = Fields::new(line);
+        let (vs, ve) = fields
+            .next()
             .ok_or(ProtoError::Malformed("empty command"))?;
         let info = Verb::lookup(&line[vs..ve]).ok_or(ProtoError::UnknownCommand)?;
-        fields.remove(0);
-        let noreply = info.noreply
-            && fields
-                .last()
-                .is_some_and(|&(s, e)| &line[s..e] == b"noreply");
-        if noreply {
-            fields.pop();
-        }
-        let expect = |n: usize, what: &'static str| {
-            if fields.len() == n {
-                Ok(())
-            } else {
-                Err(ProtoError::Malformed(what))
-            }
+        let mut parsed = ParsedLine {
+            verb: info.verb,
+            line_len: line.len(),
+            key: (0, 0),
+            noreply: false,
+            nums: [0; 4],
         };
+        if info.shape == Shape::Keys {
+            let mut first = None;
+            for (s, e) in fields {
+                validate_key(&line[s..e])?;
+                first.get_or_insert((s, e));
+            }
+            parsed.key = first.ok_or(ProtoError::Malformed("get needs at least one key"))?;
+            return Ok((parsed, None));
+        }
+        let (arity, what) = match (info.shape, info.verb) {
+            (Shape::Storage, Verb::Cas) => {
+                (5, "cas needs <key> <flags> <exptime> <bytes> <cas unique>")
+            }
+            (Shape::Storage, _) => (4, "set needs <key> <flags> <exptime> <bytes>"),
+            (Shape::KeyNumber, Verb::Touch) => (2, "touch needs <key> <exptime>"),
+            (Shape::KeyNumber, _) => (2, "incr/decr need <key> <delta>"),
+            (Shape::Key, _) => (1, "delete needs <key>"),
+            _ => (0, "unexpected arguments"),
+        };
+        // At most the arguments plus a `noreply`, held on the stack.
+        let mut args = [(0, 0); 6];
+        let mut n = 0;
+        for span in fields {
+            if n == arity + usize::from(info.noreply) {
+                return Err(ProtoError::Malformed(what));
+            }
+            args[n] = span;
+            n += 1;
+        }
+        if n == arity + 1 && &line[args[arity].0..args[arity].1] == b"noreply" {
+            parsed.noreply = true;
+            n = arity;
+        }
+        if n != arity {
+            return Err(ProtoError::Malformed(what));
+        }
         let num = |field: usize, what: &'static str| {
-            let (s, e) = fields[field];
+            let (s, e) = args[field];
             parse_u64(&line[s..e]).ok_or(ProtoError::Malformed(what))
         };
-        let mut nums = [0; 4];
-        let keys = match info.shape {
-            Shape::Keys => {
-                if fields.is_empty() {
-                    return Err(ProtoError::Malformed("get needs at least one key"));
-                }
-                fields.len()
-            }
+        let nums = &mut parsed.nums;
+        match info.shape {
             Shape::Storage => {
                 if info.verb == Verb::Cas {
-                    expect(5, "cas needs <key> <flags> <exptime> <bytes> <cas unique>")?;
                     nums[3] = num(4, "bad cas unique")?;
-                } else {
-                    expect(4, "set needs <key> <flags> <exptime> <bytes>")?;
                 }
                 nums[0] = num(1, "bad flags")?;
                 if nums[0] > u32::MAX as u64 {
@@ -693,63 +800,41 @@ impl ParsedLine {
                 }
                 nums[1] = num(2, "bad exptime")?;
                 nums[2] = num(3, "bad byte count")?;
-                1
             }
-            Shape::KeyNumber => {
-                let (arity, number) = if info.verb == Verb::Touch {
-                    ("touch needs <key> <exptime>", "bad exptime")
-                } else {
-                    ("incr/decr need <key> <delta>", "bad delta")
-                };
-                expect(2, arity)?;
-                nums[0] = num(1, number)?;
-                1
-            }
-            Shape::Key => {
-                expect(1, "delete needs <key>")?;
-                1
-            }
-            Shape::Bare => {
-                expect(0, "unexpected arguments")?;
-                0
-            }
-        };
-        for &(s, e) in &fields[..keys] {
-            validate_key(&line[s..e])?;
+            Shape::KeyNumber if info.verb == Verb::Touch => nums[0] = num(1, "bad exptime")?,
+            Shape::KeyNumber => nums[0] = num(1, "bad delta")?,
+            _ => {}
         }
-        Ok(ParsedLine {
-            verb: info.verb,
-            line_len: line.len(),
-            args: fields,
-            noreply,
-            nums,
-        })
-    }
-
-    /// `Some(n)` when a data block of `n` bytes follows the line.
-    fn payload_len(&self) -> Option<usize> {
-        (self.verb.info().shape == Shape::Storage).then_some(self.nums[2] as usize)
+        if arity > 0 {
+            parsed.key = args[0];
+            validate_key(&line[args[0].0..args[0].1])?;
+        }
+        let block = (info.shape == Shape::Storage).then_some(parsed.nums[2]);
+        match block {
+            Some(n) if n > value_limit as u64 => Err(ProtoError::Malformed("value too large")),
+            _ => Ok((parsed, block.map(|n| n as usize))),
+        }
     }
 
     /// Builds the final command from its frame (the command line, then
     /// the data block if the verb carries one).
     fn into_command(self, frame: Bytes) -> Command {
-        let arg = |i: usize| -> Bytes {
-            let (s, e) = self.args[i];
-            frame.slice(s..e)
-        };
+        let key = || frame.slice(self.key.0..self.key.1);
         let (verb, noreply) = (self.verb, self.noreply);
         let [first, exptime, bytes, stamp] = self.nums;
         match verb.info().shape {
             Shape::Keys => Command::Get {
-                keys: (0..self.args.len()).map(arg).collect(),
+                keys: Fields::new(&frame[..self.line_len])
+                    .skip(1)
+                    .map(|(s, e)| frame.slice(s..e))
+                    .collect(),
                 with_cas: verb == Verb::Gets,
             },
             Shape::Storage => {
                 let data = self.line_len + 2;
                 Command::Store {
                     mode: StoreMode::of(verb, stamp),
-                    key: arg(0),
+                    key: key(),
                     flags: first as u32,
                     exptime,
                     value: frame.slice(data..data + bytes as usize),
@@ -757,18 +842,18 @@ impl ParsedLine {
                 }
             }
             Shape::KeyNumber if verb == Verb::Touch => Command::Touch {
-                key: arg(0),
+                key: key(),
                 exptime: first,
                 noreply,
             },
             Shape::KeyNumber => Command::Arith {
-                key: arg(0),
+                key: key(),
                 delta: first,
                 decr: verb == Verb::Decr,
                 noreply,
             },
             Shape::Key => Command::Delete {
-                key: arg(0),
+                key: key(),
                 noreply,
             },
             Shape::Bare => match verb {
@@ -793,41 +878,6 @@ fn validate_key(key: &[u8]) -> Result<(), ProtoError> {
         ));
     }
     Ok(())
-}
-
-fn find_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(2).position(|w| w == b"\r\n")
-}
-
-fn split_fields(line: &[u8]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < line.len() {
-        if line[i] == b' ' {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < line.len() && line[i] != b' ' {
-            i += 1;
-        }
-        out.push((start, i));
-    }
-    out
-}
-
-fn parse_u64(field: &[u8]) -> Option<u64> {
-    if field.is_empty() || field.len() > 20 {
-        return None;
-    }
-    let mut v: u64 = 0;
-    for &b in field {
-        if !b.is_ascii_digit() {
-            return None;
-        }
-        v = v.checked_mul(10)?.checked_add((b - b'0') as u64)?;
-    }
-    Some(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -1150,10 +1200,12 @@ impl ReplyQueue {
     }
 }
 
-/// Client-side incremental reply parser (used by the load generator).
-///
-/// Feed response bytes; it yields [`Reply`]s one at a time, reassembling
-/// `VALUE` data blocks across chunk boundaries.
+/// Incremental reply parser, the client side of the wire: feed response
+/// bytes and it yields [`Reply`]s one at a time, reassembling `VALUE`
+/// data blocks across chunk boundaries. The load generator, the cluster
+/// router and scripted clients read replies through its
+/// [`ReplyFramer`](crate::client::ReplyFramer), which also keeps each
+/// reply's raw frame.
 #[derive(Debug, Default)]
 pub struct ReplyParser {
     buf: FrameBuf,
@@ -1176,7 +1228,8 @@ impl ReplyParser {
     ///
     /// # Errors
     ///
-    /// [`ProtoError::Malformed`] on an unrecognized reply line.
+    /// [`ProtoError::Malformed`] on an unrecognized reply line,
+    /// [`ProtoError::TooLarge`] on a line longer than 8 KiB.
     pub fn feed(&mut self, data: &[u8]) -> Result<Option<Reply>, ProtoError> {
         self.buf.stage(data);
         self.try_next()
@@ -1188,17 +1241,35 @@ impl ReplyParser {
     ///
     /// # Errors
     ///
-    /// [`ProtoError::Malformed`] on an unrecognized reply line.
+    /// As [`ReplyParser::feed`].
     pub fn feed_bytes(&mut self, chunk: Bytes) -> Result<Option<Reply>, ProtoError> {
-        self.buf.alias_or_stage(chunk);
+        self.push(chunk);
         self.try_next()
     }
 
     /// Extracts the next complete reply from the buffered bytes without
     /// feeding anything — the drain step for pipelined response bursts.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplyParser::feed`].
     pub fn try_next(&mut self) -> Result<Option<Reply>, ProtoError> {
-        let frame = self.buf.next_frame(scan_reply)?;
-        Ok(frame.map(|(head, raw)| head.into_reply(raw)))
+        Ok(self.next_frame()?.map(|(reply, _)| reply))
+    }
+
+    /// Buffers an owned chunk without parsing it.
+    pub(crate) fn push(&mut self, chunk: Bytes) {
+        self.buf.alias_or_stage(chunk);
+    }
+
+    /// The next complete reply together with its raw frame: the exact
+    /// bytes it arrived as, a window of the fed chunk when it lay inside
+    /// one.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<(Reply, Bytes)>, ProtoError> {
+        let frame = self
+            .buf
+            .next_frame(|buf| scan_frame(buf, MAX_LINE_LEN, reply_head))?;
+        Ok(frame.map(|(head, raw)| (head.into_reply(&raw), raw)))
     }
 }
 
@@ -1211,12 +1282,11 @@ enum ReplyHead {
         flags: u32,
         len: usize,
         cas: Option<u64>,
-        data_start: usize,
     },
 }
 
 impl ReplyHead {
-    fn into_reply(self, raw: Bytes) -> Reply {
+    fn into_reply(self, raw: &Bytes) -> Reply {
         match self {
             ReplyHead::Plain(reply) => reply,
             ReplyHead::Value {
@@ -1224,90 +1294,83 @@ impl ReplyHead {
                 flags,
                 len,
                 cas,
-                data_start,
-            } => Reply::Value {
-                key: raw.slice(ks..ke),
-                flags,
-                data: raw.slice(data_start..data_start + len),
-                cas,
-            },
+            } => {
+                // The data block sits between the line and the final CRLF.
+                let data_end = raw.len() - wire::CRLF.len();
+                Reply::Value {
+                    key: raw.slice(ks..ke),
+                    flags,
+                    data: raw.slice(data_end - len..data_end),
+                    cas,
+                }
+            }
         }
     }
 }
 
-/// Scans `buf` for one complete reply; the [`FrameBuf::next_frame`]
-/// scanner of the client side.
-fn scan_reply(buf: &[u8]) -> Result<Option<(ReplyHead, usize)>, ProtoError> {
-    let Some(line_end) = find_crlf(buf) else {
-        return Ok(None);
+/// Reads a reply line; answers its head and the length of the data block
+/// it declares (a `VALUE` line's, capped at [`MAX_VALUE_LEN`]).
+fn reply_head(line: &[u8]) -> Result<(ReplyHead, Option<usize>), ProtoError> {
+    let mut fields = Fields::new(line);
+    let field = |span: Option<(usize, usize)>| span.map(|(s, e)| &line[s..e]);
+    let word = field(fields.next()).unwrap_or_default();
+    let text = |bytes: &[u8]| {
+        std::str::from_utf8(bytes)
+            .map(str::to_string)
+            .map_err(|_| ProtoError::Malformed("non-UTF-8 STAT line"))
     };
-    let line = &buf[..line_end];
-    if let Some(rest) = line.strip_prefix(wire::VALUE_PREFIX) {
-        let text =
-            std::str::from_utf8(rest).map_err(|_| ProtoError::Malformed("non-UTF-8 VALUE line"))?;
-        let mut parts = text.split(' ');
-        let key = parts.next().ok_or(ProtoError::Malformed("VALUE key"))?;
-        let flags: u32 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or(ProtoError::Malformed("VALUE flags"))?;
-        // The length is the peer's word: capped before it sizes anything,
-        // which also keeps the offsets below far from overflow.
-        let len: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .filter(|&len| len <= MAX_VALUE_LEN)
-            .ok_or(ProtoError::Malformed("VALUE length"))?;
-        // A fourth field is the `cas unique` of a `gets` response.
-        let cas: Option<u64> = match parts.next() {
-            Some(s) => Some(
-                s.parse()
-                    .map_err(|_| ProtoError::Malformed("VALUE cas unique"))?,
-            ),
-            None => None,
-        };
-        let need = line_end + 2 + len + 2;
-        if buf.len() < need {
-            return Ok(None);
+    let reply = match word {
+        b"VALUE" => {
+            let key = fields.next().ok_or(ProtoError::Malformed("VALUE key"))?;
+            let flags = field(fields.next())
+                .and_then(parse_u64)
+                .and_then(|flags| u32::try_from(flags).ok())
+                .ok_or(ProtoError::Malformed("VALUE flags"))?;
+            // The length is the peer's word: capped before it sizes
+            // anything, which also keeps the frame offsets from overflow.
+            let len = field(fields.next())
+                .and_then(parse_u64)
+                .filter(|&len| len <= MAX_VALUE_LEN as u64)
+                .ok_or(ProtoError::Malformed("VALUE length"))? as usize;
+            // A fourth field is the `cas unique` of a `gets` response.
+            let cas = field(fields.next())
+                .map(|stamp| parse_u64(stamp).ok_or(ProtoError::Malformed("VALUE cas unique")))
+                .transpose()?;
+            if fields.next().is_some() {
+                return Err(ProtoError::Malformed("VALUE extra field"));
+            }
+            let head = ReplyHead::Value {
+                key,
+                flags,
+                len,
+                cas,
+            };
+            return Ok((head, Some(len)));
         }
-        if &buf[line_end + 2 + len..need] != b"\r\n" {
-            return Err(ProtoError::Malformed("VALUE block not CRLF-terminated"));
+        b"STAT" => {
+            let name = field(fields.next()).ok_or(ProtoError::Malformed("STAT without name"))?;
+            let value = fields.rest();
+            if value.is_empty() {
+                return Err(ProtoError::Malformed("STAT without value"));
+            }
+            Reply::Stat(text(name)?, text(value)?)
         }
-        let key_start = wire::VALUE_PREFIX.len();
-        let head = ReplyHead::Value {
-            key: (key_start, key_start + key.len()),
-            flags,
-            len,
-            cas,
-            data_start: line_end + 2,
-        };
-        return Ok(Some((head, need)));
-    }
-    let total = line_end + 2;
-    let fixed = FIXED_LINES
-        .iter()
-        .find(|(_, bytes)| *bytes == &buf[..total]);
-    let reply = if let Some((reply, _)) = fixed {
-        reply.clone()
-    } else if let Some(rest) = line.strip_prefix(b"STAT ".as_slice()) {
-        let text =
-            std::str::from_utf8(rest).map_err(|_| ProtoError::Malformed("non-UTF-8 STAT line"))?;
-        match text.split_once(' ') {
-            Some((k, v)) => Reply::Stat(k.to_string(), v.to_string()),
-            None => return Err(ProtoError::Malformed("STAT without value")),
+        // The parser keeps these replies' kind, not their text.
+        b"VERSION" => Reply::Version(""),
+        b"CLIENT_ERROR" => Reply::ClientError(""),
+        b"SERVER_ERROR" => Reply::ServerError(""),
+        word => {
+            let fixed = FIXED_LINES
+                .iter()
+                .find(|(_, bytes)| &bytes[..bytes.len() - wire::CRLF.len()] == word);
+            match (fixed, parse_u64(word), fields.next()) {
+                (Some((reply, _)), _, None) => reply.clone(),
+                (None, Some(n), None) => Reply::Number(n),
+                _ => return Err(ProtoError::Malformed("unrecognized reply")),
+            }
         }
-    } else if line.starts_with(b"VERSION ") {
-        Reply::Version("")
-    } else if line.starts_with(b"CLIENT_ERROR ") {
-        Reply::ClientError("")
-    } else if line.starts_with(b"SERVER_ERROR ") {
-        Reply::ServerError("")
-    } else if let Some(n) = parse_u64(line) {
-        Reply::Number(n)
-    } else {
-        return Err(ProtoError::Malformed("unrecognized reply"));
     };
-    Ok(Some((ReplyHead::Plain(reply), total)))
+    Ok((ReplyHead::Plain(reply), None))
 }
 
 #[cfg(test)]

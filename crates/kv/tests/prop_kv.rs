@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::time::SECS;
+use eveth_kv::client::{Framed, ReplyFramer};
 use eveth_kv::protocol::{CommandParser, Reply, ReplyParser, Shape, Verb, VERBS};
 use eveth_kv::store::{
     Backend, CasOutcome, ConcatOutcome, CounterResult, Entry, ShardedStore, StoreConfig,
@@ -481,7 +482,9 @@ proptest! {
     }
 
     /// Replies encode → parse back identically through the client parser
-    /// under arbitrary chunking.
+    /// under arbitrary chunking, and the framer groups the same cut
+    /// stream into the same commands as one feed of the whole buffer,
+    /// forwarding every byte it was fed.
     #[test]
     fn reply_roundtrip_any_chunking(
         key in "[a-z]{1,8}",
@@ -491,37 +494,79 @@ proptest! {
         n in any::<u64>(),
         cuts in proptest::collection::vec(1usize..32, 0..12),
     ) {
+        let value = |key: &[u8], data: Vec<u8>, cas| Reply::Value {
+            key: Bytes::copy_from_slice(key),
+            flags,
+            data: Bytes::from(data),
+            cas,
+        };
         let replies = vec![
-            Reply::Value {
-                key: Bytes::from(key.into_bytes()),
-                flags,
-                data: Bytes::from(data),
-                cas,
-            },
+            value(key.as_bytes(), data.clone(), cas),
             Reply::End,
             Reply::Stored,
             Reply::Number(n),
             Reply::NotFound,
+            Reply::Version("1.6.0-sim"),
+            Reply::ClientError("bad delta"),
+            Reply::Stat("get_hits".into(), "42".into()),
+            Reply::Stat("version".into(), "1.6.0 sim".into()),
+            Reply::End,
+            value(b"a", data, None),
+            value(key.as_bytes(), b"second".to_vec(), cas),
+            Reply::End,
         ];
         let mut wire = Vec::new();
         for r in &replies {
             r.encode_into(&mut wire);
         }
+        let chunks: Vec<&[u8]> = {
+            let mut chunks = Vec::new();
+            let (mut pos, mut cut_iter) = (0, cuts.into_iter());
+            while pos < wire.len() {
+                let step = cut_iter.next().unwrap_or(wire.len()).min(wire.len() - pos);
+                chunks.push(&wire[pos..pos + step]);
+                pos += step;
+            }
+            chunks
+        };
+
         let mut parser = ReplyParser::new();
         let mut got = Vec::new();
-        let mut pos = 0;
-        let mut cut_iter = cuts.into_iter();
-        while pos < wire.len() {
-            let step = cut_iter.next().unwrap_or(wire.len()).min(wire.len() - pos);
-            if let Some(r) = parser.feed(&wire[pos..pos + step]).expect("valid reply") {
+        for chunk in &chunks {
+            if let Some(r) = parser.feed(chunk).expect("valid reply") {
                 got.push(r);
                 while let Some(r) = parser.feed(b"").expect("valid reply") {
                     got.push(r);
                 }
             }
-            pos += step;
         }
-        prop_assert_eq!(got, replies);
+        // The parser keeps the kind of a text-carrying reply, not its text.
+        let kinds: Vec<Reply> = replies
+            .iter()
+            .map(|r| match r {
+                Reply::Version(_) => Reply::Version(""),
+                Reply::ClientError(_) => Reply::ClientError(""),
+                other => other.clone(),
+            })
+            .collect();
+        prop_assert_eq!(got, kinds);
         prop_assert_eq!(parser.buffered(), 0);
+
+        let mut framer = ReplyFramer::new();
+        let mut cut = Vec::new();
+        for chunk in &chunks {
+            framer.feed(Bytes::copy_from_slice(chunk)).expect("valid reply");
+            cut.extend(std::iter::from_fn(|| framer.pop()));
+        }
+        let forwarded: Vec<u8> = cut.iter().flat_map(|f| f.bytes.concat()).collect();
+        prop_assert_eq!(&forwarded, &wire);
+        let mut whole = ReplyFramer::new();
+        whole.feed(Bytes::from(wire.clone())).expect("valid reply");
+        let whole: Vec<_> = std::iter::from_fn(|| whole.pop()).collect();
+        let shape = |framed: &[Framed]| -> Vec<(Reply, usize)> {
+            framed.iter().map(|f| (f.closing.clone(), f.values)).collect()
+        };
+        prop_assert_eq!(shape(&cut), shape(&whole));
+        prop_assert_eq!(cut.len(), 8);
     }
 }

@@ -10,8 +10,9 @@
 //! * an unknown verb (`ERROR`) versus a malformed known one
 //!   (`CLIENT_ERROR <reason>`), each closing the session.
 //!
-//! Plus one client-side case with no socket under it: hostile `VALUE`
-//! lengths fed straight to the reply parser.
+//! Plus the client-side cases with no socket under them: hostile `VALUE`
+//! lengths and an unterminated line fed straight to the reply parser, and
+//! the field forms both directions of the one line grammar must agree on.
 //!
 //! The wire bytes are shipped in deliberately awkward chunks with virtual
 //! sleeps between them, so the server's incremental parser actually sees
@@ -25,7 +26,8 @@ use eveth_core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth_core::syscall::sys_sleep;
 use eveth_core::time::MILLIS;
 use eveth_core::{do_m, for_each_m};
-use eveth_kv::protocol::{ProtoError, ReplyParser};
+use eveth_kv::client::ReplyFramer;
+use eveth_kv::protocol::{CommandParser, ProtoError, ReplyParser};
 use eveth_kv::server::{KvConfig, KvServer};
 use eveth_kv::store::StoreConfig;
 use eveth_simos::net::{LinkParams, SimNet};
@@ -299,4 +301,71 @@ fn hostile_value_lengths_in_a_reply_are_malformed_not_a_panic() {
         ReplyParser::new().feed(b"VALUE k 0 1048576\r\n").unwrap(),
         None
     );
+}
+
+/// A reply line is bounded like a command line. A backend that never
+/// sends a CRLF is refused once it has sent more than 8 KiB, instead of
+/// growing the reader's buffer without limit and making every new chunk
+/// rescan it from the first byte.
+#[test]
+fn an_unterminated_reply_line_past_8_kib_is_too_large() {
+    let mut p = ReplyParser::new();
+    assert_eq!(p.feed(&[b'x'; 8 * 1024]).unwrap(), None, "at the limit");
+    assert_eq!(p.feed(b"x").unwrap_err(), ProtoError::TooLarge);
+    // What a router session sees: its backend framer fails, and the
+    // router writes the backend off.
+    let mut f = ReplyFramer::new();
+    assert_eq!(
+        f.feed(Bytes::from(vec![b'x'; 4 << 20])),
+        Err(ProtoError::TooLarge)
+    );
+}
+
+/// Commands and replies are cut by one grammar, so each field form is
+/// accepted by both directions or refused by both: digits only (no `+`),
+/// no field the grammar does not name, and a run of spaces counts as one
+/// separator.
+#[test]
+fn commands_and_replies_accept_the_same_field_forms() {
+    type Row = (&'static str, &'static [u8], &'static [u8], bool);
+    let table: [Row; 4] = [
+        (
+            "canonical fields",
+            b"set k 7 0 2\r\nhi\r\n",
+            b"VALUE k 7 2\r\nhi\r\n",
+            true,
+        ),
+        (
+            "a + sign",
+            b"set k +0 0 2\r\nhi\r\n",
+            b"VALUE k +7 +2\r\nhi\r\n",
+            false,
+        ),
+        (
+            "a trailing extra field",
+            b"set k 0 0 2 junk\r\nhi\r\n",
+            b"VALUE k 0 2 9 junk\r\nhi\r\n",
+            false,
+        ),
+        (
+            "a doubled space",
+            b"set  k 0 0 2\r\nhi\r\n",
+            b"VALUE k  0 2\r\nhi\r\n",
+            true,
+        ),
+    ];
+    for (form, command, reply, accepted) in table {
+        let command = CommandParser::new().feed(command);
+        let reply = ReplyParser::new().feed(reply);
+        assert_eq!(
+            command.is_ok(),
+            accepted,
+            "a command with {form}: {command:?}"
+        );
+        assert_eq!(reply.is_ok(), accepted, "a reply with {form}: {reply:?}");
+        if accepted {
+            assert!(command.unwrap().is_some(), "a command with {form}");
+            assert!(reply.unwrap().is_some(), "a reply with {form}");
+        }
+    }
 }

@@ -25,14 +25,15 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth::cluster::{HashRing, Router, RouterConfig};
-use eveth::core::net::{send_all, Conn, Endpoint, HostId, NetStack};
+use eveth::core::net::{Conn, Endpoint, HostId, NetStack};
 use eveth::glue;
+use eveth::kv::client::KvClient;
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::sockets::{FabricParams, SocketFabric};
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
-use eveth::{do_m, loop_m, Loop, ThreadM};
+use eveth::{do_m, ThreadM};
 
 const NODES: u32 = 4;
 const KEYS: usize = 64;
@@ -43,37 +44,19 @@ fn backend(h: u32) -> Endpoint {
     Endpoint::new(HostId(h), KV_PORT)
 }
 
-/// Sends `wire`, then receives until `expected` command-closing replies
-/// (`\r\n`-framed, `VALUE` bodies included) have been parsed.
+/// Sends `wire` and reads the responses to `expected` commands through
+/// the shared wire client; returns their raw bytes.
 fn pipelined(conn: Arc<dyn Conn>, wire: Bytes, expected: usize) -> ThreadM<Vec<u8>> {
-    use eveth::kv::protocol::ReplyParser;
-    let conn_read = Arc::clone(&conn);
-    send_all(&conn, wire).bind(move |sent| {
-        sent.expect("request sent");
-        loop_m(
-            (ReplyParser::new(), Vec::new(), 0usize),
-            move |(mut parser, mut acc, mut closed)| {
-                let conn = Arc::clone(&conn_read);
-                conn.recv(16 * 1024).map(move |chunk| {
-                    let chunk = chunk.expect("router reply");
-                    assert!(!chunk.is_empty(), "router closed early");
-                    acc.extend_from_slice(&chunk);
-                    let mut fed = parser.feed_bytes(chunk);
-                    while let Some(r) = fed.expect("well-formed reply stream") {
-                        if r.closes_command() {
-                            closed += 1;
-                        }
-                        fed = parser.try_next();
-                    }
-                    if closed >= expected {
-                        Loop::Break(acc)
-                    } else {
-                        Loop::Continue((parser, acc, closed))
-                    }
-                })
-            },
-        )
-    })
+    KvClient::from_conn(conn)
+        .request(wire, expected)
+        .map(|framed| {
+            let framed = framed.expect("well-formed reply stream");
+            framed
+                .iter()
+                .flat_map(|f| &f.bytes)
+                .flat_map(|b| b.to_vec())
+                .collect()
+        })
 }
 
 fn main() {

@@ -22,7 +22,7 @@ use eveth::cluster::{HashRing, Router, RouterConfig};
 use eveth::core::net::{recv_to_end, send_all, Conn, Endpoint, HostId, NetStack};
 use eveth::core::time::MILLIS;
 use eveth::glue;
-use eveth::kv::protocol::ReplyParser;
+use eveth::kv::client::KvClient;
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::sockets::{FabricParams, SocketFabric};
@@ -51,36 +51,19 @@ fn spawn_backends(sim: &SimRuntime, stacks: Vec<Arc<dyn NetStack>>) {
     }
 }
 
-/// Sends `wire` and receives until `expected` command-closing replies
-/// have been parsed; appends the raw bytes to `acc`.
+/// Sends `wire` and reads the responses to `expected` commands through
+/// the shared wire client; appends their raw bytes to `acc`.
 fn pipelined(conn: Arc<dyn Conn>, wire: Bytes, expected: usize, acc: Vec<u8>) -> ThreadM<Vec<u8>> {
-    let conn_read = Arc::clone(&conn);
-    send_all(&conn, wire).bind(move |sent| {
-        sent.unwrap();
-        loop_m(
-            (ReplyParser::new(), acc, 0usize),
-            move |(mut parser, mut acc, mut closed)| {
-                let conn = Arc::clone(&conn_read);
-                conn.recv(64 * 1024).map(move |chunk| {
-                    let chunk = chunk.expect("recv ok");
-                    assert!(!chunk.is_empty(), "peer hung up mid-reply");
-                    acc.extend_from_slice(&chunk);
-                    let mut fed = parser.feed_bytes(chunk);
-                    while let Some(r) = fed.expect("well-formed reply stream") {
-                        if r.closes_command() {
-                            closed += 1;
-                        }
-                        fed = parser.try_next();
-                    }
-                    if closed >= expected {
-                        Loop::Break(acc)
-                    } else {
-                        Loop::Continue((parser, acc, closed))
-                    }
-                })
-            },
-        )
-    })
+    KvClient::from_conn(conn)
+        .request(wire, expected)
+        .map(move |framed| {
+            let mut acc = acc;
+            let framed = framed.expect("well-formed reply stream");
+            for frame in framed.iter().flat_map(|f| &f.bytes) {
+                acc.extend_from_slice(frame);
+            }
+            acc
+        })
 }
 
 /// A deterministic 67-command script: 64 single-key commands plus

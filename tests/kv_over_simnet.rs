@@ -11,8 +11,8 @@ use eveth::core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth::core::syscall::{sys_nbio, sys_sleep};
 use eveth::core::time::MILLIS;
 use eveth::glue;
+use eveth::kv::client::KvClient;
 use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
-use eveth::kv::protocol::{Reply, ReplyParser};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::{Backend, StoreConfig};
 use eveth::simos::net::{LinkParams, SimNet};
@@ -150,13 +150,6 @@ fn stm_backend_behaves_identically_over_simnet() {
     assert_eq!(snap.sets, stats.stored.get());
 }
 
-/// True when `r` is the reply that completes a command (a `get`'s
-/// `VALUE` lines precede its closing `END`; stat/version lines precede
-/// their own terminators).
-fn reply_closes_command(r: &Reply) -> bool {
-    !matches!(r, Reply::Value { .. } | Reply::Stat(..) | Reply::Version(_))
-}
-
 /// A deterministic 64-command session script mixing every reply shape
 /// the server can gather: sets (scratch-only replies), single- and
 /// multi-key gets and gets (value segments aliasing store entries),
@@ -211,34 +204,16 @@ fn session_reply_bytes(
                 });
             }
             let (wire, expected) = wires[idx].clone();
-            let conn_read = Arc::clone(&conn);
-            send_all(&conn, wire).bind(move |sent| {
-                sent.unwrap();
-                loop_m(
-                    (ReplyParser::new(), acc, 0usize),
-                    move |(mut parser, mut acc, mut closed)| {
-                        let conn = Arc::clone(&conn_read);
-                        conn.recv(64 * 1024).map(move |chunk| {
-                            let chunk = chunk.expect("recv ok");
-                            assert!(!chunk.is_empty(), "server hung up mid-reply");
-                            acc.extend_from_slice(&chunk);
-                            let mut fed = parser.feed_bytes(chunk);
-                            while let Some(r) = fed.expect("well-formed reply stream") {
-                                if reply_closes_command(&r) {
-                                    closed += 1;
-                                }
-                                fed = parser.try_next();
-                            }
-                            if closed >= expected {
-                                Loop::Break(acc)
-                            } else {
-                                Loop::Continue((parser, acc, closed))
-                            }
-                        })
-                    },
-                )
-                .map(move |acc| Loop::Continue((idx + 1, acc)))
-            })
+            KvClient::from_conn(Arc::clone(&conn))
+                .request(wire, expected)
+                .map(move |framed| {
+                    let mut acc = acc;
+                    let framed = framed.expect("well-formed reply stream");
+                    for frame in framed.iter().flat_map(|f| &f.bytes) {
+                        acc.extend_from_slice(frame);
+                    }
+                    Loop::Continue((idx + 1, acc))
+                })
         })
     })
     .expect("session ran")
