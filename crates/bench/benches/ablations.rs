@@ -8,28 +8,24 @@
 //! * **A4 — kernel sockets vs application-level TCP** under the web
 //!   server: the one-line switch, measured (§5.2).
 //!
+//! Each ablation asserts the claim it prints, so a run that no longer
+//! shows it fails.
+//!
 //! Run: `cargo bench --bench ablations`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use eveth::glue;
 use eveth_bench::tables::{banner, mb_cell};
 use eveth_bench::workloads::{
-    disk_head_scheduling, mb_per_sec, sim_with, wait_counter, web_server_run, WebRunParams,
+    disk_head_scheduling, web_server_run, web_server_run_on, WebRunParams,
 };
-use eveth_core::net::{Endpoint, HostId, NetStack};
 use eveth_core::syscall::sys_nbio;
-use eveth_core::{loop_m, Loop};
-use eveth_http::loadgen::{client_thread, corpus_paths, LoadConfig, LoadStats};
-use eveth_http::server::{ServerConfig, WebServer};
+use eveth_core::time::MILLIS;
+use eveth_core::{loop_m, poll_until, Loop};
 use eveth_simos::cost::CostModel;
-use eveth_simos::disk::{DiskGeometry, DiskSched, SimDisk};
-use eveth_simos::fs::SimFs;
-use eveth_simos::net::{LinkParams, SimNet};
-use eveth_simos::sockets::{FabricParams, SocketFabric};
+use eveth_simos::disk::DiskSched;
 use eveth_simos::{SimClock, SimConfig, SimRuntime};
-use eveth_tcp::tcb::TcpConfig;
 
 /// A1: CPU-bound thread mix; virtual time vs slice length.
 fn slice_ablation() {
@@ -46,6 +42,7 @@ fn slice_ablation() {
         "slice", "virtual ms", "ctx switches"
     );
     println!("{:->8}-+-{:->14}-+-{:->14}", "", "", "");
+    let mut last = (f64::INFINITY, u64::MAX);
     for slice in [1usize, 4, 16, 64, 256, 1024] {
         let sim = SimRuntime::new(
             SimClock::new(),
@@ -70,14 +67,17 @@ fn slice_ablation() {
                 sys_nbio(move || std::hint::black_box(i)).map(move |_| Loop::Continue(i + 1))
             }));
         }
-        wait_counter(&sim, finished, THREADS);
-        let report = sim.report();
-        println!(
-            "{:>8} | {:>14.3} | {:>14}",
-            slice,
-            sim.now() as f64 / 1e6,
-            report.stats.ctx_switches
+        sim.block_on(poll_until(MILLIS, move || {
+            finished.load(Ordering::SeqCst) >= THREADS
+        }))
+        .expect("slice ablation completed");
+        let (ms, switches) = (sim.now() as f64 / 1e6, sim.report().stats.ctx_switches);
+        println!("{:>8} | {:>14.3} | {:>14}", slice, ms, switches);
+        assert!(
+            ms <= last.0 && switches <= last.1,
+            "A1: a longer slice must never cost more virtual time or switches"
         );
+        last = (ms, switches);
     }
     println!("longer slices amortize context switches; returns diminish once");
     println!("switch cost is negligible against real work.");
@@ -96,14 +96,28 @@ fn elevator_ablation() {
         "threads", "C-LOOK MB/s", "FIFO MB/s"
     );
     println!("{:->8}-+-{:->12}-+-{:->12}", "", "", "");
+    let mut fifo_one_thread = None;
     for threads in [1u64, 16, 256, 4_096] {
-        let clook = disk_head_scheduling(CostModel::monadic(), DiskSched::CLook, threads, READS, 2);
-        let fifo = disk_head_scheduling(CostModel::monadic(), DiskSched::Fifo, threads, READS, 2);
+        let run = |sched| {
+            disk_head_scheduling(CostModel::monadic(), sched, threads, READS, 2)
+                .expect("monadic threads are uncapped")
+                .mb_s
+        };
+        let (clook, fifo) = (run(DiskSched::CLook), run(DiskSched::Fifo));
         println!(
             "{:>8} | {} | {}",
             threads,
-            mb_cell(clook.map(|r| r.mb_s)),
-            mb_cell(fifo.map(|r| r.mb_s))
+            mb_cell(Some(clook)),
+            mb_cell(Some(fifo))
+        );
+        let base = *fifo_one_thread.get_or_insert(fifo);
+        assert!(
+            (fifo - base).abs() <= 0.01 * base,
+            "A2: FIFO must stay within 1% of its 1-thread rate"
+        );
+        assert!(
+            threads < 16 || clook > fifo,
+            "A2: C-LOOK must beat FIFO at 16 threads and above"
         );
     }
     println!("FIFO stays at the single-request baseline no matter the concurrency.");
@@ -120,6 +134,7 @@ fn cache_ablation() {
     let corpus = files * 16 * 1024;
     println!("{:>12} | {:>12} | {:>10}", "cache", "MB/s", "hit ratio");
     println!("{:->12}-+-{:->12}-+-{:->10}", "", "", "");
+    let mut last = (0.0, -1.0);
     for (label, cache_bytes) in [
         ("none", 1usize),
         ("5% corpus", corpus / 20),
@@ -140,6 +155,11 @@ fn cache_ablation() {
             mb_cell(Some(r.mb_s)),
             r.cache_hit_ratio * 100.0
         );
+        assert!(
+            r.mb_s > last.0 && r.cache_hit_ratio > last.1,
+            "A3: throughput and hit ratio must rise with the cache budget"
+        );
+        last = (r.mb_s, r.cache_hit_ratio);
     }
     println!("a cache covering the working set converts the workload from");
     println!("disk-bound to CPU/network-bound (the paper's \"mostly-cached\" case).");
@@ -153,101 +173,37 @@ fn tcp_stack_ablation() {
         "same server, same corpus, sockets swapped",
     );
     let files = 512usize;
-    let connections = 32u64;
-    let requests = 8usize;
-
-    let run = |use_tcp: bool| -> (f64, u64) {
-        let sim = sim_with(CostModel::monadic());
-        let disk = SimDisk::new(
-            sim.clock(),
-            DiskGeometry::eide_7200_80gb(),
-            DiskSched::CLook,
-            4,
-        );
-        let fs = SimFs::new(disk);
-        let paths = corpus_paths(files);
-        for p in &paths {
-            fs.add_file(p.clone(), 16 * 1024);
-        }
-        let (server_stack, client_stack): (Arc<dyn NetStack>, Arc<dyn NetStack>) = if use_tcp {
-            let net = SimNet::new(sim.clock(), LinkParams::ethernet_100mbps(), 5);
-            (
-                glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(1), TcpConfig::default()),
-                glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(2), TcpConfig::default()),
-            )
-        } else {
-            let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
-            (fabric.stack(HostId(1)), fabric.stack(HostId(2)))
+    let run = |app_tcp: bool| {
+        let p = WebRunParams {
+            cost: CostModel::monadic(),
+            files,
+            cache_bytes: files * 16 * 1024 / 10,
+            connections: 32,
+            requests_per_conn: 8,
+            seed: 4,
         };
-        let server = WebServer::new(
-            server_stack,
-            fs,
-            ServerConfig {
-                port: 80,
-                cache_bytes: files * 16 * 1024 / 10,
-                ..Default::default()
-            },
+        let r = web_server_run_on(&p, app_tcp);
+        assert_eq!(
+            r.responses,
+            p.connections * p.requests_per_conn as u64,
+            "A4: every request is answered (app_tcp = {app_tcp})"
         );
-        sim.spawn(server.run());
-        let stats = Arc::new(LoadStats::default());
-        let cfg = Arc::new(LoadConfig {
-            server: Endpoint::new(HostId(1), 80),
-            requests_per_conn: requests,
-            paths: Arc::new(paths),
-            seed: 6,
-        });
-        for id in 0..connections {
-            sim.spawn(client_thread(
-                Arc::clone(&client_stack),
-                Arc::clone(&cfg),
-                Arc::clone(&stats),
-                id,
-            ));
-        }
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let stats = Arc::clone(&stats);
-            let done = Arc::clone(&done);
-            sim.spawn(loop_m((), move |()| {
-                let stats = Arc::clone(&stats);
-                let done = Arc::clone(&done);
-                eveth_core::do_m! {
-                    eveth_core::syscall::sys_sleep(eveth_core::time::MILLIS);
-                    let d <- sys_nbio(move || stats.clients_done.load(Ordering::Relaxed));
-                    if d >= connections {
-                        sys_nbio(move || { done.store(1, Ordering::SeqCst); }).map(|_| Loop::Break(()))
-                    } else {
-                        eveth_core::ThreadM::pure(Loop::Continue(()))
-                    }
-                }
-            }));
-        }
-        wait_counter(&sim, done, 1);
-        (
-            mb_per_sec(stats.bytes.load(Ordering::Relaxed), sim.now()),
-            stats.responses(),
-        )
+        r
     };
-
-    let (kernel_mb, kernel_resp) = run(false);
-    let (tcp_mb, tcp_resp) = run(true);
+    let (kernel, tcp) = (run(false), run(true));
     println!(
         "{:>18} | {:>12} | {:>10}",
         "socket stack", "MB/s", "responses"
     );
     println!("{:->18}-+-{:->12}-+-{:->10}", "", "", "");
-    println!(
-        "{:>18} | {} | {:>10}",
-        "kernel model",
-        mb_cell(Some(kernel_mb)),
-        kernel_resp
-    );
-    println!(
-        "{:>18} | {} | {:>10}",
-        "eveth-tcp",
-        mb_cell(Some(tcp_mb)),
-        tcp_resp
-    );
+    for (label, r) in [("kernel model", kernel), ("eveth-tcp", tcp)] {
+        println!(
+            "{:>18} | {} | {:>10}",
+            label,
+            mb_cell(Some(r.mb_s)),
+            r.responses
+        );
+    }
     println!("the application-level stack carries the same workload; its cost is");
     println!("protocol processing on the host CPU (the paper's zero-copy motivation).");
 }

@@ -26,9 +26,9 @@ use eveth_bench::tables::{banner, count, mb_cell};
 use eveth_bench::workloads::{mb_per_sec, sim_with};
 use eveth_core::io::pipe::{pipe, PipeReader, PipeWriter};
 use eveth_core::runtime::Runtime;
-use eveth_core::syscall::{sys_nbio, sys_sleep};
+use eveth_core::syscall::sys_nbio;
 use eveth_core::time::MILLIS;
-use eveth_core::{do_m, loop_m, Loop, ThreadM};
+use eveth_core::{do_m, loop_m, poll_until, Loop, ThreadM};
 use eveth_simos::cost::CostModel;
 
 const PAIRS: usize = 128;
@@ -116,14 +116,8 @@ fn wall_clock_monadic(idle: usize, rounds: usize) -> f64 {
         rt.spawn(a);
         rt.spawn(b);
     }
-    let watch = Arc::clone(&done);
-    rt.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(MILLIS);
-            let d <- sys_nbio(move || watch.load(Ordering::SeqCst));
-            ThreadM::pure(if d == PAIRS as u64 { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    rt.block_on(poll_until(MILLIS, move || {
+        done.load(Ordering::SeqCst) == PAIRS as u64
     }));
     let bytes = (PAIRS * rounds * MSG * 2) as u64;
     let mb_s = bytes as f64 / (1024.0 * 1024.0) / started.elapsed().as_secs_f64();
@@ -223,7 +217,10 @@ fn virtual_time(cost: CostModel, idle: usize, rounds: usize) -> f64 {
         sim.spawn(a);
         sim.spawn(b);
     }
-    eveth_bench::workloads::wait_counter(&sim, done, PAIRS as u64);
+    sim.block_on(poll_until(MILLIS, move || {
+        done.load(Ordering::SeqCst) >= PAIRS as u64
+    }))
+    .expect("workload completed");
     mb_per_sec((PAIRS * rounds * MSG * 2) as u64, sim.now())
 }
 

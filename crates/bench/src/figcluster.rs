@@ -34,19 +34,18 @@ use eveth_cluster::{HashRing, Router, RouterConfig};
 use eveth_core::net::{Endpoint, HostId, NetStack};
 use eveth_core::syscall::{sys_nbio, sys_sleep, sys_time};
 use eveth_core::time::{Nanos, MICROS, MILLIS};
-use eveth_core::{do_m, loop_m, Loop, ThreadM};
+use eveth_core::{do_m, loop_m, poll_until, Loop, ThreadM};
 use eveth_kv::client::KvClient;
 use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth_kv::protocol::Reply;
 use eveth_kv::server::{KvConfig, KvServer};
 use eveth_kv::store::StoreConfig;
 use eveth_simos::cost::CostModel;
-use eveth_simos::net::{LinkParams, SimNet};
-use eveth_simos::sockets::{FabricParams, SocketFabric};
+use eveth_simos::net::LinkParams;
 use std::sync::Mutex;
 
-use crate::tables::{banner, count, write_json_rows, JsonVal};
-use crate::workloads::sim_with_config;
+use crate::tables::{banner, count, write_golden, JsonVal};
+use crate::workloads::{sim_with_config, Hosts};
 
 const KV_PORT: u16 = 11211;
 const ROUTER_PORT: u16 = 11311;
@@ -225,49 +224,23 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
         LinkParams::ethernet_100mbps()
     };
 
-    // Build one stack per host over the chosen transport, keeping the
-    // fault handles (fabric for crashes, net for partitions). Memoized:
-    // a TCP host must exist exactly once per `HostId` — re-creating one
-    // would re-register the packet tap and orphan the first instance.
-    let mut fabric = None;
-    let mut net = None;
-    let make: Box<dyn Fn(u32) -> Arc<dyn NetStack>> = if p.app_tcp {
-        let n = SimNet::new(sim.clock(), link, p.seed);
-        net = Some(Arc::clone(&n));
-        let ctx = sim.ctx();
-        // LAN-tuned TCP: the stack's default 200 ms min-RTO clamp is a
-        // WAN-era safety net; inside a simulated rack it would turn any
-        // partition into a 200 ms convoy behind one lost SYN.
-        let tcp_cfg = eveth_tcp::tcb::TcpConfig {
-            min_rto: 10 * MILLIS,
-            initial_rto: 10 * MILLIS,
-            tick: MILLIS,
-            max_syn_retries: 2,
-            ..eveth_tcp::tcb::TcpConfig::default()
-        };
-        Box::new(move |h| {
-            eveth::glue::tcp_host_over_simnet(Arc::clone(&ctx), &n, HostId(h), tcp_cfg.clone())
-                as Arc<dyn NetStack>
-        })
-    } else {
-        let f = SocketFabric::new(
-            sim.clock(),
-            FabricParams {
-                link,
-                ..FabricParams::default()
-            },
-        );
-        fabric = Some(Arc::clone(&f));
-        Box::new(move |h| f.stack(HostId(h)) as Arc<dyn NetStack>)
-    };
-    let cache = std::cell::RefCell::new(std::collections::HashMap::<u32, Arc<dyn NetStack>>::new());
-    let stack = |h: u32| -> Arc<dyn NetStack> {
-        Arc::clone(cache.borrow_mut().entry(h).or_insert_with(|| make(h)))
-    };
+    // LAN-tuned TCP: the stack's default 200 ms min-RTO clamp is a
+    // WAN-era safety net; inside a simulated rack it would turn any
+    // partition into a 200 ms convoy behind one lost SYN.
+    let tcp = p.app_tcp.then(|| eveth_tcp::tcb::TcpConfig {
+        min_rto: 10 * MILLIS,
+        initial_rto: 10 * MILLIS,
+        tick: MILLIS,
+        max_syn_retries: 2,
+        ..eveth_tcp::tcb::TcpConfig::default()
+    });
+    // The fault handles stay on `hosts`: the fabric for crashes, the
+    // packet network for partitions.
+    let hosts = Hosts::new(&sim, link, tcp, p.seed);
 
     for h in 1..=p.nodes as u32 {
         let server = KvServer::new(
-            stack(h),
+            hosts.stack(h),
             KvConfig {
                 port: KV_PORT,
                 store: StoreConfig {
@@ -281,7 +254,7 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
     }
 
     let router = Router::new(
-        stack(ROUTER_HOST),
+        hosts.stack(ROUTER_HOST),
         RouterConfig {
             port: ROUTER_PORT,
             backends: backends(p.nodes),
@@ -303,7 +276,7 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
     let mut heal_at_ns: Nanos = 0;
     if !matches!(fault, Fault::None) {
         // Seed the probe key (replicated) before the measured window.
-        let seed_stack = stack(CLIENT_HOST);
+        let seed_stack = hosts.stack(CLIENT_HOST);
         sim.block_on(do_m! {
             let c <- KvClient::connect(seed_stack, router_ep);
             let client = c.unwrap();
@@ -316,7 +289,7 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
         })
         .expect("probe seed ran");
         sim.spawn(probe_thread(
-            stack(CLIENT_HOST),
+            hosts.stack(CLIENT_HOST),
             router_ep,
             200 * MICROS,
             Arc::clone(&probe_log),
@@ -325,7 +298,10 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
     match fault {
         Fault::None => {}
         Fault::Crash { at, repair_after } => {
-            let fabric = Arc::clone(fabric.as_ref().expect("crash faults run on the fabric"));
+            let fabric = hosts
+                .fabric
+                .clone()
+                .expect("crash faults run on the fabric");
             let router = Arc::clone(&router);
             let rest: Vec<Endpoint> = backends(p.nodes)
                 .into_iter()
@@ -340,7 +316,7 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
         }
         Fault::Partition { at, heal_at } => {
             heal_at_ns = heal_at;
-            let net = Arc::clone(net.as_ref().expect("partition faults need app_tcp"));
+            let net = hosts.net.clone().expect("partition faults need app_tcp");
             let net_heal = Arc::clone(&net);
             sim.spawn(do_m! {
                 sys_sleep(at);
@@ -371,22 +347,16 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
     });
     for id in 0..p.clients {
         sim.spawn(client_thread(
-            stack(CLIENT_HOST + id as u32 % p.client_hosts.max(1)),
+            hosts.stack(CLIENT_HOST + id as u32 % p.client_hosts.max(1)),
             Arc::clone(&cfg),
             Arc::clone(&stats),
             id,
         ));
     }
 
-    let clients = p.clients;
-    let watch = Arc::clone(&stats);
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(50 * MICROS);
-            let done <- sys_nbio(move || watch.clients_done.get());
-            ThreadM::pure(if done == clients { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    let (clients, watch) = (p.clients, Arc::clone(&stats));
+    sim.block_on(poll_until(50 * MICROS, move || {
+        watch.clients_done.get() == clients
     }))
     .expect("cluster load completed");
 
@@ -623,7 +593,6 @@ pub fn run() {
     );
 
     // ---- machine-readable drop -------------------------------------------
-    let out = workspace_root().join("BENCH_cluster.json");
     let meta = [
         ("bench", JsonVal::Str("fig_cluster".into())),
         ("full_scale", JsonVal::Bool(full)),
@@ -635,30 +604,10 @@ pub fn run() {
         ),
         ("probe_key", JsonVal::Str(PROBE_KEY.into())),
     ];
-    match write_json_rows(&out, &meta, &rows) {
-        Ok(()) => println!("\nwrote {} rows to {}", rows.len(), out.display()),
-        Err(e) => {
-            eprintln!("\nfailed to write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    write_golden("BENCH_cluster.json", &meta, &rows);
     println!("expected shape: ops/s grows with node count while each node's");
     println!("single shard gate would serialize a lone server; the crash cell");
     println!("keeps serving reads through failover (bounded unavailability);");
     println!("the partition cell trades tail latency for availability until");
     println!("the link heals.");
-}
-
-/// The workspace root: prefer CARGO env (set under `cargo bench`),
-/// falling back to the current directory.
-fn workspace_root() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("CARGO_MANIFEST_DIR") {
-        std::path::Path::new(&dir)
-            .ancestors()
-            .nth(2)
-            .map(|p| p.to_path_buf())
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-    } else {
-        std::path::PathBuf::from(".")
-    }
 }

@@ -22,13 +22,13 @@
 //! shards overlap.
 //!
 //! Beyond the human-readable table, results land in `BENCH_kv.json` at the
-//! workspace root (via `eveth_bench::tables::write_json_rows`) so future
+//! workspace root (via `eveth_bench::tables::write_golden`) so future
 //! PRs can track the perf trajectory mechanically; CI fails if the
 //! contended 8-shard configuration stops beating 1 shard.
 //!
 //! Run: `cargo bench --bench fig_kv` (EVETH_FULL=1 for the larger sweep).
 
-use crate::tables::{banner, count, write_json_rows, JsonVal};
+use crate::tables::{banner, count, write_golden, JsonVal};
 use crate::workloads::{kv_server_run, kv_trace_run, KvRunParams, KvRunResult};
 use eveth_simos::cost::CostModel;
 
@@ -295,7 +295,6 @@ pub fn run() {
     rows.push(row("get_heavy", "sockets", "mutex", &p_get, &r_get));
 
     // ---- machine-readable drop -------------------------------------------
-    let out = workspace_root().join("BENCH_kv.json");
     let meta = [
         ("bench", JsonVal::Str("fig_kv".into())),
         ("full_scale", JsonVal::Bool(full)),
@@ -310,15 +309,7 @@ pub fn run() {
             JsonVal::Int(base_params().value_bytes as u64),
         ),
     ];
-    match write_json_rows(&out, &meta, &rows) {
-        Ok(()) => println!("\nwrote {} rows to {}", rows.len(), out.display()),
-        Err(e) => {
-            // Exit nonzero: CI's contention gate reads this file, and a
-            // silent write failure would let it pass on stale data.
-            eprintln!("\nfailed to write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    write_golden("BENCH_kv.json", &meta, &rows);
     println!("expected shape: ops/s rises with pipeline depth (fewer round trips),");
     println!("with clients until the simulated CPUs saturate, and — in the");
     println!("contention sweep — with shard count once cpus >= 4, because the");
@@ -382,19 +373,4 @@ fn maybe_export_trace() {
         art.telemetry.recorder().dropped(),
         metrics_path.display()
     );
-}
-
-/// The workspace root: prefer CARGO env (set under `cargo bench`), falling
-/// back to the current directory.
-fn workspace_root() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("CARGO_MANIFEST_DIR") {
-        // crates/bench -> workspace root.
-        std::path::Path::new(&dir)
-            .ancestors()
-            .nth(2)
-            .map(|p| p.to_path_buf())
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-    } else {
-        std::path::PathBuf::from(".")
-    }
 }

@@ -33,7 +33,7 @@
 //! Run: `cargo bench --bench fig_scale` (EVETH_FULL=1 for the
 //! million-connection cell).
 
-use crate::tables::{banner, count, write_json_rows, JsonVal};
+use crate::tables::{banner, count, write_golden, JsonVal};
 use crate::workloads::{
     churn_run, kv_server_run, resident_run, slowloris_run, ChurnParams, KvRunParams,
     ResidentParams, ScaleRunResult, SlowlorisParams,
@@ -259,38 +259,14 @@ pub fn run() {
     }
 
     // ---- machine-readable drop -------------------------------------------
-    let out = workspace_root().join("BENCH_scale.json");
     let meta = [
         ("bench", JsonVal::Str("fig_scale".into())),
         ("full_scale", JsonVal::Bool(full)),
         ("cost_model", JsonVal::Str("monadic".into())),
         ("payload_bytes", JsonVal::Int(PAYLOAD as u64)),
     ];
-    match write_json_rows(&out, &meta, &rows) {
-        Ok(()) => println!("\nwrote {} rows to {}", rows.len(), out.display()),
-        Err(e) => {
-            // Exit nonzero: CI's scale gates read this file, and a silent
-            // write failure would let them pass on stale data.
-            eprintln!("\nfailed to write {}: {e}", out.display());
-            std::process::exit(1);
-        }
-    }
+    write_golden("BENCH_scale.json", &meta, &rows);
     println!("expected shape: churn conns/s roughly flat from 10k to 100k (no");
     println!("O(connections) structure on the hot path); herd lock wait pinned");
     println!("to one shard; idle_reaped == squatter count; bytes/conn flat in N.");
-}
-
-/// The workspace root: prefer CARGO env (set under `cargo bench`), falling
-/// back to the current directory.
-fn workspace_root() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("CARGO_MANIFEST_DIR") {
-        // crates/bench -> workspace root.
-        std::path::Path::new(&dir)
-            .ancestors()
-            .nth(2)
-            .map(|p| p.to_path_buf())
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-    } else {
-        std::path::PathBuf::from(".")
-    }
 }

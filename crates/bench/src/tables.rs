@@ -121,6 +121,35 @@ pub fn write_json_rows(
     std::fs::rename(&tmp, path)
 }
 
+/// Writes the golden `file` (`BENCH_*.json`) at the workspace root and
+/// says so. Exits nonzero if it cannot: CI's gates read these files, and
+/// a silent write failure would let them pass on stale data.
+pub fn write_golden(file: &str, meta: &[(&str, JsonVal)], rows: &[Vec<(&str, JsonVal)>]) {
+    let out = workspace_root().join(file);
+    match write_json_rows(&out, meta, rows) {
+        Ok(()) => println!("\nwrote {} rows to {}", rows.len(), out.display()),
+        Err(e) => {
+            eprintln!("\nfailed to write {}: {e}", out.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The workspace root: two levels above this crate's manifest when cargo
+/// set `CARGO_MANIFEST_DIR` (as `cargo bench` and `cargo run` do), else
+/// the current directory.
+fn workspace_root() -> std::path::PathBuf {
+    std::env::var("CARGO_MANIFEST_DIR")
+        .ok()
+        .and_then(|dir| {
+            std::path::Path::new(&dir)
+                .ancestors()
+                .nth(2)
+                .map(Into::into)
+        })
+        .unwrap_or_else(|| std::path::PathBuf::from("."))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,17 @@
 //! Reusable workload builders behind the figure harnesses.
+//!
+//! Every harness is the same few shared pieces: a sim
+//! ([`sim_with_config`]), one network stack per host over either
+//! transport (`Hosts`), servers, N closed-loop clients
+//! ([`eveth_core::net::closed_loop`], via the kv and http load
+//! generators), one completion wait ([`eveth_core::poll_until`]) and one
+//! percentile formula ([`LatencyHistogram`]'s nearest rank). The web
+//! cell is [`web_server_run_on`]; both KV cells ([`kv_server_run`],
+//! [`kv_trace_run`]) run one rig, `KvRig`; the scale scenarios share
+//! `scale_rig` and `scale_teardown`.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -9,15 +21,20 @@ use eveth_core::event::sync;
 use eveth_core::net::{recv_exact, send_all, Conn, Endpoint, HostId, NetStack};
 use eveth_core::service::{Server, ServerConfig as SvcConfig, Service, Step};
 use eveth_core::syscall::{sys_aio_read, sys_nbio, sys_sleep, sys_time};
+use eveth_core::telemetry::metrics::LatencyHistogram;
 use eveth_core::time::{Nanos, MICROS, MILLIS};
-use eveth_core::{do_m, loop_m, Loop, ThreadM};
+use eveth_core::{do_m, loop_m, poll_until, Loop, ThreadM};
 use eveth_http::loadgen::{client_thread, corpus_paths, LoadConfig, LoadStats};
 use eveth_http::server::{ServerConfig, WebServer};
+use eveth_kv::loadgen::{KvLoadConfig, KvLoadStats};
+use eveth_kv::server::{KvConfig, KvServer};
 use eveth_simos::cost::CostModel;
 use eveth_simos::disk::{DiskGeometry, DiskSched, SimDisk};
 use eveth_simos::fs::SimFs;
+use eveth_simos::net::{LinkParams, SimNet};
 use eveth_simos::sockets::{FabricParams, SocketFabric};
 use eveth_simos::{SimClock, SimConfig, SimRuntime};
+use eveth_tcp::tcb::TcpConfig;
 
 /// Throughput in MB/s from bytes moved over a duration.
 pub fn mb_per_sec(bytes: u64, dur: Nanos) -> f64 {
@@ -50,18 +67,68 @@ pub fn sim_with_config(cost: CostModel, cpus: usize, slice: usize) -> SimRuntime
     )
 }
 
-/// Spawns a sleep-polling waiter that completes when `counter` reaches
-/// `target`, and drives the simulation until then.
-pub fn wait_counter(sim: &SimRuntime, counter: Arc<AtomicU64>, target: u64) {
-    sim.block_on(loop_m((), move |()| {
-        let counter = Arc::clone(&counter);
-        do_m! {
-            sys_sleep(MILLIS);
-            let v <- sys_nbio(move || counter.load(Ordering::SeqCst));
-            ThreadM::pure(if v >= target { Loop::Break(()) } else { Loop::Continue(()) })
+/// One network stack per simulated host, over either transport: the
+/// kernel-socket fabric, or (with a [`TcpConfig`]) an application-level
+/// TCP host per `HostId` on one simulated packet network. Stacks are
+/// built on first use and memoized — a TCP host must exist exactly once
+/// per `HostId` (a second one would re-register the packet tap and orphan
+/// the first), and building one spawns its threads, so callers build
+/// hosts in the order their spawns must run.
+pub(crate) struct Hosts {
+    make: MakeStack,
+    built: RefCell<HashMap<u32, Arc<dyn NetStack>>>,
+    /// The socket fabric (crash faults), when the hosts run over it.
+    pub(crate) fabric: Option<Arc<SocketFabric>>,
+    /// The packet network (partitions), when the hosts run app-level TCP.
+    pub(crate) net: Option<Arc<SimNet>>,
+}
+
+/// Builds the stack of one host, given its number.
+type MakeStack = Box<dyn Fn(u32) -> Arc<dyn NetStack>>;
+
+impl Hosts {
+    /// Hosts on `link`: socket-fabric stacks when `tcp` is `None`, else
+    /// TCP hosts configured by it over a network seeded with `seed`.
+    pub(crate) fn new(
+        sim: &SimRuntime,
+        link: LinkParams,
+        tcp: Option<TcpConfig>,
+        seed: u64,
+    ) -> Hosts {
+        let (make, fabric, net): (MakeStack, _, _) = match tcp {
+            Some(cfg) => {
+                let net = SimNet::new(sim.clock(), link, seed);
+                let (n, ctx) = (Arc::clone(&net), sim.ctx());
+                let make = move |h| {
+                    eveth::glue::tcp_host_over_simnet(Arc::clone(&ctx), &n, HostId(h), cfg.clone())
+                        as Arc<dyn NetStack>
+                };
+                (Box::new(make), None, Some(net))
+            }
+            None => {
+                let params = FabricParams {
+                    link,
+                    ..FabricParams::default()
+                };
+                let fabric = SocketFabric::new(sim.clock(), params);
+                let f = Arc::clone(&fabric);
+                let make = move |h| f.stack(HostId(h)) as Arc<dyn NetStack>;
+                (Box::new(make), Some(fabric), None)
+            }
+        };
+        Hosts {
+            make,
+            built: RefCell::default(),
+            fabric,
+            net,
         }
-    }))
-    .expect("workload completed");
+    }
+
+    /// Host `h`'s stack, built on first use.
+    pub(crate) fn stack(&self, h: u32) -> Arc<dyn NetStack> {
+        let mut built = self.built.borrow_mut();
+        Arc::clone(built.entry(h).or_insert_with(|| (self.make)(h)))
+    }
 }
 
 /// Outcome of one disk-benchmark cell.
@@ -128,7 +195,10 @@ pub fn disk_head_scheduling(
             })
         }));
     }
-    wait_counter(&sim, finished, threads);
+    sim.block_on(poll_until(MILLIS, move || {
+        finished.load(Ordering::SeqCst) >= threads
+    }))
+    .expect("workload completed");
     let elapsed = sim.now();
     let bytes = total_reads * BLOCK as u64;
     Some(DiskRunResult {
@@ -177,6 +247,13 @@ pub struct WebRunParams {
 /// thread-per-connection synchronous blocking being priced by
 /// [`CostModel::apache`]/[`CostModel::nptl`].
 pub fn web_server_run(p: &WebRunParams) -> WebRunResult {
+    web_server_run_on(p, false)
+}
+
+/// [`web_server_run`] over the kernel-socket model, or with `app_tcp`
+/// over the application-level TCP stack on a simulated packet network:
+/// the paper's one-line switch (ablation A4).
+pub fn web_server_run_on(p: &WebRunParams, app_tcp: bool) -> WebRunResult {
     const FILE_BYTES: u64 = 16 * 1024;
 
     let sim = sim_with(p.cost.clone());
@@ -192,9 +269,11 @@ pub fn web_server_run(p: &WebRunParams) -> WebRunResult {
         fs.add_file(path.clone(), FILE_BYTES);
     }
 
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let tcp = app_tcp.then(TcpConfig::default);
+    let hosts = Hosts::new(&sim, LinkParams::ethernet_100mbps(), tcp, p.seed);
+    let (server_stack, client_stack) = (hosts.stack(1), hosts.stack(2));
     let server = WebServer::new(
-        fabric.stack(HostId(1)),
+        server_stack,
         fs,
         ServerConfig {
             port: 80,
@@ -211,7 +290,6 @@ pub fn web_server_run(p: &WebRunParams) -> WebRunResult {
         paths: Arc::new(paths),
         seed: p.seed,
     });
-    let client_stack: Arc<dyn NetStack> = fabric.stack(HostId(2));
     for id in 0..p.connections {
         sim.spawn(client_thread(
             Arc::clone(&client_stack),
@@ -221,31 +299,14 @@ pub fn web_server_run(p: &WebRunParams) -> WebRunResult {
         ));
     }
 
-    // Reuse the LoadStats counter as the completion signal.
-    let done = Arc::new(AtomicU64::new(0));
-    let target = p.connections;
-    {
-        let stats = Arc::clone(&stats);
-        let done = Arc::clone(&done);
-        sim.spawn(loop_m((), move |()| {
-            let stats = Arc::clone(&stats);
-            let done = Arc::clone(&done);
-            do_m! {
-                sys_sleep(MILLIS);
-                let d <- sys_nbio(move || stats.clients_done.load(Ordering::Relaxed));
-                if d >= target {
-                    sys_nbio(move || { done.store(1, Ordering::SeqCst); })
-                        .map(|_| Loop::Break(()))
-                } else {
-                    ThreadM::pure(Loop::Continue(()))
-                }
-            }
-        }));
-    }
-    wait_counter(&sim, done, 1);
+    let (watch, target) = (Arc::clone(&stats), p.connections);
+    sim.block_on(poll_until(MILLIS, move || {
+        watch.clients_done.get() >= target
+    }))
+    .expect("web load completed");
 
     let elapsed = sim.now();
-    let bytes = stats.bytes.load(Ordering::Relaxed);
+    let bytes = stats.bytes.get();
     WebRunResult {
         elapsed,
         bytes,
@@ -378,130 +439,134 @@ impl KvRunResult {
     }
 }
 
+/// The port the KV cells' server listens on.
+const KV_PORT: u16 = 11211;
+
+/// The KV load rig both KV cells run: a sim, the KV server on host 1
+/// (spawned) and the load clients' stack on host 2, over the transport
+/// and link [`KvRunParams`] picks. A caller mounts extras beside the
+/// server between [`KvRig::new`] and [`KvRig::load`].
+struct KvRig {
+    sim: SimRuntime,
+    hosts: Hosts,
+    server: Arc<KvServer>,
+}
+
+/// Counters of one [`KvRig::load`], with the process-wide allocation and
+/// copy counts at the start of the measured window.
+struct KvLoad {
+    stats: Arc<KvLoadStats>,
+    base_allocs: usize,
+    base_copies: u64,
+}
+
+impl KvRig {
+    /// Builds the rig; `send_timeout` bounds each KV reply send (0: no
+    /// deadline).
+    fn new(sim: SimRuntime, p: &KvRunParams, send_timeout: Nanos) -> KvRig {
+        use eveth_kv::store::{Backend, StoreConfig};
+        let link = if p.loopback {
+            LinkParams::loopback()
+        } else {
+            LinkParams::ethernet_100mbps()
+        };
+        let hosts = Hosts::new(&sim, link, p.app_tcp.then(TcpConfig::default), p.seed);
+        // Both hosts exist before the server thread is spawned.
+        let (server_stack, _) = (hosts.stack(1), hosts.stack(2));
+        let server = KvServer::new(
+            server_stack,
+            KvConfig {
+                port: KV_PORT,
+                store: StoreConfig {
+                    shards: p.shards,
+                    backend: if p.stm { Backend::Stm } else { Backend::Mutex },
+                    ..Default::default()
+                },
+                send_timeout,
+                ..Default::default()
+            },
+        );
+        sim.spawn(server.run());
+        KvRig { sim, hosts, server }
+    }
+
+    /// Fills the key space first when `p.preload` asks (outside the
+    /// measured window), then runs `p.clients` load clients to the end,
+    /// polling every 50 virtual µs so a makespan of a few milliseconds
+    /// isn't quantized at the poll interval.
+    fn load(&self, p: &KvRunParams) -> KvLoad {
+        use eveth_kv::loadgen::{client_thread, preload_thread};
+        let client_stack = self.hosts.stack(2);
+        let stats = Arc::new(KvLoadStats::default());
+        let cfg = Arc::new(KvLoadConfig {
+            server: Endpoint::new(HostId(1), KV_PORT),
+            batches_per_conn: p.batches_per_conn,
+            pipeline_depth: p.pipeline_depth,
+            keys: p.keys,
+            zipf_s: 0.99,
+            set_percent: p.set_percent,
+            value_bytes: p.value_bytes,
+            ttl_secs: 0,
+            seed: p.seed,
+        });
+        if p.preload {
+            let pre_stats = Arc::new(KvLoadStats::default());
+            let fill = preload_thread(
+                Arc::clone(&client_stack),
+                Arc::clone(&cfg),
+                Arc::clone(&pre_stats),
+            );
+            self.sim.spawn(fill);
+            self.wait_clients(&pre_stats, 1);
+            assert_eq!(
+                pre_stats.stored.get(),
+                p.keys as u64,
+                "preload stored every key"
+            );
+        }
+        // Per-op allocation/copy accounting covers exactly the measured
+        // load phase (client spawn → last client done); preload and setup
+        // stay outside the window.
+        let base_allocs = crate::allocmeter::alloc_count();
+        let base_copies = bytes::bytes_copied_total();
+        for id in 0..p.clients {
+            self.sim.spawn(client_thread(
+                Arc::clone(&client_stack),
+                Arc::clone(&cfg),
+                Arc::clone(&stats),
+                id,
+            ));
+        }
+        self.wait_clients(&stats, p.clients);
+        KvLoad {
+            stats,
+            base_allocs,
+            base_copies,
+        }
+    }
+
+    fn wait_clients(&self, stats: &Arc<KvLoadStats>, clients: u64) {
+        let watch = Arc::clone(stats);
+        self.sim
+            .block_on(poll_until(50 * MICROS, move || {
+                watch.clients_done.get() == clients
+            }))
+            .expect("kv load completed");
+    }
+}
+
 /// The `fig_kv` workload: the sharded KV server and N pipelining clients
 /// (zipfian keys, get/set mix) over either socket layer, under a cost
 /// model. Returns client-observed throughput.
 pub fn kv_server_run(p: &KvRunParams) -> KvRunResult {
-    use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
-    use eveth_kv::server::{KvConfig, KvServer};
-    use eveth_kv::store::{Backend, StoreConfig};
+    let rig = KvRig::new(sim_with_config(p.cost.clone(), p.cpus, p.slice), p, 0);
+    let KvLoad {
+        stats,
+        base_allocs,
+        base_copies,
+    } = rig.load(p);
 
-    let sim = sim_with_config(p.cost.clone(), p.cpus, p.slice);
-    let link = if p.loopback {
-        eveth_simos::net::LinkParams::loopback()
-    } else {
-        eveth_simos::net::LinkParams::ethernet_100mbps()
-    };
-    let (server_stack, client_stack): (Arc<dyn NetStack>, Arc<dyn NetStack>) = if p.app_tcp {
-        let net = eveth_simos::net::SimNet::new(sim.clock(), link, p.seed);
-        (
-            eveth::glue::tcp_host_over_simnet(
-                sim.ctx(),
-                &net,
-                HostId(1),
-                eveth_tcp::tcb::TcpConfig::default(),
-            ),
-            eveth::glue::tcp_host_over_simnet(
-                sim.ctx(),
-                &net,
-                HostId(2),
-                eveth_tcp::tcb::TcpConfig::default(),
-            ),
-        )
-    } else {
-        let fabric = SocketFabric::new(
-            sim.clock(),
-            FabricParams {
-                link,
-                ..FabricParams::default()
-            },
-        );
-        (fabric.stack(HostId(1)), fabric.stack(HostId(2)))
-    };
-
-    let server = KvServer::new(
-        server_stack,
-        KvConfig {
-            port: 11211,
-            store: StoreConfig {
-                shards: p.shards,
-                backend: if p.stm { Backend::Stm } else { Backend::Mutex },
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    sim.spawn(server.run());
-
-    let stats = Arc::new(KvLoadStats::default());
-    let cfg = Arc::new(KvLoadConfig {
-        server: Endpoint::new(HostId(1), 11211),
-        batches_per_conn: p.batches_per_conn,
-        pipeline_depth: p.pipeline_depth,
-        keys: p.keys,
-        zipf_s: 0.99,
-        set_percent: p.set_percent,
-        value_bytes: p.value_bytes,
-        ttl_secs: 0,
-        seed: p.seed,
-    });
-
-    if p.preload {
-        // Fill the key space before the counter window opens, so the
-        // measured phase is pure load and a get-heavy mix always hits.
-        let pre_stats = Arc::new(KvLoadStats::default());
-        sim.spawn(eveth_kv::loadgen::preload_thread(
-            Arc::clone(&client_stack),
-            Arc::clone(&cfg),
-            Arc::clone(&pre_stats),
-        ));
-        let preloader = Arc::clone(&pre_stats);
-        sim.block_on(loop_m((), move |()| {
-            let watch = Arc::clone(&preloader);
-            do_m! {
-                sys_sleep(50 * eveth_core::time::MICROS);
-                let done <- sys_nbio(move || watch.clients_done.get());
-                ThreadM::pure(if done == 1 { Loop::Break(()) } else { Loop::Continue(()) })
-            }
-        }))
-        .expect("kv preload completed");
-        assert_eq!(
-            pre_stats.stored.get(),
-            p.keys as u64,
-            "preload stored every key"
-        );
-    }
-
-    // Per-op allocation/copy accounting covers exactly the measured load
-    // phase (client spawn → last client done); preload and setup stay
-    // outside the window.
-    let base_allocs = crate::allocmeter::alloc_count();
-    let base_copies = bytes::bytes_copied_total();
-
-    for id in 0..p.clients {
-        sim.spawn(client_thread(
-            Arc::clone(&client_stack),
-            Arc::clone(&cfg),
-            Arc::clone(&stats),
-            id,
-        ));
-    }
-
-    let clients = p.clients;
-    let watch = Arc::clone(&stats);
-    // Poll at 50 µs so the measured makespan isn't quantized at the poll
-    // interval when the run itself is only a few milliseconds.
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(50 * eveth_core::time::MICROS);
-            let done <- sys_nbio(move || watch.clients_done.get());
-            ThreadM::pure(if done == clients { Loop::Break(()) } else { Loop::Continue(()) })
-        }
-    }))
-    .expect("kv load completed");
-
-    let report = sim.report();
+    let report = rig.sim.report();
     let elapsed = report.now;
     let responses = stats.responses();
     let run_allocs = crate::allocmeter::alloc_count().saturating_sub(base_allocs) as u64;
@@ -514,6 +579,7 @@ pub fn kv_server_run(p: &KvRunParams) -> KvRunResult {
         }
     };
     let pcts = stats.latency.percentiles(&[50.0, 95.0, 99.0]);
+    let store = rig.server.store();
     KvRunResult {
         elapsed,
         responses,
@@ -531,14 +597,9 @@ pub fn kv_server_run(p: &KvRunParams) -> KvRunResult {
         p99_ns: pcts[2],
         io_wait_ns: report.io_wait_ns,
         lock_wait_ns: report.lock_wait_ns,
-        store_lock_wait_ns: server.store().lock_wait_ns(),
-        hot_shard_lock_wait_ns: server
-            .store()
-            .shard_lock_waits()
-            .into_iter()
-            .max()
-            .unwrap_or(0),
-        stm_retries: server.store().stm_retries(),
+        store_lock_wait_ns: store.lock_wait_ns(),
+        hot_shard_lock_wait_ns: store.shard_lock_waits().into_iter().max().unwrap_or(0),
+        stm_retries: store.stm_retries(),
         cpus: report.cpus,
         cpu_utilization: report.avg_utilization(),
         allocs_per_op: per_op(run_allocs),
@@ -579,9 +640,8 @@ impl std::fmt::Debug for KvTraceArtifacts {
 /// One `GET` against the debug service: connect, send the request line,
 /// read to EOF (the service closes after one response), return the body.
 fn debug_get(stack: &Arc<dyn NetStack>, ep: Endpoint, target: &str) -> ThreadM<Vec<u8>> {
-    use eveth_core::net::send_all;
     let stack = Arc::clone(stack);
-    let req = bytes::Bytes::from(format!("GET {target} HTTP/1.0\r\n\r\n"));
+    let req = Bytes::from(format!("GET {target} HTTP/1.0\r\n\r\n"));
     do_m! {
         let conn <- stack.connect(ep);
         let conn = conn.expect("debug service reachable");
@@ -609,128 +669,54 @@ fn http_body(raw: &[u8]) -> String {
     }
 }
 
-/// The observability variant of [`kv_server_run`]: the same KV cell with a
-/// telemetry hub attached to the runtime and both servers, a
+/// The observability variant of [`kv_server_run`]: the same KV rig with
+/// a telemetry hub attached to the runtime and both servers, a
 /// [`DebugService`](eveth_core::telemetry::DebugService) mounted beside
-/// the KV server on the same host, and a real client fetch of `/metrics`
-/// and `/threads` at the end of the load. Returns the exported artifacts
-/// instead of throughput numbers. Always uses the kernel-socket fabric
-/// (`app_tcp` is ignored): the cell exists to exercise the telemetry
-/// path, not the socket-layer sweep.
+/// the KV server on the same host, the bounded-send reply path switched
+/// on, and a real client fetch of `/metrics` and `/threads` at the end of
+/// the load. Returns the exported artifacts instead of throughput
+/// numbers.
 pub fn kv_trace_run(p: &KvRunParams) -> KvTraceArtifacts {
-    use eveth_core::service::{Server, ServerConfig as DebugServerConfig};
     use eveth_core::telemetry::{DebugService, Telemetry, TraceExport};
-    use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
-    use eveth_kv::server::{KvConfig, KvServer};
-    use eveth_kv::store::{Backend, StoreConfig};
 
     const DEBUG_PORT: u16 = 11280;
 
     let sim = sim_with_config(p.cost.clone(), p.cpus, p.slice);
     let telemetry = Telemetry::new();
     assert!(sim.set_telemetry(Arc::clone(&telemetry)));
-
-    let link = if p.loopback {
-        eveth_simos::net::LinkParams::loopback()
-    } else {
-        eveth_simos::net::LinkParams::ethernet_100mbps()
-    };
-    let fabric = SocketFabric::new(
-        sim.clock(),
-        FabricParams {
-            link,
-            ..FabricParams::default()
-        },
-    );
-    let (server_stack, client_stack): (Arc<dyn NetStack>, Arc<dyn NetStack>) =
-        (fabric.stack(HostId(1)), fabric.stack(HostId(2)));
-
-    let server = KvServer::new(
-        Arc::clone(&server_stack),
-        KvConfig {
-            port: 11211,
-            store: StoreConfig {
-                shards: p.shards,
-                backend: if p.stm { Backend::Stm } else { Backend::Mutex },
-                ..Default::default()
-            },
-            // Exercise the bounded-send reply path (the deadline is far
-            // above any virtual transfer time, so the count stays 0 — but
-            // the metric is live and the `send_all_within` race runs).
-            send_timeout: 50 * MILLIS,
-            ..Default::default()
-        },
-    );
-    server.attach_telemetry(&telemetry);
-    sim.spawn(server.run());
-
+    // The send deadline is far above any virtual transfer time, so the
+    // timeout count stays 0 — but the metric is live and the
+    // `send_all_within` race runs.
+    let rig = KvRig::new(sim, p, 50 * MILLIS);
+    rig.server.attach_telemetry(&telemetry);
     let debug = Server::new(
-        Arc::clone(&server_stack),
+        rig.hosts.stack(1),
         DebugService::new(&telemetry),
-        DebugServerConfig {
+        SvcConfig {
             port: DEBUG_PORT,
             ..Default::default()
         },
     );
     debug.attach_telemetry(&telemetry, "debug");
-    sim.spawn(debug.run());
-
-    let stats = Arc::new(KvLoadStats::default());
-    let cfg = Arc::new(KvLoadConfig {
-        server: Endpoint::new(HostId(1), 11211),
-        batches_per_conn: p.batches_per_conn,
-        pipeline_depth: p.pipeline_depth,
-        keys: p.keys,
-        zipf_s: 0.99,
-        set_percent: p.set_percent,
-        value_bytes: p.value_bytes,
-        ttl_secs: 0,
-        seed: p.seed,
-    });
-    for id in 0..p.clients {
-        sim.spawn(client_thread(
-            Arc::clone(&client_stack),
-            Arc::clone(&cfg),
-            Arc::clone(&stats),
-            id,
-        ));
-    }
-
-    let clients = p.clients;
-    let watch = Arc::clone(&stats);
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(50 * eveth_core::time::MICROS);
-            let done <- sys_nbio(move || watch.clients_done.get());
-            ThreadM::pure(if done == clients { Loop::Break(()) } else { Loop::Continue(()) })
-        }
-    }))
-    .expect("kv load completed");
+    rig.sim.spawn(debug.run());
+    rig.load(p);
 
     // Live introspection over the wire: the debug service answers on its
     // own port while the KV server is still mounted beside it.
-    let metrics_raw = sim
-        .block_on(debug_get(
-            &client_stack,
-            Endpoint::new(HostId(1), DEBUG_PORT),
-            "/metrics",
-        ))
-        .expect("metrics fetched");
-    let threads_raw = sim
-        .block_on(debug_get(
-            &client_stack,
-            Endpoint::new(HostId(1), DEBUG_PORT),
-            "/threads",
-        ))
-        .expect("threads fetched");
+    let client_stack = rig.hosts.stack(2);
+    let fetch = |target: &str| {
+        let got = debug_get(&client_stack, Endpoint::new(HostId(1), DEBUG_PORT), target);
+        http_body(&rig.sim.block_on(got).expect("debug service answered"))
+    };
+    let metrics_body = fetch("/metrics");
+    let threads_body = fetch("/threads");
 
-    let report = sim.report();
+    let report = rig.sim.report();
     let chrome_json = TraceExport::from_telemetry(&telemetry).to_chrome_json();
     KvTraceArtifacts {
         chrome_json,
-        metrics_body: http_body(&metrics_raw),
-        threads_body: http_body(&threads_raw),
+        metrics_body,
+        threads_body,
         report,
         telemetry,
     }
@@ -762,30 +748,6 @@ impl Service for EchoService {
     }
 }
 
-/// Nearest-rank percentile over an already-sorted sample vector.
-fn percentile(sorted: &[Nanos], q: f64) -> Nanos {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Drives the sim until `cond` holds, polling every 50 virtual µs (fine
-/// enough that short makespans aren't quantized at the poll interval).
-fn drive_until(sim: &SimRuntime, cond: impl Fn() -> bool + Send + Sync + 'static) {
-    let cond = Arc::new(cond);
-    sim.block_on(loop_m((), move |()| {
-        let cond = Arc::clone(&cond);
-        do_m! {
-            sys_sleep(50 * MICROS);
-            let ok <- sys_nbio(move || cond());
-            ThreadM::pure(if ok { Loop::Break(()) } else { Loop::Continue(()) })
-        }
-    }))
-    .expect("scale scenario completed");
-}
-
 /// Builds the scale scenarios' standard rig: a multi-CPU sim on a
 /// loopback-class link with an [`EchoService`] server on `HostId(1)`
 /// (already spawned) and the shared client stack on `HostId(2)`.
@@ -795,15 +757,9 @@ fn scale_rig(
     idle_timeout: Nanos,
 ) -> (SimRuntime, Arc<Server<EchoService>>, Arc<dyn NetStack>) {
     let sim = sim_with_config(CostModel::monadic(), cpus, 32);
-    let fabric = SocketFabric::new(
-        sim.clock(),
-        FabricParams {
-            link: eveth_simos::net::LinkParams::loopback(),
-            ..FabricParams::default()
-        },
-    );
+    let hosts = Hosts::new(&sim, LinkParams::loopback(), None, 0);
     let server = Server::new(
-        fabric.stack(HostId(1)),
+        hosts.stack(1),
         EchoService,
         SvcConfig {
             port: SCALE_PORT,
@@ -812,7 +768,7 @@ fn scale_rig(
         },
     );
     sim.spawn(server.run());
-    let clients: Arc<dyn NetStack> = fabric.stack(HostId(2));
+    let clients = hosts.stack(2);
     (sim, server, clients)
 }
 
@@ -824,7 +780,7 @@ fn scale_teardown(
     sim: &SimRuntime,
     server: &Arc<Server<EchoService>>,
     elapsed: Nanos,
-    mut latencies: Vec<Nanos>,
+    latencies: &LatencyHistogram,
     ops: u64,
 ) -> ScaleRunResult {
     // Residue check BEFORE shutdown: every ended session must already
@@ -841,7 +797,7 @@ fn scale_teardown(
     sim.block_on(sync(server.drained_signal().wait_evt()))
         .expect("scale server drained");
     sim.run();
-    latencies.sort_unstable();
+    let pcts = latencies.percentiles(&[50.0, 99.0]);
     let report = sim.report();
     ScaleRunResult {
         elapsed,
@@ -851,8 +807,8 @@ fn scale_teardown(
         } else {
             ops as f64 / (elapsed as f64 / 1e9)
         },
-        p50_ns: percentile(&latencies, 50.0),
-        p99_ns: percentile(&latencies, 99.0),
+        p50_ns: pcts[0],
+        p99_ns: pcts[1],
         io_wait_ns: report.io_wait_ns,
         lock_wait_ns: report.lock_wait_ns,
         accepted: server.stats().accepted.get(),
@@ -933,9 +889,7 @@ pub fn churn_run(p: &ChurnParams) -> ScaleRunResult {
     assert!(p.concurrent >= 1 && p.connections >= p.concurrent);
     let (sim, server, stack) = scale_rig(p.cpus, 0);
 
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::with_capacity(
-        p.connections as usize,
-    )));
+    let latencies = Arc::new(LatencyHistogram::with_capacity(p.connections as usize));
     let done = Arc::new(AtomicU64::new(0));
     let payload = Bytes::from(vec![0x5Au8; p.payload]);
     for w in 0..p.concurrent {
@@ -966,7 +920,7 @@ pub fn churn_run(p: &ChurnParams) -> ScaleRunResult {
                 let _ = back.expect("churn echo");
                 conn.close();
                 let t1 <- sys_time();
-                sys_nbio(move || latencies.lock().unwrap().push(t1 - t0));
+                sys_nbio(move || latencies.record(t1 - t0));
                 ThreadM::pure(Loop::Continue(cycles + 1))
             }
         }));
@@ -975,17 +929,13 @@ pub fn churn_run(p: &ChurnParams) -> ScaleRunResult {
     // Wait for every cycle AND for the server to see the last close —
     // the residue sample in teardown must not race a session that is
     // still winding down.
-    let workers = p.concurrent;
-    {
-        let done = Arc::clone(&done);
-        let srv = Arc::clone(&server);
-        drive_until(&sim, move || {
-            done.load(Ordering::SeqCst) == workers && srv.active() == 0
-        });
-    }
+    let (workers, srv) = (p.concurrent, Arc::clone(&server));
+    sim.block_on(poll_until(50 * MICROS, move || {
+        done.load(Ordering::SeqCst) == workers && srv.active() == 0
+    }))
+    .expect("churn completed");
     let elapsed = sim.now();
-    let lats = std::mem::take(&mut *latencies.lock().unwrap());
-    scale_teardown(&sim, &server, elapsed, lats, p.connections)
+    scale_teardown(&sim, &server, elapsed, &latencies, p.connections)
 }
 
 /// Parameters for [`slowloris_run`].
@@ -1017,7 +967,7 @@ pub fn slowloris_run(p: &SlowlorisParams) -> ScaleRunResult {
     let (sim, server, stack) = scale_rig(p.cpus, p.idle_timeout);
 
     let done = Arc::new(AtomicU64::new(0));
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let latencies = Arc::new(LatencyHistogram::new());
     for _ in 0..p.slow {
         let stack = Arc::clone(&stack);
         let done = Arc::clone(&done);
@@ -1061,24 +1011,20 @@ pub fn slowloris_run(p: &SlowlorisParams) -> ScaleRunResult {
                     let back <- recv_exact(&conn, n);
                     let _ = back.expect("busy echo");
                     let t1 <- sys_time();
-                    sys_nbio(move || latencies.lock().unwrap().push(t1 - t0))
+                    sys_nbio(move || latencies.record(t1 - t0))
                         .map(move |_| Loop::Continue((i + 1, conn)))
                 }
             })
         });
     }
 
-    let target = p.slow + p.busy;
-    {
-        let done = Arc::clone(&done);
-        let srv = Arc::clone(&server);
-        drive_until(&sim, move || {
-            done.load(Ordering::SeqCst) == target && srv.active() == 0
-        });
-    }
+    let (target, srv) = (p.slow + p.busy, Arc::clone(&server));
+    sim.block_on(poll_until(50 * MICROS, move || {
+        done.load(Ordering::SeqCst) == target && srv.active() == 0
+    }))
+    .expect("slowloris completed");
     let elapsed = sim.now();
-    let lats = std::mem::take(&mut *latencies.lock().unwrap());
-    scale_teardown(&sim, &server, elapsed, lats, p.busy * p.cycles)
+    scale_teardown(&sim, &server, elapsed, &latencies, p.busy * p.cycles)
 }
 
 /// Parameters for [`resident_run`].
@@ -1108,9 +1054,7 @@ pub fn resident_run(p: &ResidentParams) -> ScaleRunResult {
 
     let ready = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicU64::new(0));
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::with_capacity(
-        p.connections as usize,
-    )));
+    let latencies = Arc::new(LatencyHistogram::with_capacity(p.connections as usize));
     let payload = Bytes::from(vec![0x5Au8; p.payload]);
     for _ in 0..p.connections {
         let stack = Arc::clone(&stack);
@@ -1129,7 +1073,7 @@ pub fn resident_run(p: &ResidentParams) -> ScaleRunResult {
             let _ = back.expect("resident echo");
             let t1 <- sys_time();
             sys_nbio(move || {
-                latencies.lock().unwrap().push(t1 - t0);
+                latencies.record(t1 - t0);
                 ready.fetch_add(1, Ordering::SeqCst);
             });
             // Park until shutdown hangs up on us.
@@ -1141,10 +1085,10 @@ pub fn resident_run(p: &ResidentParams) -> ScaleRunResult {
     }
 
     let target = p.connections;
-    {
-        let ready = Arc::clone(&ready);
-        drive_until(&sim, move || ready.load(Ordering::SeqCst) == target);
-    }
+    sim.block_on(poll_until(50 * MICROS, move || {
+        ready.load(Ordering::SeqCst) == target
+    }))
+    .expect("resident connections up");
     let elapsed = sim.now();
     let bytes_per_conn =
         crate::allocmeter::live_bytes().saturating_sub(base_live) as u64 / p.connections;
@@ -1153,8 +1097,7 @@ pub fn resident_run(p: &ResidentParams) -> ScaleRunResult {
 
     // Shutdown closes every parked session; the clients unblock on the
     // hangup and retire before the drain barrier check in teardown.
-    let lats = std::mem::take(&mut *latencies.lock().unwrap());
-    let mut r = scale_teardown(&sim, &server, elapsed, lats, p.connections);
+    let mut r = scale_teardown(&sim, &server, elapsed, &latencies, p.connections);
     r.bytes_per_conn = bytes_per_conn;
     r.allocs_per_conn = allocs_per_conn;
     r

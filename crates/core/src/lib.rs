@@ -84,5 +84,5 @@ pub mod timer;
 pub mod trace;
 
 pub use exception::Exception;
-pub use thread::{for_each_m, forever_m, loop_m, map_m, while_m, Cont, Loop, ThreadM};
+pub use thread::{for_each_m, forever_m, loop_m, map_m, poll_until, while_m, Cont, Loop, ThreadM};
 pub use trace::Trace;

@@ -17,7 +17,8 @@ use crate::event::{
     Signal,
 };
 use crate::reactor::{AcceptQueue, Fd, Interest};
-use crate::syscall::sys_time;
+use crate::syscall::{sys_nbio, sys_time};
+use crate::telemetry::metrics::Counter;
 use crate::thread::{loop_m, Loop, ThreadM};
 use crate::time::Nanos;
 
@@ -299,6 +300,46 @@ pub fn send_all(conn: &Arc<dyn Conn>, data: Bytes) -> ThreadM<Result<(), NetErro
             }
             Err(e) => Loop::Break(Err(e)),
         })
+    })
+}
+
+/// One closed-loop client (the load generator of paper §5.2): connects to
+/// `server`, then runs `step` on the connection, threading its state,
+/// until a step returns `None` — the client is through, or the step
+/// failed and counted its own failure. The connection is closed on
+/// every exit path. A failed connect is counted in `connect_failed`;
+/// either way the client ends by counting itself in `done`.
+pub fn closed_loop<S, F>(
+    stack: &Arc<dyn NetStack>,
+    server: Endpoint,
+    init: S,
+    connect_failed: Counter,
+    done: Counter,
+    step: F,
+) -> ThreadM<()>
+where
+    S: Send + 'static,
+    F: Fn(&Arc<dyn Conn>, S) -> ThreadM<Option<S>> + Send + Sync + 'static,
+{
+    let client = stack
+        .connect(server)
+        .bind(move |connected| match connected {
+            Err(_) => sys_nbio(move || connect_failed.incr()),
+            Ok(conn) => step_until_done(conn, init, Arc::new(step)),
+        });
+    client.bind(move |()| sys_nbio(move || done.incr()))
+}
+
+/// [`closed_loop`]'s loop: one bind per step, like `loop_m`, so a long
+/// run stays in constant continuation space.
+fn step_until_done<S, F>(conn: Arc<dyn Conn>, state: S, step: Arc<F>) -> ThreadM<()>
+where
+    S: Send + 'static,
+    F: Fn(&Arc<dyn Conn>, S) -> ThreadM<Option<S>> + Send + Sync + 'static,
+{
+    step(&conn, state).bind(move |next| match next {
+        Some(state) => step_until_done(conn, state, step),
+        None => conn.close(),
     })
 }
 

@@ -727,13 +727,8 @@ mod tests {
             });
         }
         let watch = n.clone();
-        rt.block_on(crate::loop_m((), move |()| {
-            let watch = watch.clone();
-            crate::do_m! {
-                sys_sleep(MILLIS);
-                let v <- sys_nbio(move || watch.load(Ordering::SeqCst));
-                ThreadM::pure(if v == TASKS { crate::Loop::Break(()) } else { crate::Loop::Continue(()) })
-            }
+        rt.block_on(crate::poll_until(MILLIS, move || {
+            watch.load(Ordering::SeqCst) == TASKS
         }));
         assert_eq!(n.load(Ordering::SeqCst), TASKS);
         rt.shutdown();

@@ -112,6 +112,14 @@ impl LatencyHistogram {
         Self::default()
     }
 
+    /// An empty recorder with room for `n` samples, so recording them
+    /// allocates nothing.
+    pub fn with_capacity(n: usize) -> Self {
+        LatencyHistogram {
+            samples: parking_lot::Mutex::new(Vec::with_capacity(n)),
+        }
+    }
+
     /// Records one latency sample (nanoseconds).
     pub fn record(&self, ns: u64) {
         self.samples.lock().push(ns);

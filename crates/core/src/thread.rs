@@ -19,6 +19,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::syscall::{sys_nbio, sys_sleep};
+use crate::time::Nanos;
 use crate::trace::Trace;
 
 /// A continuation expecting the result of a monadic computation.
@@ -72,8 +74,8 @@ impl<A: Send + 'static> ThreadM<A> {
     }
 
     /// Lifts a *pure* computation, evaluated only when the thread reaches
-    /// this point. Use [`sys_nbio`](crate::syscall::sys_nbio) instead for
-    /// effectful operations so they appear in the trace.
+    /// this point. Use [`sys_nbio`] instead for effectful operations so
+    /// they appear in the trace.
     pub fn from_fn(f: impl FnOnce() -> A + Send + 'static) -> Self {
         ThreadM::new(move |c| c(f()))
     }
@@ -332,6 +334,42 @@ where
                 ThreadM::pure(Loop::Break(()))
             }
         })
+    })
+}
+
+/// Sleeps `every`, then checks `cond` in one non-blocking step, until it
+/// holds: how a harness waits for work it has spawned to finish. Sleeping
+/// lets the scheduler run everything else in between, so the same loop
+/// serves a simulator's virtual clock and a wall-clock runtime.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use std::sync::Arc;
+/// use eveth_core::{local::run_local, poll_until, time::MILLIS};
+///
+/// let polls = Arc::new(AtomicU64::new(0));
+/// let seen = Arc::clone(&polls);
+/// run_local(poll_until(MILLIS, move || seen.fetch_add(1, Ordering::SeqCst) == 2)).unwrap();
+/// assert_eq!(polls.load(Ordering::SeqCst), 3);
+/// ```
+pub fn poll_until<C>(every: Nanos, cond: C) -> ThreadM<()>
+where
+    C: Fn() -> bool + Send + Sync + 'static,
+{
+    let cond = Arc::new(cond);
+    loop_m((), move |()| {
+        let cond = Arc::clone(&cond);
+        sys_sleep(every)
+            .bind(move |()| sys_nbio(move || cond()))
+            .map(|ok| {
+                if ok {
+                    Loop::Break(())
+                } else {
+                    Loop::Continue(())
+                }
+            })
     })
 }
 

@@ -1,13 +1,15 @@
 //! The multithreaded HTTP load generator (paper §5.2): each client is a
 //! monadic thread that connects once and then repeatedly requests files
-//! chosen at random, counting delivered bytes.
+//! chosen at random, counting delivered bytes. The client is the shared
+//! closed loop, [`eveth_core::net::closed_loop`]; this module owns its one
+//! step (a random `GET` and its response) and the counters.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use eveth_core::net::{send_all, Conn, Endpoint, NetError, NetStack};
+use eveth_core::net::{closed_loop, send_all, Conn, Endpoint, NetError, NetStack};
+use eveth_core::telemetry::metrics::Counter;
 use eveth_core::{do_m, loop_m, Loop, ThreadM};
 
 use crate::parser::parse_response_head;
@@ -29,21 +31,21 @@ pub struct LoadConfig {
 #[derive(Debug, Default)]
 pub struct LoadStats {
     /// 200 responses fully received.
-    pub ok: AtomicU64,
+    pub ok: Counter,
     /// Non-200 responses.
-    pub non_200: AtomicU64,
+    pub non_200: Counter,
     /// Transport-level failures.
-    pub errors: AtomicU64,
+    pub errors: Counter,
     /// Total bytes received (heads + bodies).
-    pub bytes: AtomicU64,
+    pub bytes: Counter,
     /// Clients that finished their run.
-    pub clients_done: AtomicU64,
+    pub clients_done: Counter,
 }
 
 impl LoadStats {
     /// Total responses observed.
     pub fn responses(&self) -> u64 {
-        self.ok.load(Ordering::Relaxed) + self.non_200.load(Ordering::Relaxed)
+        self.ok.get() + self.non_200.get()
     }
 }
 
@@ -90,60 +92,48 @@ fn read_response(conn: Arc<dyn Conn>) -> ThreadM<Result<(u16, usize), NetError>>
     })
 }
 
-/// One load-generator client: connect, request random files, close.
+/// One load-generator client: connect, request `requests_per_conn`
+/// random files, close.
 pub fn client_thread(
     stack: Arc<dyn NetStack>,
     cfg: Arc<LoadConfig>,
     stats: Arc<LoadStats>,
     id: u64,
 ) -> ThreadM<()> {
-    let done_stats = Arc::clone(&stats);
-    let body = do_m! {
-        let connected <- stack.connect(cfg.server);
-        match connected {
-            Err(_) => {
-                let stats = Arc::clone(&stats);
-                eveth_core::syscall::sys_nbio(move || {
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                })
+    let rng0 = cfg.seed ^ (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+    let (failed, done) = (stats.errors.clone(), stats.clients_done.clone());
+    closed_loop(
+        &stack,
+        cfg.server,
+        (rng0, 0usize),
+        failed,
+        done,
+        move |conn, (mut rng, i)| {
+            if i >= cfg.requests_per_conn {
+                return ThreadM::pure(None);
             }
-            Ok(conn) => {
-                let rng0 = cfg.seed ^ (id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-                loop_m((rng0, 0usize), move |(mut rng, i)| {
-                    if i >= cfg.requests_per_conn {
-                        return conn.close().map(|_| Loop::Break(()));
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let path = &cfg.paths[(rng as usize) % cfg.paths.len()];
+            let stats = Arc::clone(&stats);
+            http_get(conn, path).map(move |res| match res {
+                Ok((status, bytes)) => {
+                    if status == 200 {
+                        stats.ok.incr();
+                    } else {
+                        stats.non_200.incr();
                     }
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    let path = cfg.paths[(rng as usize) % cfg.paths.len()].clone();
-                    let stats = Arc::clone(&stats);
-                    let conn2 = Arc::clone(&conn);
-                    http_get(&conn, &path).bind(move |res| match res {
-                        Ok((200, bytes)) => {
-                            stats.ok.fetch_add(1, Ordering::Relaxed);
-                            stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                            ThreadM::pure(Loop::Continue((rng, i + 1)))
-                        }
-                        Ok((_, bytes)) => {
-                            stats.non_200.fetch_add(1, Ordering::Relaxed);
-                            stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                            ThreadM::pure(Loop::Continue((rng, i + 1)))
-                        }
-                        Err(_) => {
-                            stats.errors.fetch_add(1, Ordering::Relaxed);
-                            conn2.close().map(|_| Loop::Break(()))
-                        }
-                    })
-                })
-            }
-        }
-    };
-    body.bind(move |_| {
-        eveth_core::syscall::sys_nbio(move || {
-            done_stats.clients_done.fetch_add(1, Ordering::Relaxed);
-        })
-    })
+                    stats.bytes.add(bytes as u64);
+                    Some((rng, i + 1))
+                }
+                Err(_) => {
+                    stats.errors.incr();
+                    None
+                }
+            })
+        },
+    )
 }
 
 /// Standard benchmark corpus paths: `/fNNNNN.html`.
@@ -156,10 +146,10 @@ impl fmt::Display for LoadStats {
         write!(
             f,
             "ok={} non200={} errors={} bytes={}",
-            self.ok.load(Ordering::Relaxed),
-            self.non_200.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed)
+            self.ok.get(),
+            self.non_200.get(),
+            self.errors.get(),
+            self.bytes.get()
         )
     }
 }
@@ -181,8 +171,8 @@ mod tests {
     #[test]
     fn load_stats_aggregate() {
         let s = LoadStats::default();
-        s.ok.fetch_add(3, Ordering::Relaxed);
-        s.non_200.fetch_add(2, Ordering::Relaxed);
+        s.ok.add(3);
+        s.non_200.add(2);
         assert_eq!(s.responses(), 5);
         assert!(s.to_string().contains("ok=3"));
     }

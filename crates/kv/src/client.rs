@@ -193,8 +193,8 @@ impl KvClient {
 
     /// One full exchange: timestamp, send, read the responses to
     /// `expected` commands, collecting them. The convenience entry point
-    /// for scripted clients; the loadgen drives [`KvClient::send`] and
-    /// [`KvClient::read_pipelined`] separately to own its accounting.
+    /// for scripted clients; the loadgen sends and calls
+    /// [`read_pipelined`] itself to own its accounting.
     pub fn request(
         &self,
         wire: Bytes,

@@ -4,22 +4,24 @@
 //! Each client connects once, then repeatedly ships a *batch* of
 //! `pipeline_depth` commands in one send and reads replies until the
 //! batch is fully answered — the access pattern memcached deployments
-//! actually see, and the knob the `fig_kv` bench sweeps. The wire work
-//! (pipelined read loop, latency attribution) lives in
-//! [`crate::client`]; this module owns workload generation and the
-//! counters.
+//! actually see, and the knob the `fig_kv` bench sweeps. The connect,
+//! close and completion count are the shared closed-loop client,
+//! [`eveth_core::net::closed_loop`]; the wire work (pipelined read loop,
+//! latency attribution) lives in [`crate::client`]. This module owns the
+//! one batch step, workload generation and the counters: the measured
+//! [`client_thread`] and the [`preload_thread`] fill are the same step
+//! over two batch sources.
 
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::{BufferPool, Bytes, BytesMut};
-use eveth_core::net::{Endpoint, NetStack};
+use eveth_core::net::{closed_loop, send_all, Conn, Endpoint, NetStack};
 use eveth_core::syscall::{sys_nbio, sys_time};
 use eveth_core::telemetry::metrics::{Counter, LatencyHistogram};
-use eveth_core::time::Nanos;
-use eveth_core::{do_m, loop_m, Loop, ThreadM};
+use eveth_core::{do_m, ThreadM};
 
-use crate::client::{KvClient, KvClientError, ReadEvent};
+use crate::client::{read_pipelined, ReadEvent};
 use crate::protocol::Reply;
 
 /// Load-generator parameters.
@@ -191,7 +193,8 @@ fn build_batch(cfg: &KvLoadConfig, zipf: &Zipf, rng: &mut u64) -> (Bytes, usize)
     (wire.freeze(), expected)
 }
 
-/// One load-generator client: connect, ship batches, read replies, close.
+/// One load-generator client: connect, ship `batches_per_conn` batches
+/// of the configured get/set mix, read each batch's replies, close.
 pub fn client_thread(
     stack: Arc<dyn NetStack>,
     cfg: Arc<KvLoadConfig>,
@@ -199,64 +202,25 @@ pub fn client_thread(
     id: u64,
 ) -> ThreadM<()> {
     let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
-    let done_stats = Arc::clone(&stats);
-    let body = do_m! {
-        let connected <- stack.connect(cfg.server);
-        match connected {
-            Err(_) => {
-                let stats = Arc::clone(&stats);
-                sys_nbio(move || stats.transport_errors.incr())
-            }
-            Ok(conn) => {
-                let client = KvClient::from_conn(conn);
-                let rng0 = (cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-                let cfg = Arc::clone(&cfg);
-                let stats = Arc::clone(&stats);
-                let zipf = zipf.clone();
-                loop_m((rng0, 0usize), move |(mut rng, batch)| {
-                    if batch >= cfg.batches_per_conn {
-                        return client.close().map(|_| Loop::Break(()));
-                    }
-                    let (wire, expected) = build_batch(&cfg, &zipf, &mut rng);
-                    let stats2 = Arc::clone(&stats);
-                    let client2 = client.clone();
-                    let n_out = wire.len() as u64;
-                    do_m! {
-                        let t_send <- sys_time();
-                        let sent <- client2.send(wire);
-                        match sent {
-                            Err(_) => {
-                                let stats = Arc::clone(&stats2);
-                                let client = client2.clone();
-                                do_m! {
-                                    sys_nbio(move || stats.transport_errors.incr());
-                                    client.close().map(|_| Loop::Break(()))
-                                }
-                            }
-                            Ok(()) => {
-                                stats2.bytes_out.add(n_out);
-                                read_replies(&client2, Arc::clone(&stats2), expected, t_send)
-                                    .map(move |res| {
-                                        if res.is_ok() {
-                                            Loop::Continue((rng, batch + 1))
-                                        } else {
-                                            Loop::Break(())
-                                        }
-                                    })
-                            }
-                        }
-                    }
-                })
-            }
-        }
-    };
-    body.bind(move |_| sys_nbio(move || done_stats.clients_done.incr()))
+    let rng0 = (cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+    batch_client(
+        &stack,
+        cfg,
+        stats,
+        (rng0, 0usize),
+        move |cfg, (mut rng, batch)| {
+            (batch < cfg.batches_per_conn).then(|| {
+                let (wire, expected) = build_batch(cfg, &zipf, &mut rng);
+                (wire, expected, (rng, batch + 1))
+            })
+        },
+    )
 }
 
 /// Deterministically fills the whole key space before a measured run:
-/// one client that `set`s every key rank exactly once (values match what
-/// [`client_thread`]'s sets would store), in pipelined batches of
-/// `depth`. Get-heavy cells preload so every measured `get` hits and the
+/// a client whose batches `set` every key rank exactly once, in order,
+/// `depth` at a time (values match what [`client_thread`]'s sets would
+/// store). Get-heavy cells preload so every measured `get` hits and the
 /// reply path actually carries value bytes. Increments
 /// `stats.clients_done` when the fill is fully acknowledged.
 pub fn preload_thread(
@@ -264,58 +228,72 @@ pub fn preload_thread(
     cfg: Arc<KvLoadConfig>,
     stats: Arc<KvLoadStats>,
 ) -> ThreadM<()> {
-    let done_stats = Arc::clone(&stats);
     let depth = cfg.pipeline_depth.max(1);
-    let body = do_m! {
-        let connected <- stack.connect(cfg.server);
-        match connected {
-            Err(_) => {
-                let stats = Arc::clone(&stats);
-                sys_nbio(move || stats.transport_errors.incr())
+    batch_client(&stack, cfg, stats, 0usize, move |cfg, next_rank| {
+        (next_rank < cfg.keys).then(|| {
+            let batch_end = (next_rank + depth).min(cfg.keys);
+            let mut wire = BufferPool::global().acquire();
+            for rank in next_rank..batch_end {
+                push_set(&mut wire, cfg, rank);
             }
-            Ok(conn) => {
-                let client = KvClient::from_conn(conn);
-                let cfg = Arc::clone(&cfg);
-                let stats = Arc::clone(&stats);
-                loop_m(0usize, move |next_rank| {
-                    if next_rank >= cfg.keys {
-                        return client.close().map(|_| Loop::Break(()));
-                    }
-                    let batch_end = (next_rank + depth).min(cfg.keys);
-                    let mut wire = BufferPool::global().acquire();
-                    for rank in next_rank..batch_end {
-                        push_set(&mut wire, &cfg, rank);
-                    }
-                    let expected = batch_end - next_rank;
-                    let stats2 = Arc::clone(&stats);
-                    let client2 = client.clone();
-                    do_m! {
-                        let t_send <- sys_time();
-                        let sent <- client2.send(wire.freeze());
-                        match sent {
-                            Err(_) => {
-                                let stats = Arc::clone(&stats2);
-                                let client = client2.clone();
-                                do_m! {
-                                    sys_nbio(move || stats.transport_errors.incr());
-                                    client.close().map(|_| Loop::Break(()))
-                                }
-                            }
-                            Ok(()) => read_replies(&client2, Arc::clone(&stats2), expected, t_send)
-                                .map(move |res| {
-                                    if res.is_ok() {
-                                        Loop::Continue(batch_end)
-                                    } else {
-                                        Loop::Break(())
-                                    }
-                                }),
-                        }
-                    }
-                })
+            (wire.freeze(), batch_end - next_rank, batch_end)
+        })
+    })
+}
+
+/// A [`closed_loop`] client whose step ships the batch `next_batch`
+/// builds from the state (wire bytes, commands in it, the next state)
+/// and reads its replies; `None` from `next_batch` ends the run.
+fn batch_client<S, B>(
+    stack: &Arc<dyn NetStack>,
+    cfg: Arc<KvLoadConfig>,
+    stats: Arc<KvLoadStats>,
+    init: S,
+    next_batch: B,
+) -> ThreadM<()>
+where
+    S: Send + 'static,
+    B: Fn(&KvLoadConfig, S) -> Option<(Bytes, usize, S)> + Send + Sync + 'static,
+{
+    let (failed, done) = (stats.transport_errors.clone(), stats.clients_done.clone());
+    closed_loop(
+        stack,
+        cfg.server,
+        init,
+        failed,
+        done,
+        move |conn, state| match next_batch(&cfg, state) {
+            None => ThreadM::pure(None),
+            Some((wire, expected, next)) => exchange(conn, &stats, wire, expected, next),
+        },
+    )
+}
+
+/// Ships one batch and reads until its `expected` commands are answered;
+/// yields `next` on success. A failed send counts a transport error; a
+/// failed read was counted by [`observe_load`].
+fn exchange<S: Send + 'static>(
+    conn: &Arc<dyn Conn>,
+    stats: &Arc<KvLoadStats>,
+    wire: Bytes,
+    expected: usize,
+    next: S,
+) -> ThreadM<Option<S>> {
+    let conn = Arc::clone(conn);
+    let stats = Arc::clone(stats);
+    let n_out = wire.len() as u64;
+    do_m! {
+        let t_send <- sys_time();
+        let sent <- send_all(&conn, wire);
+        match sent {
+            Err(_) => sys_nbio(move || stats.transport_errors.incr()).map(|()| None),
+            Ok(()) => {
+                stats.bytes_out.add(n_out);
+                read_pipelined(conn, expected, t_send, (), move |(), ev| observe_load(&stats, ev))
+                    .map(move |res| res.ok().map(|()| next))
             }
         }
-    };
-    body.bind(move |_| sys_nbio(move || done_stats.clients_done.incr()))
+    }
 }
 
 /// Folds one [`ReadEvent`] from the shared wire client into the load
@@ -341,20 +319,6 @@ fn observe_load(stats: &KvLoadStats, ev: ReadEvent<'_>) {
             stats.latency.record(lat);
         }
     }
-}
-
-/// Reads until `expected` commands are fully answered, attributing each
-/// command a latency of (reply arrival − `sent_at`, virtual time), via
-/// the shared [`KvClient`] read loop.
-fn read_replies(
-    client: &KvClient,
-    stats: Arc<KvLoadStats>,
-    expected: usize,
-    sent_at: Nanos,
-) -> ThreadM<Result<(), KvClientError>> {
-    client.read_pipelined(expected, sent_at, (), move |(), ev| {
-        observe_load(&stats, ev)
-    })
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use eveth::core::syscall::*;
 use eveth::simos::disk::{throughput_mb_s, DiskGeometry, DiskSched, SimDisk};
 use eveth::simos::fs::SimFs;
 use eveth::simos::SimRuntime;
-use eveth::{do_m, loop_m, Loop, ThreadM};
+use eveth::{loop_m, poll_until, Loop};
 
 const FILE_BYTES: u64 = 1 << 30; // the paper's 1 GB test file
 const BLOCK: usize = 4096;
@@ -60,13 +60,8 @@ fn run(sched: DiskSched, threads: u64) -> f64 {
     // Wait for all reader threads to retire (sleep-poll: parking lets the
     // simulation advance to the next disk completion).
     let watch = Arc::clone(&live);
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(eveth::core::time::MILLIS);
-            let n <- sys_nbio(move || watch.load(Ordering::SeqCst));
-            ThreadM::pure(if n == 0 { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    sim.block_on(poll_until(eveth::core::time::MILLIS, move || {
+        watch.load(Ordering::SeqCst) == 0
     }))
     .expect("all readers finished");
 

@@ -23,7 +23,7 @@ use eveth::glue;
 use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
-use eveth::{do_m, loop_m, Loop, ThreadM};
+use eveth::{do_m, loop_m, poll_until, Loop, ThreadM};
 
 const CLIENTS: u32 = 16;
 const ROUNDS: usize = 8;
@@ -111,17 +111,8 @@ fn main() {
     let watch = Arc::clone(&done);
     let srv = Arc::clone(&server);
     sim.block_on(do_m! {
-        loop_m((), move |()| {
-            let watch = Arc::clone(&watch);
-            do_m! {
-                sys_sleep(10 * eveth::core::time::MILLIS);
-                let finished <- sys_nbio(move || watch.load(Ordering::SeqCst));
-                ThreadM::pure(if finished == CLIENTS as u64 {
-                    Loop::Break(())
-                } else {
-                    Loop::Continue(())
-                })
-            }
+        poll_until(10 * eveth::core::time::MILLIS, move || {
+            watch.load(Ordering::SeqCst) == CLIENTS as u64
         });
         let _ = srv.shutdown();
         eveth::core::event::sync(srv.drained_signal().wait_evt())

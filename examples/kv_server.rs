@@ -140,18 +140,10 @@ fn main() {
     // Drive until every client finished (the server and its janitor run
     // forever, so block on the clients, not on quiescence).
     let watch = Arc::clone(&stats);
-    sim.block_on(eveth::loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        eveth::do_m! {
-            eveth::core::syscall::sys_sleep(10 * eveth::core::time::MILLIS);
-            let done <- eveth::core::syscall::sys_nbio(move || watch.clients_done.get());
-            eveth::ThreadM::pure(if done == CLIENTS {
-                eveth::Loop::Break(())
-            } else {
-                eveth::Loop::Continue(())
-            })
-        }
-    }))
+    sim.block_on(eveth::poll_until(
+        10 * eveth::core::time::MILLIS,
+        move || watch.clients_done.get() == CLIENTS,
+    ))
     .expect("load completed");
 
     // Introspect over the wire while everything is still mounted: the

@@ -17,12 +17,10 @@
 //! cargo run --example web_server -- tcp     # application-level TCP stack
 //! ```
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use eveth::core::net::{send_all, Endpoint, HostId, NetStack};
 use eveth::core::service::{Server, ServerConfig as DebugConfig};
-use eveth::core::syscall::*;
 use eveth::core::telemetry::{DebugService, Telemetry};
 use eveth::glue;
 use eveth::http::loadgen::{client_thread, corpus_paths, LoadConfig, LoadStats};
@@ -33,7 +31,7 @@ use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::sockets::{FabricParams, SocketFabric};
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
-use eveth::{do_m, loop_m, Loop, ThreadM};
+use eveth::{do_m, loop_m, poll_until, Loop, ThreadM};
 
 const FILES: usize = 512;
 const FILE_BYTES: u64 = 16 * 1024;
@@ -144,13 +142,8 @@ fn main() {
 
     // Drive until every client finished.
     let watch = Arc::clone(&stats);
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(20 * eveth::core::time::MILLIS);
-            let done <- sys_nbio(move || watch.clients_done.load(Ordering::Relaxed));
-            ThreadM::pure(if done == CONNECTIONS { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    sim.block_on(poll_until(20 * eveth::core::time::MILLIS, move || {
+        watch.clients_done.get() == CONNECTIONS
     }))
     .expect("load completed");
 
@@ -180,7 +173,7 @@ fn main() {
     assert_eq!(server.server().active(), 0, "drained");
 
     let secs = sim.now() as f64 / 1e9;
-    let bytes = stats.bytes.load(Ordering::Relaxed);
+    let bytes = stats.bytes.get();
     println!(
         "stack: {}",
         if use_app_tcp {
@@ -192,8 +185,8 @@ fn main() {
     println!(
         "served {} responses ({} not found, {} errors) in {:.2}s virtual",
         stats.responses(),
-        stats.non_200.load(Ordering::Relaxed),
-        stats.errors.load(Ordering::Relaxed),
+        stats.non_200.get(),
+        stats.errors.get(),
         secs
     );
     println!(
@@ -202,10 +195,7 @@ fn main() {
         server.cache().hit_ratio() * 100.0,
         server.stats()
     );
-    assert_eq!(
-        stats.ok.load(Ordering::Relaxed),
-        CONNECTIONS * REQUESTS_PER_CONN as u64
-    );
+    assert_eq!(stats.ok.get(), CONNECTIONS * REQUESTS_PER_CONN as u64);
 
     println!("\nGET /metrics (debug service, port {DEBUG_PORT}) — http lines:");
     for line in metrics

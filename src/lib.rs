@@ -33,7 +33,9 @@ pub use eveth_simos as simos;
 pub use eveth_stm as stm;
 pub use eveth_tcp as tcp;
 
-pub use eveth_core::{do_m, for_each_m, forever_m, loop_m, map_m, while_m, Loop, ThreadM};
+pub use eveth_core::{
+    do_m, for_each_m, forever_m, loop_m, map_m, poll_until, while_m, Loop, ThreadM,
+};
 
 /// Cross-crate adapters: wiring the application-level TCP stack over the
 /// simulated packet network — segments become `SimNet` packets (with

@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth::core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
-use eveth::core::syscall::{sys_nbio, sys_sleep};
 use eveth::core::time::MILLIS;
 use eveth::glue;
 use eveth::kv::client::KvClient;
@@ -19,7 +18,7 @@ use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::sockets::{FabricParams, SocketFabric};
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
-use eveth::{do_m, loop_m, Loop, ThreadM};
+use eveth::{do_m, loop_m, poll_until, Loop};
 
 const CLIENTS: u64 = 8;
 const BATCHES: usize = 8;
@@ -68,13 +67,8 @@ fn run_workload(
         ));
     }
     let watch = Arc::clone(&stats);
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(5 * MILLIS);
-            let done <- sys_nbio(move || watch.clients_done.get());
-            ThreadM::pure(if done == CLIENTS { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    sim.block_on(poll_until(5 * MILLIS, move || {
+        watch.clients_done.get() == CLIENTS
     }))
     .expect("clients finished");
     (stats, server.store_snapshot(), sim.now())
@@ -148,6 +142,47 @@ fn stm_backend_behaves_identically_over_simnet() {
     assert_eq!(stats.responses(), CLIENTS * (BATCHES * DEPTH) as u64);
     assert_eq!(stats.errors.get(), 0);
     assert_eq!(snap.sets, stats.stored.get());
+}
+
+#[test]
+fn a_client_that_fails_a_read_closes_its_connection() {
+    // A raw server answers the first batch with a malformed reply line,
+    // then waits on its next recv. The client's read fails on the parse
+    // error, and the client must close on that path too: the server's
+    // wait ends in EOF rather than never.
+    let sim = SimRuntime::new_default();
+    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let listener = sim
+        .block_on(fabric.stack(HostId(1)).listen(11211))
+        .expect("listen ran")
+        .expect("port free");
+    let stats = Arc::new(KvLoadStats::default());
+    let cfg = Arc::new(KvLoadConfig {
+        server: Endpoint::new(HostId(1), 11211),
+        batches_per_conn: 4,
+        pipeline_depth: 1,
+        set_percent: 0,
+        ..KvLoadConfig::default()
+    });
+    sim.spawn(client_thread(
+        fabric.stack(HostId(2)),
+        cfg,
+        Arc::clone(&stats),
+        0,
+    ));
+    let after_error = sim.block_on(do_m! {
+        let conn <- listener.accept();
+        let conn = conn.expect("client connected");
+        let batch <- conn.recv(64 * 1024);
+        let _ = batch.expect("first batch arrived");
+        let sent <- send_all(&conn, Bytes::from_static(b"VALUE k x 2\r\n"));
+        let _ = sent.expect("malformed reply sent");
+        conn.recv(64 * 1024)
+    });
+    let after_error = after_error.expect("the server's wait ends");
+    assert_eq!(after_error.expect("orderly close"), Bytes::new(), "EOF");
+    assert_eq!(stats.errors.get(), 1, "the parse failure is counted");
+    assert_eq!(stats.clients_done.get(), 1);
 }
 
 /// A deterministic 64-command session script mixing every reply shape

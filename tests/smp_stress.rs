@@ -9,7 +9,7 @@ use eveth::core::runtime::Runtime;
 use eveth::core::sync::{Chan, MVar, Mutex, SyncChan};
 use eveth::core::syscall::*;
 use eveth::stm::{atomically_m, TVar};
-use eveth::{do_m, for_each_m, loop_m, Loop, ThreadM};
+use eveth::{do_m, for_each_m, poll_until};
 
 #[test]
 fn hundred_thousand_threads_complete() {
@@ -24,13 +24,8 @@ fn hundred_thousand_threads_complete() {
         });
     }
     let watch = Arc::clone(&counter);
-    rt.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(eveth::core::time::MILLIS);
-            let v <- sys_nbio(move || watch.load(Ordering::Relaxed));
-            ThreadM::pure(if v == N { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    rt.block_on(poll_until(eveth::core::time::MILLIS, move || {
+        watch.load(Ordering::Relaxed) == N
     }));
     assert_eq!(counter.load(Ordering::Relaxed), N);
     assert!(rt.stats().spawned >= N);
@@ -113,23 +108,10 @@ fn mixed_primitive_stress() {
 
     // Wait for all producers and both channel counters.
     let total = WORKERS * ROUNDS;
-    let watch = move || {
-        let done = Arc::clone(&done);
-        let chan_seen = Arc::clone(&chan_seen);
-        let bounded_seen = Arc::clone(&bounded_seen);
-        move || {
-            done.load(Ordering::Relaxed) == WORKERS
-                && chan_seen.load(Ordering::Relaxed) == total
-                && bounded_seen.load(Ordering::Relaxed) == total
-        }
-    }();
-    rt.block_on(loop_m((), move |()| {
-        let watch = watch.clone();
-        do_m! {
-            sys_sleep(eveth::core::time::MILLIS);
-            let ok <- sys_nbio(watch);
-            ThreadM::pure(if ok { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    rt.block_on(poll_until(eveth::core::time::MILLIS, move || {
+        done.load(Ordering::Relaxed) == WORKERS
+            && chan_seen.load(Ordering::Relaxed) == total
+            && bounded_seen.load(Ordering::Relaxed) == total
     }));
 
     assert_eq!(guarded.load(Ordering::Relaxed), total);

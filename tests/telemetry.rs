@@ -422,6 +422,35 @@ fn a_second_attach_does_not_double_the_session_wait_rollup() {
 }
 
 #[test]
+fn the_trace_cell_honours_the_transport_and_preload_choices() {
+    let p = trace_params(1, 11);
+    let commands = |art: &KvTraceArtifacts| {
+        metric_line(&art.metrics_body, "eveth_kv_commands_total").expect("kv commands exposed")
+    };
+    let sockets = kv_trace_run(&p);
+    let app_tcp = kv_trace_run(&KvRunParams {
+        app_tcp: true,
+        ..p.clone()
+    });
+    assert_ne!(
+        sockets.report.now, app_tcp.report.now,
+        "the app-level TCP stack moves virtual time"
+    );
+    let load = (p.clients as usize * p.batches_per_conn * p.pipeline_depth) as u64;
+    assert_eq!(commands(&sockets), load);
+    assert_eq!(commands(&app_tcp), load);
+    let preloaded = kv_trace_run(&KvRunParams {
+        preload: true,
+        ..p.clone()
+    });
+    assert_eq!(
+        commands(&preloaded),
+        load + p.keys as u64,
+        "the fill ran first"
+    );
+}
+
+#[test]
 fn chrome_export_is_byte_identical_across_reruns_at_1_and_4_cpus() {
     for cpus in [1usize, 4] {
         let a: KvTraceArtifacts = kv_trace_run(&trace_params(cpus, 7));

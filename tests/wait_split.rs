@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use eveth::core::net::{Endpoint, HostId, NetStack};
 use eveth::core::sync::Mutex;
-use eveth::core::syscall::{sys_cpu, sys_nbio, sys_sleep, sys_yield};
+use eveth::core::syscall::{sys_cpu, sys_sleep, sys_yield};
 use eveth::core::time::MILLIS;
 use eveth::glue;
 use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
@@ -20,7 +20,7 @@ use eveth::simos::desrt::SimReport;
 use eveth::simos::net::{LinkParams, SimNet};
 use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::tcp::tcb::TcpConfig;
-use eveth::{do_m, for_each_m, loop_m, Loop, ThreadM};
+use eveth::{do_m, for_each_m, poll_until};
 
 fn assert_split_is_exact(report: &SimReport) {
     assert_eq!(
@@ -102,13 +102,8 @@ fn kv_over_lossy_link_splits_io_from_lock_wait() {
         ));
     }
     let watch = Arc::clone(&stats);
-    sim.block_on(loop_m((), move |()| {
-        let watch = Arc::clone(&watch);
-        do_m! {
-            sys_sleep(5 * MILLIS);
-            let done <- sys_nbio(move || watch.clients_done.get());
-            ThreadM::pure(if done == CLIENTS { Loop::Break(()) } else { Loop::Continue(()) })
-        }
+    sim.block_on(poll_until(5 * MILLIS, move || {
+        watch.clients_done.get() == CLIENTS
     }))
     .expect("clients finished");
     assert_eq!(stats.responses(), CLIENTS * (BATCHES * DEPTH) as u64);
