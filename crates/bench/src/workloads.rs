@@ -32,7 +32,7 @@ use eveth_simos::cost::CostModel;
 use eveth_simos::disk::{DiskGeometry, DiskSched, SimDisk};
 use eveth_simos::fs::SimFs;
 use eveth_simos::net::{LinkParams, SimNet};
-use eveth_simos::sockets::{FabricParams, SocketFabric};
+use eveth_simos::sockets::SocketFabric;
 use eveth_simos::{SimClock, SimConfig, SimRuntime};
 use eveth_tcp::tcb::TcpConfig;
 
@@ -106,11 +106,7 @@ impl Hosts {
                 (Box::new(make), None, Some(net))
             }
             None => {
-                let params = FabricParams {
-                    link,
-                    ..FabricParams::default()
-                };
-                let fabric = SocketFabric::new(sim.clock(), params);
+                let fabric = SocketFabric::new(sim.clock(), link);
                 let f = Arc::clone(&fabric);
                 let make = move |h| f.stack(HostId(h)) as Arc<dyn NetStack>;
                 (Box::new(make), Some(fabric), None)

@@ -17,12 +17,13 @@
 //! use eveth_core::net::{Endpoint, HostId, NetStack};
 //! use eveth_http::loadgen::http_get;
 //! use eveth_http::server::{ServerConfig, WebServer};
-//! use eveth_simos::sockets::{FabricParams, SocketFabric};
+//! use eveth_simos::net::LinkParams;
+//! use eveth_simos::sockets::SocketFabric;
 //! use eveth_simos::SimRuntime;
 //! use std::sync::Arc;
 //!
 //! let sim = SimRuntime::new_default();
-//! let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+//! let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
 //!
 //! let files = Arc::new(MemStore::new());
 //! files.insert_bytes("/hello.html", b"<h1>hi</h1>".to_vec());

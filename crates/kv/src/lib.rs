@@ -36,12 +36,13 @@
 //! use eveth_core::net::{Endpoint, HostId, NetStack};
 //! use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 //! use eveth_kv::server::{KvConfig, KvServer};
-//! use eveth_simos::sockets::{FabricParams, SocketFabric};
+//! use eveth_simos::net::LinkParams;
+//! use eveth_simos::sockets::SocketFabric;
 //! use eveth_simos::SimRuntime;
 //! use std::sync::Arc;
 //!
 //! let sim = SimRuntime::new_default();
-//! let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+//! let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
 //!
 //! let server = KvServer::new(fabric.stack(HostId(1)), KvConfig::default());
 //! sim.spawn(server.run());

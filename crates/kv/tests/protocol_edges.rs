@@ -31,7 +31,7 @@ use eveth_kv::protocol::{CommandParser, ProtoError, ReplyParser};
 use eveth_kv::server::{KvConfig, KvServer};
 use eveth_kv::store::StoreConfig;
 use eveth_simos::net::{LinkParams, SimNet};
-use eveth_simos::sockets::{FabricParams, SocketFabric};
+use eveth_simos::sockets::SocketFabric;
 use eveth_simos::SimRuntime;
 use eveth_tcp::host::TcpHost;
 use eveth_tcp::segment::Segment;
@@ -87,7 +87,7 @@ fn run_session(stack: Stack, max_value_bytes: usize, chunks: &[&[u8]]) -> String
     let sim = SimRuntime::new_default();
     let (server_stack, client_stack): (Arc<dyn NetStack>, Arc<dyn NetStack>) = match stack {
         Stack::KernelSockets => {
-            let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+            let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
             (fabric.stack(HostId(1)), fabric.stack(HostId(2)))
         }
         Stack::AppTcp => {

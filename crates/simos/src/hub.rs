@@ -1,7 +1,8 @@
 //! Cluster-level fault injection: one switchboard over every simulated
 //! network layer.
 //!
-//! The simulator models the network twice — [`crate::net::SimNet`]
+//! The simulator has two transports over one link model
+//! ([`crate::net`]'s per-host-pair wires) — [`crate::net::SimNet`]
 //! carries raw packets under the application-level TCP stack, while
 //! [`crate::sockets::SocketFabric`] models kernel-TCP streams directly —
 //! and a scenario usually runs hosts on one or the other. Fault scripts
@@ -15,7 +16,9 @@
 //! * [`Hub::set_link_down`] / [`Hub::set_link_up`] drop packets on a
 //!   directed link ([`Hub::partition`] / [`Hub::heal`] down both
 //!   directions) — the transport above sees silence, and TCP's
-//!   retransmission machinery owns recovery;
+//!   retransmission machinery owns recovery. The socket fabric shares
+//!   the link's timing but not its faults or loss: it models kernel TCP,
+//!   which hides both;
 //! * [`Hub::crash_host`] / [`Hub::restart_host`] model a process dying:
 //!   streams reset, listeners vanish, connects are refused. Restart
 //!   revives the *host*; relistening and reconnecting is the

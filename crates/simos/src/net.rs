@@ -6,6 +6,12 @@
 //! through seeded, deterministic links that can drop, delay and reorder —
 //! which is what lets the TCP tests exercise retransmission and congestion
 //! control reproducibly.
+//!
+//! It also holds the simulator's one link model, `Wires`: each directed
+//! host pair is one wire that serialises what is queued on it at the
+//! link's rate. [`SimNet`] queues every packet on it, and the kernel-socket
+//! model ([`crate::sockets::SocketFabric`]) every send and close, so N
+//! connections between two hosts share one link on either stack.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -69,6 +75,33 @@ impl LinkParams {
     }
 }
 
+/// The link model: one wire per directed host pair. What is queued on a
+/// wire leaves in FIFO order, each transmission starting once the wire is
+/// idle and taking [`LinkParams::tx_time`]; it arrives one
+/// [`LinkParams::latency`] after its last bit left.
+#[derive(Debug, Default)]
+pub(crate) struct Wires {
+    busy_until: HashMap<(HostId, HostId), Nanos>,
+}
+
+impl Wires {
+    /// Queues `bytes` on the wire `src → dst` at `now` and returns when
+    /// the last of them arrives at `dst`.
+    pub(crate) fn arrival(
+        &mut self,
+        src: HostId,
+        dst: HostId,
+        link: &LinkParams,
+        now: Nanos,
+        bytes: usize,
+    ) -> Nanos {
+        let busy = self.busy_until.entry((src, dst)).or_insert(0);
+        let depart = (*busy).max(now) + link.tx_time(bytes);
+        *busy = depart;
+        depart + link.latency
+    }
+}
+
 /// Called on the destination host for each delivered packet: source host
 /// plus the type-erased payload.
 pub type PacketHandler = Arc<dyn Fn(HostId, Box<dyn Any + Send>) + Send + Sync>;
@@ -93,7 +126,7 @@ struct NetState {
     hosts: HashMap<HostId, PacketHandler>,
     default_link: LinkParams,
     links: HashMap<(HostId, HostId), LinkParams>,
-    busy_until: HashMap<(HostId, HostId), Nanos>,
+    wires: Wires,
     /// Directed links administratively down ([`SimNet::set_link_down`]);
     /// every packet queued on one is dropped with `stats.dropped`
     /// accounting. Deterministic layout: fault scenarios interleave
@@ -144,7 +177,7 @@ impl SimNet {
                 hosts: HashMap::new(),
                 default_link,
                 links: HashMap::new(),
-                busy_until: HashMap::new(),
+                wires: Wires::default(),
                 downed: DetHashSet::default(),
                 crashed: DetHashSet::default(),
                 rng: seed | 1,
@@ -243,11 +276,8 @@ impl SimNet {
                 self.stats.dropped.incr();
                 return;
             }
-            let now = self.clock.now();
-            let busy = st.busy_until.entry((src, dst)).or_insert(0);
-            let depart = (*busy).max(now) + params.tx_time(wire_bytes);
-            *busy = depart;
-            depart + params.latency
+            st.wires
+                .arrival(src, dst, &params, self.clock.now(), wire_bytes)
         };
 
         let weak = self.self_weak.clone();

@@ -1,16 +1,19 @@
-//! The "standard socket library": a kernel-TCP model over shaped in-memory
-//! streams.
+//! The "standard socket library": a kernel-TCP model over in-memory
+//! streams on the simulator's one link model.
 //!
 //! This is the *other half* of the paper's one-line switch (§5.2): servers
 //! written against [`NetStack`] run either on these kernel-model sockets or
 //! on the application-level TCP stack of `eveth-tcp`. The model provides
-//! reliable, ordered byte streams with connection handshake latency,
-//! per-direction bandwidth shaping, a flow-control window, and orderly
-//! close — the observable behaviour of kernel TCP on a healthy LAN — while
-//! all loss/retransmission machinery is assumed to live "in the kernel".
+//! reliable, ordered byte streams with connection handshake latency, a
+//! flow-control window, and orderly close — the observable behaviour of
+//! kernel TCP on a healthy LAN — while all loss/retransmission machinery
+//! is assumed to live "in the kernel". Bytes travel on the same wires as
+//! [`crate::net::SimNet`]'s packets (`net::Wires`): every connection between
+//! two hosts queues its sends and its FIN on that host pair's one link.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::slice;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -24,23 +27,26 @@ use eveth_core::{loop_m, Loop, ThreadM};
 use parking_lot::Mutex;
 
 use crate::des::SimClock;
-use crate::net::LinkParams;
+use crate::net::{LinkParams, Wires};
 
-/// Network characteristics of the socket fabric.
-#[derive(Debug, Clone, Copy)]
-pub struct FabricParams {
-    /// Link model between any two hosts (latency = one-way delay).
-    pub link: LinkParams,
-    /// Per-direction flow-control window (bytes buffered + in flight).
-    pub window: usize,
+/// Per-direction flow-control window (bytes buffered + in flight).
+const WINDOW: usize = 64 * 1024;
+
+/// What every direction of every connection on a fabric shares: the
+/// clock, the link between any two hosts, and the wires it is queued on.
+struct Link {
+    clock: SimClock,
+    params: LinkParams,
+    wires: Mutex<Wires>,
 }
 
-impl Default for FabricParams {
-    fn default() -> Self {
-        FabricParams {
-            link: LinkParams::ethernet_100mbps(),
-            window: 64 * 1024,
-        }
+impl Link {
+    /// Queues `bytes` on the wire `src → dst` now; returns their arrival.
+    fn arrival(&self, src: HostId, dst: HostId, bytes: usize) -> Nanos {
+        let now = self.clock.now();
+        self.wires
+            .lock()
+            .arrival(src, dst, &self.params, now, bytes)
     }
 }
 
@@ -66,18 +72,21 @@ struct FabricState {
 
 /// The shared "internet" connecting every [`SimSocketStack`] built from it.
 pub struct SocketFabric {
-    clock: SimClock,
-    params: FabricParams,
+    link: Arc<Link>,
     state: Mutex<FabricState>,
     next_ephemeral: AtomicU32,
 }
 
 impl SocketFabric {
-    /// Creates a fabric on the given virtual clock.
-    pub fn new(clock: SimClock, params: FabricParams) -> Arc<Self> {
+    /// Creates a fabric on the given virtual clock where every host pair
+    /// is joined by `link` (its loss is ignored: kernel TCP hides it).
+    pub fn new(clock: SimClock, link: LinkParams) -> Arc<Self> {
         Arc::new(SocketFabric {
-            clock,
-            params,
+            link: Arc::new(Link {
+                clock,
+                params: link,
+                wires: Mutex::default(),
+            }),
             state: Mutex::new(FabricState {
                 listeners: HashMap::new(),
                 conns: Vec::new(),
@@ -164,25 +173,26 @@ impl fmt::Debug for SocketFabric {
 }
 
 // ---------------------------------------------------------------------------
-// One shaped, reliable direction of a connection.
+// One reliable direction of a connection.
 // ---------------------------------------------------------------------------
 
 struct DirState {
     readable: VecDeque<u8>,
     in_flight: usize,
-    closed: bool,      // sender closed; EOF once drained
-    reset: bool,       // hard failure
-    busy_until: Nanos, // sender-side serialization point
+    closed: bool, // sender closed; EOF once drained
+    reset: bool,  // hard failure
     /// Readiness registrations: `Read` waiters are the receiving side
     /// blocked for data/EOF, `Write` waiters the sending side blocked on
     /// window space.
     waiters: InterestWaiters,
 }
 
+/// The direction `src → dst` of one connection.
 struct Dir {
     st: Mutex<DirState>,
-    clock: SimClock,
-    params: FabricParams,
+    link: Arc<Link>,
+    src: HostId,
+    dst: HostId,
 }
 
 enum TryIo<T> {
@@ -191,58 +201,26 @@ enum TryIo<T> {
 }
 
 impl Dir {
-    fn new(clock: SimClock, params: FabricParams) -> Arc<Self> {
+    fn new(link: &Arc<Link>, src: HostId, dst: HostId) -> Arc<Self> {
         Arc::new(Dir {
             st: Mutex::new(DirState {
                 readable: VecDeque::new(),
                 in_flight: 0,
                 closed: false,
                 reset: false,
-                busy_until: 0,
                 waiters: InterestWaiters::new(),
             }),
-            clock,
-            params,
+            link: Arc::clone(link),
+            src,
+            dst,
         })
     }
 
-    fn try_send(self: &Arc<Self>, data: &Bytes) -> Result<TryIo<usize>, NetError> {
-        let mut st = self.st.lock();
-        if st.reset {
-            return Err(NetError::Reset);
-        }
-        if st.closed {
-            return Err(NetError::Closed);
-        }
-        let used = st.readable.len() + st.in_flight;
-        let avail = self.params.window.saturating_sub(used);
-        if avail == 0 {
-            return Ok(TryIo::WouldBlock);
-        }
-        let n = avail.min(data.len());
-        st.in_flight += n;
-        let chunk = data.slice(..n);
-        let now = self.clock.now();
-        let depart = st.busy_until.max(now) + self.params.link.tx_time(n);
-        st.busy_until = depart;
-        let arrive = depart + self.params.link.latency;
-        drop(st);
-
-        let dir = Arc::clone(self);
-        self.clock.schedule_at(arrive, move || {
-            let mut st = dir.st.lock();
-            st.in_flight -= chunk.len();
-            st.readable.extend(chunk.iter());
-            st.waiters.wake(Interest::Read);
-        });
-        Ok(TryIo::Done(n))
-    }
-
-    /// Vectored [`Dir::try_send`]: takes a window-limited prefix across
-    /// *all* buffers under one lock, charges one serialized transmission
-    /// for the combined length, and schedules a single arrival event —
-    /// a pipelined batch of replies costs one pass instead of one per
-    /// segment.
+    /// Takes a window-limited prefix across *all* buffers under one lock
+    /// and queues it on the wire as one transmission with one arrival
+    /// event — a pipelined batch of replies costs one pass instead of one
+    /// per segment. The taken windows travel until they arrive; the first
+    /// is held inline, so a one-buffer send allocates no `Vec`.
     fn try_sendv(self: &Arc<Self>, bufs: &[Bytes]) -> Result<TryIo<usize>, NetError> {
         let mut st = self.st.lock();
         if st.reset {
@@ -251,40 +229,35 @@ impl Dir {
         if st.closed {
             return Err(NetError::Closed);
         }
-        let used = st.readable.len() + st.in_flight;
-        let mut avail = self.params.window.saturating_sub(used);
+        let avail = WINDOW.saturating_sub(st.readable.len() + st.in_flight);
         if avail == 0 {
             return Ok(TryIo::WouldBlock);
         }
-        let mut taken: Vec<Bytes> = Vec::with_capacity(bufs.len());
+        let (mut first, mut rest) = (None, Vec::with_capacity(bufs.len().saturating_sub(1)));
         let mut total = 0;
         for b in bufs {
-            if avail == 0 {
-                break;
+            let n = (avail - total).min(b.len());
+            if n > 0 {
+                let chunk = b.slice(..n);
+                match first {
+                    None => first = Some(chunk),
+                    Some(_) => rest.push(chunk),
+                }
+                total += n;
             }
-            if b.is_empty() {
-                continue;
-            }
-            let n = avail.min(b.len());
-            taken.push(b.slice(..n));
-            avail -= n;
-            total += n;
         }
-        if total == 0 {
+        let Some(first) = first else {
             return Ok(TryIo::Done(0));
-        }
+        };
         st.in_flight += total;
-        let now = self.clock.now();
-        let depart = st.busy_until.max(now) + self.params.link.tx_time(total);
-        st.busy_until = depart;
-        let arrive = depart + self.params.link.latency;
+        let arrive = self.link.arrival(self.src, self.dst, total);
         drop(st);
 
         let dir = Arc::clone(self);
-        self.clock.schedule_at(arrive, move || {
+        self.link.clock.schedule_at(arrive, move || {
             let mut st = dir.st.lock();
             st.in_flight -= total;
-            for chunk in &taken {
+            for chunk in std::iter::once(&first).chain(&rest) {
                 st.readable.extend(chunk.iter());
             }
             st.waiters.wake(Interest::Read);
@@ -319,15 +292,12 @@ impl Dir {
         st.waiters.wake_all();
     }
 
-    /// Sender closes: EOF surfaces after in-flight data drains plus one
-    /// propagation delay (the FIN's flight time).
+    /// Sender closes: the FIN queues behind every byte already on this
+    /// host pair's wire and arrives one propagation delay after the last.
     fn close(self: &Arc<Self>) {
-        let arrive = {
-            let st = self.st.lock();
-            st.busy_until.max(self.clock.now()) + self.params.link.latency
-        };
+        let arrive = self.link.arrival(self.src, self.dst, 0);
         let dir = Arc::clone(self);
-        self.clock.schedule_at(arrive, move || {
+        self.link.clock.schedule_at(arrive, move || {
             let mut st = dir.st.lock();
             st.closed = true;
             st.waiters.wake_all();
@@ -335,12 +305,12 @@ impl Dir {
     }
 
     /// The readiness condition for `interest` on this direction.
-    fn is_ready(st: &DirState, interest: Interest, window: usize) -> bool {
+    fn is_ready(st: &DirState, interest: Interest) -> bool {
         match interest {
             Interest::Read => {
                 !st.readable.is_empty() || (st.closed && st.in_flight == 0) || st.reset
             }
-            Interest::Write => st.readable.len() + st.in_flight < window || st.closed || st.reset,
+            Interest::Write => st.readable.len() + st.in_flight < WINDOW || st.closed || st.reset,
         }
     }
 
@@ -349,7 +319,7 @@ impl Dir {
     /// wakeup can be lost).
     fn register(self: &Arc<Self>, interest: Interest, waiter: Waiter) {
         let mut st = self.st.lock();
-        if Self::is_ready(&st, interest, self.params.window) {
+        if Self::is_ready(&st, interest) {
             drop(st);
             waiter.wake();
         } else {
@@ -405,6 +375,33 @@ impl SimConn {
             fd,
         })
     }
+
+    /// The one blocking send behind [`Conn::send`] and [`Conn::sendv`]:
+    /// a non-blocking [`Dir::try_sendv`] of `as_slice(&bufs)`, parked on
+    /// write readiness while the window is full.
+    fn send_bufs<B>(
+        &self,
+        bufs: B,
+        as_slice: fn(&B) -> &[Bytes],
+    ) -> ThreadM<Result<usize, NetError>>
+    where
+        B: Clone + Send + Sync + 'static,
+    {
+        let tx = Arc::clone(&self.tx);
+        let fd = self.fd.clone();
+        loop_m(bufs, move |bufs| {
+            let try_tx = Arc::clone(&tx);
+            let fd = fd.clone();
+            let attempt = bufs.clone();
+            sys_nbio(move || try_tx.try_sendv(as_slice(&attempt))).bind(move |r| match r {
+                Ok(TryIo::Done(n)) => ThreadM::pure(Loop::Break(Ok(n))),
+                Ok(TryIo::WouldBlock) => {
+                    sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(bufs))
+                }
+                Err(e) => ThreadM::pure(Loop::Break(Err(e))),
+            })
+        })
+    }
 }
 
 impl Conn for SimConn {
@@ -429,43 +426,17 @@ impl Conn for SimConn {
     }
 
     fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
-        let tx = Arc::clone(&self.tx);
-        let fd = self.fd.clone();
         if data.is_empty() {
             return ThreadM::pure(Ok(0));
         }
-        loop_m(data, move |data| {
-            let try_tx = Arc::clone(&tx);
-            let fd = fd.clone();
-            let attempt = data.clone();
-            sys_nbio(move || try_tx.try_send(&attempt)).bind(move |r| match r {
-                Ok(TryIo::Done(n)) => ThreadM::pure(Loop::Break(Ok(n))),
-                Ok(TryIo::WouldBlock) => {
-                    sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(data))
-                }
-                Err(e) => ThreadM::pure(Loop::Break(Err(e))),
-            })
-        })
+        self.send_bufs(data, slice::from_ref)
     }
 
     fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>> {
         if bufs.iter().all(|b| b.is_empty()) {
             return ThreadM::pure(Ok(0));
         }
-        let tx = Arc::clone(&self.tx);
-        let fd = self.fd.clone();
-        loop_m(bufs, move |bufs| {
-            let try_tx = Arc::clone(&tx);
-            let fd = fd.clone();
-            let attempt = bufs.clone();
-            sys_nbio(move || try_tx.try_sendv(&attempt)).bind(move |r| match r {
-                Ok(TryIo::Done(n)) => ThreadM::pure(Loop::Break(Ok(n))),
-                Ok(TryIo::WouldBlock) => {
-                    sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(bufs))
-                }
-                Err(e) => ThreadM::pure(Loop::Break(Err(e))),
-            })
-        })
+        self.send_bufs(bufs, Vec::as_slice)
     }
 
     fn close(&self) -> ThreadM<()> {
@@ -565,7 +536,7 @@ impl NetStack for SimSocketStack {
         let fabric = Arc::clone(&self.fabric);
         let host = self.host;
         // Model the three-way handshake as one round trip before data flows.
-        let rtt = 2 * fabric.params.link.latency;
+        let rtt = 2 * fabric.link.params.latency;
         sys_sleep(rtt).bind(move |_| {
             sys_nbio(move || {
                 let st = fabric.state.lock();
@@ -577,8 +548,8 @@ impl NetStack for SimSocketStack {
                 };
                 drop(st);
                 let local = Endpoint::new(host, fabric.ephemeral_port());
-                let a2b = Dir::new(fabric.clock.clone(), fabric.params);
-                let b2a = Dir::new(fabric.clock.clone(), fabric.params);
+                let a2b = Dir::new(&fabric.link, host, remote.host);
+                let b2a = Dir::new(&fabric.link, remote.host, host);
                 let client = SimConn::new(local, remote, Arc::clone(&a2b), Arc::clone(&b2a));
                 let server = SimConn::new(remote, local, Arc::clone(&b2a), Arc::clone(&a2b));
                 if listener.queue.push(server).is_err() {
@@ -616,7 +587,7 @@ mod tests {
 
     fn fixture() -> (SimRuntime, Arc<SimSocketStack>, Arc<SimSocketStack>) {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         (sim, fabric.stack(HostId(1)), fabric.stack(HostId(2)))
     }
 
@@ -729,7 +700,7 @@ mod tests {
     #[test]
     fn crash_resets_streams_and_restart_revives_the_port() {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         let client = fabric.stack(HostId(1));
         let server = fabric.stack(HostId(2));
         let server_prog = eveth_core::do_m! {

@@ -30,7 +30,7 @@ use eveth::glue;
 use eveth::kv::client::KvClient;
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 use eveth::{do_m, ThreadM};
@@ -76,7 +76,7 @@ fn main() {
                 as Arc<dyn NetStack>
         })
     } else {
-        let f = SocketFabric::new(sim.clock(), FabricParams::default());
+        let f = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         fabric = Some(Arc::clone(&f));
         Box::new(move |h| f.stack(HostId(h)) as Arc<dyn NetStack>)
     };

@@ -26,7 +26,7 @@ use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::{Backend, StoreConfig};
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 
@@ -79,7 +79,7 @@ fn main() {
             glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(2), TcpConfig::default()),
         )
     } else {
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         (fabric.stack(HostId(1)), fabric.stack(HostId(2)))
     };
     // ----------------------------------------------------------------------

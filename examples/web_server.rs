@@ -28,7 +28,7 @@ use eveth::http::server::{ServerConfig, WebServer};
 use eveth::simos::disk::{DiskGeometry, DiskSched, SimDisk};
 use eveth::simos::fs::SimFs;
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 use eveth::{do_m, loop_m, poll_until, Loop, ThreadM};
@@ -94,7 +94,7 @@ fn main() {
             glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(2), TcpConfig::default()),
         )
     } else {
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         (fabric.stack(HostId(1)), fabric.stack(HostId(2)))
     };
     // ----------------------------------------------------------------------

@@ -659,7 +659,8 @@ fn stm_retry_registered_after_the_commit_it_waits_for_still_wakes() {
 // The service framework, KV server and cluster router suites.
 // ---------------------------------------------------------------------------
 
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::net::LinkParams;
+use eveth::simos::sockets::SocketFabric;
 
 struct Echo;
 
@@ -678,7 +679,7 @@ impl Service for Echo {
 
 /// Connect, echo one chunk, shut down, wait for the drain barrier.
 fn echo_program(sim: &SimRuntime) -> Result<(), String> {
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = Server::new(
         fabric.stack(HostId(1)),
         Echo,
@@ -721,7 +722,7 @@ fn echo_service_drains_clean_under_exploration() {
 /// The KV server under pipelined load from two client threads, then a
 /// graceful shutdown once both report done.
 fn kv_program(sim: &SimRuntime) -> Result<(), String> {
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = KvServer::new(
         fabric.stack(HostId(1)),
         KvConfig {
@@ -787,7 +788,7 @@ fn kv_server_load_passes_under_exploration() {
 fn cluster_program(sim: &SimRuntime) -> Result<(), String> {
     use eveth::cluster::{Router, RouterConfig};
 
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let mut backends = Vec::new();
     for h in 1..=2u32 {
         let backend = KvServer::new(

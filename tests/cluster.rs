@@ -25,7 +25,7 @@ use eveth::glue;
 use eveth::kv::client::KvClient;
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 use eveth::{do_m, loop_m, Loop, ThreadM};
@@ -180,7 +180,7 @@ fn routed_replies_are_byte_identical_to_a_single_node() {
     // Kernel-socket model.
     let single_fabric = {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         single_node_bytes(
             &sim,
             fabric.stack(HostId(1)),
@@ -190,7 +190,7 @@ fn routed_replies_are_byte_identical_to_a_single_node() {
     };
     let routed_fabric = {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         routed_bytes(
             &sim,
             (1..=3)
@@ -254,7 +254,7 @@ fn acked_writes_survive_a_replica_crash() {
     // one node, read every key back through the router — zero lost.
     const KEYS: usize = 40;
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     spawn_backends(
         &sim,
         (1..=2)
@@ -337,7 +337,7 @@ fn ring_swap_mid_run_keeps_serving() {
     // nothing errors.
     const KEYS: usize = 40;
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     spawn_backends(
         &sim,
         (1..=4)
@@ -498,7 +498,7 @@ fn replicated_conditional_writes_stay_on_the_primary() {
     // primary-only; the secondary's copy goes stale until the next
     // plain set or read-repair refreshes it.
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     spawn_backends(
         &sim,
         (1..=2)
@@ -609,7 +609,7 @@ fn silent_backend_times_out_into_server_error_on_kernel_sockets() {
     // model (the partition test covers app-TCP): the client gets
     // SERVER_ERROR instead of a wedged session.
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
 
     // Black hole on host 1: accept once, discard everything, never write.
     let hole = fabric.stack(HostId(1));
@@ -664,7 +664,7 @@ fn router_answers_error_for_an_unknown_verb_and_client_error_for_a_malformed_one
         (&b"incr k notanumber\r\n"[..], "CLIENT_ERROR bad delta\r\n"),
     ] {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         let backends: Vec<Arc<dyn NetStack>> = (1..=3)
             .map(|h| fabric.stack(HostId(h)) as Arc<dyn NetStack>)
             .collect();

@@ -25,7 +25,8 @@ use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
 use eveth::simos::cost::CostModel;
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::net::LinkParams;
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::{do_m, loop_m, Loop, ThreadM};
 
@@ -299,7 +300,7 @@ fn timeout_win_is_timer_wait_channel_win_is_lock_wait() {
 fn kv_idle_timeout_reaps_stalled_connection_only() {
     const IDLE: Nanos = 50 * MILLIS;
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = KvServer::new(
         fabric.stack(HostId(1)),
         KvConfig {
@@ -398,7 +399,7 @@ fn kv_idle_timeout_reaps_stalled_connection_only() {
 #[test]
 fn kv_shutdown_broadcast_closes_sessions_and_listener() {
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = KvServer::new(
         fabric.stack(HostId(1)),
         KvConfig {

@@ -15,7 +15,7 @@ use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::{Backend, StoreConfig};
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 use eveth::{do_m, loop_m, poll_until, Loop};
@@ -77,7 +77,7 @@ fn run_workload(
 #[test]
 fn kv_over_kernel_socket_model() {
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let (stats, snap, _) = run_workload(
         &sim,
         fabric.stack(HostId(1)),
@@ -151,7 +151,7 @@ fn a_client_that_fails_a_read_closes_its_connection() {
     // error, and the client must close on that path too: the server's
     // wait ends in EOF rather than never.
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let listener = sim
         .block_on(fabric.stack(HostId(1)).listen(11211))
         .expect("listen ran")
@@ -286,7 +286,7 @@ fn pipelined_batch_replies_are_byte_identical_to_per_command() {
 
     let fabric_run = |wires: Vec<(Bytes, usize)>| {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         run_session(sim, fabric.stack(HostId(1)), fabric.stack(HostId(2)), wires)
     };
     let tcp_run = |loss: f64, seed: u64, wires: Vec<(Bytes, usize)>| {

@@ -46,7 +46,7 @@ use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
 use eveth::simos::cost::CostModel;
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::tcp::tcb::TcpConfig;
 use eveth::{do_m, ThreadM};
@@ -77,7 +77,7 @@ impl Service for Echo {
 #[test]
 fn generic_server_hosts_a_custom_service_and_drains_gracefully() {
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = Server::new(
         fabric.stack(HostId(1)),
         Echo {
@@ -137,7 +137,7 @@ fn generic_server_hosts_a_custom_service_and_drains_gracefully() {
     // the barrier — the acceptor's shutdown branch closes the listener and
     // fires it directly.
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = Server::new(
         fabric.stack(HostId(1)),
         Echo {
@@ -189,7 +189,7 @@ fn losing_accept_evt_leaves_zero_backlog_waiters() {
     // first round to a timeout still accepts the connection that arrives
     // later — the cancelled registration neither leaks nor eats a wakeup.
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server_stack = fabric.stack(HostId(1));
     let client_stack = fabric.stack(HostId(2));
     let peer = sim
@@ -277,7 +277,7 @@ fn send_all_within_times_out_against_zero_window_peer_over_lossy_tcp() {
 #[test]
 fn send_all_within_observes_the_shutdown_broadcast() {
     let sim = SimRuntime::new_default();
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server_stack = fabric.stack(HostId(1));
     let client_stack = fabric.stack(HostId(2));
     sim.spawn(do_m! {
@@ -403,7 +403,7 @@ fn stalled_reader_times_out_once_on_every_service_and_the_server_still_drains() 
 
     for build in cases {
         let sim = SimRuntime::new_default();
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         let case = build(&sim, &fabric, store_then_fetch.clone());
         let name = case.name;
         let client = fabric.stack(HostId(2));
@@ -521,7 +521,7 @@ fn conn_without_readiness_fd_gets_a_transport_error_not_a_helper_thread() {
 
     // The router's fan-in, with no backend timeout to bail it out: the
     // descriptor-less lane is written off like a failed backend.
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let router = Router::new(
         Arc::new(BlindDialStack(fabric.stack(HostId(10)))),
         RouterConfig {
@@ -571,7 +571,7 @@ fn kv_workload(cpus: usize) -> (u64, u64, String) {
             ..SimConfig::default()
         },
     );
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = KvServer::new(
         fabric.stack(HostId(1)),
         KvConfig {

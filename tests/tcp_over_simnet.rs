@@ -1,6 +1,8 @@
 //! Integration: the application-level TCP stack over the simulated packet
-//! network, across latency, bandwidth and loss regimes.
+//! network, across latency, bandwidth and loss regimes — and, on the one
+//! link model both stacks share, the kernel-socket fabric beside it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
@@ -10,10 +12,11 @@ use eveth::core::telemetry::metrics::Registry;
 use eveth::core::time::{MILLIS, SECS};
 use eveth::glue;
 use eveth::simos::net::{LinkParams, SimNet};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 use eveth::tcp::TcpHost;
-use eveth::{do_m, ThreadM};
+use eveth::{do_m, loop_m, poll_until, Loop, ThreadM};
 
 /// Two hosts over `link`, both on `cfg`.
 fn hosts(
@@ -227,4 +230,77 @@ fn a_listener_shut_down_mid_handshake_resets_the_client() {
         .unwrap();
     assert_eq!(res, Err(NetError::Reset));
     assert_eq!((a.conn_count(), b.conn_count()), (0, 0));
+}
+
+/// `conns` connections from host 1 to host 2, each sending `bytes`; the
+/// server reads each to its end. Returns when the last byte was received.
+fn parallel_transfers(
+    sim: &SimRuntime,
+    client: Arc<dyn NetStack>,
+    server: Arc<dyn NetStack>,
+    conns: u64,
+    bytes: usize,
+) -> u64 {
+    let (received, last_byte) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let (done, last) = (Arc::clone(&received), Arc::clone(&last_byte));
+    sim.spawn(server.listen(80).bind(move |lst| {
+        let lst = lst.unwrap();
+        loop_m(0, move |n| {
+            if n == conns {
+                return ThreadM::pure(Loop::Break(()));
+            }
+            let (done, last) = (Arc::clone(&done), Arc::clone(&last));
+            lst.accept().bind(move |conn| {
+                let conn = conn.unwrap();
+                sys_fork(do_m! {
+                    let got <- recv_exact(&conn, bytes);
+                    let _ = got.unwrap();
+                    let t <- sys_time();
+                    sys_nbio(move || {
+                        last.fetch_max(t, Ordering::SeqCst);
+                        done.fetch_add(1, Ordering::SeqCst);
+                    })
+                })
+                .map(move |()| Loop::Continue(n + 1))
+            })
+        })
+    }));
+    for _ in 0..conns {
+        let payload = Bytes::from(vec![0x5A; bytes]);
+        sim.spawn(
+            client
+                .connect(Endpoint::new(HostId(2), 80))
+                .bind(move |conn| send_all(&conn.unwrap(), payload))
+                .map(|sent| sent.unwrap()),
+        );
+    }
+    sim.block_on(poll_until(MILLIS, move || {
+        received.load(Ordering::SeqCst) == conns
+    }))
+    .unwrap();
+    last_byte.load(Ordering::SeqCst)
+}
+
+#[test]
+fn connections_between_two_hosts_share_one_link_on_both_stacks() {
+    // Four 1 MB transfers on one 100 Mbps host pair need at least
+    // 4 × 8 Mbit / 100 Mbps = 320 ms, whichever stack carries them.
+    let link = LinkParams::ethernet_100mbps();
+    let (conns, bytes) = (4, 1_000_000);
+    let line_rate = link.tx_time(conns as usize * bytes);
+    assert_eq!(line_rate, 320 * MILLIS);
+
+    let sim = SimRuntime::new_default();
+    let fabric = SocketFabric::new(sim.clock(), link);
+    let (a, b) = (fabric.stack(HostId(1)), fabric.stack(HostId(2)));
+    let sockets = parallel_transfers(&sim, a, b, conns, bytes);
+
+    let (sim, _net, [a, b]) = hosts(link, 1, TcpConfig::default());
+    let app_tcp = parallel_transfers(&sim, a, b, conns, bytes);
+
+    assert!(
+        sockets >= line_rate && app_tcp >= line_rate,
+        "last byte at {sockets} ns on the socket fabric and {app_tcp} ns on \
+         app-level TCP; the link's line rate allows no earlier than {line_rate} ns"
+    );
 }

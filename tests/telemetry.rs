@@ -14,7 +14,8 @@ use eveth::core::time::MILLIS;
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
 use eveth::simos::cost::CostModel;
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::net::LinkParams;
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::{SimClock, SimConfig, SimRuntime};
 use eveth::ThreadM;
 use eveth_bench::workloads::{kv_trace_run, KvRunParams, KvTraceArtifacts};
@@ -288,7 +289,7 @@ struct Bumped {
 fn kv_with_every_store_counter_bumped() -> Bumped {
     let tel = Telemetry::new();
     let sim = sim_with_telemetry(&tel);
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = KvServer::new(
         fabric.stack(HostId(1)),
         KvConfig {
@@ -383,7 +384,7 @@ fn metrics_expose_every_store_counter_per_shard() {
 fn a_second_attach_does_not_double_the_session_wait_rollup() {
     let tel = Telemetry::new();
     let sim = sim_with_telemetry(&tel);
-    let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
     let server = KvServer::new(fabric.stack(HostId(1)), KvConfig::default());
     server.attach_telemetry(&tel);
     server.attach_telemetry(&tel);

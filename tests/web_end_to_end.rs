@@ -12,7 +12,7 @@ use eveth::http::loadgen::http_get;
 use eveth::http::parser::parse_response_head;
 use eveth::http::server::{ServerConfig, WebServer};
 use eveth::simos::net::{LinkParams, SimNet};
-use eveth::simos::sockets::{FabricParams, SocketFabric};
+use eveth::simos::sockets::SocketFabric;
 use eveth::simos::SimRuntime;
 use eveth::tcp::tcb::TcpConfig;
 use eveth::{do_m, ThreadM};
@@ -35,7 +35,7 @@ fn stacks(sim: &SimRuntime, use_tcp: bool) -> (Arc<dyn NetStack>, Arc<dyn NetSta
             glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(2), TcpConfig::default()),
         )
     } else {
-        let fabric = SocketFabric::new(sim.clock(), FabricParams::default());
+        let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
         (fabric.stack(HostId(1)), fabric.stack(HostId(2)))
     }
 }
