@@ -36,7 +36,7 @@ use eveth_core::syscall::{sys_nbio, sys_sleep, sys_time};
 use eveth_core::time::{Nanos, MICROS, MILLIS};
 use eveth_core::{do_m, loop_m, poll_until, Loop, ThreadM};
 use eveth_kv::client::KvClient;
-use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth_kv::protocol::Reply;
 use eveth_kv::server::{KvConfig, KvServer};
 use eveth_kv::store::StoreConfig;
@@ -345,10 +345,12 @@ pub fn cluster_run(p: &ClusterParams, fault: Fault) -> ClusterResult {
         ttl_secs: 0,
         seed: p.seed,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     for id in 0..p.clients {
         sim.spawn(client_thread(
             hosts.stack(CLIENT_HOST + id as u32 % p.client_hosts.max(1)),
             Arc::clone(&cfg),
+            Arc::clone(&zipf),
             Arc::clone(&stats),
             id,
         ));

@@ -491,7 +491,7 @@ impl KvRig {
     /// polling every 50 virtual µs so a makespan of a few milliseconds
     /// isn't quantized at the poll interval.
     fn load(&self, p: &KvRunParams) -> KvLoad {
-        use eveth_kv::loadgen::{client_thread, preload_thread};
+        use eveth_kv::loadgen::{client_thread, preload_thread, Zipf};
         let client_stack = self.hosts.stack(2);
         let stats = Arc::new(KvLoadStats::default());
         let cfg = Arc::new(KvLoadConfig {
@@ -521,14 +521,16 @@ impl KvRig {
             );
         }
         // Per-op allocation/copy accounting covers exactly the measured
-        // load phase (client spawn → last client done); preload and setup
-        // stay outside the window.
+        // load phase (client spawn → last client done); preload and setup,
+        // the run's one key table among them, stay outside the window.
+        let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
         let base_allocs = crate::allocmeter::alloc_count();
         let base_copies = bytes::bytes_copied_total();
         for id in 0..p.clients {
             self.sim.spawn(client_thread(
                 Arc::clone(&client_stack),
                 Arc::clone(&cfg),
+                Arc::clone(&zipf),
                 Arc::clone(&stats),
                 id,
             ));

@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use eveth_core::net::{Endpoint, HostId, NetStack};
-//! use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+//! use eveth_kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 //! use eveth_kv::server::{KvConfig, KvServer};
 //! use eveth_simos::net::LinkParams;
 //! use eveth_simos::sockets::SocketFabric;
@@ -54,12 +54,14 @@
 //!     set_percent: 50,
 //!     ..Default::default()
 //! });
+//! let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
 //! let stats = Arc::new(KvLoadStats::default());
 //! // `block_on` (not `run`): the server's janitor re-arms the timer wheel
 //! // forever, so the simulation never goes quiescent on its own.
 //! sim.block_on(client_thread(
 //!     fabric.stack(HostId(2)),
 //!     Arc::clone(&cfg),
+//!     Arc::clone(&zipf),
 //!     Arc::clone(&stats),
 //!     0,
 //! ))

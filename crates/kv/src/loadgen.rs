@@ -112,10 +112,11 @@ impl fmt::Display for KvLoadStats {
 }
 
 /// A zipfian sampler over ranks `0..n` with exponent `s`, via a
-/// precomputed CDF (deterministic given the RNG stream).
-#[derive(Debug, Clone)]
+/// precomputed CDF (deterministic given the RNG stream). Build one per
+/// run and share it: every client of a run samples the same table.
+#[derive(Debug)]
 pub struct Zipf {
-    cdf: Arc<Vec<f64>>,
+    cdf: Vec<f64>,
 }
 
 impl Zipf {
@@ -130,9 +131,7 @@ impl Zipf {
             *w = acc;
         }
         weights[n - 1] = 1.0; // guard against FP undershoot
-        Zipf {
-            cdf: Arc::new(weights),
-        }
+        Zipf { cdf: weights }
     }
 
     /// Samples a rank from a uniform `u` in `[0, 1)`.
@@ -195,13 +194,15 @@ fn build_batch(cfg: &KvLoadConfig, zipf: &Zipf, rng: &mut u64) -> (Bytes, usize)
 
 /// One load-generator client: connect, ship `batches_per_conn` batches
 /// of the configured get/set mix, read each batch's replies, close.
+/// Keys are drawn from `zipf`, the run's one table over `cfg.keys` ranks
+/// with skew `cfg.zipf_s`.
 pub fn client_thread(
     stack: Arc<dyn NetStack>,
     cfg: Arc<KvLoadConfig>,
+    zipf: Arc<Zipf>,
     stats: Arc<KvLoadStats>,
     id: u64,
 ) -> ThreadM<()> {
-    let zipf = Zipf::new(cfg.keys, cfg.zipf_s);
     let rng0 = (cfg.seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
     batch_client(
         &stack,

@@ -22,7 +22,7 @@ use eveth::core::net::{send_all, Endpoint, HostId, NetStack};
 use eveth::core::service::{Server, ServerConfig as DebugConfig};
 use eveth::core::telemetry::{DebugService, Telemetry};
 use eveth::glue;
-use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::{Backend, StoreConfig};
 use eveth::simos::net::{LinkParams, SimNet};
@@ -128,10 +128,12 @@ fn main() {
         ttl_secs: 0,
         seed: 4242,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     for id in 0..CLIENTS {
         sim.spawn(client_thread(
             Arc::clone(&client_stack),
             Arc::clone(&cfg),
+            Arc::clone(&zipf),
             Arc::clone(&stats),
             id,
         ));

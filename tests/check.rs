@@ -39,7 +39,7 @@ use eveth::core::service::{Server, ServerConfig, Service, Step};
 use eveth::core::sync::{Chan, MVar, Mutex};
 use eveth::core::syscall::{sys_annotate, sys_nbio, sys_sleep, sys_yield};
 use eveth::core::time::MILLIS;
-use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
 use eveth::simos::{SimClock, SimConfig, SimRuntime};
@@ -747,12 +747,14 @@ fn kv_program(sim: &SimRuntime) -> Result<(), String> {
         ttl_secs: 0,
         seed: 7,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     let done: Chan<()> = Chan::new();
     for id in 0..2u64 {
         let d = done.clone();
         let body = client_thread(
             fabric.stack(HostId(2 + id as u32)) as Arc<dyn NetStack>,
             Arc::clone(&cfg),
+            Arc::clone(&zipf),
             Arc::clone(&stats),
             id,
         );

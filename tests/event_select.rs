@@ -21,7 +21,7 @@ use eveth::core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth::core::sync::{Chan, MVar};
 use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep, sys_time};
 use eveth::core::time::{Nanos, MILLIS};
-use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
 use eveth::simos::cost::CostModel;
@@ -352,9 +352,11 @@ fn kv_idle_timeout_reaps_stalled_connection_only() {
         ttl_secs: 0,
         seed: 5,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     sim.spawn(client_thread(
         fabric.stack(HostId(3)) as Arc<dyn NetStack>,
         Arc::clone(&cfg),
+        Arc::clone(&zipf),
         Arc::clone(&stats),
         0,
     ));

@@ -11,7 +11,7 @@ use eveth::core::net::{recv_to_end, send_all, Endpoint, HostId, NetStack};
 use eveth::core::time::MILLIS;
 use eveth::glue;
 use eveth::kv::client::KvClient;
-use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::{Backend, StoreConfig};
 use eveth::simos::net::{LinkParams, SimNet};
@@ -58,10 +58,12 @@ fn run_workload(
         ttl_secs: 0,
         seed: 99,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     for id in 0..CLIENTS {
         sim.spawn(client_thread(
             Arc::clone(&client_stack),
             Arc::clone(&cfg),
+            Arc::clone(&zipf),
             Arc::clone(&stats),
             id,
         ));
@@ -164,9 +166,11 @@ fn a_client_that_fails_a_read_closes_its_connection() {
         set_percent: 0,
         ..KvLoadConfig::default()
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     sim.spawn(client_thread(
         fabric.stack(HostId(2)),
         cfg,
+        zipf,
         Arc::clone(&stats),
         0,
     ));

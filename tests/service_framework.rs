@@ -41,7 +41,7 @@ use eveth::core::syscall::{sys_fork, sys_nbio, sys_sleep, sys_time};
 use eveth::core::time::{Nanos, MILLIS, SECS};
 use eveth::glue;
 use eveth::http::server::{ServerConfig as WebConfig, WebServer};
-use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::StoreConfig;
 use eveth::simos::cost::CostModel;
@@ -596,10 +596,12 @@ fn kv_workload(cpus: usize) -> (u64, u64, String) {
         ttl_secs: 0,
         seed: 11,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     for id in 0..3 {
         sim.spawn(client_thread(
             fabric.stack(HostId(2 + id as u32)) as Arc<dyn NetStack>,
             Arc::clone(&cfg),
+            Arc::clone(&zipf),
             Arc::clone(&stats),
             id,
         ));

@@ -12,7 +12,7 @@ use eveth::core::sync::Mutex;
 use eveth::core::syscall::{sys_cpu, sys_sleep, sys_yield};
 use eveth::core::time::MILLIS;
 use eveth::glue;
-use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats};
+use eveth::kv::loadgen::{client_thread, KvLoadConfig, KvLoadStats, Zipf};
 use eveth::kv::server::{KvConfig, KvServer};
 use eveth::kv::store::{Backend, StoreConfig};
 use eveth::simos::cost::CostModel;
@@ -93,10 +93,12 @@ fn kv_over_lossy_link_splits_io_from_lock_wait() {
         ttl_secs: 0,
         seed: 13,
     });
+    let zipf = Arc::new(Zipf::new(cfg.keys, cfg.zipf_s));
     for id in 0..CLIENTS {
         sim.spawn(client_thread(
             Arc::clone(&client_stack),
             Arc::clone(&cfg),
+            Arc::clone(&zipf),
             Arc::clone(&stats),
             id,
         ));
