@@ -7,8 +7,12 @@
 //! * [`ramdisk`] — RAM-backed [`AioFile`](crate::aio::AioFile)
 //!   implementations with optional modelled latency, plus an in-memory
 //!   [`FileStore`](crate::aio::FileStore).
+//! * [`queue`] — the one byte FIFO, a queue of refcounted `Bytes` windows:
+//!   the pipe's buffer, each direction of the simulator's socket fabric and
+//!   both queues of an application-level TCP connection.
 
 pub mod pipe;
+pub mod queue;
 pub mod ramdisk;
 
 pub use pipe::{pipe, PipeError, PipeReader, PipeWriter};

@@ -1,7 +1,11 @@
 //! In-memory FIFO pipes with bounded buffers.
 //!
-//! A pipe is one shared ring of bytes with two independent waiting
-//! mechanisms layered over it:
+//! A pipe is one shared [`ByteQueue`] with two independent waiting
+//! mechanisms layered over it. The queue holds windows, not bytes: a
+//! monadic writer's `Bytes` is queued as it is
+//! ([`push_window`](ByteQueue::push_window)), a slice writer's accepted
+//! bytes are copied in once, and a read inside one queued window hands out
+//! a window of it ([`take_kernel`](ByteQueue::take_kernel)).
 //!
 //! * **event-style**: non-blocking `try_read`/`try_write` plus epoll-style
 //!   readiness registration — what monadic threads use via
@@ -13,13 +17,13 @@
 //! Both baselines of the paper's FIFO benchmark therefore exercise the exact
 //! same buffer, making their costs directly comparable.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
+use super::queue::ByteQueue;
 use crate::reactor::{Fd, Interest, Pollable, WaitList, Waiter};
 use crate::syscall::{sys_epoll_wait, sys_nbio};
 use crate::thread::{loop_m, Loop, ThreadM};
@@ -45,7 +49,7 @@ impl fmt::Display for PipeError {
 impl std::error::Error for PipeError {}
 
 struct PipeState {
-    buf: VecDeque<u8>,
+    buf: ByteQueue,
     cap: usize,
     write_closed: bool,
     read_closed: bool,
@@ -69,6 +73,43 @@ impl PipeDevice {
     fn write_ready(st: &PipeState) -> bool {
         st.buf.len() < st.cap || st.read_closed
     }
+
+    /// The readers' one body: takes up to `max` buffered bytes (none at
+    /// end-of-stream) and wakes the writers.
+    fn take(&self, st: &mut PipeState, max: usize) -> Bytes {
+        let out = st.buf.take_kernel(max.min(st.buf.len()));
+        st.write_waiters.wake_all();
+        self.write_cv.notify_all();
+        out
+    }
+
+    /// The writers' one body: queues as much of `len` offered bytes as
+    /// fits, made by `piece(n)`, wakes the readers and returns `n`.
+    fn push(
+        &self,
+        st: &mut PipeState,
+        len: usize,
+        piece: impl FnOnce(usize) -> Bytes,
+    ) -> Result<usize, PipeError> {
+        if st.read_closed {
+            return Err(PipeError::Closed);
+        }
+        let space = st.cap - st.buf.len();
+        if space == 0 {
+            return Err(PipeError::WouldBlock);
+        }
+        let n = space.min(len);
+        st.buf.push_window(piece(n));
+        st.read_waiters.wake_all();
+        self.read_cv.notify_all();
+        Ok(n)
+    }
+}
+
+/// A slice writer's piece: the accepted first `n` bytes of `data`, copied
+/// in once.
+fn copy_in(data: &[u8]) -> impl FnOnce(usize) -> Bytes + '_ {
+    move |n| Bytes::from(data[..n].to_vec())
 }
 
 impl Pollable for PipeDevice {
@@ -111,7 +152,7 @@ pub fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
         state: Mutex::new(PipeState {
             // Lazily grown: an idle pipe costs bytes, not its capacity
             // (the Figure 18 benchmark parks 100k threads on idle pipes).
-            buf: VecDeque::new(),
+            buf: ByteQueue::new(),
             cap: capacity,
             write_closed: false,
             read_closed: false,
@@ -164,35 +205,20 @@ impl PipeReader {
     /// still open.
     pub fn try_read(&self, max: usize) -> Result<Bytes, PipeError> {
         let mut st = self.dev.state.lock();
-        if st.buf.is_empty() {
-            return if st.write_closed {
-                Ok(Bytes::new())
-            } else {
-                Err(PipeError::WouldBlock)
-            };
+        if !PipeDevice::read_ready(&st) {
+            return Err(PipeError::WouldBlock);
         }
-        let n = max.min(st.buf.len());
-        let out: Bytes = st.buf.drain(..n).collect::<Vec<u8>>().into();
-        st.write_waiters.wake_all();
-        self.dev.write_cv.notify_all();
-        Ok(out)
+        Ok(self.dev.take(&mut st, max))
     }
 
     /// Blocking read of up to `max` bytes — for plain OS threads (the
     /// kernel-thread baseline). Returns an empty buffer at end-of-stream.
     pub fn read_blocking(&self, max: usize) -> Bytes {
         let mut st = self.dev.state.lock();
-        while st.buf.is_empty() && !st.write_closed {
+        while !PipeDevice::read_ready(&st) {
             self.dev.read_cv.wait(&mut st);
         }
-        if st.buf.is_empty() {
-            return Bytes::new();
-        }
-        let n = max.min(st.buf.len());
-        let out: Bytes = st.buf.drain(..n).collect::<Vec<u8>>().into();
-        st.write_waiters.wake_all();
-        self.dev.write_cv.notify_all();
-        out
+        self.dev.take(&mut st, max)
     }
 
     /// Monadic blocking read: retries `try_read` with `sys_epoll_wait`
@@ -254,18 +280,7 @@ impl PipeWriter {
     /// [`PipeError::Closed`] if the reader is gone.
     pub fn try_write(&self, data: &[u8]) -> Result<usize, PipeError> {
         let mut st = self.dev.state.lock();
-        if st.read_closed {
-            return Err(PipeError::Closed);
-        }
-        let space = st.cap - st.buf.len();
-        if space == 0 {
-            return Err(PipeError::WouldBlock);
-        }
-        let n = space.min(data.len());
-        st.buf.extend(&data[..n]);
-        st.read_waiters.wake_all();
-        self.dev.read_cv.notify_all();
-        Ok(n)
+        self.dev.push(&mut st, data.len(), copy_in(data))
     }
 
     /// Blocking write of the whole buffer — for plain OS threads.
@@ -277,39 +292,29 @@ impl PipeWriter {
         let mut written = 0;
         while written < data.len() {
             let mut st = self.dev.state.lock();
-            while st.buf.len() == st.cap && !st.read_closed {
+            while !PipeDevice::write_ready(&st) {
                 self.dev.write_cv.wait(&mut st);
             }
-            if st.read_closed {
-                return Err(PipeError::Closed);
-            }
-            let space = st.cap - st.buf.len();
-            let n = space.min(data.len() - written);
-            st.buf.extend(&data[written..written + n]);
-            written += n;
-            st.read_waiters.wake_all();
-            self.dev.read_cv.notify_all();
+            let rest = &data[written..];
+            written += self.dev.push(&mut st, rest.len(), copy_in(rest))?;
         }
         Ok(())
     }
 
     /// Monadic write of the whole buffer, retrying with `sys_epoll_wait`
-    /// while the pipe is full.
+    /// while the pipe is full. The pipe queues windows of `data`: no byte
+    /// is copied on the way in.
     pub fn write_all_m(&self, data: Bytes) -> ThreadM<Result<(), PipeError>> {
         let this = self.clone();
         loop_m(data, move |remaining| {
-            let dev = this.clone();
+            let dev = Arc::clone(&this.dev);
             let fd = this.fd.clone();
             let attempt = remaining.clone();
-            sys_nbio(move || dev.try_write(&attempt)).bind(move |r| match r {
-                Ok(n) => {
-                    let rest = remaining.slice(n..);
-                    if rest.is_empty() {
-                        ThreadM::pure(Loop::Break(Ok(())))
-                    } else {
-                        ThreadM::pure(Loop::Continue(rest))
-                    }
-                }
+            let push =
+                move || dev.push(&mut dev.state.lock(), attempt.len(), |n| attempt.slice(..n));
+            sys_nbio(push).bind(move |r| match r {
+                Ok(n) if n == remaining.len() => ThreadM::pure(Loop::Break(Ok(()))),
+                Ok(n) => ThreadM::pure(Loop::Continue(remaining.slice(n..))),
                 Err(PipeError::WouldBlock) => {
                     sys_epoll_wait(&fd, Interest::Write).map(move |_| Loop::Continue(remaining))
                 }
@@ -420,6 +425,19 @@ mod tests {
         drop(w);
         assert_eq!(&r.try_read(4).unwrap()[..], b"z");
         assert_eq!(r.try_read(4).unwrap().len(), 0, "EOF after drain");
+    }
+
+    #[test]
+    fn a_monadic_write_is_read_back_as_windows_of_the_writers_buffer() {
+        let rt = Runtime::builder().workers(1).build();
+        let (w, r) = pipe(4096);
+        let data = Bytes::from(vec![5u8; 1000]);
+        rt.block_on(w.write_all_m(data.clone())).unwrap();
+        let head = r.try_read(600).unwrap();
+        assert_eq!((head.len(), head.as_ptr()), (600, data.as_ptr()));
+        let tail = r.try_read(600).unwrap();
+        assert_eq!((tail.len(), tail.as_ptr()), (400, data[600..].as_ptr()));
+        rt.shutdown();
     }
 
     #[test]

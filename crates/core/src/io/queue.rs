@@ -1,13 +1,17 @@
-//! The TCB's byte queues: a FIFO of refcounted [`Bytes`] chunks addressed
+//! The one byte FIFO: a queue of refcounted [`Bytes`] chunks addressed
 //! by byte offset from the front.
 //!
-//! Both directions of a connection queue *windows*, not bytes: the send
-//! queue holds what the application wrote until it is acknowledged, the
-//! receive queue holds what arrived until it is read, and a segment, its
-//! retransmission and a read are O(1) slices of a queued chunk. Bytes are
-//! physically copied in exactly three places, each through the buffer
-//! fabric's counted writes ([`bytes::bytes_copied_total`]) and each
-//! reported to the caller:
+//! Every byte stream in the workspace queues *windows*, not bytes, on it:
+//! both directions of an application-level TCP connection (`eveth-tcp`'s
+//! TCB), each direction of the simulator's kernel-socket model
+//! (`eveth-simos`'s socket fabric) and the FIFO [`pipe`](mod@super::pipe).
+//!
+//! The TCB's send queue holds what the application wrote until it is
+//! acknowledged, its receive queue holds what arrived until it is read,
+//! and a segment, its retransmission and a read are O(1) slices of a
+//! queued chunk. For the TCB, bytes are physically copied in exactly three
+//! places, each through the buffer fabric's counted writes
+//! ([`bytes::bytes_copied_total`]) and each reported to the caller:
 //!
 //! * a [`range`](ByteQueue::range) or [`take`](ByteQueue::take) that
 //!   straddles chunks is gathered into one region (at most an MSS for a
@@ -19,6 +23,12 @@
 //! * a run of such short pieces in one gather write is coalesced into a
 //!   single region.
 //!
+//! The kernel models (the fabric and the pipe) differ in one way: their
+//! copies are the kernel's, not the application's, so they stay out of
+//! that count. They queue with [`push_window`](ByteQueue::push_window)
+//! (no copy-break) and read with [`take_kernel`](ByteQueue::take_kernel)
+//! (an uncounted gather, and a drained queue frees its storage).
+//!
 //! The stream's framing is that of a plain byte queue: `len`, and so every
 //! accepted count, segment boundary and read length derived from it, does
 //! not depend on how the bytes are chunked.
@@ -29,12 +39,12 @@ use bytes::{Bytes, BytesMut};
 
 /// Pieces shorter than this are copied into a right-sized region instead
 /// of holding a window of the caller's (possibly pooled) region.
-pub(crate) const COPY_BREAK: usize = 256;
+pub const COPY_BREAK: usize = 256;
 
 /// Applies the copy-break to one piece: returns the piece to queue and
 /// how many bytes were copied to make it (0 when the piece is long, or
 /// already is its whole region, or aliases `'static` data).
-pub(crate) fn copy_break(piece: Bytes) -> (Bytes, usize) {
+pub fn copy_break(piece: Bytes) -> (Bytes, usize) {
     if piece.len() >= COPY_BREAK || piece.is_empty() {
         return (piece, 0);
     }
@@ -67,15 +77,15 @@ fn gather<'a>(parts: impl Iterator<Item = &'a [u8]>, n: usize) -> Bytes {
 /// byte offset is a binary search away — no cursor to keep in step with
 /// ACKs or to reset on go-back-N, and an empty queue is one empty
 /// `VecDeque`.
-pub(crate) struct ByteQueue {
+#[derive(Debug, Default)]
+pub struct ByteQueue {
     chunks: VecDeque<(u64, Bytes)>,
 }
 
 impl ByteQueue {
-    pub(crate) fn new() -> Self {
-        ByteQueue {
-            chunks: VecDeque::new(),
-        }
+    /// An empty queue; it allocates on the first push.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Stream offset one past the last queued byte (numbering restarts
@@ -87,13 +97,14 @@ impl ByteQueue {
     }
 
     /// Queued bytes.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.chunks
             .front()
             .map_or(0, |(at, _)| (self.end() - at) as usize)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    /// Whether no byte is queued.
+    pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()
     }
 
@@ -103,8 +114,14 @@ impl ByteQueue {
         }
     }
 
+    /// Appends `chunk` as it is, a window with no copy-break: the kernel
+    /// models' copy-in, which is not the application's copy.
+    pub fn push_window(&mut self, chunk: Bytes) {
+        self.push_chunk(chunk);
+    }
+
     /// Appends one piece under the copy-break; returns the bytes copied.
-    pub(crate) fn push(&mut self, piece: Bytes) -> usize {
+    pub fn push(&mut self, piece: Bytes) -> usize {
         let (chunk, copied) = copy_break(piece);
         self.push_chunk(chunk);
         copied
@@ -112,7 +129,7 @@ impl ByteQueue {
 
     /// Gather write: appends the first `room` bytes of the concatenation
     /// of `pieces`. Returns `(accepted, copied)`.
-    pub(crate) fn write(&mut self, pieces: &[Bytes], room: usize) -> (usize, usize) {
+    pub fn write(&mut self, pieces: &[Bytes], room: usize) -> (usize, usize) {
         let (mut left, mut copied) = (room, 0);
         let mut i = 0;
         while i < pieces.len() && left > 0 {
@@ -152,7 +169,7 @@ impl ByteQueue {
     /// # Panics
     ///
     /// Panics when the range reaches past the end of the queue.
-    pub(crate) fn range(&self, off: usize, n: usize) -> (Bytes, usize) {
+    pub fn range(&self, off: usize, n: usize) -> (Bytes, usize) {
         assert!(off + n <= self.len(), "range past the end of the queue");
         if n == 0 {
             return (Bytes::new(), 0);
@@ -171,7 +188,7 @@ impl ByteQueue {
     }
 
     /// Drops the first `n` bytes.
-    pub(crate) fn advance(&mut self, n: usize) {
+    pub fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past the end of the queue");
         let mut left = n;
         while left > 0 {
@@ -190,10 +207,40 @@ impl ByteQueue {
     /// Removes and returns the first `n` bytes: a window when the front
     /// chunk covers them, else a gathered copy. Returns the buffer and the
     /// bytes copied to make it.
-    pub(crate) fn take(&mut self, n: usize) -> (Bytes, usize) {
+    pub fn take(&mut self, n: usize) -> (Bytes, usize) {
         let (out, copied) = self.range(0, n);
         self.advance(n);
         (out, copied)
+    }
+
+    /// Removes and returns the first `n` bytes as a kernel model copies
+    /// them out: a window when the front chunk covers them, else one
+    /// gather into a fresh region that stays out of
+    /// [`bytes::bytes_copied_total`]. A read that drains the queue frees
+    /// its storage, so an idle stream holds none.
+    pub fn take_kernel(&mut self, n: usize) -> Bytes {
+        let out = if self
+            .chunks
+            .front()
+            .is_none_or(|(_, front)| front.len() >= n)
+        {
+            self.range(0, n).0
+        } else {
+            let mut out = Vec::with_capacity(n);
+            for (_, chunk) in &self.chunks {
+                let take = chunk.len().min(n - out.len());
+                out.extend_from_slice(&chunk[..take]);
+                if out.len() == n {
+                    break;
+                }
+            }
+            Bytes::from(out)
+        };
+        self.advance(n);
+        if self.chunks.is_empty() {
+            self.chunks = VecDeque::new();
+        }
+        out
     }
 }
 
@@ -335,6 +382,49 @@ mod tests {
         let (all, _) = q.range(0, 1015);
         assert_eq!(&all[..], &region[..1015]);
         assert_eq!(q.chunks.len(), 2);
+    }
+
+    #[test]
+    fn a_kernel_read_inside_a_chunk_is_a_window_of_the_queued_one() {
+        let region = Bytes::from(stream(1000));
+        let mut q = ByteQueue::new();
+        // Short pieces are queued as they are: no copy-break.
+        q.push_window(region.slice(..8));
+        q.push_window(region.slice(8..));
+        assert_eq!(q.chunks[0].1.as_ptr(), region.as_ptr());
+        let first = q.take_kernel(5);
+        assert_eq!(&first[..], &region[..5]);
+        assert_eq!(first.as_ptr(), region.as_ptr(), "aliased");
+        let second = q.take_kernel(3);
+        assert_eq!(second.as_ptr(), region[5..].as_ptr(), "aliased");
+        assert_eq!(q.len(), 992);
+    }
+
+    #[test]
+    fn a_kernel_read_across_chunks_is_one_uncounted_gather() {
+        let want = stream(3000);
+        // The copy counter is process-wide and other tests copy beside
+        // this one: the reads count nothing if any attempt sees it stand
+        // still (a counted gather would move it by 3,000 every time).
+        let uncounted = (0..100).any(|_| {
+            let mut q = chunked(3000, &[1000]);
+            let copied0 = bytes::bytes_copied_total();
+            let (across, rest) = (q.take_kernel(1500), q.take_kernel(1500));
+            assert_eq!([&across[..], &rest[..]].concat(), want);
+            bytes::bytes_copied_total() == copied0
+        });
+        assert!(uncounted, "a kernel read's gather is the kernel's copy");
+    }
+
+    #[test]
+    fn a_kernel_read_that_drains_the_queue_frees_its_storage() {
+        let mut q = chunked(3000, &[100]);
+        assert!(q.chunks.capacity() > 0);
+        q.take_kernel(2999);
+        assert!(q.chunks.capacity() > 0, "a partial read keeps it");
+        q.take_kernel(1);
+        assert!(q.is_empty());
+        assert_eq!(q.chunks.capacity(), 0, "storage freed");
     }
 
     #[test]

@@ -107,25 +107,19 @@ pub trait Conn: Send + Sync {
     fn readiness_fd(&self) -> Option<crate::reactor::Fd>;
 
     /// Sends a prefix of `data`, blocking until at least one byte is
-    /// accepted; returns the number of bytes taken.
-    fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>>;
+    /// accepted; returns the number of bytes taken. The default is a
+    /// one-buffer [`Conn::sendv`].
+    fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
+        self.sendv(vec![data])
+    }
 
     /// Gather-write: sends a prefix of the concatenation of `bufs`,
     /// blocking until at least one byte is accepted; returns the number
     /// of bytes taken (counted across buffers, in order). The vectored
     /// reply path queues each reply as refcounted windows and ships a
     /// whole pipelined batch through one call — no flattening copy.
-    ///
-    /// The default implementation degrades to [`Conn::send`] on the first
-    /// non-empty buffer (correct, one buffer per wakeup); both bundled
-    /// socket stacks override it to take bytes from every buffer in one
-    /// transport pass. Returns `Ok(0)` only when every buffer is empty.
-    fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>> {
-        match bufs.into_iter().find(|b| !b.is_empty()) {
-            Some(first) => self.send(first),
-            None => ThreadM::pure(Ok(0)),
-        }
-    }
+    /// Returns `Ok(0)` only when every buffer is empty.
+    fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>>;
 
     /// Closes the sending direction (further `recv`s by the peer will see
     /// end-of-stream once in-flight data drains).

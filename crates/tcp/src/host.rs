@@ -570,10 +570,6 @@ impl Conn for TcpConn {
         })
     }
 
-    fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
-        self.sendv(vec![data])
-    }
-
     fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>> {
         if bufs.iter().all(|b| b.is_empty()) {
             return ThreadM::pure(Ok(0));

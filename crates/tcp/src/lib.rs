@@ -9,7 +9,8 @@
 //! * [`seq`] — 32-bit sequence arithmetic;
 //! * [`tcb`] — the per-connection state machine (handshake, sliding
 //!   windows, out-of-order reassembly, FIN/RST teardown) as a pure
-//!   transition system whose send and receive queues hold refcounted
+//!   transition system whose send and receive queues
+//!   ([`ByteQueue`](eveth_core::io::queue::ByteQueue)s) hold refcounted
 //!   windows of the application's buffers, not copies of their bytes —
 //!   and the [`TimeWait`] record that replaces a TCB once it is closed;
 //! * [`rtt`] — Jacobson/Karels RTO estimation with Karn's rule;
@@ -69,7 +70,6 @@
 
 pub mod congestion;
 pub mod host;
-mod queue;
 pub mod rtt;
 pub mod segment;
 pub mod seq;

@@ -24,13 +24,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use eveth_core::io::queue::{copy_break, ByteQueue};
 use eveth_core::net::{Endpoint, NetError};
 use eveth_core::reactor::Waiter;
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::time::{Nanos, MILLIS};
 
 use crate::congestion::{CcAction, Reno};
-use crate::queue::{copy_break, ByteQueue};
 use crate::rtt::RttEstimator;
 use crate::segment::{Flags, Segment};
 use crate::seq::{seq_diff, seq_ge, seq_gt, seq_le, seq_lt};

@@ -451,8 +451,8 @@ impl Conn for BlindConn {
         None
     }
 
-    fn send(&self, data: Bytes) -> ThreadM<Result<usize, NetError>> {
-        ThreadM::pure(Ok(data.len()))
+    fn sendv(&self, bufs: Vec<Bytes>) -> ThreadM<Result<usize, NetError>> {
+        ThreadM::pure(Ok(bufs.iter().map(Bytes::len).sum()))
     }
 
     fn close(&self) -> ThreadM<()> {
