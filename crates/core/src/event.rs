@@ -514,9 +514,10 @@ pub fn readiness_evt(fd: &Fd, interest: Interest) -> Event<()> {
                 );
                 fd.device().register(interest, waiter);
                 // `Pollable` has no deregistration; readiness devices wake
-                // whole interest classes and prune spent entries on the
-                // next registration, so losers neither leak nor consume a
-                // wakeup budget.
+                // whole interest classes, so a loser consumes no wakeup
+                // budget. Its spent entry stays until the device drops it:
+                // a `WaitList` sweeps spent entries at its high-water mark
+                // on registration, the TCB's lists at their next wake.
                 Registration::none()
             },
         ));

@@ -24,7 +24,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use super::queue::ByteQueue;
-use crate::reactor::{Fd, Interest, Pollable, WaitList, Waiter};
+use crate::reactor::{Fd, Interest, InterestWaiters, Pollable, Waiter};
 use crate::syscall::{sys_epoll_wait, sys_nbio};
 use crate::thread::{loop_m, Loop, ThreadM};
 
@@ -53,8 +53,7 @@ struct PipeState {
     cap: usize,
     write_closed: bool,
     read_closed: bool,
-    read_waiters: WaitList,
-    write_waiters: WaitList,
+    waiters: InterestWaiters,
     readers: usize,
     writers: usize,
 }
@@ -66,19 +65,25 @@ struct PipeDevice {
 }
 
 impl PipeDevice {
-    fn read_ready(st: &PipeState) -> bool {
-        !st.buf.is_empty() || st.write_closed
+    fn ready(st: &PipeState, interest: Interest) -> bool {
+        match interest {
+            Interest::Read => !st.buf.is_empty() || st.write_closed,
+            Interest::Write => st.buf.len() < st.cap || st.read_closed,
+        }
     }
 
-    fn write_ready(st: &PipeState) -> bool {
-        st.buf.len() < st.cap || st.read_closed
+    /// Wakes every waiter of both ends (an end closed).
+    fn wake_all(&self, st: &mut PipeState) {
+        st.waiters.wake_all();
+        self.read_cv.notify_all();
+        self.write_cv.notify_all();
     }
 
     /// The readers' one body: takes up to `max` buffered bytes (none at
     /// end-of-stream) and wakes the writers.
     fn take(&self, st: &mut PipeState, max: usize) -> Bytes {
         let out = st.buf.take_kernel(max.min(st.buf.len()));
-        st.write_waiters.wake_all();
+        st.waiters.wake(Interest::Write);
         self.write_cv.notify_all();
         out
     }
@@ -100,7 +105,7 @@ impl PipeDevice {
         }
         let n = space.min(len);
         st.buf.push_window(piece(n));
-        st.read_waiters.wake_all();
+        st.waiters.wake(Interest::Read);
         self.read_cv.notify_all();
         Ok(n)
     }
@@ -115,18 +120,11 @@ fn copy_in(data: &[u8]) -> impl FnOnce(usize) -> Bytes + '_ {
 impl Pollable for PipeDevice {
     fn register(&self, interest: Interest, waiter: Waiter) {
         let mut st = self.state.lock();
-        let ready = match interest {
-            Interest::Read => Self::read_ready(&st),
-            Interest::Write => Self::write_ready(&st),
-        };
-        if ready {
+        if Self::ready(&st, interest) {
             drop(st);
             waiter.wake();
         } else {
-            match interest {
-                Interest::Read => st.read_waiters.push(waiter),
-                Interest::Write => st.write_waiters.push(waiter),
-            }
+            st.waiters.push(interest, waiter);
         }
     }
 }
@@ -156,8 +154,7 @@ pub fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
             cap: capacity,
             write_closed: false,
             read_closed: false,
-            read_waiters: WaitList::new(),
-            write_waiters: WaitList::new(),
+            waiters: InterestWaiters::new(),
             readers: 1,
             writers: 1,
         }),
@@ -205,7 +202,7 @@ impl PipeReader {
     /// still open.
     pub fn try_read(&self, max: usize) -> Result<Bytes, PipeError> {
         let mut st = self.dev.state.lock();
-        if !PipeDevice::read_ready(&st) {
+        if !PipeDevice::ready(&st, Interest::Read) {
             return Err(PipeError::WouldBlock);
         }
         Ok(self.dev.take(&mut st, max))
@@ -215,7 +212,7 @@ impl PipeReader {
     /// kernel-thread baseline). Returns an empty buffer at end-of-stream.
     pub fn read_blocking(&self, max: usize) -> Bytes {
         let mut st = self.dev.state.lock();
-        while !PipeDevice::read_ready(&st) {
+        while !PipeDevice::ready(&st, Interest::Read) {
             self.dev.read_cv.wait(&mut st);
         }
         self.dev.take(&mut st, max)
@@ -241,14 +238,20 @@ impl PipeReader {
     }
 
     /// Monadic read of exactly `n` bytes; errors at early end-of-stream.
+    /// A message inside one queued window is that window; only a message
+    /// spanning windows is gathered into a fresh buffer.
     pub fn read_exact_m(&self, n: usize) -> ThreadM<Result<Bytes, PipeError>> {
         let this = self.clone();
-        loop_m(Vec::with_capacity(n), move |mut acc| {
+        loop_m(Vec::new(), move |mut acc| {
             let want = n - acc.len();
             this.read_m(want).map(move |chunk| {
                 if chunk.is_empty() {
                     return Loop::Break(Err(PipeError::Closed));
                 }
+                if chunk.len() == n {
+                    return Loop::Break(Ok(chunk));
+                }
+                acc.reserve_exact(want);
                 acc.extend_from_slice(&chunk);
                 if acc.len() == n {
                     Loop::Break(Ok(Bytes::from(acc)))
@@ -292,7 +295,7 @@ impl PipeWriter {
         let mut written = 0;
         while written < data.len() {
             let mut st = self.dev.state.lock();
-            while !PipeDevice::write_ready(&st) {
+            while !PipeDevice::ready(&st, Interest::Write) {
                 self.dev.write_cv.wait(&mut st);
             }
             let rest = &data[written..];
@@ -356,10 +359,7 @@ impl Drop for PipeReader {
         st.readers -= 1;
         if st.readers == 0 {
             st.read_closed = true;
-            st.read_waiters.wake_all();
-            st.write_waiters.wake_all();
-            self.dev.read_cv.notify_all();
-            self.dev.write_cv.notify_all();
+            self.dev.wake_all(&mut st);
         }
     }
 }
@@ -370,10 +370,7 @@ impl Drop for PipeWriter {
         st.writers -= 1;
         if st.writers == 0 {
             st.write_closed = true;
-            st.read_waiters.wake_all();
-            st.write_waiters.wake_all();
-            self.dev.read_cv.notify_all();
-            self.dev.write_cv.notify_all();
+            self.dev.wake_all(&mut st);
         }
     }
 }
@@ -437,6 +434,17 @@ mod tests {
         assert_eq!((head.len(), head.as_ptr()), (600, data.as_ptr()));
         let tail = r.try_read(600).unwrap();
         assert_eq!((tail.len(), tail.as_ptr()), (400, data[600..].as_ptr()));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn an_exact_read_inside_one_window_is_that_window() {
+        let rt = Runtime::builder().workers(1).build();
+        let (w, r) = pipe(64 * 1024);
+        let data = Bytes::from(vec![3u8; 32 * 1024]);
+        rt.block_on(w.write_all_m(data.clone())).unwrap();
+        let got = rt.block_on(r.read_exact_m(32 * 1024)).unwrap();
+        assert_eq!((got.len(), got.as_ptr()), (data.len(), data.as_ptr()));
         rt.shutdown();
     }
 

@@ -218,7 +218,8 @@ impl fmt::Debug for Unparker {
 const PRUNE_FLOOR: usize = 16;
 
 /// A list of parked waiters maintained by a device, with helpers for the
-/// wake-one / wake-all patterns used by pipes, sockets and sync primitives.
+/// wake-one / wake-all patterns — the lists behind [`InterestWaiters`]
+/// (pipes, fabric sockets) and [`AcceptQueue`] (listeners).
 #[derive(Debug)]
 pub struct WaitList {
     waiters: std::collections::VecDeque<Waiter>,
@@ -351,9 +352,10 @@ impl WaitQInner {
     }
 }
 
-/// A FIFO of parked waiters with *cancellable* entries — the wait queue
-/// behind the event-native synchronization primitives (`Chan`, `SyncChan`,
-/// `MVar`) and the [`Signal`](crate::event::Signal) broadcast.
+/// A FIFO of parked waiters with *cancellable* entries — the two wait
+/// queues of the one bounded buffer behind `Chan`, `SyncChan` and `MVar`
+/// (`sync::buffer`, the only holder under `sync/`) and the
+/// [`Signal`](crate::event::Signal) broadcast's queue.
 ///
 /// Unlike [`WaitList`], every `push` hands back a [`WaitSlot`] through
 /// which the registration can be withdrawn, which is what lets a losing

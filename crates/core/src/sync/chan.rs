@@ -2,44 +2,24 @@
 //!
 //! [`Chan`] is the unbounded channel of Concurrent Haskell (the paper's task
 //! queues between event loops are exactly this shape); [`SyncChan`] adds a
-//! capacity bound with back-pressure on writers.
+//! capacity bound with back-pressure on writers. Both are views of the one
+//! bounded buffer under every channel (`sync::buffer`): a `Chan` is that
+//! buffer with no bound, a `SyncChan` is it with `cap`.
 //!
 //! Both are *event-native*: the primitive operations are events
 //! ([`Chan::read_evt`], [`SyncChan::write_evt`], …) that compose under
 //! [`choose`](crate::event::choose), and the blocking methods are defined
 //! as `sync(..._evt())` — the thread view and the event view of the same
-//! synchronization. Waiter queues are cancellable ([`WaitQ`]), so a losing
-//! `choose` branch withdraws its registration instead of leaving a dead
-//! entry, and a wakeup consumed by a thread that committed elsewhere is
-//! passed on to the next waiter (the baton of
-//! [`Registration::new`](crate::event::Registration::new)).
+//! synchronization. A losing `choose` branch withdraws its registration,
+//! and a wakeup consumed by a thread that committed elsewhere is passed on
+//! to the next waiter.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
-use crate::check;
-use crate::engine::WaitKind;
-use crate::event::{branch_waiter, sync, Branch, Event, Registration};
-use crate::reactor::WaitQ;
+use super::buffer::{Buffer, UNBOUNDED};
+use crate::check::ResKind;
+use crate::event::{sync, Event};
 use crate::thread::ThreadM;
-
-struct ChState<T> {
-    queue: VecDeque<T>,
-    takers: WaitQ,
-    rid: u64,
-}
-
-impl<T> ChState<T> {
-    fn op(&self, kind: check::OpKind) {
-        check::op(
-            self.rid,
-            check::ResKind::Chan,
-            kind,
-            [self.queue.len() as u64, 0],
-        );
-    }
-}
 
 /// An unbounded multi-producer multi-consumer FIFO channel; `read` blocks
 /// the monadic thread while empty, `write` never blocks.
@@ -60,13 +40,13 @@ impl<T> ChState<T> {
 /// rt.shutdown();
 /// ```
 pub struct Chan<T> {
-    st: Arc<parking_lot::Mutex<ChState<T>>>,
+    buf: Buffer<T>,
 }
 
 impl<T> Clone for Chan<T> {
     fn clone(&self) -> Self {
         Chan {
-            st: Arc::clone(&self.st),
+            buf: self.buf.clone(),
         }
     }
 }
@@ -75,111 +55,48 @@ impl<T: Send + 'static> Chan<T> {
     /// Creates an empty channel.
     pub fn new() -> Self {
         Chan {
-            st: Arc::new(parking_lot::Mutex::new(ChState {
-                queue: VecDeque::new(),
-                takers: WaitQ::new(),
-                rid: check::new_rid(),
-            })),
+            buf: Buffer::new(UNBOUNDED, ResKind::Chan, None),
         }
     }
 
     /// Enqueues an item without blocking (callable from any context,
     /// including device drivers and plain OS threads).
     pub fn push_now(&self, v: T) {
-        let mut st = self.st.lock();
-        st.queue.push_back(v);
-        st.op(check::OpKind::Publish);
-        let _scope = check::wake_scope(st.rid);
-        st.takers.wake_one();
+        // An unbounded buffer always has room.
+        let _ = self.buf.try_put(v);
     }
 
     /// Dequeues without blocking, if an item is available.
     pub fn try_read_now(&self) -> Option<T> {
-        let mut st = self.st.lock();
-        let v = st.queue.pop_front();
-        if v.is_some() {
-            st.op(check::OpKind::Consume);
-        }
-        v
+        self.buf.try_take()
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.st.lock().queue.len()
+        self.buf.len()
     }
 
     /// True if no items are queued.
     pub fn is_empty(&self) -> bool {
-        self.st.lock().queue.is_empty()
+        self.buf.len() == 0
     }
 
     /// Live read registrations currently parked on this channel (for tests
     /// asserting that losing `choose` branches deregister).
     pub fn taker_count(&self) -> usize {
-        self.st.lock().takers.len()
+        self.buf.waiter_counts().0
     }
 
     /// The receive event: ready when an item can be dequeued; commits by
     /// dequeuing it.
     pub fn read_evt(&self) -> Event<T> {
-        let poll_st = Arc::clone(&self.st);
-        let reg_st = Arc::clone(&self.st);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| {
-                    let mut st = poll_st.lock();
-                    let v = st.queue.pop_front();
-                    if v.is_some() {
-                        st.op(check::OpKind::Consume);
-                    }
-                    v
-                },
-                move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_st.lock();
-                    if !st.queue.is_empty() {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockTake);
-                    let slot = st.takers.push(waiter);
-                    drop(st);
-                    let baton_st = Arc::clone(&reg_st);
-                    Registration::new(
-                        move || slot.take().is_some(),
-                        move || {
-                            // Our wake was consumed but we committed another
-                            // branch: hand it to the next reader if an item
-                            // is still there.
-                            let mut st = baton_st.lock();
-                            if !st.queue.is_empty() {
-                                st.op(check::OpKind::Baton);
-                                let _scope = check::wake_scope(st.rid);
-                                st.takers.wake_one();
-                            }
-                        },
-                    )
-                },
-            ));
-        })
+        self.buf.take_evt()
     }
 
     /// The send event: always ready (the channel is unbounded); commits by
     /// enqueuing `v` and waking one reader.
     pub fn write_evt(&self, v: T) -> Event<()> {
-        let this = self.clone();
-        let mut slot = Some(v);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| slot.take().map(|v| this.push_now(v)),
-                |_u| Registration::none(),
-            ));
-        })
+        self.buf.put_evt(v)
     }
 
     /// Monadic read: parks while the channel is empty —
@@ -203,48 +120,20 @@ impl<T: Send + 'static> Default for Chan<T> {
 
 impl<T> fmt::Debug for Chan<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.st.lock();
-        write!(
-            f,
-            "Chan(len={}, takers={})",
-            st.queue.len(),
-            st.takers.len()
-        )
-    }
-}
-
-struct SyncChState<T> {
-    queue: VecDeque<T>,
-    cap: usize,
-    takers: WaitQ,
-    putters: WaitQ,
-    rid: u64,
-}
-
-impl<T> SyncChState<T> {
-    fn op(&self, kind: check::OpKind) {
-        check::op(
-            self.rid,
-            check::ResKind::SyncChan,
-            kind,
-            [
-                self.queue.len() as u64,
-                (self.cap - self.queue.len()) as u64,
-            ],
-        );
+        self.buf.fmt(f)
     }
 }
 
 /// A bounded FIFO channel: `write` parks while full, providing
 /// back-pressure; `read` parks while empty.
 pub struct SyncChan<T> {
-    st: Arc<parking_lot::Mutex<SyncChState<T>>>,
+    buf: Buffer<T>,
 }
 
 impl<T> Clone for SyncChan<T> {
     fn clone(&self) -> Self {
         SyncChan {
-            st: Arc::clone(&self.st),
+            buf: self.buf.clone(),
         }
     }
 }
@@ -258,131 +147,36 @@ impl<T: Send + 'static> SyncChan<T> {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "SyncChan capacity must be non-zero");
         SyncChan {
-            st: Arc::new(parking_lot::Mutex::new(SyncChState {
-                queue: VecDeque::with_capacity(cap),
-                cap,
-                takers: WaitQ::new(),
-                putters: WaitQ::new(),
-                rid: check::new_rid(),
-            })),
+            buf: Buffer::new(cap, ResKind::SyncChan, None),
         }
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.st.lock().queue.len()
+        self.buf.len()
     }
 
     /// True if no items are queued.
     pub fn is_empty(&self) -> bool {
-        self.st.lock().queue.is_empty()
+        self.buf.len() == 0
     }
 
     /// Live read/write registrations parked on this channel, as
     /// `(takers, putters)` (for tests asserting loser cancellation).
     pub fn waiter_counts(&self) -> (usize, usize) {
-        let st = self.st.lock();
-        (st.takers.len(), st.putters.len())
+        self.buf.waiter_counts()
     }
 
     /// The send event: ready while the channel has a free slot; commits by
     /// enqueuing `v` and waking one reader.
     pub fn write_evt(&self, v: T) -> Event<()> {
-        let poll_st = Arc::clone(&self.st);
-        let reg_st = Arc::clone(&self.st);
-        let mut slot = Some(v);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| {
-                    let mut st = poll_st.lock();
-                    if st.queue.len() < st.cap {
-                        if let Some(v) = slot.take() {
-                            st.queue.push_back(v);
-                            st.op(check::OpKind::Publish);
-                            let _scope = check::wake_scope(st.rid);
-                            st.takers.wake_one();
-                            return Some(());
-                        }
-                    }
-                    None
-                },
-                move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_st.lock();
-                    if st.queue.len() < st.cap {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockPut);
-                    let slot_reg = st.putters.push(waiter);
-                    drop(st);
-                    let baton_st = Arc::clone(&reg_st);
-                    Registration::new(
-                        move || slot_reg.take().is_some(),
-                        move || {
-                            let mut st = baton_st.lock();
-                            if st.queue.len() < st.cap {
-                                st.op(check::OpKind::Baton);
-                                let _scope = check::wake_scope(st.rid);
-                                st.putters.wake_one();
-                            }
-                        },
-                    )
-                },
-            ));
-        })
+        self.buf.put_evt(v)
     }
 
     /// The receive event: ready when an item can be dequeued; commits by
     /// dequeuing it and waking one writer.
     pub fn read_evt(&self) -> Event<T> {
-        let poll_st = Arc::clone(&self.st);
-        let reg_st = Arc::clone(&self.st);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| {
-                    let mut st = poll_st.lock();
-                    let v = st.queue.pop_front();
-                    if v.is_some() {
-                        st.op(check::OpKind::Consume);
-                        let _scope = check::wake_scope(st.rid);
-                        st.putters.wake_one();
-                    }
-                    v
-                },
-                move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_st.lock();
-                    if !st.queue.is_empty() {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockTake);
-                    let slot = st.takers.push(waiter);
-                    drop(st);
-                    let baton_st = Arc::clone(&reg_st);
-                    Registration::new(
-                        move || slot.take().is_some(),
-                        move || {
-                            let mut st = baton_st.lock();
-                            if !st.queue.is_empty() {
-                                st.op(check::OpKind::Baton);
-                                let _scope = check::wake_scope(st.rid);
-                                st.takers.wake_one();
-                            }
-                        },
-                    )
-                },
-            ));
-        })
+        self.buf.take_evt()
     }
 
     /// Monadic write: parks while the channel is full —
@@ -400,8 +194,7 @@ impl<T: Send + 'static> SyncChan<T> {
 
 impl<T> fmt::Debug for SyncChan<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.st.lock();
-        write!(f, "SyncChan(len={}/{})", st.queue.len(), st.cap)
+        self.buf.fmt(f)
     }
 }
 

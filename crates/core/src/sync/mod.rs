@@ -7,12 +7,20 @@
 //! waiter queue live under one lock, and wakeups hand one-shot
 //! [`Unparker`](crate::reactor::Unparker)s back to the scheduler.
 //!
+//! The three buffers are one: `Chan`, `SyncChan` and `MVar` are views of
+//! one bounded FIFO (`buffer`), which states the recipe once — check and
+//! register under one lock, withdraw a losing registration, pass a
+//! consumed wake on to the next waiter — and wakes one waiter per change,
+//! in FIFO order.
+//!
 //! * [`Mutex`] — the paper's `sys_mutex`;
-//! * [`MVar`] — Concurrent Haskell's one-place buffer;
+//! * [`MVar`] — Concurrent Haskell's one-place buffer (the FIFO with room
+//!   for one);
 //! * [`Chan`] — an unbounded FIFO channel (the paper's ready queues are
 //!   exactly this);
 //! * [`SyncChan`] — a bounded channel with back-pressure.
 
+mod buffer;
 pub mod chan;
 pub mod mutex;
 pub mod mvar;

@@ -2,39 +2,21 @@
 //! as a scheduler extension exactly as the paper suggests for "other
 //! synchronization primitives such as MVars" (§4.7).
 //!
-//! Event-native: [`MVar::take_evt`] / [`MVar::put_evt`] /
-//! [`MVar::read_evt`] compose under [`choose`](crate::event::choose), and
-//! the blocking methods are `sync(..._evt())`. State changes wake *all*
-//! waiters of the affected class (wake-all is immune to lost wakeups with
-//! one-shot unparkers), so losing `choose` branches need no baton — their
-//! cancelled registrations are simply withdrawn.
+//! An `MVar` is the one bounded buffer under every channel
+//! (`sync::buffer`) with room for one item. Event-native:
+//! [`MVar::take_evt`] / [`MVar::put_evt`] / [`MVar::read_evt`] compose
+//! under [`choose`](crate::event::choose), and the blocking methods are
+//! `sync(..._evt())`. Wakeups are Concurrent Haskell's single wakeup: a
+//! put wakes one parked taker and a take wakes one parked putter, in FIFO
+//! order; a read leaves the value and passes the wake on, so every parked
+//! reader returns after one put.
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::check;
-use crate::engine::WaitKind;
-use crate::event::{branch_waiter, sync, Branch, Event, Registration};
-use crate::reactor::WaitQ;
+use super::buffer::Buffer;
+use crate::check::ResKind;
+use crate::event::{sync, Event};
 use crate::thread::ThreadM;
-
-struct MvState<T> {
-    value: Option<T>,
-    takers: WaitQ,
-    putters: WaitQ,
-    rid: u64,
-}
-
-impl<T> MvState<T> {
-    fn op(&self, kind: check::OpKind) {
-        let full = self.value.is_some() as u64;
-        check::op(self.rid, check::ResKind::MVar, kind, [full, 1 - full]);
-    }
-}
-
-struct MvInner<T> {
-    st: parking_lot::Mutex<MvState<T>>,
-}
 
 /// A one-place buffer: `take` blocks while empty, `put` blocks while full.
 ///
@@ -55,13 +37,13 @@ struct MvInner<T> {
 /// rt.shutdown();
 /// ```
 pub struct MVar<T> {
-    inner: Arc<MvInner<T>>,
+    buf: Buffer<T>,
 }
 
 impl<T> Clone for MVar<T> {
     fn clone(&self) -> Self {
         MVar {
-            inner: Arc::clone(&self.inner),
+            buf: self.buf.clone(),
         }
     }
 }
@@ -70,138 +52,48 @@ impl<T: Send + 'static> MVar<T> {
     /// Creates an empty MVar.
     pub fn new_empty() -> Self {
         MVar {
-            inner: Arc::new(MvInner {
-                st: parking_lot::Mutex::new(MvState {
-                    value: None,
-                    takers: WaitQ::new(),
-                    putters: WaitQ::new(),
-                    rid: check::new_rid(),
-                }),
-            }),
+            buf: Buffer::new(1, ResKind::MVar, None),
         }
     }
 
     /// Creates a full MVar holding `v`.
     pub fn new(v: T) -> Self {
-        let mv = Self::new_empty();
-        mv.inner.st.lock().value = Some(v);
-        mv
+        MVar {
+            buf: Buffer::new(1, ResKind::MVar, Some(v)),
+        }
     }
 
     /// Non-blocking take (mainly for tests).
     pub fn try_take(&self) -> Option<T> {
-        let mut st = self.inner.st.lock();
-        let v = st.value.take();
-        if v.is_some() {
-            st.op(check::OpKind::Consume);
-            let _scope = check::wake_scope(st.rid);
-            st.putters.wake_all();
-        }
-        v
+        self.buf.try_take()
     }
 
     /// Non-blocking put; returns `Err(v)` if full.
     pub fn try_put(&self, v: T) -> Result<(), T> {
-        let mut st = self.inner.st.lock();
-        if st.value.is_some() {
-            Err(v)
-        } else {
-            st.value = Some(v);
-            st.op(check::OpKind::Publish);
-            let _scope = check::wake_scope(st.rid);
-            st.takers.wake_all();
-            Ok(())
-        }
+        self.buf.try_put(v)
     }
 
     /// True if the MVar currently holds a value.
     pub fn is_full(&self) -> bool {
-        self.inner.st.lock().value.is_some()
+        self.buf.len() == 1
     }
 
     /// Live registrations parked on this MVar, as `(takers, putters)` (for
     /// tests asserting loser cancellation leaves nothing behind).
     pub fn waiter_counts(&self) -> (usize, usize) {
-        let st = self.inner.st.lock();
-        (st.takers.len(), st.putters.len())
+        self.buf.waiter_counts()
     }
 
     /// The take event: ready while the MVar is full; commits by emptying
-    /// it and waking every blocked putter.
+    /// it and waking one blocked putter.
     pub fn take_evt(&self) -> Event<T> {
-        let poll_inner = Arc::clone(&self.inner);
-        let reg_inner = Arc::clone(&self.inner);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| {
-                    let mut st = poll_inner.st.lock();
-                    let v = st.value.take();
-                    if v.is_some() {
-                        st.op(check::OpKind::Consume);
-                        let _scope = check::wake_scope(st.rid);
-                        st.putters.wake_all();
-                    }
-                    v
-                },
-                move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_inner.st.lock();
-                    if st.value.is_some() {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockTake);
-                    let slot = st.takers.push(waiter);
-                    // Puts wake *all* takers: a consumed wake costs the
-                    // device nothing, so plain withdrawal suffices.
-                    Registration::with_take(move || slot.take().is_some())
-                },
-            ));
-        })
+        self.buf.take_evt()
     }
 
     /// The put event: ready while the MVar is empty; commits by filling it
-    /// with `v` and waking every blocked taker.
+    /// with `v` and waking one blocked taker.
     pub fn put_evt(&self, v: T) -> Event<()> {
-        let poll_inner = Arc::clone(&self.inner);
-        let reg_inner = Arc::clone(&self.inner);
-        let mut slot = Some(v);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| {
-                    let mut st = poll_inner.st.lock();
-                    if st.value.is_none() {
-                        if let Some(v) = slot.take() {
-                            st.value = Some(v);
-                            st.op(check::OpKind::Publish);
-                            let _scope = check::wake_scope(st.rid);
-                            st.takers.wake_all();
-                            return Some(());
-                        }
-                    }
-                    None
-                },
-                move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_inner.st.lock();
-                    if st.value.is_none() {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockPut);
-                    let slot_reg = st.putters.push(waiter);
-                    Registration::with_take(move || slot_reg.take().is_some())
-                },
-            ));
-        })
+        self.buf.put_evt(v)
     }
 
     /// Takes the value, parking the monadic thread while empty —
@@ -219,30 +111,10 @@ impl<T: Send + 'static> MVar<T> {
 
 impl<T: Clone + Send + 'static> MVar<T> {
     /// The read event: ready while the MVar is full; commits by cloning
-    /// the value without removing it.
+    /// the value without removing it, and passes the wake on to the next
+    /// parked taker or reader.
     pub fn read_evt(&self) -> Event<T> {
-        let poll_inner = Arc::clone(&self.inner);
-        let reg_inner = Arc::clone(&self.inner);
-        Event::from_fn(move |_t0, out| {
-            out.push(Branch::new(
-                WaitKind::Lock,
-                move |_now| poll_inner.st.lock().value.clone(),
-                move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_inner.st.lock();
-                    if st.value.is_some() {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockTake);
-                    let slot = st.takers.push(waiter);
-                    Registration::with_take(move || slot.take().is_some())
-                },
-            ));
-        })
+        self.buf.read_evt()
     }
 
     /// Reads the value without removing it, parking while empty —
@@ -254,14 +126,7 @@ impl<T: Clone + Send + 'static> MVar<T> {
 
 impl<T> fmt::Debug for MVar<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.inner.st.lock();
-        write!(
-            f,
-            "MVar(full={}, takers={}, putters={})",
-            st.value.is_some(),
-            st.takers.len(),
-            st.putters.len()
-        )
+        self.buf.fmt(f)
     }
 }
 
@@ -269,6 +134,7 @@ impl<T> fmt::Debug for MVar<T> {
 mod tests {
     use super::*;
     use crate::runtime::Runtime;
+    use crate::sync::Chan;
     use crate::syscall::sys_fork;
 
     #[test]
@@ -334,5 +200,54 @@ mod tests {
     fn debug_reports_occupancy() {
         let mv = MVar::new(1);
         assert!(format!("{mv:?}").contains("full=true"));
+    }
+
+    /// Polls `cond` from the host thread until it holds (or fails after 5 s).
+    fn wait_for(cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "condition never held");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_put_wakes_one_parked_taker() {
+        let rt = Runtime::builder().workers(1).build();
+        let mv: MVar<u8> = MVar::new_empty();
+        let got = Chan::new();
+        for _ in 0..2 {
+            let (mv, got) = (mv.clone(), got.clone());
+            rt.spawn(mv.take().bind(move |v| got.write(v)));
+        }
+        wait_for(|| mv.waiter_counts() == (2, 0));
+        let before = rt.stats().wakes;
+        mv.try_put(1).unwrap();
+        wait_for(|| got.len() == 1 && mv.waiter_counts() == (1, 0));
+        assert_eq!(rt.stats().wakes - before, 1, "one put, one wake");
+        mv.try_put(2).unwrap();
+        wait_for(|| got.len() == 2);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_put_releases_every_parked_reader_and_keeps_the_value() {
+        let rt = Runtime::builder().workers(1).build();
+        let mv: MVar<u8> = MVar::new_empty();
+        let got = Chan::new();
+        for _ in 0..3 {
+            let (mv, got) = (mv.clone(), got.clone());
+            rt.spawn(mv.read().bind(move |v| got.write(v)));
+        }
+        wait_for(|| mv.waiter_counts() == (3, 0));
+        mv.try_put(7).unwrap();
+        wait_for(|| got.len() == 3);
+        assert_eq!(
+            std::iter::from_fn(|| got.try_read_now()).collect::<Vec<_>>(),
+            [7, 7, 7]
+        );
+        assert!(mv.is_full());
+        assert_eq!(mv.waiter_counts(), (0, 0));
+        rt.shutdown();
     }
 }
