@@ -783,14 +783,11 @@ fn scale_teardown(
 ) -> ScaleRunResult {
     // Residue check BEFORE shutdown: every ended session must already
     // have withdrawn its registration on the shutdown broadcast — after
-    // a churn storm the physical count reflects live sessions only. The
+    // a churn storm the count reflects live sessions only. The
     // running acceptor always holds exactly one registration (its
     // accept/shutdown `choose`); subtract it so the figure reads "live
     // sessions".
-    let shutdown_physical_waiters = server
-        .shutdown_signal()
-        .physical_waiter_count()
-        .saturating_sub(1);
+    let shutdown_physical_waiters = server.shutdown_signal().waiter_count().saturating_sub(1);
     server.shutdown();
     sim.block_on(sync(server.drained_signal().wait_evt()))
         .expect("scale server drained");
@@ -844,10 +841,10 @@ pub struct ScaleRunResult {
     pub accepted: u64,
     /// Sessions reaped by the idle deadline.
     pub idle_reaped: u64,
-    /// Physical waiter registrations on the server's shutdown broadcast,
-    /// sampled after the workload and before shutdown. Equals the number
-    /// of then-live sessions — after a churn storm that is the leak
-    /// regression signal: ended sessions must have withdrawn physically.
+    /// Waiter registrations on the server's shutdown broadcast, sampled
+    /// after the workload and before shutdown. Equals the number of
+    /// then-live sessions — after a churn storm that is the leak
+    /// regression signal: ended sessions must have withdrawn their entries.
     pub shutdown_physical_waiters: usize,
     /// Monadic threads still alive after shutdown + drain + run-to-
     /// quiescence. Anything nonzero is a leaked thread.

@@ -35,13 +35,14 @@
 //!    Branches register with their devices (wait queue, timer wheel,
 //!    readiness table); whichever fires first wins the token, the rest
 //!    find it spent;
-//! 3. on wake, polls again and **cancels the losing registrations** — a
-//!    queued waiter is withdrawn from its [`WaitQ`], an armed timer is
-//!    disarmed (eagerly under simulation, so an abandoned timeout cannot
-//!    extend virtual time), and a consumed wakeup that ended up committing
-//!    elsewhere is passed on to the device's next waiter (the baton in
-//!    [`Registration::new`]), so no wakeup is ever lost. If nothing is
-//!    ready after all, it parks again (step 2).
+//! 3. on wake, polls again and **withdraws the losing registrations** — a
+//!    queued waiter leaves its device's [`WaitTable`] through
+//!    [`Pollable::deregister`], an armed timer is disarmed (eagerly under
+//!    simulation, so an abandoned timeout cannot extend virtual time), and
+//!    a consumed wakeup that ended up committing elsewhere is passed on to
+//!    the device's next waiter ([`Pollable::pass_on`]), so no wakeup is
+//!    ever lost and no entry outlives its `sync`. If nothing is ready
+//!    after all, it parks again (step 2).
 //!
 //! The park is provisionally charged as [`WaitKind::Lock`]; the winning
 //! branch reclassifies the episode ([`Unparker::reclassify`]) so blocked
@@ -79,8 +80,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex as PlMutex;
 
-use crate::engine::WaitKind;
-use crate::reactor::{EventPort, Fd, Interest, Unparker, WaitQ, Waiter};
+use crate::engine::{TimerHandle, WaitKind};
+use crate::reactor::{EventPort, Fd, Interest, Pollable, Unparker, WaitKey, WaitTable, Waiter};
 use crate::syscall::{sys_nbio, sys_park, sys_time};
 use crate::thread::ThreadM;
 use crate::time::Nanos;
@@ -115,9 +116,9 @@ impl<A: Send + 'static> Branch<A> {
     /// * `register(unparker)` — store a waiter keyed to the shared commit
     ///   token with the branch's device, *checking the condition under the
     ///   device lock* and waking immediately if it already holds (the
-    ///   standard lost-wakeup discipline); returns the registration's
-    ///   cancellation recipe. Use [`branch_waiter`] to build the waiter so
-    ///   a win reclassifies the park to `kind`.
+    ///   standard lost-wakeup discipline); returns how to withdraw it —
+    ///   usually [`Registration::wait`]. Use [`branch_waiter`] to build the
+    ///   waiter so a win reclassifies the park to `kind`.
     /// * `kind` — the wait-taxonomy class charged when this branch ends a
     ///   blocked episode.
     pub fn new(
@@ -150,98 +151,108 @@ impl<A> fmt::Debug for Branch<A> {
     }
 }
 
-/// How to undo one branch's park-round registration.
+/// How to undo one branch's park-round registration: data, not a closure,
+/// so withdrawing costs no allocation per round.
 ///
 /// Constructed by the branch's `register` closure; consumed by `sync` once
 /// the round is decided.
-pub struct Registration {
-    take: Option<Box<dyn FnOnce() -> bool + Send>>,
-    baton: Option<Box<dyn FnOnce() + Send>>,
+pub struct Registration(Undo);
+
+enum Undo {
+    /// Nothing was queued.
+    Nothing,
+    /// An entry in `dev`'s table for `interest`. `on_win` is false for a
+    /// branch that can commit only through the entry's own wake, which
+    /// already removed it.
+    Entry {
+        dev: Arc<dyn Pollable>,
+        interest: Interest,
+        key: WaitKey,
+        on_win: bool,
+    },
+    /// An armed timeout.
+    Timer(TimerHandle),
 }
 
 impl Registration {
-    /// A registration with nothing to undo — for devices that prune spent
-    /// waiters themselves (readiness tables, wake-all queues) or branches
-    /// that woke the waiter immediately.
+    /// A registration with nothing to undo — for branches that woke the
+    /// waiter immediately, or that never register at all.
     pub fn none() -> Self {
-        Registration {
-            take: None,
-            baton: None,
-        }
+        Registration(Undo::Nothing)
     }
 
-    /// A registration undone by `take` (return `true` if the entry was
-    /// still queued), with no wakeup to pass on — for timers and wake-all
-    /// devices.
-    pub fn with_take(take: impl FnOnce() -> bool + Send + 'static) -> Self {
-        Registration {
-            take: Some(Box::new(take)),
-            baton: None,
-        }
+    /// Registers `waiter` with `dev` for `interest`. If the round commits
+    /// another branch, the entry is withdrawn; if the device had already
+    /// consumed it, the wake is passed on to its next waiter
+    /// ([`Pollable::pass_on`]). A waiter woken at once leaves
+    /// [`Registration::none`].
+    pub fn wait(dev: Arc<dyn Pollable>, interest: Interest, waiter: Waiter) -> Self {
+        Self::entry(dev, interest, waiter, true)
     }
 
-    /// A registration undone by `take`, with a *baton*: if the entry was
-    /// already consumed (the device woke us) but the synchronization
-    /// committed a different branch, `baton` runs so the device can hand
-    /// the wakeup to its next waiter — the pass-the-baton discipline that
-    /// keeps wake-one devices (channels) lossless under `choose`. The
-    /// baton should re-check the device condition and wake one waiter if
-    /// it still holds.
-    pub fn new(
-        take: impl FnOnce() -> bool + Send + 'static,
-        baton: impl FnOnce() + Send + 'static,
-    ) -> Self {
-        Registration {
-            take: Some(Box::new(take)),
-            baton: Some(Box::new(baton)),
+    fn entry(dev: Arc<dyn Pollable>, interest: Interest, waiter: Waiter, on_win: bool) -> Self {
+        match dev.register(interest, waiter) {
+            Some(key) => Registration(Undo::Entry {
+                dev,
+                interest,
+                key,
+                on_win,
+            }),
+            None => Self::none(),
         }
     }
 
     fn cancel(self, lost: bool) {
-        let was_queued = match self.take {
-            Some(take) => take(),
-            None => true,
-        };
-        if lost && !was_queued {
-            if let Some(baton) = self.baton {
-                baton();
+        match self.0 {
+            Undo::Nothing => {}
+            Undo::Entry {
+                dev,
+                interest,
+                key,
+                on_win,
+            } => {
+                if !lost && !on_win {
+                    return;
+                }
+                let queued = dev.deregister(interest, key);
+                if lost && !queued {
+                    dev.pass_on(interest);
+                }
             }
+            Undo::Timer(timer) => timer.cancel(),
         }
     }
 }
 
 impl fmt::Debug for Registration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Registration(take={}, baton={})",
-            self.take.is_some(),
-            self.baton.is_some()
-        )
+        f.write_str(match self.0 {
+            Undo::Nothing => "Registration(none)",
+            Undo::Entry { .. } => "Registration(entry)",
+            Undo::Timer(_) => "Registration(timer)",
+        })
     }
 }
 
-/// The port a branch's waiter wakes through: records the winning branch's
-/// readiness (for `readiness_evt`'s commit latch), reclassifies the park
-/// episode to the branch's wait class, then forwards to the real delivery
-/// route — or, with no `inner` route, unparks inline.
+/// The port a branch's waiter wakes through: latches the wake (the
+/// commit signal of [`readiness_evt`], set even when the thread was
+/// already woken elsewhere), reclassifies the park episode to the
+/// branch's wait class, then unparks inline or, with `relay`, forwards to
+/// the runtime's event port.
 struct BranchPort {
     kind: WaitKind,
-    fired: Option<Arc<AtomicBool>>,
-    inner: Option<Arc<dyn EventPort>>,
+    fired: AtomicBool,
+    relay: bool,
 }
 
 impl EventPort for BranchPort {
     fn notify(&self, unparker: Unparker) {
-        if let Some(fired) = &self.fired {
-            fired.store(true, Ordering::SeqCst);
-        }
+        self.fired.store(true, Ordering::SeqCst);
         unparker.reclassify(self.kind);
-        match &self.inner {
-            Some(port) => port.notify(unparker),
-            None => {
-                unparker.unpark();
-            }
+        if self.relay {
+            unparker.runtime_ctx().event_port().notify(unparker);
+        } else {
+            unparker.unpark();
         }
     }
 }
@@ -255,8 +266,8 @@ pub fn branch_waiter(unparker: &Unparker, kind: WaitKind) -> Waiter {
         unparker.clone(),
         Arc::new(BranchPort {
             kind,
-            fired: None,
-            inner: None,
+            fired: AtomicBool::new(false),
+            relay: false,
         }),
     )
 }
@@ -474,11 +485,7 @@ pub fn timeout_evt(dur: Nanos) -> Event<()> {
                 let ctx = u.runtime_ctx();
                 let remaining = deadline.saturating_sub(ctx.now());
                 let waiter = branch_waiter(u, WaitKind::Timer);
-                let timer = ctx.timer_wake(remaining, waiter);
-                Registration::with_take(move || {
-                    timer.cancel();
-                    true
-                })
+                Registration(Undo::Timer(ctx.timer_wake(remaining, waiter)))
             },
         ));
     })
@@ -495,30 +502,25 @@ pub fn timeout_evt(dur: Nanos) -> Event<()> {
 pub fn readiness_evt(fd: &Fd, interest: Interest) -> Event<()> {
     let fd = fd.clone();
     Event::from_fn(move |_t0, out| {
-        // Readiness has no synchronous probe; the latch turns the device's
-        // wake (including the immediate wake `Pollable::register` performs
-        // when the condition already holds) into a pollable commit.
-        let fired = Arc::new(AtomicBool::new(false));
-        let poll_fired = Arc::clone(&fired);
+        // Readiness has no synchronous probe; the port's latch turns the
+        // device's wake (including the immediate wake `Pollable::register`
+        // performs when the condition already holds) into a pollable
+        // commit. One port per sync, reused by every park round.
+        let port = Arc::new(BranchPort {
+            kind: WaitKind::Io,
+            fired: AtomicBool::new(false),
+            relay: true,
+        });
+        let latch = Arc::clone(&port);
         out.push(Branch::new(
             WaitKind::Io,
-            move |_now| poll_fired.load(Ordering::SeqCst).then_some(()),
+            move |_now| latch.fired.load(Ordering::SeqCst).then_some(()),
             move |u| {
-                let waiter = Waiter::new(
-                    u.clone(),
-                    Arc::new(BranchPort {
-                        kind: WaitKind::Io,
-                        fired: Some(Arc::clone(&fired)),
-                        inner: Some(u.runtime_ctx().event_port()),
-                    }),
-                );
-                fd.device().register(interest, waiter);
-                // `Pollable` has no deregistration; readiness devices wake
-                // whole interest classes, so a loser consumes no wakeup
-                // budget. Its spent entry stays until the device drops it:
-                // a `WaitList` sweeps spent entries at its high-water mark
-                // on registration, the TCB's lists at their next wake.
-                Registration::none()
+                let waiter = Waiter::new(u.clone(), Arc::clone(&port) as Arc<dyn EventPort>);
+                // A loser withdraws its entry. A win came through the
+                // entry's own wake, which removed it, so the winner takes
+                // no device lock.
+                Registration::entry(Arc::clone(fd.device()), interest, waiter, false)
             },
         ));
     })
@@ -640,8 +642,34 @@ fn park_round<A: Send + 'static>(round: Arc<PlMutex<Round<A>>>) -> ThreadM<A> {
 
 struct SigState {
     fired: bool,
-    waiters: WaitQ,
+    waiters: WaitTable,
     rid: u64,
+}
+
+/// A signal's one wait condition is "fired"; `fire` wakes every waiter,
+/// so a loser has no wake to pass on.
+impl Pollable for PlMutex<SigState> {
+    fn register(&self, _interest: Interest, waiter: Waiter) -> Option<WaitKey> {
+        let mut s = self.lock();
+        if s.fired {
+            let rid = s.rid;
+            drop(s);
+            let _scope = crate::check::wake_scope(rid);
+            waiter.wake();
+            return None;
+        }
+        crate::check::op(
+            s.rid,
+            crate::check::ResKind::Signal,
+            crate::check::OpKind::BlockTake,
+            [0, 0],
+        );
+        Some(s.waiters.push(waiter))
+    }
+
+    fn deregister(&self, _interest: Interest, key: WaitKey) -> bool {
+        self.lock().waiters.withdraw(key)
+    }
 }
 
 /// A one-shot broadcast flag with an event view — the "graceful shutdown"
@@ -660,7 +688,7 @@ impl Signal {
         Signal {
             st: Arc::new(PlMutex::new(SigState {
                 fired: false,
-                waiters: WaitQ::new(),
+                waiters: WaitTable::new(),
                 rid: crate::check::new_rid(),
             })),
         }
@@ -696,24 +724,8 @@ impl Signal {
                 WaitKind::Lock,
                 move |_now| poll_st.lock().fired.then_some(()),
                 move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut s = st.lock();
-                    if s.fired {
-                        let rid = s.rid;
-                        drop(s);
-                        let _scope = crate::check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    crate::check::op(
-                        s.rid,
-                        crate::check::ResKind::Signal,
-                        crate::check::OpKind::BlockTake,
-                        [0, 0],
-                    );
-                    let slot = s.waiters.push(waiter);
-                    // fire() wakes *all* waiters — no budget to baton.
-                    Registration::with_take(move || slot.take().is_some())
+                    let dev = Arc::clone(&st) as Arc<dyn Pollable>;
+                    Registration::wait(dev, Interest::Read, branch_waiter(u, WaitKind::Lock))
                 },
             ));
         })
@@ -724,18 +736,12 @@ impl Signal {
         sync(self.wait_evt())
     }
 
-    /// Live registrations currently parked on this signal (for tests
-    /// asserting loser cancellation leaves nothing behind).
+    /// Registrations currently parked on this signal. A losing branch
+    /// withdraws its entry, so churn against a never-firing signal (every
+    /// session racing a shutdown broadcast it does not win) keeps this at
+    /// the number of sessions parked now.
     pub fn waiter_count(&self) -> usize {
         self.st.lock().waiters.len()
-    }
-
-    /// Registrations physically held, spent or live — cancelled entries
-    /// are removed from the arena immediately, so churn against a
-    /// never-firing signal (every session racing a shutdown broadcast it
-    /// does not win) must keep this bounded by the concurrent peak.
-    pub fn physical_waiter_count(&self) -> usize {
-        self.st.lock().waiters.physical_len()
     }
 }
 

@@ -24,7 +24,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use super::queue::ByteQueue;
-use crate::reactor::{Fd, Interest, InterestWaiters, Pollable, Waiter};
+use crate::reactor::{Fd, Interest, Pollable, WaitKey, WaitTable, Waiter};
 use crate::syscall::{sys_epoll_wait, sys_nbio};
 use crate::thread::{loop_m, Loop, ThreadM};
 
@@ -53,7 +53,8 @@ struct PipeState {
     cap: usize,
     write_closed: bool,
     read_closed: bool,
-    waiters: InterestWaiters,
+    /// Readiness registrations, one table per interest.
+    waiters: [WaitTable; 2],
     readers: usize,
     writers: usize,
 }
@@ -74,7 +75,7 @@ impl PipeDevice {
 
     /// Wakes every waiter of both ends (an end closed).
     fn wake_all(&self, st: &mut PipeState) {
-        st.waiters.wake_all();
+        st.waiters.iter_mut().for_each(WaitTable::wake_all);
         self.read_cv.notify_all();
         self.write_cv.notify_all();
     }
@@ -83,7 +84,7 @@ impl PipeDevice {
     /// end-of-stream) and wakes the writers.
     fn take(&self, st: &mut PipeState, max: usize) -> Bytes {
         let out = st.buf.take_kernel(max.min(st.buf.len()));
-        st.waiters.wake(Interest::Write);
+        st.waiters[Interest::Write as usize].wake_all();
         self.write_cv.notify_all();
         out
     }
@@ -105,7 +106,7 @@ impl PipeDevice {
         }
         let n = space.min(len);
         st.buf.push_window(piece(n));
-        st.waiters.wake(Interest::Read);
+        st.waiters[Interest::Read as usize].wake_all();
         self.read_cv.notify_all();
         Ok(n)
     }
@@ -118,14 +119,19 @@ fn copy_in(data: &[u8]) -> impl FnOnce(usize) -> Bytes + '_ {
 }
 
 impl Pollable for PipeDevice {
-    fn register(&self, interest: Interest, waiter: Waiter) {
+    fn register(&self, interest: Interest, waiter: Waiter) -> Option<WaitKey> {
         let mut st = self.state.lock();
         if Self::ready(&st, interest) {
             drop(st);
             waiter.wake();
+            None
         } else {
-            st.waiters.push(interest, waiter);
+            Some(st.waiters[interest as usize].push(waiter))
         }
+    }
+
+    fn deregister(&self, interest: Interest, key: WaitKey) -> bool {
+        self.state.lock().waiters[interest as usize].withdraw(key)
     }
 }
 
@@ -154,7 +160,7 @@ pub fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
             cap: capacity,
             write_closed: false,
             read_closed: false,
-            waiters: InterestWaiters::new(),
+            waiters: [WaitTable::new(), WaitTable::new()],
             readers: 1,
             writers: 1,
         }),

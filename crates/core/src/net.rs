@@ -16,7 +16,7 @@ use crate::event::{
     branch_waiter, choose, never, readiness_evt, sync, timeout_evt, Branch, Event, Registration,
     Signal,
 };
-use crate::reactor::{AcceptQueue, Fd, Interest};
+use crate::reactor::{AcceptQueue, Fd, Interest, Pollable};
 use crate::syscall::{sys_nbio, sys_time};
 use crate::telemetry::metrics::Counter;
 use crate::thread::{loop_m, Loop, ThreadM};
@@ -187,12 +187,10 @@ where
                 poll_q.is_closed().then_some(Err(NetError::Closed))
             },
             move |u| {
-                queue.register(branch_waiter(u, WaitKind::Io));
-                // Backlog pushes wake *all* registered acceptors and the
-                // wait list prunes spent entries, so losing branches
-                // neither leak waiters nor consume a wakeup budget — no
-                // baton needed.
-                Registration::none()
+                // Backlog pushes wake *all* registered acceptors, so a
+                // loser withdraws its entry and has no wake to pass on.
+                let dev = Arc::clone(&queue) as Arc<dyn Pollable>;
+                Registration::wait(dev, Interest::Read, branch_waiter(u, WaitKind::Io))
             },
         ));
     })

@@ -69,12 +69,24 @@ impl fmt::Debug for Fd {
 /// A device whose readiness can be waited on, in the manner of an fd
 /// registered with epoll.
 pub trait Pollable: Send + Sync {
-    /// Registers `waiter` to be woken when `interest` becomes ready.
+    /// Registers `waiter` to be woken when `interest` becomes ready, and
+    /// returns the key of its [`WaitTable`] entry.
     ///
     /// Implementations must check the condition and store the waiter under
     /// the same lock, and must wake the waiter immediately if the condition
-    /// already holds — otherwise wakeups may be lost.
-    fn register(&self, interest: Interest, waiter: Waiter);
+    /// already holds — otherwise wakeups may be lost. A waiter woken at
+    /// once has no entry: `None`.
+    fn register(&self, interest: Interest, waiter: Waiter) -> Option<WaitKey>;
+
+    /// Withdraws the entry `key` from `interest`'s table. `false` means it
+    /// was already woken (or withdrawn).
+    fn deregister(&self, interest: Interest, key: WaitKey) -> bool;
+
+    /// Hands on a wake that `interest`'s waiter consumed but whose `choose`
+    /// committed another branch: wakes the next waiter if `interest` still
+    /// holds. Devices that wake a whole interest at once lose nothing and
+    /// keep this default, which does nothing.
+    fn pass_on(&self, _interest: Interest) {}
 }
 
 /// Delivery route for readiness events: devices hand ready unparkers to a
@@ -88,11 +100,21 @@ pub trait EventPort: Send + Sync {
 }
 
 /// An [`EventPort`] that unparks inline, bypassing any event-loop queue —
-/// what unit tests hand to a [`Waiter`] they wake by hand. (A `choose`
+/// the route of STM `retry` waiters, and what unit tests hand to a
+/// [`Waiter`] they wake by hand. (A `choose`
 /// branch waiter, [`branch_waiter`](crate::event::branch_waiter), unparks
 /// inline too, without a port of its own.)
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DirectPort;
+
+impl DirectPort {
+    /// One port shared by every caller, so a waiter that unparks inline
+    /// allocates no route of its own.
+    pub fn shared() -> Arc<dyn EventPort> {
+        static PORT: std::sync::OnceLock<Arc<dyn EventPort>> = std::sync::OnceLock::new();
+        Arc::clone(PORT.get_or_init(|| Arc::new(DirectPort)))
+    }
+}
 
 impl EventPort for DirectPort {
     fn notify(&self, unparker: Unparker) {
@@ -213,58 +235,111 @@ impl fmt::Debug for Unparker {
     }
 }
 
-/// Physical size below which [`WaitList`] and [`WaitQ`] never bother
-/// compacting — pruning a handful of entries buys nothing.
-const PRUNE_FLOOR: usize = 16;
+/// Marks the end of a [`WaitTable`]'s FIFO and of its free chain.
+const NIL: u32 = u32::MAX;
 
-/// A list of parked waiters maintained by a device, with helpers for the
-/// wake-one / wake-all patterns — the lists behind [`InterestWaiters`]
-/// (pipes, fabric sockets) and [`AcceptQueue`] (listeners).
-#[derive(Debug)]
-pub struct WaitList {
-    waiters: std::collections::VecDeque<Waiter>,
-    /// Physical size at which the next `push` compacts. Doubling it after
-    /// each sweep makes pruning amortized O(1) per push while bounding the
-    /// physical list at ~2× the live count — the old prune-on-every-push
-    /// was O(n) per registration, which a connect/disconnect storm turned
-    /// into quadratic work on hot devices.
-    prune_at: usize,
+/// Names one entry of a [`WaitTable`]: its slot and the slot's generation,
+/// so a stale key (the entry was woken or withdrawn, the slot perhaps
+/// reused) withdraws nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitKey {
+    idx: u32,
+    gen: u32,
 }
 
-impl WaitList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        WaitList {
-            waiters: std::collections::VecDeque::new(),
-            prune_at: PRUNE_FLOOR,
+struct Entry {
+    /// Bumped each time the slot is vacated, so old keys stop matching.
+    gen: u32,
+    /// FIFO neighbours while occupied; a free slot chains through `next`.
+    prev: u32,
+    next: u32,
+    waiter: Option<Waiter>,
+}
+
+/// The parked waiters of one wait condition — every device's and every
+/// event's wait queue (the §4.7 recipe's "register under the same lock").
+///
+/// A table has no lock of its own: it lives inside its owner's state,
+/// under the owner's lock, so checking the condition and registering are
+/// one critical section. Entries sit in a slab threaded by a doubly
+/// linked FIFO: [`push`](WaitTable::push) and
+/// [`withdraw`](WaitTable::withdraw) are O(1), every wake is FIFO, and a
+/// withdrawn slot is recycled by the next push, so a `choose` loser
+/// leaves nothing behind. Two-interest devices hold one table per
+/// interest.
+pub struct WaitTable {
+    entries: Vec<Entry>,
+    head: u32,
+    tail: u32,
+    free: u32,
+    len: u32,
+}
+
+impl WaitTable {
+    /// An empty table (no allocation until the first push).
+    pub const fn new() -> Self {
+        WaitTable {
+            entries: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+            len: 0,
         }
     }
 
-    /// Adds a waiter. Entries whose threads were already woken through
-    /// another route (e.g. the losing branches of a `choose`) are swept
-    /// out whenever the list reaches its high-water mark, so abandoned
-    /// registrations cannot accumulate in a device that keeps receiving
-    /// traffic, and steady-state churn stays O(1) per push.
-    pub fn push(&mut self, w: Waiter) {
-        if self.waiters.len() >= self.prune_at {
-            self.waiters.retain(|w| !w.is_spent());
-            self.prune_at = (self.waiters.len() * 2 + 2).max(PRUNE_FLOOR);
+    /// Queues `w` at the back; the key withdraws it.
+    pub fn push(&mut self, w: Waiter) -> WaitKey {
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.entries[idx as usize].next;
+            idx
+        } else {
+            // One slot first: an idle connection parks one reader, and
+            // a larger first block would cost every connection bytes.
+            if self.entries.capacity() == 0 {
+                self.entries.reserve_exact(1);
+            }
+            self.entries.push(Entry {
+                gen: 0,
+                prev: NIL,
+                next: NIL,
+                waiter: None,
+            });
+            (self.entries.len() - 1) as u32
+        };
+        let tail = self.tail;
+        let e = &mut self.entries[idx as usize];
+        e.prev = tail;
+        e.next = NIL;
+        e.waiter = Some(w);
+        let gen = e.gen;
+        match tail {
+            NIL => self.head = idx,
+            t => self.entries[t as usize].next = idx,
         }
-        self.waiters.push_back(w);
+        self.tail = idx;
+        self.len += 1;
+        WaitKey { idx, gen }
     }
 
-    /// Wakes every waiter and clears the list.
-    pub fn wake_all(&mut self) {
-        for w in self.waiters.drain(..) {
-            w.wake();
+    /// Removes the entry `key` names. `false` means it is gone already:
+    /// woken (its wake was delivered) or withdrawn before.
+    pub fn withdraw(&mut self, key: WaitKey) -> bool {
+        match self.entries.get(key.idx as usize) {
+            Some(e) if e.gen == key.gen && e.waiter.is_some() => {
+                self.unlink(key.idx);
+                true
+            }
+            _ => false,
         }
-        self.prune_at = PRUNE_FLOOR;
     }
 
-    /// Wakes one waiter (skipping any already-spent entries). Returns `true`
-    /// if a live waiter was woken.
+    /// Wakes the oldest waiter whose thread is still parked; entries
+    /// already woken through another route are dropped on the way.
+    /// Returns `true` if a thread was woken.
     pub fn wake_one(&mut self) -> bool {
-        while let Some(w) = self.waiters.pop_front() {
+        while self.head != NIL {
+            let w = self.unlink(self.head);
             if !w.is_spent() {
                 w.wake();
                 return true;
@@ -273,250 +348,53 @@ impl WaitList {
         false
     }
 
-    /// Number of *live* queued waiters (spent entries not yet swept are
-    /// not counted — they will never be woken).
+    /// Wakes every queued waiter, oldest first, and empties the table.
+    pub fn wake_all(&mut self) {
+        while self.head != NIL {
+            self.unlink(self.head).wake();
+        }
+    }
+
+    /// Queued entries.
     pub fn len(&self) -> usize {
-        self.waiters.iter().filter(|w| !w.is_spent()).count()
+        self.len as usize
     }
 
-    /// Entries physically held, live or spent — bounded at ~2× the live
-    /// count plus a small floor. For tests asserting churn leaves no
-    /// residue.
-    pub fn physical_len(&self) -> usize {
-        self.waiters.len()
-    }
-
-    /// True if no live waiter is queued.
+    /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
+    }
+
+    /// Takes the occupied slot `idx` out of the FIFO onto the free chain.
+    fn unlink(&mut self, idx: u32) -> Waiter {
+        let e = &mut self.entries[idx as usize];
+        let (prev, next) = (e.prev, e.next);
+        let w = e.waiter.take().expect("an occupied slot");
+        e.gen = e.gen.wrapping_add(1);
+        e.next = self.free;
+        self.free = idx;
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+        self.len -= 1;
+        w
     }
 }
 
-impl Default for WaitList {
+impl Default for WaitTable {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// A single cancellable registration in a [`WaitQ`].
-///
-/// The slot is shared between the queue (which consumes the waiter to wake
-/// it) and the registering side (which may [`take`](WaitSlot::take) it back
-/// when a `choose` commits a different branch). Whichever side gets there
-/// first wins; the other observes an empty slot.
-pub struct WaitSlot {
-    inner: Arc<Mutex<WaitQInner>>,
-    key: crate::slab::SlabKey,
-}
-
-impl WaitSlot {
-    /// Removes the registration if it is still queued, returning the
-    /// waiter. `None` means the queue already consumed it — the caller's
-    /// wakeup was (or is being) delivered, and a `choose` loser must pass
-    /// that wakeup on to the device's next waiter.
-    ///
-    /// Cancellation is *physical*: the arena slot is freed immediately,
-    /// so a storm of registered-then-withdrawn waiters (every losing
-    /// `choose` branch in a connect/disconnect churn) leaves nothing
-    /// behind for a later wake path to skip over.
-    pub fn take(&self) -> Option<Waiter> {
-        self.inner.lock().slab.remove(self.key)
-    }
-}
-
-impl fmt::Debug for WaitSlot {
+impl fmt::Debug for WaitTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WaitSlot")
-            .field("queued", &self.inner.lock().slab.contains(self.key))
-            .finish()
-    }
-}
-
-struct WaitQInner {
-    /// The waiters themselves, arena-allocated so registration churn
-    /// recycles slots instead of allocating one heap cell per park.
-    slab: crate::slab::Slab<Waiter>,
-    /// FIFO of keys; a key whose entry was cancelled is a tombstone the
-    /// wake paths skip (and amortized sweeps drop).
-    order: std::collections::VecDeque<crate::slab::SlabKey>,
-}
-
-impl WaitQInner {
-    /// Drops order-queue tombstones once they outnumber live entries —
-    /// amortized O(1) per operation, physical order length ≤ ~2× live.
-    fn maybe_sweep(&mut self) {
-        if self.order.len() > (self.slab.len() * 2).max(PRUNE_FLOOR) {
-            let WaitQInner { slab, order } = self;
-            order.retain(|k| slab.contains(*k));
-        }
-    }
-}
-
-/// A FIFO of parked waiters with *cancellable* entries — the two wait
-/// queues of the one bounded buffer behind `Chan`, `SyncChan` and `MVar`
-/// (`sync::buffer`, the only holder under `sync/`) and the
-/// [`Signal`](crate::event::Signal) broadcast's queue.
-///
-/// Unlike [`WaitList`], every `push` hands back a [`WaitSlot`] through
-/// which the registration can be withdrawn, which is what lets a losing
-/// `choose` branch deregister instead of leaving a dead entry behind.
-/// Entries live in a [`Slab`](crate::slab::Slab): cancellation removes
-/// them physically and the slot is recycled by the next registration, so
-/// steady-state churn neither allocates nor accumulates residue;
-/// [`WaitQ::len`] counts only live registrations.
-pub struct WaitQ {
-    inner: Arc<Mutex<WaitQInner>>,
-}
-
-impl WaitQ {
-    /// An empty queue.
-    pub fn new() -> Self {
-        WaitQ {
-            inner: Arc::new(Mutex::new(WaitQInner {
-                slab: crate::slab::Slab::new(),
-                order: std::collections::VecDeque::new(),
-            })),
-        }
-    }
-
-    /// Appends a waiter; the returned slot cancels the registration.
-    pub fn push(&mut self, w: Waiter) -> WaitSlot {
-        let mut q = self.inner.lock();
-        let key = q.slab.insert(w);
-        q.order.push_back(key);
-        q.maybe_sweep();
-        WaitSlot {
-            inner: Arc::clone(&self.inner),
-            key,
-        }
-    }
-
-    /// Wakes the oldest live waiter; tombstones and spent entries are
-    /// dropped along the way. Returns `true` if a live waiter was woken.
-    pub fn wake_one(&mut self) -> bool {
-        let mut q = self.inner.lock();
-        while let Some(key) = q.order.pop_front() {
-            match q.slab.remove(key) {
-                Some(w) if !w.is_spent() => {
-                    drop(q);
-                    w.wake();
-                    return true;
-                }
-                _ => {} // cancelled or already woken elsewhere: skip
-            }
-        }
-        false
-    }
-
-    /// Wakes every queued waiter and clears the queue.
-    pub fn wake_all(&mut self) {
-        let mut q = self.inner.lock();
-        let mut woken = Vec::new();
-        while let Some(key) = q.order.pop_front() {
-            if let Some(w) = q.slab.remove(key) {
-                woken.push(w);
-            }
-        }
-        drop(q);
-        for w in woken {
-            w.wake();
-        }
-    }
-
-    /// Number of live (neither cancelled nor spent) registrations.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .slab
-            .iter()
-            .filter(|w| !w.is_spent())
-            .count()
-    }
-
-    /// Entries physically held in the arena, live or spent. Cancelled
-    /// registrations are gone from here the moment [`WaitSlot::take`]
-    /// runs — the residue metric for churn tests.
-    pub fn physical_len(&self) -> usize {
-        self.inner.lock().slab.len()
-    }
-
-    /// True when no live registration is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for WaitQ {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for WaitQ {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WaitQ(live={})", self.len())
-    }
-}
-
-/// Readiness wait lists keyed by [`Interest`] — the per-device half of an
-/// epoll registration table.
-///
-/// A pollable device embeds one of these next to its state (under the same
-/// lock, so the check-then-park of [`Pollable::register`] is race-free),
-/// parks waiters per interest, and wakes exactly the interest class a
-/// state change affects: new bytes wake `Read` waiters, freed buffer space
-/// wakes `Write` waiters, fatal events wake both.
-#[derive(Debug, Default)]
-pub struct InterestWaiters {
-    read: WaitList,
-    write: WaitList,
-}
-
-impl InterestWaiters {
-    /// Creates an empty registration table.
-    pub fn new() -> Self {
-        InterestWaiters::default()
-    }
-
-    /// Parks `waiter` until `interest` is next signalled ready.
-    pub fn push(&mut self, interest: Interest, waiter: Waiter) {
-        self.list_mut(interest).push(waiter);
-    }
-
-    /// Wakes every waiter registered for `interest`.
-    pub fn wake(&mut self, interest: Interest) {
-        self.list_mut(interest).wake_all();
-    }
-
-    /// Wakes every waiter of both interests (close, reset, error).
-    pub fn wake_all(&mut self) {
-        self.read.wake_all();
-        self.write.wake_all();
-    }
-
-    /// Number of waiters currently registered for `interest`.
-    pub fn len(&self, interest: Interest) -> usize {
-        match interest {
-            Interest::Read => self.read.len(),
-            Interest::Write => self.write.len(),
-        }
-    }
-
-    /// Entries physically held across both interests, spent or live.
-    pub fn physical_len(&self) -> usize {
-        self.read.physical_len() + self.write.physical_len()
-    }
-
-    /// True when no waiter is registered for either interest.
-    pub fn is_empty(&self) -> bool {
-        self.read.is_empty() && self.write.is_empty()
-    }
-
-    fn list_mut(&mut self, interest: Interest) -> &mut WaitList {
-        match interest {
-            Interest::Read => &mut self.read,
-            Interest::Write => &mut self.write,
-        }
+        write!(f, "WaitTable(len={})", self.len)
     }
 }
 
@@ -535,7 +413,7 @@ pub struct AcceptQueue<T> {
 
 struct AcceptState<T> {
     backlog: std::collections::VecDeque<T>,
-    waiters: WaitList,
+    waiters: WaitTable,
     closed: bool,
 }
 
@@ -545,7 +423,7 @@ impl<T> AcceptQueue<T> {
         AcceptQueue {
             st: Mutex::new(AcceptState {
                 backlog: std::collections::VecDeque::new(),
-                waiters: WaitList::new(),
+                waiters: WaitTable::new(),
                 closed: false,
             }),
         }
@@ -583,39 +461,39 @@ impl<T> AcceptQueue<T> {
         st.waiters.wake_all();
     }
 
-    /// Registers an accept waiter, waking it immediately if a connection
-    /// is already queued or the backlog is shut down.
-    pub fn register(&self, waiter: Waiter) {
-        let mut st = self.st.lock();
-        if !st.backlog.is_empty() || st.closed {
-            drop(st);
-            waiter.wake();
-        } else {
-            st.waiters.push(waiter);
-        }
-    }
-
     /// Number of queued, unaccepted connections.
     pub fn len(&self) -> usize {
         self.st.lock().backlog.len()
     }
 
-    /// Live accept waiters currently registered (for tests asserting that
-    /// losing `choose` branches leave no residue behind — entries whose
-    /// threads committed elsewhere are spent and not counted).
+    /// Accept waiters currently registered (for tests asserting that
+    /// losing `choose` branches withdraw their entries).
     pub fn waiter_count(&self) -> usize {
         self.st.lock().waiters.len()
-    }
-
-    /// Accept-waiter entries physically held, spent or live — the residue
-    /// metric a connect/disconnect storm must leave bounded.
-    pub fn physical_waiters(&self) -> usize {
-        self.st.lock().waiters.physical_len()
     }
 
     /// True when no connection is queued.
     pub fn is_empty(&self) -> bool {
         self.st.lock().backlog.is_empty()
+    }
+}
+
+/// Accept-readiness: every interest means "a connection is queued or the
+/// backlog is shut down".
+impl<T: Send> Pollable for AcceptQueue<T> {
+    fn register(&self, _interest: Interest, waiter: Waiter) -> Option<WaitKey> {
+        let mut st = self.st.lock();
+        if !st.backlog.is_empty() || st.closed {
+            drop(st);
+            waiter.wake();
+            None
+        } else {
+            Some(st.waiters.push(waiter))
+        }
+    }
+
+    fn deregister(&self, _interest: Interest, key: WaitKey) -> bool {
+        self.st.lock().waiters.withdraw(key)
     }
 }
 
@@ -676,34 +554,127 @@ mod tests {
         assert_eq!(ctx.ready_count(), 1);
     }
 
+    fn waiter(ctx: &Arc<crate::engine::testing::CountingCtx>) -> (Unparker, Waiter) {
+        let u = Unparker::new(dummy_task(), ctx.clone());
+        (u.clone(), Waiter::new(u, DirectPort::shared()))
+    }
+
     #[test]
     fn wait_list_wake_one_skips_spent() {
         let ctx = noop_ctx();
-        let u1 = Unparker::new(dummy_task(), ctx.clone());
-        let u2 = Unparker::new(dummy_task(), ctx.clone());
-        let mut wl = WaitList::new();
-        wl.push(Waiter::new(u1.clone(), Arc::new(DirectPort)));
-        wl.push(Waiter::new(u2, Arc::new(DirectPort)));
+        let (u1, w1) = waiter(&ctx);
+        let (_, w2) = waiter(&ctx);
+        let mut t = WaitTable::new();
+        t.push(w1);
+        t.push(w2);
         u1.unpark(); // woken elsewhere; the queued waiter is now spent
-        assert!(wl.wake_one());
-        assert!(wl.is_empty());
+        assert!(t.wake_one());
+        assert!(t.is_empty());
         assert_eq!(ctx.ready_count(), 2);
+        assert!(!t.wake_one(), "nothing left to wake");
     }
 
     #[test]
     fn wait_list_wake_all() {
         let ctx = noop_ctx();
-        let mut wl = WaitList::new();
-        for _ in 0..3 {
-            wl.push(Waiter::new(
-                Unparker::new(dummy_task(), ctx.clone()),
-                Arc::new(DirectPort),
-            ));
-        }
-        assert_eq!(wl.len(), 3);
-        wl.wake_all();
+        let mut t = WaitTable::new();
+        let keys: Vec<_> = (0..3).map(|_| t.push(waiter(&ctx).1)).collect();
+        assert_eq!(t.len(), 3);
+        t.wake_all();
         assert_eq!(ctx.ready_count(), 3);
-        assert!(wl.is_empty());
+        assert!(t.is_empty());
+        assert!(
+            keys.iter().all(|k| !t.withdraw(*k)),
+            "woken entries are gone"
+        );
+    }
+
+    #[test]
+    fn wait_table_wakes_in_fifo_order_around_a_withdrawn_entry() {
+        let ctx = noop_ctx();
+        let mut t = WaitTable::new();
+        let us: Vec<_> = (0..4)
+            .map(|_| {
+                let (u, w) = waiter(&ctx);
+                (u, t.push(w))
+            })
+            .collect();
+        assert!(t.withdraw(us[1].1));
+        assert!(t.wake_one());
+        assert!(us[0].0.is_spent() && !us[2].0.is_spent());
+        assert!(t.wake_one());
+        assert!(us[2].0.is_spent() && !us[3].0.is_spent());
+        // The withdrawn slot is reused, and its new tenant queues last.
+        let (u4, _) = {
+            let (u, w) = waiter(&ctx);
+            (u, t.push(w))
+        };
+        assert!(t.wake_one());
+        assert!(us[3].0.is_spent() && !u4.is_spent());
+        assert!(t.wake_one());
+        assert!(u4.is_spent());
+        assert!(!us[1].0.is_spent(), "a withdrawn waiter is never woken");
+    }
+
+    #[test]
+    fn wait_list_spent_churn_leaves_bounded_residue() {
+        // A device registered against by threads that commit elsewhere
+        // (losing choose branches): each loser withdraws its entry, so
+        // 10k rounds leave nothing queued and one slot allocated.
+        let ctx = noop_ctx();
+        let mut t = WaitTable::new();
+        for _ in 0..10_000 {
+            let (u, w) = waiter(&ctx);
+            let key = t.push(w);
+            u.unpark(); // spent: committed elsewhere
+            assert!(t.withdraw(key));
+        }
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.entries.capacity(), 1);
+    }
+
+    #[test]
+    fn wait_q_cancellation_removes_entries_physically() {
+        let ctx = noop_ctx();
+        let mut t = WaitTable::new();
+        // 10k register/withdraw cycles: nothing accumulates and nothing
+        // remains to wake.
+        for _ in 0..10_000 {
+            let key = t.push(waiter(&ctx).1);
+            assert!(t.withdraw(key));
+            assert_eq!(t.len(), 0);
+        }
+        assert!(!t.wake_one(), "no residue to wake");
+        assert_eq!(ctx.ready_count(), 0);
+
+        // A batch armed together then withdrawn together — the shape of a
+        // disconnect storm against a shutdown Signal.
+        let keys: Vec<_> = (0..10_000).map(|_| t.push(waiter(&ctx).1)).collect();
+        assert_eq!(t.len(), 10_000);
+        for k in &keys {
+            assert!(t.withdraw(*k));
+        }
+        assert_eq!(t.len(), 0, "mass withdrawal leaves zero entries");
+        // The slots are reused, and a live push/wake still works.
+        t.push(waiter(&ctx).1);
+        assert!(t.wake_one());
+        assert_eq!(ctx.ready_count(), 1);
+        assert_eq!(t.entries.len(), 10_000);
+    }
+
+    #[test]
+    fn wait_q_double_take_is_stale() {
+        let ctx = noop_ctx();
+        let mut t = WaitTable::new();
+        let key = t.push(waiter(&ctx).1);
+        assert!(t.withdraw(key));
+        assert!(!t.withdraw(key), "second withdrawal sees a stale key");
+        // The freed slot is recycled; the old key must not touch the new
+        // tenant.
+        let key2 = t.push(waiter(&ctx).1);
+        assert!(!t.withdraw(key));
+        assert_eq!(t.len(), 1);
+        assert!(t.withdraw(key2));
     }
 
     #[test]
@@ -711,112 +682,26 @@ mod tests {
         let ctx = noop_ctx();
         let q: AcceptQueue<u32> = AcceptQueue::new();
         // A parked waiter is woken by a push...
-        let u1 = Unparker::new(dummy_task(), ctx.clone());
-        q.register(Waiter::new(u1, Arc::new(DirectPort)));
+        assert!(q.register(Interest::Read, waiter(&ctx).1).is_some());
         assert_eq!(ctx.ready_count(), 0);
         assert!(q.push(7).is_ok());
         assert_eq!(ctx.ready_count(), 1);
         // ...a waiter registered while the backlog is non-empty wakes
         // immediately...
-        let u2 = Unparker::new(dummy_task(), ctx.clone());
-        q.register(Waiter::new(u2, Arc::new(DirectPort)));
+        assert!(q.register(Interest::Read, waiter(&ctx).1).is_none());
         assert_eq!(ctx.ready_count(), 2);
         assert_eq!(q.pop(), Some(7));
         // ...and close wakes parked waiters, refuses new pushes, and
         // wakes post-close registrations immediately (no lost wakeup
         // against shutdown).
-        let u3 = Unparker::new(dummy_task(), ctx.clone());
-        q.register(Waiter::new(u3, Arc::new(DirectPort)));
+        q.register(Interest::Read, waiter(&ctx).1);
         assert_eq!(ctx.ready_count(), 2);
         q.close();
         assert_eq!(ctx.ready_count(), 3);
         assert_eq!(q.push(8), Err(8));
-        let u4 = Unparker::new(dummy_task(), ctx.clone());
-        q.register(Waiter::new(u4, Arc::new(DirectPort)));
+        q.register(Interest::Read, waiter(&ctx).1);
         assert_eq!(ctx.ready_count(), 4);
         assert!(q.is_closed());
-    }
-
-    #[test]
-    fn wait_list_spent_churn_leaves_bounded_residue() {
-        // A device that keeps being registered against by threads that are
-        // woken through other routes (losing choose branches): the
-        // watermark sweep must keep the physical list near zero live
-        // entries, not let 10k spent registrations pile up.
-        let ctx = noop_ctx();
-        let mut wl = WaitList::new();
-        for _ in 0..10_000 {
-            let u = Unparker::new(dummy_task(), ctx.clone());
-            wl.push(Waiter::new(u.clone(), Arc::new(DirectPort)));
-            u.unpark(); // spent immediately: committed elsewhere
-            assert!(wl.physical_len() <= 2 * PRUNE_FLOOR);
-        }
-        assert_eq!(wl.len(), 0);
-        assert!(wl.physical_len() <= 2 * PRUNE_FLOOR);
-    }
-
-    #[test]
-    fn wait_q_cancellation_removes_entries_physically() {
-        let ctx = noop_ctx();
-        let mut q = WaitQ::new();
-        // 10k register/cancel cycles: cancellation frees the arena slot at
-        // once, so nothing accumulates and nothing remains to wake.
-        for _ in 0..10_000 {
-            let slot = q.push(Waiter::new(
-                Unparker::new(dummy_task(), ctx.clone()),
-                Arc::new(DirectPort),
-            ));
-            assert!(slot.take().is_some());
-            assert_eq!(q.physical_len(), 0);
-        }
-        assert!(!q.wake_one(), "no residue to wake");
-        assert_eq!(ctx.ready_count(), 0);
-
-        // A batch armed together then cancelled together — the shape of a
-        // disconnect storm against a shutdown Signal.
-        let slots: Vec<_> = (0..10_000)
-            .map(|_| {
-                q.push(Waiter::new(
-                    Unparker::new(dummy_task(), ctx.clone()),
-                    Arc::new(DirectPort),
-                ))
-            })
-            .collect();
-        assert_eq!(q.len(), 10_000);
-        for s in &slots {
-            assert!(s.take().is_some());
-        }
-        assert_eq!(q.physical_len(), 0, "mass cancel leaves zero entries");
-        assert_eq!(q.len(), 0);
-        // Order tombstones are swept by subsequent traffic, and a live
-        // push/wake still works.
-        let _slot = q.push(Waiter::new(
-            Unparker::new(dummy_task(), ctx.clone()),
-            Arc::new(DirectPort),
-        ));
-        assert!(q.wake_one());
-        assert_eq!(ctx.ready_count(), 1);
-    }
-
-    #[test]
-    fn wait_q_double_take_is_stale() {
-        let ctx = noop_ctx();
-        let mut q = WaitQ::new();
-        let slot = q.push(Waiter::new(
-            Unparker::new(dummy_task(), ctx.clone()),
-            Arc::new(DirectPort),
-        ));
-        assert!(slot.take().is_some());
-        assert!(slot.take().is_none(), "second take sees a stale key");
-        // The freed slot is recycled; the old key must not touch the new
-        // tenant.
-        let slot2 = q.push(Waiter::new(
-            Unparker::new(dummy_task(), ctx.clone()),
-            Arc::new(DirectPort),
-        ));
-        assert!(slot.take().is_none());
-        assert_eq!(q.physical_len(), 1);
-        assert!(slot2.take().is_some());
     }
 
     #[test]
@@ -824,19 +709,24 @@ mod tests {
         let ctx = noop_ctx();
         let q: AcceptQueue<u32> = AcceptQueue::new();
         for _ in 0..10_000 {
-            let u = Unparker::new(dummy_task(), ctx.clone());
-            q.register(Waiter::new(u.clone(), Arc::new(DirectPort)));
+            let (u, w) = waiter(&ctx);
+            let key = q.register(Interest::Read, w).expect("parked");
             u.unpark();
+            assert!(q.deregister(Interest::Read, key));
         }
         assert_eq!(q.waiter_count(), 0);
-        assert!(q.physical_waiters() <= 2 * PRUNE_FLOOR);
     }
 
     #[test]
     fn fd_ids_are_unique() {
         struct Never;
         impl Pollable for Never {
-            fn register(&self, _: Interest, _: Waiter) {}
+            fn register(&self, _: Interest, _: Waiter) -> Option<WaitKey> {
+                None
+            }
+            fn deregister(&self, _: Interest, _: WaitKey) -> bool {
+                false
+            }
         }
         let a = Fd::new(Arc::new(Never));
         let b = Fd::new(Arc::new(Never));

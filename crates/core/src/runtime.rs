@@ -177,10 +177,13 @@ impl RuntimeBuilder {
 }
 
 /// The real runtime's event port: the inbox of the `worker_epoll` thread
-/// (paper Figure 16), which resumes each waiter it is handed.
+/// (paper Figure 16), which resumes each waiter it is handed. A waiter
+/// already woken through another route is dropped here, not relayed.
 impl EventPort for WorkQueue<Unparker> {
     fn notify(&self, unparker: Unparker) {
-        self.push(unparker);
+        if !unparker.is_spent() {
+            self.push(unparker);
+        }
     }
 }
 

@@ -110,11 +110,6 @@ impl<T> Slab<T> {
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
-
-    /// Iterates over live entries in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|s| s.val.as_ref())
-    }
 }
 
 impl<T> Default for Slab<T> {

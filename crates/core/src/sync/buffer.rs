@@ -2,43 +2,39 @@
 //! and [`MVar`](super::MVar) are views of.
 //!
 //! One state struct behind one lock: the queued items, the bound, a
-//! cancellable wait queue per side (takers wait for an item, putters for
-//! room) and the checker's resource id. Three commits change it —
-//! *publish* (push and wake one taker), *consume* (pop and, if bounded,
-//! wake one putter) and *peek* (clone the front item and pass the wake on
-//! to the next taker) — and one function, [`Buffer::parked`], states the
-//! §4.7 recipe once for both sides: poll with the commit under the lock;
-//! on a miss, check and register under the same lock; withdraw a losing
-//! registration; and pass a consumed wake on to the next waiter (the
-//! [`Registration`]'s baton). Every wake is wake-one, in FIFO order.
+//! [`WaitTable`] per side under that lock (takers wait for an item,
+//! putters for room) and the checker's resource id. Three commits change
+//! it — *publish* (push and wake one taker), *consume* (pop and, if
+//! bounded, wake one putter) and *peek* (clone the front item and pass the
+//! wake on to the next taker) — and one function, [`Buffer::parked`],
+//! states the §4.7 recipe once for both sides: poll with the commit under
+//! the lock; on a miss, check and register under the same lock
+//! ([`Pollable::register`]); withdraw a losing registration; and pass a
+//! consumed wake on to the next waiter ([`Pollable::pass_on`]). Every wake
+//! is wake-one, in FIFO order.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use crate::check::{self, OpKind, ResKind};
 use crate::engine::WaitKind;
 use crate::event::{branch_waiter, Branch, Event, Registration};
-use crate::reactor::WaitQ;
+use crate::reactor::{Interest, Pollable, WaitKey, WaitTable, Waiter};
 
 /// The bound of an unbounded buffer: publish always finds room, and
-/// consume never touches the putters' queue.
+/// consume never touches the putters' table.
 pub(super) const UNBOUNDED: usize = usize::MAX;
 
-/// The side a parked waiter is on.
-#[derive(Clone, Copy)]
-enum Side {
-    /// Waits for an item.
-    Take,
-    /// Waits for room.
-    Put,
-}
-
+/// A buffer's sides, as readiness: `Read` holds while an item is queued
+/// (the takers' condition), `Write` while there is room (the putters').
 struct State<T> {
     queue: VecDeque<T>,
     cap: usize,
-    takers: WaitQ,
-    putters: WaitQ,
+    takers: WaitTable,
+    putters: WaitTable,
     rid: u64,
     kind: ResKind,
 }
@@ -56,34 +52,34 @@ impl<T> State<T> {
         check::op(self.rid, self.kind, op, [len as u64, room as u64]);
     }
 
-    fn ready(&self, side: Side) -> bool {
+    fn ready(&self, side: Interest) -> bool {
         match side {
-            Side::Take => !self.queue.is_empty(),
-            Side::Put => self.queue.len() < self.cap,
+            Interest::Read => !self.queue.is_empty(),
+            Interest::Write => self.queue.len() < self.cap,
         }
     }
 
-    fn waiters(&mut self, side: Side) -> &mut WaitQ {
+    fn waiters(&mut self, side: Interest) -> &mut WaitTable {
         match side {
-            Side::Take => &mut self.takers,
-            Side::Put => &mut self.putters,
+            Interest::Read => &mut self.takers,
+            Interest::Write => &mut self.putters,
         }
     }
 
     /// Wakes the oldest live waiter on `side`.
-    fn wake(&mut self, side: Side) {
+    fn wake(&mut self, side: Interest) {
         let _scope = check::wake_scope(self.rid);
         self.waiters(side).wake_one();
     }
 
     /// Queues the item in `slot` if there is room and wakes one taker.
     fn publish(&mut self, slot: &mut Option<T>) -> Option<()> {
-        if !self.ready(Side::Put) {
+        if !self.ready(Interest::Write) {
             return None;
         }
         self.queue.push_back(slot.take()?);
         self.op(OpKind::Publish);
-        self.wake(Side::Take);
+        self.wake(Interest::Read);
         Some(())
     }
 
@@ -93,7 +89,7 @@ impl<T> State<T> {
         let v = self.queue.pop_front()?;
         self.op(OpKind::Consume);
         if self.cap != UNBOUNDED {
-            self.wake(Side::Put);
+            self.wake(Interest::Write);
         }
         Some(v)
     }
@@ -106,14 +102,46 @@ impl<T> State<T> {
     {
         let v = self.queue.front()?.clone();
         self.op(OpKind::Baton);
-        self.wake(Side::Take);
+        self.wake(Interest::Read);
         Some(v)
+    }
+}
+
+impl<T: Send> Pollable for Mutex<State<T>> {
+    fn register(&self, side: Interest, waiter: Waiter) -> Option<WaitKey> {
+        let mut st = self.lock();
+        if st.ready(side) {
+            let rid = st.rid;
+            drop(st);
+            let _scope = check::wake_scope(rid);
+            waiter.wake();
+            return None;
+        }
+        st.op(match side {
+            Interest::Read => OpKind::BlockTake,
+            Interest::Write => OpKind::BlockPut,
+        });
+        Some(st.waiters(side).push(waiter))
+    }
+
+    fn deregister(&self, side: Interest, key: WaitKey) -> bool {
+        self.lock().waiters(side).withdraw(key)
+    }
+
+    /// Our wake was consumed but we committed another branch: hand it on
+    /// if the side is still ready.
+    fn pass_on(&self, side: Interest) {
+        let mut st = self.lock();
+        if st.ready(side) {
+            st.op(OpKind::Baton);
+            st.wake(side);
+        }
     }
 }
 
 /// A shared handle to one bounded FIFO and its two wait queues.
 pub(super) struct Buffer<T> {
-    st: Arc<parking_lot::Mutex<State<T>>>,
+    st: Arc<Mutex<State<T>>>,
 }
 
 impl<T> Clone for Buffer<T> {
@@ -129,11 +157,11 @@ impl<T: Send + 'static> Buffer<T> {
     /// checker as `kind`.
     pub(super) fn new(cap: usize, kind: ResKind, init: Option<T>) -> Self {
         Buffer {
-            st: Arc::new(parking_lot::Mutex::new(State {
+            st: Arc::new(Mutex::new(State {
                 queue: init.into_iter().collect(),
                 cap,
-                takers: WaitQ::new(),
-                putters: WaitQ::new(),
+                takers: WaitTable::new(),
+                putters: WaitTable::new(),
                 rid: check::new_rid(),
                 kind,
             })),
@@ -159,7 +187,7 @@ impl<T: Send + 'static> Buffer<T> {
         self.st.lock().queue.len()
     }
 
-    /// Live registrations parked on the buffer, as `(takers, putters)`.
+    /// Registrations parked on the buffer, as `(takers, putters)`.
     pub(super) fn waiter_counts(&self) -> (usize, usize) {
         let st = self.st.lock();
         (st.takers.len(), st.putters.len())
@@ -168,13 +196,28 @@ impl<T: Send + 'static> Buffer<T> {
     /// The take event: ready while an item is queued; commits by
     /// dequeuing it.
     pub(super) fn take_evt(&self) -> Event<T> {
-        self.parked(Side::Take, State::consume)
+        self.parked(Interest::Read, State::consume)
     }
 
     /// The put event: ready while there is room; commits by queuing `v`.
     pub(super) fn put_evt(&self, v: T) -> Event<()> {
         let mut slot = Some(v);
-        self.parked(Side::Put, move |st| st.publish(&mut slot))
+        self.parked(Interest::Write, move |st| st.publish(&mut slot))
+    }
+
+    /// An unbounded buffer's put event: it commits on its first poll and
+    /// never registers, so its register closure captures nothing and
+    /// boxes without allocating.
+    pub(super) fn push_evt(&self, v: T) -> Event<()> {
+        let st = Arc::clone(&self.st);
+        let mut slot = Some(v);
+        Event::from_fn(move |_t0, out| {
+            out.push(Branch::new(
+                WaitKind::Lock,
+                move |_now| st.lock().publish(&mut slot),
+                |_u| Registration::none(),
+            ));
+        })
     }
 
     /// The parked side, for both sides: one branch whose poll runs
@@ -182,7 +225,7 @@ impl<T: Send + 'static> Buffer<T> {
     /// queues the waiter under that same lock.
     fn parked<A: Send + 'static>(
         &self,
-        side: Side,
+        side: Interest,
         mut commit: impl FnMut(&mut State<T>) -> Option<A> + Send + 'static,
     ) -> Event<A> {
         let poll_st = Arc::clone(&self.st);
@@ -192,34 +235,8 @@ impl<T: Send + 'static> Buffer<T> {
                 WaitKind::Lock,
                 move |_now| commit(&mut poll_st.lock()),
                 move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_st.lock();
-                    if st.ready(side) {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(match side {
-                        Side::Take => OpKind::BlockTake,
-                        Side::Put => OpKind::BlockPut,
-                    });
-                    let slot = st.waiters(side).push(waiter);
-                    drop(st);
-                    let baton_st = Arc::clone(&reg_st);
-                    Registration::new(
-                        move || slot.take().is_some(),
-                        move || {
-                            // Our wake was consumed but we committed another
-                            // branch: hand it on if the side is still ready.
-                            let mut st = baton_st.lock();
-                            if st.ready(side) {
-                                st.op(OpKind::Baton);
-                                st.wake(side);
-                            }
-                        },
-                    )
+                    let dev = Arc::clone(&reg_st) as Arc<dyn Pollable>;
+                    Registration::wait(dev, side, branch_waiter(u, WaitKind::Lock))
                 },
             ));
         })
@@ -230,7 +247,7 @@ impl<T: Clone + Send + 'static> Buffer<T> {
     /// The read event: ready while an item is queued; commits by cloning
     /// it, leaving it queued.
     pub(super) fn read_evt(&self) -> Event<T> {
-        self.parked(Side::Take, State::peek)
+        self.parked(Interest::Read, State::peek)
     }
 }
 
@@ -242,7 +259,7 @@ impl<T> fmt::Debug for Buffer<T> {
             "{}(len={}, full={}, takers={}, putters={})",
             st.kind.name(),
             st.queue.len(),
-            !st.ready(Side::Put),
+            !st.ready(Interest::Write),
             st.takers.len(),
             st.putters.len()
         )

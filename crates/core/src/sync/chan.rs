@@ -96,7 +96,7 @@ impl<T: Send + 'static> Chan<T> {
     /// The send event: always ready (the channel is unbounded); commits by
     /// enqueuing `v` and waking one reader.
     pub fn write_evt(&self, v: T) -> Event<()> {
-        self.buf.put_evt(v)
+        self.buf.push_evt(v)
     }
 
     /// Monadic read: parks while the channel is empty —

@@ -393,6 +393,8 @@ struct SimInner {
     peak_live: AtomicI64,
     stats: Stats,
     cost: CostModel,
+    /// The one event port every readiness wait routes through.
+    port: Arc<SimPort>,
     uncaught_log: Mutex<Vec<(TaskId, Exception)>>,
     /// Attached telemetry hub, if any (first attach wins). Every hook
     /// passes it the *same* virtual timestamps the wait accounting above
@@ -423,7 +425,9 @@ impl SimInner {
 }
 
 /// An [`EventPort`] that models the dispatch cost of the dedicated event
-/// loop (`worker_epoll`) and then resumes the thread.
+/// loop (`worker_epoll`) and then resumes the thread. A waiter already
+/// woken through another route is dropped before it is charged: it
+/// never reaches the event loop.
 struct SimPort {
     clock: SimClock,
     dispatch_ns: Nanos,
@@ -431,6 +435,9 @@ struct SimPort {
 
 impl EventPort for SimPort {
     fn notify(&self, unparker: Unparker) {
+        if unparker.is_spent() {
+            return;
+        }
         self.clock.advance(self.dispatch_ns);
         unparker.unpark();
     }
@@ -517,10 +524,7 @@ impl RuntimeCtx for SimInner {
         self.clock.advance(self.cost.of(cost));
     }
     fn event_port(&self) -> Arc<dyn EventPort> {
-        Arc::new(SimPort {
-            clock: self.clock.clone(),
-            dispatch_ns: self.cost.wake_ns / 2,
-        })
+        Arc::clone(&self.port) as Arc<dyn EventPort>
     }
     fn sleep(&self, dur: Nanos, task: Task) {
         let weak = self.self_weak.clone();
@@ -680,7 +684,7 @@ impl SimRuntime {
         let cpus = config.cpus.max(1);
         let inner = Arc::new_cyclic(|weak| SimInner {
             self_weak: weak.clone(),
-            clock,
+            clock: clock.clone(),
             ready: Mutex::new(ReadyQueue::new(&config.policy)),
             cpus: Mutex::new(CpuState::new(cpus)),
             resume_floor: Mutex::new(DetHashMap::default()),
@@ -698,6 +702,10 @@ impl SimRuntime {
             peak_live: AtomicI64::new(0),
             stats: Stats::default(),
             cost: config.cost.clone(),
+            port: Arc::new(SimPort {
+                clock: clock.clone(),
+                dispatch_ns: config.cost.wake_ns / 2,
+            }),
             uncaught_log: Mutex::new(Vec::new()),
             telemetry: std::sync::OnceLock::new(),
             probe: std::sync::OnceLock::new(),
@@ -1013,6 +1021,26 @@ mod tests {
                 ..SimConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn a_spent_unparker_notified_through_the_event_port_does_not_move_the_clock() {
+        let sim = SimRuntime::new_default();
+        let ctx = sim.ctx();
+        let port = ctx.event_port();
+        let task = || Task::from_thunk(TaskId(1 << 40), Box::new(|| eveth_core::Trace::Ret));
+        let t0 = sim.now();
+        port.notify(Unparker::new(task(), Arc::clone(&ctx)));
+        assert!(sim.now() > t0, "a live wake is dispatched and charged");
+        let spent = Unparker::new(task(), Arc::clone(&ctx));
+        spent.unpark();
+        let t1 = sim.now();
+        port.notify(spent);
+        assert_eq!(
+            sim.now(),
+            t1,
+            "a spent wake is dropped before it is charged"
+        );
     }
 
     #[test]

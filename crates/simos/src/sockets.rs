@@ -21,7 +21,7 @@ use bytes::Bytes;
 use eveth_core::hash::DetHashSet;
 use eveth_core::io::queue::ByteQueue;
 use eveth_core::net::{queue_accept_evt, Conn, Endpoint, HostId, Listener, NetError, NetStack};
-use eveth_core::reactor::{AcceptQueue, Fd, Interest, InterestWaiters, Pollable, Waiter};
+use eveth_core::reactor::{AcceptQueue, Fd, Interest, Pollable, WaitKey, WaitTable, Waiter};
 use eveth_core::syscall::{sys_epoll_wait, sys_nbio, sys_sleep};
 use eveth_core::time::Nanos;
 use eveth_core::{loop_m, Loop, ThreadM};
@@ -187,10 +187,10 @@ struct DirState {
     in_flight: usize,
     closed: bool, // sender closed; EOF once drained
     reset: bool,  // hard failure
-    /// Readiness registrations: `Read` waiters are the receiving side
-    /// blocked for data/EOF, `Write` waiters the sending side blocked on
-    /// window space.
-    waiters: InterestWaiters,
+    /// Readiness registrations, one table per interest: `Read` waiters
+    /// are the receiving side blocked for data/EOF, `Write` waiters the
+    /// sending side blocked on window space.
+    waiters: [WaitTable; 2],
 }
 
 /// The direction `src → dst` of one connection.
@@ -214,7 +214,7 @@ impl Dir {
                 in_flight: 0,
                 closed: false,
                 reset: false,
-                waiters: InterestWaiters::new(),
+                waiters: [WaitTable::new(), WaitTable::new()],
             }),
             link: Arc::clone(link),
             src,
@@ -256,7 +256,7 @@ impl Dir {
         self.link.clock.schedule_at(arrive, move || {
             let mut st = dir.st.lock();
             st.in_flight -= total;
-            st.waiters.wake(Interest::Read);
+            st.waiters[Interest::Read as usize].wake_all();
         });
         Ok(TryIo::Done(total))
     }
@@ -269,7 +269,7 @@ impl Dir {
         let arrived = st.readable.len() - st.in_flight;
         if arrived > 0 {
             let out = st.readable.take_kernel(max.min(arrived));
-            st.waiters.wake(Interest::Write);
+            st.waiters[Interest::Write as usize].wake_all();
             return Ok(TryIo::Done(out));
         }
         if st.closed && st.in_flight == 0 {
@@ -285,7 +285,7 @@ impl Dir {
     fn reset(self: &Arc<Self>) {
         let mut st = self.st.lock();
         st.reset = true;
-        st.waiters.wake_all();
+        st.waiters.iter_mut().for_each(WaitTable::wake_all);
     }
 
     /// Sender closes: the FIN queues behind every byte already on this
@@ -296,7 +296,7 @@ impl Dir {
         self.link.clock.schedule_at(arrive, move || {
             let mut st = dir.st.lock();
             st.closed = true;
-            st.waiters.wake_all();
+            st.waiters.iter_mut().for_each(WaitTable::wake_all);
         });
     }
 
@@ -313,14 +313,19 @@ impl Dir {
     /// Registers a readiness waiter, waking it immediately if `interest`
     /// already holds (checked and parked under the direction lock, so no
     /// wakeup can be lost).
-    fn register(self: &Arc<Self>, interest: Interest, waiter: Waiter) {
+    fn register(&self, interest: Interest, waiter: Waiter) -> Option<WaitKey> {
         let mut st = self.st.lock();
         if Self::is_ready(&st, interest) {
             drop(st);
             waiter.wake();
+            None
         } else {
-            st.waiters.push(interest, waiter);
+            Some(st.waiters[interest as usize].push(waiter))
         }
+    }
+
+    fn deregister(&self, interest: Interest, key: WaitKey) -> bool {
+        self.st.lock().waiters[interest as usize].withdraw(key)
     }
 }
 
@@ -328,17 +333,16 @@ impl Dir {
 /// comes from the inbound direction, `Write` readiness from the outbound
 /// one — one epoll-style registration point per connection, as the
 /// paper's `sock_recv`/`sock_send` wrappers assume (Figure 10/15).
-struct ConnReady {
-    tx: Arc<Dir>,
-    rx: Arc<Dir>,
-}
+/// Indexed by interest: `[rx, tx]`.
+struct ConnReady([Arc<Dir>; 2]);
 
 impl Pollable for ConnReady {
-    fn register(&self, interest: Interest, waiter: Waiter) {
-        match interest {
-            Interest::Read => self.rx.register(interest, waiter),
-            Interest::Write => self.tx.register(interest, waiter),
-        }
+    fn register(&self, interest: Interest, waiter: Waiter) -> Option<WaitKey> {
+        self.0[interest as usize].register(interest, waiter)
+    }
+
+    fn deregister(&self, interest: Interest, key: WaitKey) -> bool {
+        self.0[interest as usize].deregister(interest, key)
     }
 }
 
@@ -359,10 +363,7 @@ struct SimConn {
 
 impl SimConn {
     fn new(local: Endpoint, peer: Endpoint, tx: Arc<Dir>, rx: Arc<Dir>) -> Arc<Self> {
-        let fd = Fd::new(Arc::new(ConnReady {
-            tx: Arc::clone(&tx),
-            rx: Arc::clone(&rx),
-        }));
+        let fd = Fd::new(Arc::new(ConnReady([Arc::clone(&rx), Arc::clone(&tx)])));
         Arc::new(SimConn {
             local,
             peer,

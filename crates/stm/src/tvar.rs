@@ -2,17 +2,18 @@
 //!
 //! A [`TVar`] pairs a value with a version stamp and a transactional lock
 //! flag (TL2-style). All access goes through transactions
-//! ([`Txn`](crate::txn::Txn)); the waiter list supports `retry`, which
-//! parks monadic threads until *any* variable the transaction read is
-//! committed to.
+//! ([`Txn`](crate::txn::Txn)); the wait table beside the value supports
+//! `retry`, which parks monadic threads until *any* variable the
+//! transaction read is committed to.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eveth_core::check;
-use eveth_core::reactor::Unparker;
+use eveth_core::reactor::{WaitKey, WaitTable, Waiter};
 use parking_lot::Mutex;
 
 /// The global version clock (TL2).
@@ -24,12 +25,13 @@ pub(crate) struct Slot<T> {
     pub(crate) value: T,
     pub(crate) version: u64,
     pub(crate) locked: bool,
+    /// Parked `retry`s, under the slot's lock.
+    waiters: WaitTable,
 }
 
 pub(crate) struct TVarInner<T> {
     pub(crate) id: u64,
     pub(crate) slot: Mutex<Slot<T>>,
-    pub(crate) waiters: Mutex<Vec<Unparker>>,
     /// Check-probe resource id (`eveth_core::check`).
     pub(crate) rid: u64,
 }
@@ -38,9 +40,15 @@ impl<T> TVarInner<T> {
     /// Reports a check op with the committed version as the taker-side
     /// availability (a monotone counter: parked retries that saw an older
     /// version than the final one were woken, or the wakeup was lost).
-    fn check_op(&self, kind: check::OpKind) {
-        let version = self.slot.lock().version;
-        check::op(self.rid, check::ResKind::Stm, kind, [version, 0]);
+    fn check_op(&self, slot: &Slot<T>, kind: check::OpKind) {
+        check::op(self.rid, check::ResKind::Stm, kind, [slot.version, 0]);
+    }
+
+    fn wake_waiters(&self) {
+        let mut slot = self.slot.lock();
+        self.check_op(&slot, check::OpKind::Publish);
+        let _scope = check::wake_scope(self.rid);
+        slot.waiters.wake_all();
     }
 }
 
@@ -81,8 +89,8 @@ impl<T: Clone + Send + 'static> TVar<T> {
                     value,
                     version: 0,
                     locked: false,
+                    waiters: WaitTable::new(),
                 }),
-                waiters: Mutex::new(Vec::new()),
                 rid: check::new_rid(),
             }),
         }
@@ -98,6 +106,11 @@ impl<T: Clone + Send + 'static> TVar<T> {
     /// The variable's unique id (commit ordering key).
     pub fn id(&self) -> u64 {
         self.inner.id
+    }
+
+    /// Parked `retry`s waiting for a commit to this variable.
+    pub fn waiter_count(&self) -> usize {
+        self.inner.slot.lock().waiters.len()
     }
 }
 
@@ -119,15 +132,46 @@ pub(crate) trait StmEntry: Send {
     /// Applies the pending write (write entries only) at version `wv` and
     /// releases the lock.
     fn commit_value(&mut self, wv: u64);
-    /// Registers a retry waiter.
-    fn add_waiter(&self, u: Unparker);
     /// Wakes retry waiters (after a commit touched this variable).
     fn wake_waiters(&self);
     fn as_any(&self) -> &dyn Any;
 }
 
+/// A read-set entry: what a `retry` parks on.
+pub(crate) trait ReadLog: StmEntry {
+    /// Parks a retry waiter on the variable.
+    fn park(&self, w: Waiter);
+    /// Withdraws the waiter, unless the variable already woke it.
+    fn withdraw(&self);
+}
+
 pub(crate) struct ReadEntry<T> {
     pub(crate) tvar: TVar<T>,
+    /// The key of the waiter a `retry` parked on the variable.
+    parked: Cell<Option<WaitKey>>,
+}
+
+impl<T> ReadEntry<T> {
+    pub(crate) fn new(tvar: TVar<T>) -> Self {
+        ReadEntry {
+            tvar,
+            parked: Cell::new(None),
+        }
+    }
+}
+
+impl<T: Clone + Send + 'static> ReadLog for ReadEntry<T> {
+    fn park(&self, w: Waiter) {
+        let inner = &self.tvar.inner;
+        let mut slot = inner.slot.lock();
+        inner.check_op(&slot, check::OpKind::BlockTake);
+        self.parked.set(Some(slot.waiters.push(w)));
+    }
+    fn withdraw(&self) {
+        if let Some(key) = self.parked.take() {
+            self.tvar.inner.slot.lock().waiters.withdraw(key);
+        }
+    }
 }
 
 impl<T: Clone + Send + 'static> StmEntry for ReadEntry<T> {
@@ -151,16 +195,8 @@ impl<T: Clone + Send + 'static> StmEntry for ReadEntry<T> {
         !slot.locked && slot.version <= rv
     }
     fn commit_value(&mut self, _wv: u64) {}
-    fn add_waiter(&self, u: Unparker) {
-        self.tvar.inner.check_op(check::OpKind::BlockTake);
-        self.tvar.inner.waiters.lock().push(u);
-    }
     fn wake_waiters(&self) {
-        self.tvar.inner.check_op(check::OpKind::Publish);
-        let _scope = check::wake_scope(self.tvar.inner.rid);
-        for u in self.tvar.inner.waiters.lock().drain(..) {
-            u.unpark();
-        }
+        self.tvar.inner.wake_waiters()
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -201,16 +237,8 @@ impl<T: Clone + Send + 'static> StmEntry for WriteEntry<T> {
         slot.version = wv;
         slot.locked = false;
     }
-    fn add_waiter(&self, u: Unparker) {
-        self.tvar.inner.check_op(check::OpKind::BlockTake);
-        self.tvar.inner.waiters.lock().push(u);
-    }
     fn wake_waiters(&self) {
-        self.tvar.inner.check_op(check::OpKind::Publish);
-        let _scope = check::wake_scope(self.tvar.inner.rid);
-        for u in self.tvar.inner.waiters.lock().drain(..) {
-            u.unpark();
-        }
+        self.tvar.inner.wake_waiters()
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -237,7 +265,7 @@ mod tests {
     #[test]
     fn entry_lock_protocol() {
         let v = TVar::new(5u8);
-        let e = ReadEntry { tvar: v.clone() };
+        let e = ReadEntry::new(v.clone());
         assert!(e.try_lock());
         assert!(!e.try_lock(), "second lock must fail");
         assert!(!e.version_ok(100), "locked fails read validation");

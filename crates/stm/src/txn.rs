@@ -5,11 +5,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use eveth_core::reactor::{DirectPort, Waiter};
 use eveth_core::syscall::{sys_nbio, sys_park, sys_yield};
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::{loop_m, Loop, ThreadM};
+use parking_lot::Mutex;
 
-use crate::tvar::{ReadEntry, StmEntry, TVar, WriteEntry, GLOBAL_CLOCK};
+use crate::tvar::{ReadEntry, ReadLog, StmEntry, TVar, WriteEntry, GLOBAL_CLOCK};
 
 /// Why a transaction attempt did not produce a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +30,7 @@ pub type StmResult<T> = Result<T, StmAbort>;
 /// version (TL2 snapshot timestamp).
 pub struct Txn {
     rv: u64,
-    reads: Vec<Box<dyn StmEntry>>,
+    reads: Vec<Box<dyn ReadLog>>,
     writes: BTreeMap<u64, Box<dyn StmEntry>>,
 }
 
@@ -75,7 +77,7 @@ impl Txn {
             }
             slot.value.clone()
         };
-        self.reads.push(Box::new(ReadEntry { tvar: tvar.clone() }));
+        self.reads.push(Box::new(ReadEntry::new(tvar.clone())));
         Ok(value)
     }
 
@@ -176,7 +178,7 @@ impl Txn {
 /// the read set and the snapshot version it was read at.
 struct Aborted {
     why: StmAbort,
-    reads: Vec<Box<dyn StmEntry>>,
+    reads: Vec<Box<dyn ReadLog>>,
     rv: u64,
 }
 
@@ -272,17 +274,32 @@ where
     atomically_impl(body, Some(stats))
 }
 
+/// A monadic transaction's body and, while a `retry` is parked, the read
+/// set it waits on. The park registers on every variable; the next
+/// attempt withdraws the waiters that did not fire.
+struct Runner<F> {
+    body: F,
+    parked: Mutex<Vec<Box<dyn ReadLog>>>,
+}
+
 fn atomically_impl<A, F>(body: F, stats: Option<Arc<TxnStats>>) -> ThreadM<A>
 where
     A: Send + 'static,
     F: Fn(&mut Txn) -> StmResult<A> + Send + Sync + 'static,
 {
-    let body = Arc::new(body);
+    let runner = Arc::new(Runner {
+        body,
+        parked: Mutex::new(Vec::new()),
+    });
     loop_m((), move |()| {
-        let b = Arc::clone(&body);
+        let r = Arc::clone(&runner);
+        let park_r = Arc::clone(&runner);
         let stats = stats.clone();
         sys_nbio(move || {
-            let res = attempt(b.as_ref());
+            for entry in r.parked.lock().drain(..) {
+                entry.withdraw();
+            }
+            let res = attempt(&r.body);
             if let Some(stats) = &stats {
                 match res.as_ref().map_err(|aborted| &aborted.why) {
                     Ok(_) => stats.commits.incr(),
@@ -310,13 +327,18 @@ where
                         u.unpark();
                         return;
                     }
-                    for r in reads.iter() {
-                        r.add_waiter(u.clone());
+                    // Held until every waiter is parked: a wake may resume
+                    // the thread at once, and its next attempt must find
+                    // the whole read set to withdraw.
+                    let mut parked = park_r.parked.lock();
+                    *parked = reads;
+                    for r in parked.iter() {
+                        r.park(Waiter::new(u.clone(), DirectPort::shared()));
                     }
                     // A commit that landed between the attempt and this
                     // registration woke nobody: re-check the read set now
-                    // that we are on the waiter lists, or sleep forever.
-                    if reads.iter().any(|r| !r.version_ok(rv)) {
+                    // that we are on the wait tables, or sleep forever.
+                    if parked.iter().any(|r| !r.version_ok(rv)) {
                         u.unpark();
                     }
                 })
@@ -458,6 +480,29 @@ mod tests {
             })
         });
         assert_eq!(got, "msg");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_retry_woken_through_one_tvar_leaves_no_entry_on_the_other() {
+        use eveth_core::runtime::Runtime;
+        use eveth_core::syscall::{sys_fork, sys_sleep};
+        let rt = Runtime::builder().workers(2).build();
+        let a: TVar<Option<u32>> = TVar::new(None);
+        let b: TVar<Option<u32>> = TVar::new(None);
+        let (ra, rb, wa) = (a.clone(), b.clone(), a.clone());
+        let got = rt.block_on(eveth_core::do_m! {
+            sys_fork(eveth_core::do_m! {
+                sys_sleep(10 * eveth_core::time::MILLIS);
+                atomically_m(move |t| { t.write(&wa, Some(1)); Ok(()) })
+            });
+            atomically_m(move |t| match (t.read(&ra)?, t.read(&rb)?) {
+                (Some(v), _) | (_, Some(v)) => Ok(v),
+                _ => t.retry(),
+            })
+        });
+        assert_eq!(got, 1);
+        assert_eq!((a.waiter_count(), b.waiter_count()), (0, 0));
         rt.shutdown();
     }
 

@@ -30,7 +30,7 @@ use std::sync::{Arc, Weak};
 use bytes::Bytes;
 use eveth_core::engine::{spawn_thread, RuntimeCtx};
 use eveth_core::net::{queue_accept_evt, Conn, Endpoint, HostId, Listener, NetError, NetStack};
-use eveth_core::reactor::{AcceptQueue, Fd, Interest, Pollable, Waiter};
+use eveth_core::reactor::{AcceptQueue, Fd, Interest, Pollable, WaitKey, Waiter};
 use eveth_core::sync::Chan;
 use eveth_core::syscall::{sys_epoll_wait, sys_nbio, sys_sleep, sys_time};
 use eveth_core::telemetry::metrics::Registry;
@@ -215,6 +215,18 @@ impl TcpHost {
     /// not one of them (see [`TcpHost::time_wait_count`]).
     pub fn conn_count(&self) -> usize {
         self.conns.lock().len()
+    }
+
+    /// Each open connection's peer and the entries in its TCB's read
+    /// table: the readers parked on it right now. A losing readiness wait
+    /// withdraws its entry, so an idle connection holds at most its one
+    /// parked reader.
+    pub fn read_waiters(&self) -> Vec<(Endpoint, usize)> {
+        let conns = self.conns.lock();
+        conns
+            .iter()
+            .map(|(key, tcb)| (key.peer, tcb.lock().waiters(Interest::Read).len()))
+            .collect()
     }
 
     /// Closed connections whose TIME_WAIT record still lingers.
@@ -496,12 +508,12 @@ struct TcbSock {
 }
 
 impl Pollable for TcbSock {
-    fn register(&self, interest: Interest, waiter: Waiter) {
-        let mut t = self.tcb.lock();
-        match interest {
-            Interest::Read => t.register_reader(waiter),
-            Interest::Write => t.register_writer(waiter),
-        }
+    fn register(&self, interest: Interest, waiter: Waiter) -> Option<WaitKey> {
+        self.tcb.lock().register(interest, waiter)
+    }
+
+    fn deregister(&self, interest: Interest, key: WaitKey) -> bool {
+        self.tcb.lock().waiters(interest).withdraw(key)
     }
 }
 
@@ -790,6 +802,44 @@ mod tests {
                 .map(|_| Loop::Continue(()))
             })
         })
+    }
+
+    #[test]
+    fn losing_read_waits_on_an_idle_connection_leave_no_entry() {
+        use eveth_core::event::{choose, readiness_evt, sync, timeout_evt};
+        let (sim, a, b) = pair(TcpConfig::default());
+        let server_ep = Endpoint::new(HostId(2), 80);
+        // The server accepts and never sends: every read wait times out.
+        let server = do_m! {
+            let lst <- b.listen(80);
+            let held <- lst.expect("listen").accept();
+            let held = held.expect("accept");
+            sys_sleep(60_000 * MILLIS).map(move |()| drop(held))
+        };
+        let client = Arc::clone(&a);
+        let timeouts = sim
+            .block_on(do_m! {
+                sys_fork(server);
+                let conn <- client.connect(server_ep);
+                let conn = conn.expect("connect");
+                let fd = conn.readiness_fd().expect("a readiness descriptor");
+                loop_m(0u32, move |round| {
+                    if round == 10_000 {
+                        return ThreadM::pure(Loop::Break(round));
+                    }
+                    sync(choose(vec![
+                        readiness_evt(&fd, Interest::Read).wrap(|()| false),
+                        timeout_evt(MILLIS).wrap(|()| true),
+                    ]))
+                    .map(move |timed_out| {
+                        assert!(timed_out, "the idle connection became readable");
+                        Loop::Continue(round + 1)
+                    })
+                })
+            })
+            .expect("client ran");
+        assert_eq!(timeouts, 10_000);
+        assert_eq!(a.read_waiters(), vec![(server_ep, 0)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use eveth_core::io::queue::{copy_break, ByteQueue};
 use eveth_core::net::{Endpoint, NetError};
-use eveth_core::reactor::Waiter;
+use eveth_core::reactor::{Interest, WaitKey, WaitTable, Waiter};
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::time::{Nanos, MILLIS};
 
@@ -301,8 +301,8 @@ pub struct Tcb {
     // (`sys_epoll_wait` waiters, routed through the runtime's event port
     // on wake). A connector waits among the writers: a handshaking TCB is
     // not writable.
-    recv_waiters: Vec<Waiter>,
-    send_waiters: Vec<Waiter>,
+    recv_waiters: WaitTable,
+    send_waiters: WaitTable,
 }
 
 impl Tcb {
@@ -374,8 +374,8 @@ impl Tcb {
             error: None,
             retransmit_count: 0,
             stats: None,
-            recv_waiters: Vec::new(),
-            send_waiters: Vec::new(),
+            recv_waiters: WaitTable::new(),
+            send_waiters: WaitTable::new(),
         }
     }
 
@@ -520,15 +520,9 @@ impl Tcb {
 
     // -- Wakeups -------------------------------------------------------------
 
-    fn wake(list: &mut Vec<Waiter>) {
-        for w in list.drain(..) {
-            w.wake();
-        }
-    }
-
     fn wake_all(&mut self) {
-        Self::wake(&mut self.recv_waiters);
-        Self::wake(&mut self.send_waiters);
+        self.recv_waiters.wake_all();
+        self.send_waiters.wake_all();
     }
 
     /// Moves to `next`; CLOSED wakes everyone.
@@ -539,25 +533,30 @@ impl Tcb {
         }
     }
 
-    /// Registers a read-readiness waiter; wakes immediately if
-    /// data/EOF/error is already available (lost-wakeup-free: callers hold
-    /// the TCB lock).
-    pub fn register_reader(&mut self, w: Waiter) {
-        if self.read_ready() {
+    /// Registers a readiness waiter and returns its entry's key; wakes it
+    /// immediately instead (`None`) if `interest` already holds
+    /// (lost-wakeup-free: callers hold the TCB lock). Readable means
+    /// data, EOF or an error is available. A handshaking TCB is not
+    /// writable — the non-blocking `connect` convention: the socket
+    /// signals writable once the three-way handshake resolves, either way.
+    pub fn register(&mut self, interest: Interest, w: Waiter) -> Option<WaitKey> {
+        let ready = match interest {
+            Interest::Read => self.read_ready(),
+            Interest::Write => self.write_ready(),
+        };
+        if ready {
             w.wake();
+            None
         } else {
-            self.recv_waiters.push(w);
+            Some(self.waiters(interest).push(w))
         }
     }
 
-    /// Registers a write-readiness waiter. A handshaking TCB is not
-    /// writable — the non-blocking `connect` convention: the socket signals
-    /// writable once the three-way handshake resolves, either way.
-    pub fn register_writer(&mut self, w: Waiter) {
-        if self.write_ready() {
-            w.wake();
-        } else {
-            self.send_waiters.push(w);
+    /// The waiters registered for `interest`.
+    pub(crate) fn waiters(&mut self, interest: Interest) -> &mut WaitTable {
+        match interest {
+            Interest::Read => &mut self.recv_waiters,
+            Interest::Write => &mut self.send_waiters,
         }
     }
 
@@ -638,7 +637,7 @@ impl Tcb {
     /// data drains.
     pub fn app_close(&mut self) {
         self.fin_queued = true;
-        Self::wake(&mut self.send_waiters);
+        self.send_waiters.wake_all();
     }
 
     /// Hard abort: emits a RST (returned) and kills the connection.
@@ -863,7 +862,7 @@ impl Tcb {
                 } else {
                     None
                 };
-                Self::wake(&mut self.send_waiters);
+                self.send_waiters.wake_all();
                 if let Some(next) = self.state.on_fin_acked().filter(|_| fin_acked) {
                     self.enter(next);
                 }
@@ -988,7 +987,7 @@ impl Tcb {
             let skip = (self.rcv_pos - pos) as usize;
             self.deliver(chunk.slice(skip..));
         }
-        Self::wake(&mut self.recv_waiters);
+        self.recv_waiters.wake_all();
     }
 
     fn maybe_consume_fin(&mut self) {
@@ -998,7 +997,7 @@ impl Tcb {
         }
         self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
         self.fin_received = true;
-        Self::wake(&mut self.recv_waiters);
+        self.recv_waiters.wake_all();
         if let Some(next) = self.state.on_peer_fin() {
             self.enter(next);
         }
@@ -1010,7 +1009,7 @@ impl Tcb {
         self.snd_wnd = seg.wnd;
         self.state = State::Established;
         self.rto_deadline = None;
-        Self::wake(&mut self.send_waiters); // a waiting connector
+        self.send_waiters.wake_all(); // a waiting connector
     }
 }
 

@@ -34,7 +34,7 @@ use eveth::core::check;
 use eveth::core::engine::WaitKind;
 use eveth::core::event::{branch_waiter, choose, sync, Branch, Event, Registration, Signal};
 use eveth::core::net::{recv_exact, recv_to_end, send_all, Conn, Endpoint, HostId, NetStack};
-use eveth::core::reactor::WaitQ;
+use eveth::core::reactor::{Interest, Pollable, WaitKey, WaitTable, Waiter};
 use eveth::core::service::{Server, ServerConfig, Service, Step};
 use eveth::core::sync::{Chan, MVar, Mutex};
 use eveth::core::syscall::{sys_annotate, sys_nbio, sys_sleep, sys_yield};
@@ -325,14 +325,18 @@ fn abba_deadlock_is_caught_by_exploration_and_lock_ordering_fixes_it() {
 /// is restored and the channel is lossless again.
 #[derive(Clone)]
 struct BrokenChan {
-    st: Arc<StdMutex<BrokenSt>>,
-    fixed: bool,
+    st: Arc<BrokenDev>,
 }
+
+/// The channel's state as a pollable device (its `Read` interest is "an
+/// item is queued").
+struct BrokenDev(StdMutex<BrokenSt>);
 
 struct BrokenSt {
     queue: VecDeque<u32>,
-    takers: WaitQ,
+    takers: WaitTable,
     rid: u64,
+    fixed: bool,
 }
 
 impl BrokenSt {
@@ -346,24 +350,54 @@ impl BrokenSt {
     }
 }
 
+impl Pollable for BrokenDev {
+    fn register(&self, _: Interest, waiter: Waiter) -> Option<WaitKey> {
+        let mut st = self.0.lock().unwrap();
+        if !st.queue.is_empty() {
+            let rid = st.rid;
+            drop(st);
+            let _scope = check::wake_scope(rid);
+            waiter.wake();
+            return None;
+        }
+        st.op(check::OpKind::BlockTake);
+        Some(st.takers.push(waiter))
+    }
+
+    fn deregister(&self, _: Interest, key: WaitKey) -> bool {
+        self.0.lock().unwrap().takers.withdraw(key)
+    }
+
+    fn pass_on(&self, _: Interest) {
+        let mut st = self.0.lock().unwrap();
+        // The planted bug: unless fixed, a consumed wake is never passed
+        // on when this branch loses the choose.
+        if st.fixed && !st.queue.is_empty() {
+            st.op(check::OpKind::Baton);
+            let _scope = check::wake_scope(st.rid);
+            st.takers.wake_one();
+        }
+    }
+}
+
 impl BrokenChan {
     fn new(fixed: bool) -> Self {
         BrokenChan {
-            st: Arc::new(StdMutex::new(BrokenSt {
+            st: Arc::new(BrokenDev(StdMutex::new(BrokenSt {
                 queue: VecDeque::new(),
-                takers: WaitQ::new(),
+                takers: WaitTable::new(),
                 rid: check::new_rid(),
-            })),
-            fixed,
+                fixed,
+            }))),
         }
     }
 
     fn takers(&self) -> usize {
-        self.st.lock().unwrap().takers.len()
+        self.st.0.lock().unwrap().takers.len()
     }
 
     fn push(&self, v: u32) {
-        let mut st = self.st.lock().unwrap();
+        let mut st = self.st.0.lock().unwrap();
         st.queue.push_back(v);
         st.op(check::OpKind::Publish);
         let _scope = check::wake_scope(st.rid);
@@ -373,12 +407,11 @@ impl BrokenChan {
     fn read_evt(&self) -> Event<u32> {
         let poll_st = Arc::clone(&self.st);
         let reg_st = Arc::clone(&self.st);
-        let fixed = self.fixed;
         Event::from_fn(move |_t0, out| {
             out.push(Branch::new(
                 WaitKind::Lock,
                 move |_now| {
-                    let mut st = poll_st.lock().unwrap();
+                    let mut st = poll_st.0.lock().unwrap();
                     let v = st.queue.pop_front();
                     if v.is_some() {
                         st.op(check::OpKind::Consume);
@@ -386,36 +419,8 @@ impl BrokenChan {
                     v
                 },
                 move |u| {
-                    let waiter = branch_waiter(u, WaitKind::Lock);
-                    let mut st = reg_st.lock().unwrap();
-                    if !st.queue.is_empty() {
-                        let rid = st.rid;
-                        drop(st);
-                        let _scope = check::wake_scope(rid);
-                        waiter.wake();
-                        return Registration::none();
-                    }
-                    st.op(check::OpKind::BlockTake);
-                    let slot = st.takers.push(waiter);
-                    drop(st);
-                    if fixed {
-                        let baton_st = Arc::clone(&reg_st);
-                        Registration::new(
-                            move || slot.take().is_some(),
-                            move || {
-                                let mut st = baton_st.lock().unwrap();
-                                if !st.queue.is_empty() {
-                                    st.op(check::OpKind::Baton);
-                                    let _scope = check::wake_scope(st.rid);
-                                    st.takers.wake_one();
-                                }
-                            },
-                        )
-                    } else {
-                        // The planted bug: a consumed wake is never
-                        // passed on when this branch loses the choose.
-                        Registration::with_take(move || slot.take().is_some())
-                    }
+                    let dev = Arc::clone(&reg_st) as Arc<dyn Pollable>;
+                    Registration::wait(dev, Interest::Read, branch_waiter(u, WaitKind::Lock))
                 },
             ));
         })

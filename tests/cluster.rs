@@ -700,3 +700,87 @@ fn router_answers_error_for_an_unknown_verb_and_client_error_for_a_malformed_one
         assert_eq!(router.stats().protocol_errors.get(), 1);
     }
 }
+
+#[test]
+fn a_router_fan_in_leaves_no_read_entry_on_a_backend_connection() {
+    // App-level TCP; node 3 sits behind a 20 ms link. A multi-key get
+    // naming node 3's key first makes the router's fan-in register on
+    // node 3 in every round, while nodes 1 and 2 win the first two.
+    let sim = SimRuntime::new_default();
+    let net = SimNet::new(sim.clock(), LinkParams::ethernet_100mbps(), 11);
+    let slow = LinkParams {
+        latency: 20 * MILLIS,
+        ..LinkParams::ethernet_100mbps()
+    };
+    net.set_link(HostId(10), HostId(3), slow);
+    net.set_link(HostId(3), HostId(10), slow);
+    let stack =
+        |h: u32| glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(h), TcpConfig::default());
+    spawn_backends(
+        &sim,
+        (1..=3).map(|h| stack(h) as Arc<dyn NetStack>).collect(),
+    );
+    let router_host = stack(10);
+    let router = Router::new(
+        Arc::clone(&router_host) as Arc<dyn NetStack>,
+        RouterConfig {
+            port: ROUTER_PORT,
+            backends: (1..=3).map(backend).collect(),
+            backend_timeout: 500 * MILLIS,
+            ..Default::default()
+        },
+    );
+    sim.spawn(router.run());
+    let ring = HashRing::new((1..=3).map(backend).collect(), 64);
+    let key_on = |h: u32| {
+        (0..)
+            .map(|i| format!("f{i}"))
+            .find(|k| ring.primary(k.as_bytes()).host == HostId(h))
+            .unwrap()
+    };
+    let wire = Bytes::from(format!("get {} {} {}\r\n", key_on(3), key_on(1), key_on(2)));
+    let backend_entries = || {
+        let mut v: Vec<_> = router_host
+            .read_waiters()
+            .into_iter()
+            .filter(|(peer, _)| peer.port == KV_PORT)
+            .map(|(peer, n)| (peer.host.0, n))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+
+    // Warm the router's pool: one connection per backend.
+    let client = stack(20);
+    let conn = sim
+        .block_on(do_m! {
+            let conn <- client.connect(Endpoint::new(HostId(10), ROUTER_PORT));
+            ThreadM::pure(conn.unwrap())
+        })
+        .unwrap();
+    let warm = sim
+        .block_on(pipelined(Arc::clone(&conn), wire.clone(), 1, Vec::new()))
+        .unwrap();
+    assert_eq!(String::from_utf8(warm).unwrap(), "END\r\n");
+    assert_eq!(backend_entries(), vec![(1, 0), (2, 0), (3, 0)]);
+
+    // Mid fan-in: nodes 1 and 2 have answered; node 3's connection holds
+    // the one live entry of the wait in flight, no spent ones.
+    let reply = Arc::new(std::sync::Mutex::new(None));
+    let slot = Arc::clone(&reply);
+    sim.spawn(pipelined(conn, wire, 1, Vec::new()).map(move |b| *slot.lock().unwrap() = Some(b)));
+    sim.run_until(Some(sim.clock().now() + 10 * MILLIS));
+    assert!(
+        reply.lock().unwrap().is_none(),
+        "node 3 has not answered yet"
+    );
+    assert_eq!(backend_entries(), vec![(1, 0), (2, 0), (3, 1)]);
+
+    // After the fan-in no backend connection holds a read entry.
+    sim.run_until(Some(sim.clock().now() + 200 * MILLIS));
+    assert_eq!(
+        reply.lock().unwrap().take().as_deref(),
+        Some(&b"END\r\n"[..])
+    );
+    assert_eq!(backend_entries(), vec![(1, 0), (2, 0), (3, 0)]);
+}
