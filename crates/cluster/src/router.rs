@@ -15,9 +15,10 @@
 //!    `get`/`gets` is split per key so each key is answered by its own
 //!    shard, and the parts are stitched back into one response (VALUE
 //!    runs in key order under a single `END`) before the client sees it;
-//! 2. commands are re-encoded ([`Command::encode_into`]) into one wire
-//!    buffer per backend and shipped with one send each (pipelining is
-//!    preserved end-to-end);
+//! 2. each command is re-encoded ([`Command::encode_into`]) onto its
+//!    backend's *lane* — the backend's wire bytes plus the in-order queue
+//!    of jobs its replies answer — and every lane is shipped with one send
+//!    (pipelining is preserved end-to-end);
 //! 3. replies are fanned back in: one [`choose`] over every pending
 //!    backend's readiness plus a timeout branch; response bytes are
 //!    framed per command by [`ReplyFramer`] and forwarded to the client
@@ -25,17 +26,29 @@
 //! 4. the client gets one coalesced vectored send, replies in command
 //!    order.
 //!
-//! ## Hot-key replication
+//! ## The replication protocol, stated once
+//!
+//! Every job a lane carries has a role, and every outcome of a job — a
+//! framed reply, or `None` when its backend is written off — goes through
+//! one resolve step, which settles the job's slot:
+//!
+//! | role | reply | written off |
+//! |---|---|---|
+//! | deliver | forwarded | `SERVER_ERROR` |
+//! | replicated write (primary or secondary) | ack; the last ack forwards the primary's bytes | failed ack |
+//! | replicated read | hit: forwarded, repairs the replicas that missed; miss: next replica | next replica |
 //!
 //! Keys matching [`RouterConfig::hot_prefix`] (all keys when `None`)
 //! are replicated when `replication > 1`: a write fans out to the key's
 //! R ring successors and is acknowledged to the client only when *every*
-//! replica has answered — so an acked write survives the crash of any
-//! R−1 replicas. A read goes to the primary and fails over (crash,
-//! timeout) or falls back (miss) to the next replica; a hit found on a
-//! fallback replica is written back to the replicas that missed
-//! (read-repair, a `noreply` set bounded by
-//! [`RouterConfig::repair_ttl`]) so the hot key converges.
+//! replica has answered without error — so an acked write survives the
+//! crash of any R−1 replicas. A read goes to the primary and fails over
+//! (crash, timeout) or falls back (miss) to the next replica, one replica
+//! per round; a hit found on a fallback replica is written back to the
+//! replicas that missed (read-repair, a `noreply` set that expires after
+//! `REPAIR_TTL` seconds, shipped once the reads settle) so the hot key
+//! converges. A replica list that runs out forwards the last miss, or
+//! `SERVER_ERROR` if the last replica failed.
 //!
 //! Only *state-independent* writes fan out — the verbs whose row of the
 //! protocol's verb table ([`VERBS`](eveth_kv::protocol::VERBS)) sets
@@ -48,31 +61,58 @@
 //! ## Failure semantics
 //!
 //! A backend that refuses connections, resets, times out or sends
-//! garbage is dropped from the session's connection pool for the batch;
-//! commands that have no live replica left answer `SERVER_ERROR backend
-//! unavailable`. Replication only masks failures for replicated keys —
-//! a non-replicated key's shard being down is an error the client sees,
+//! garbage is *written off*, always by the same path: its error is
+//! counted, its cooldown starts ([`RouterConfig::backend_cooldown`]), it
+//! leaves the session's connection pool, every job it still owes
+//! resolves as failed, and its connection is closed. A backend inside
+//! its cooldown is not dialed; its jobs fail at once. Commands that have
+//! no live replica left answer `SERVER_ERROR backend unavailable`.
+//! Replication only masks failures for replicated keys — a
+//! non-replicated key's shard being down is an error the client sees,
 //! exactly like memcached behind a routing proxy.
+//!
+//! The ring's `VNODES`, `REPAIR_TTL`, the receive size `RECV_CHUNK` and
+//! `IDLE_TIMEOUT` are constants; [`RouterConfig`] holds only what a
+//! deployment sets.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::iter;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use eveth_core::event::{choose, readiness_evt, sync, timeout_evt, Signal};
-use eveth_core::net::{send_all, Conn, Endpoint, NetError, NetStack};
+use eveth_core::net::{send_all, Conn, Endpoint, NetStack};
 use eveth_core::reactor::Interest;
 use eveth_core::service::{ReplyHandle, Server, ServerConfig, Service, Step};
 use eveth_core::syscall::sys_time;
 use eveth_core::telemetry::metrics::Counter;
 use eveth_core::telemetry::Telemetry;
 use eveth_core::time::Nanos;
-use eveth_core::{loop_m, map_m, Loop, ThreadM};
+use eveth_core::{for_each_m, loop_m, Loop, ThreadM};
 use eveth_kv::client::{Framed, ReplyFramer};
 use eveth_kv::protocol::{wire, Command, CommandParser, Reply, StoreMode};
 use parking_lot::Mutex;
 
 use crate::ring::HashRing;
+
+/// Virtual nodes per backend on the ring.
+const VNODES: usize = 64;
+
+/// Expiry (seconds, memcached `exptime` semantics) stamped on read-repair
+/// `set`s. The wire `get` that discovered the hit does not carry the
+/// entry's remaining TTL, so a repaired copy cannot inherit it; a fixed
+/// TTL keeps the repaired copy of an *expiring* hot key from living
+/// forever on the replicas — once it lapses, the next read falls back to
+/// a live replica and re-repairs if the key is still hot.
+const REPAIR_TTL: u64 = 60;
+
+/// Socket receive granularity, client and backend side.
+const RECV_CHUNK: usize = 16 * 1024;
+
+/// Client connections are not reaped for silence: a session ends when its
+/// client closes, errs or quits.
+const IDLE_TIMEOUT: Nanos = 0;
 
 /// Router tunables.
 #[derive(Debug, Clone)]
@@ -81,21 +121,11 @@ pub struct RouterConfig {
     pub port: u16,
     /// Initial ring membership (backend KV endpoints).
     pub backends: Vec<Endpoint>,
-    /// Virtual nodes per backend on the ring.
-    pub vnodes: usize,
     /// Replica count R for hot keys; `1` disables replication.
     pub replication: usize,
     /// Keys with this prefix are hot (replicated); `None` replicates
     /// every key when `replication > 1`.
     pub hot_prefix: Option<Vec<u8>>,
-    /// Expiry (seconds, memcached `exptime` semantics) stamped on
-    /// read-repair `set`s. The wire `get` that discovered the hit does
-    /// not carry the entry's remaining TTL, so a repaired copy cannot
-    /// inherit it; a fixed TTL keeps the repaired copy of an *expiring*
-    /// hot key from living forever on the replicas — once it lapses, the
-    /// next read falls back to a live replica and re-repairs if the key
-    /// is still hot. `0` makes repaired copies immortal.
-    pub repair_ttl: u64,
     /// Per-round backend inactivity deadline (virtual nanoseconds): a
     /// fan-in wait that stays silent this long declares every pending
     /// backend dead. `0` waits forever (crash faults still fail fast —
@@ -109,10 +139,6 @@ pub struct RouterConfig {
     /// price and everything else fails over immediately. `0` disables
     /// (every batch re-dials). A ring swap clears the breaker.
     pub backend_cooldown: Nanos,
-    /// Socket receive granularity (client and backend side).
-    pub recv_chunk: usize,
-    /// Reap a silent client connection after this long; `0` disables.
-    pub idle_timeout: Nanos,
     /// Abandon a client reply send after this long; `0` disables.
     pub send_timeout: Nanos,
 }
@@ -122,14 +148,10 @@ impl Default for RouterConfig {
         RouterConfig {
             port: 11311,
             backends: Vec::new(),
-            vnodes: 64,
             replication: 1,
             hot_prefix: None,
-            repair_ttl: 60,
             backend_timeout: 0,
             backend_cooldown: 0,
-            recv_chunk: 16 * 1024,
-            idle_timeout: 0,
             send_timeout: 0,
         }
     }
@@ -211,31 +233,12 @@ impl RouterShared {
                 .as_ref()
                 .is_none_or(|p| key.starts_with(p))
     }
-
-    /// Sends the assembled client reply on the framework's reply path.
-    fn send_client(&self, conn: &Arc<dyn Conn>, bufs: Vec<Bytes>) -> ThreadM<Result<(), NetError>> {
-        self.replies
-            .get()
-            .expect("Server::new attaches the reply handle")
-            .send_vectored(conn, bufs)
-    }
 }
 
 /// Per-session pool of backend connections, lazily established and
 /// dropped on failure. A `Vec` keyed by endpoint: N is small and linear
 /// scans keep iteration order deterministic.
 type Pool = Vec<(Endpoint, Arc<dyn Conn>)>;
-
-fn pool_get(pool: &Mutex<Pool>, ep: Endpoint) -> Option<Arc<dyn Conn>> {
-    pool.lock()
-        .iter()
-        .find(|(e, _)| *e == ep)
-        .map(|(_, c)| Arc::clone(c))
-}
-
-fn pool_remove(pool: &Mutex<Pool>, ep: Endpoint) {
-    pool.lock().retain(|(e, _)| *e != ep);
-}
 
 /// Per-client-session state: the incremental command parser plus the
 /// backend connection pool.
@@ -265,8 +268,8 @@ enum SlotState {
     },
     /// A replicated read working down its replica list.
     AwaitRead {
-        /// The command's canonical wire bytes (re-sent on each retry).
-        wire: Bytes,
+        /// The command, encoded again for each retry.
+        cmd: Command,
         /// Replica endpoints, primary first.
         tries: Vec<Endpoint>,
         /// Next replica to consult.
@@ -284,14 +287,6 @@ enum SlotState {
     },
 }
 
-/// Mutable state of one batch while its rounds run.
-struct BatchState {
-    slots: Vec<SlotState>,
-    /// Scheduled read-repairs: `noreply` sets shipped after the reads
-    /// settle.
-    repairs: Vec<(Endpoint, Command)>,
-}
-
 /// What a backend owes us for one queued job.
 #[derive(Clone, Copy)]
 enum Role {
@@ -305,39 +300,8 @@ enum Role {
     Read,
 }
 
-/// One fan-out round: per-backend wire bytes plus the in-order queue of
-/// jobs whose replies come back on that connection.
-struct Round {
-    eps: Vec<Endpoint>,
-    wires: Vec<Vec<u8>>,
-    queues: Vec<VecDeque<(usize, Role)>>,
-}
-
-impl Round {
-    fn new() -> Round {
-        Round {
-            eps: Vec::new(),
-            wires: Vec::new(),
-            queues: Vec::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.eps.is_empty()
-    }
-
-    /// Index of `ep`'s lane, adding one on first use (first-use order is
-    /// the deterministic send order).
-    fn lane(&mut self, ep: Endpoint) -> usize {
-        if let Some(i) = self.eps.iter().position(|&e| e == ep) {
-            return i;
-        }
-        self.eps.push(ep);
-        self.wires.push(Vec::new());
-        self.queues.push(VecDeque::new());
-        self.eps.len() - 1
-    }
-}
+/// One queued job: the slot its reply settles, and how.
+type Job = (usize, Role);
 
 /// The `SERVER_ERROR` reply synthesized when no live replica can answer.
 fn server_error_bytes() -> Vec<Bytes> {
@@ -346,68 +310,63 @@ fn server_error_bytes() -> Vec<Bytes> {
     vec![Bytes::from(out)]
 }
 
-fn closing_is_error(r: &Reply) -> bool {
-    matches!(
-        r,
-        Reply::Error | Reply::ClientError(_) | Reply::ServerError(_)
-    )
+/// Mutable state of one batch while its rounds run.
+struct BatchState {
+    slots: Vec<SlotState>,
+    /// Scheduled read-repairs: `noreply` sets shipped after the reads
+    /// settle.
+    repairs: Vec<(Endpoint, Command)>,
 }
 
-/// Folds one ack (or failure) into a replicated-write slot; finalizes it
-/// once every replica has been heard from (or written off).
-fn write_ack(
-    slots: &mut [SlotState],
-    stats: &RouterStats,
-    slot: usize,
-    ok_bytes: Option<Vec<Bytes>>,
-    errored: bool,
-) {
-    if let SlotState::AwaitWrite {
-        pending,
-        failed,
-        bytes,
-    } = &mut slots[slot]
-    {
-        *pending -= 1;
-        *failed |= errored;
-        if ok_bytes.is_some() {
-            *bytes = ok_bytes;
-        }
-        if *pending == 0 {
-            let done = if *failed || bytes.is_none() {
-                stats.server_errors.incr();
-                server_error_bytes()
-            } else {
-                bytes.take().expect("primary bytes present")
-            };
-            slots[slot] = SlotState::Ready(done);
-        }
-    }
-}
-
-/// Folds one replicated-read attempt: `framed` is the backend's framed
-/// response, or `None` if the backend failed. A hit (or any non-`END`
-/// closing) is forwarded and schedules read-repair for the live replicas
-/// that missed; a miss advances to the next replica; running out of
-/// replicas forwards the final miss or synthesizes `SERVER_ERROR`.
-fn read_result(
-    slots: &mut [SlotState],
-    repairs: &mut Vec<(Endpoint, Command)>,
-    shared: &RouterShared,
-    slot: usize,
-    ep: Endpoint,
-    framed: Option<Framed>,
-) {
-    if let SlotState::AwaitRead {
-        tries,
-        next,
-        missed_live,
-        ..
-    } = &mut slots[slot]
-    {
-        match framed {
-            Some(f) if f.values > 0 || !matches!(f.closing, Reply::End) => {
-                if f.values > 0 {
+impl BatchState {
+    /// The one resolve step: folds a job's outcome into its slot.
+    /// `framed` is the reply `ep` sent for it, or `None` if `ep` was
+    /// written off. A slot that settles with nothing to forward answers
+    /// `SERVER_ERROR`.
+    fn resolve(&mut self, shared: &RouterShared, job: Job, ep: Endpoint, framed: Option<Framed>) {
+        let (slot, role) = job;
+        let BatchState { slots, repairs } = self;
+        let settled = match (role, &mut slots[slot]) {
+            (Role::Deliver, _) => framed.map(|f| f.bytes),
+            (
+                Role::AckPrimary | Role::Ack,
+                SlotState::AwaitWrite {
+                    pending,
+                    failed,
+                    bytes,
+                },
+            ) => {
+                *pending -= 1;
+                *failed |= framed.as_ref().is_none_or(|f| {
+                    matches!(
+                        f.closing,
+                        Reply::Error | Reply::ClientError(_) | Reply::ServerError(_)
+                    )
+                });
+                if let (Role::AckPrimary, Some(f)) = (role, framed) {
+                    *bytes = Some(f.bytes);
+                }
+                if *pending > 0 {
+                    return;
+                }
+                if *failed {
+                    None
+                } else {
+                    bytes.take()
+                }
+            }
+            (
+                Role::Read,
+                SlotState::AwaitRead {
+                    tries,
+                    next,
+                    missed_live,
+                    ..
+                },
+            ) => match framed {
+                // A hit (or any closing but END) is forwarded, and copied
+                // back to the live replicas that missed.
+                Some(f) if f.values > 0 || !matches!(f.closing, Reply::End) => {
                     if let Some(Reply::Value {
                         key, flags, data, ..
                     }) = f.first_value
@@ -420,73 +379,90 @@ fn read_result(
                                     mode: StoreMode::Set,
                                     key: key.clone(),
                                     flags,
-                                    exptime: shared.cfg.repair_ttl,
+                                    exptime: REPAIR_TTL,
                                     value: data.clone(),
                                     noreply: true,
                                 },
                             ));
                         }
                     }
+                    Some(f.bytes)
                 }
-                slots[slot] = SlotState::Ready(f.bytes);
-            }
-            Some(f) => {
-                missed_live.push(ep);
-                *next += 1;
-                if *next >= tries.len() {
-                    slots[slot] = SlotState::Ready(f.bytes);
+                // A miss or a failure moves on to the next replica; the
+                // last replica's miss is forwarded.
+                miss => {
+                    if miss.is_some() {
+                        missed_live.push(ep);
+                    }
+                    *next += 1;
+                    if *next < tries.len() {
+                        return;
+                    }
+                    miss.map(|f| f.bytes)
                 }
-            }
-            None => {
-                *next += 1;
-                if *next >= tries.len() {
-                    shared.stats.server_errors.incr();
-                    slots[slot] = SlotState::Ready(server_error_bytes());
-                }
-            }
-        }
-    }
-}
-
-/// Resolves one job with its backend's framed response.
-fn resolve_ok(st: &mut BatchState, shared: &RouterShared, slot: usize, role: Role, f: Framed) {
-    let BatchState { slots, .. } = st;
-    match role {
-        Role::Deliver => slots[slot] = SlotState::Ready(f.bytes),
-        Role::AckPrimary => {
-            let errored = closing_is_error(&f.closing);
-            write_ack(slots, &shared.stats, slot, Some(f.bytes), errored);
-        }
-        Role::Ack => {
-            let errored = closing_is_error(&f.closing);
-            write_ack(slots, &shared.stats, slot, None, errored);
-        }
-        Role::Read => {
-            // `ep` only matters for miss bookkeeping; resolve_ok callers
-            // pass it through read_result directly.
-            unreachable!("Read jobs resolve through read_result")
-        }
-    }
-}
-
-/// Resolves one job whose backend failed.
-fn resolve_fail(st: &mut BatchState, shared: &RouterShared, slot: usize, role: Role, ep: Endpoint) {
-    let BatchState { slots, repairs } = st;
-    match role {
-        Role::Deliver => {
+            },
+            _ => return,
+        };
+        slots[slot] = SlotState::Ready(settled.unwrap_or_else(|| {
             shared.stats.server_errors.incr();
-            slots[slot] = SlotState::Ready(server_error_bytes());
+            server_error_bytes()
+        }));
+    }
+
+    /// The next round owed: a retry lane for every replicated read still
+    /// working down its replica list, else one fire-and-forget round of
+    /// the scheduled read-repairs.
+    fn next_round(&mut self, shared: &RouterShared) -> Option<Round> {
+        let mut round = Round::default();
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let SlotState::AwaitRead {
+                cmd, tries, next, ..
+            } = slot
+            {
+                shared.stats.read_retries.incr();
+                round.push(tries[*next], cmd, Some((i, Role::Read)));
+            }
         }
-        Role::AckPrimary | Role::Ack => write_ack(slots, &shared.stats, slot, None, true),
-        Role::Read => read_result(slots, repairs, shared, slot, ep, None),
+        if round.0.is_empty() {
+            for (ep, cmd) in self.repairs.drain(..) {
+                round.push(ep, &cmd, None);
+            }
+        }
+        (!round.0.is_empty()).then_some(round)
     }
 }
 
-/// Built once per batch from the parsed commands and a ring snapshot.
-struct Plan {
-    state: BatchState,
-    first: Round,
-    quit: bool,
+/// One backend's share of a round: the wire bytes it is sent and the
+/// in-order queue of jobs its replies answer.
+struct Lane {
+    ep: Endpoint,
+    wire: Vec<u8>,
+    jobs: VecDeque<Job>,
+}
+
+/// One fan-out round: a lane per backend, in first-use order (the
+/// deterministic send order).
+#[derive(Default)]
+struct Round(Vec<Lane>);
+
+impl Round {
+    /// Encodes `cmd` onto `ep`'s lane, opening the lane on first use, and
+    /// queues `job` for a command that expects a reply.
+    fn push(&mut self, ep: Endpoint, cmd: &Command, job: Option<Job>) {
+        let i = match self.0.iter().position(|l| l.ep == ep) {
+            Some(i) => i,
+            None => {
+                self.0.push(Lane {
+                    ep,
+                    wire: Vec::new(),
+                    jobs: VecDeque::new(),
+                });
+                self.0.len() - 1
+            }
+        };
+        cmd.encode_into(&mut self.0[i].wire);
+        self.0[i].jobs.extend(job);
+    }
 }
 
 /// Routes one single-key read (a whole `get`/`gets`, or one key split
@@ -497,36 +473,35 @@ fn route_read(
     ring: &HashRing,
     round: &mut Round,
     slots: &mut Vec<SlotState>,
-    cmd: &Command,
+    cmd: Command,
 ) {
     let key = cmd.key().expect("reads carry a key");
+    let slot = slots.len();
     if shared.replicated(key) {
         let tries = ring.replicas(key, shared.cfg.replication);
-        let mut wire = Vec::new();
-        cmd.encode_into(&mut wire);
-        let lane = round.lane(tries[0]);
-        round.wires[lane].extend_from_slice(&wire);
-        round.queues[lane].push_back((slots.len(), Role::Read));
+        round.push(tries[0], &cmd, Some((slot, Role::Read)));
         slots.push(SlotState::AwaitRead {
-            wire: Bytes::from(wire),
+            cmd,
             tries,
             next: 0,
             missed_live: Vec::new(),
         });
     } else {
-        let ep = ring.primary(key);
-        let lane = round.lane(ep);
-        cmd.encode_into(&mut round.wires[lane]);
-        round.queues[lane].push_back((slots.len(), Role::Deliver));
+        round.push(ring.primary(key), &cmd, Some((slot, Role::Deliver)));
         slots.push(SlotState::AwaitOne);
     }
 }
 
 /// Routes a batch of commands: one slot per reply the client expects (in
-/// command order), grouped into per-backend lanes for round 0.
-fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Plan {
+/// command order), grouped into per-backend lanes for round 0. The flag
+/// is set when the batch ends in `quit`.
+fn build_plan(
+    shared: &RouterShared,
+    ring: &HashRing,
+    cmds: Vec<Command>,
+) -> (BatchState, Round, bool) {
     let mut slots = Vec::new();
-    let mut round = Round::new();
+    let mut round = Round::default();
     let mut quit = false;
     for cmd in cmds {
         shared.stats.commands.incr();
@@ -548,20 +523,19 @@ fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Pla
                         keys: vec![key.clone()],
                         with_cas: *with_cas,
                     };
-                    route_read(shared, ring, &mut round, &mut slots, &sub);
+                    route_read(shared, ring, &mut round, &mut slots, sub);
                 }
                 continue;
             }
         }
-        let noreply = cmd.noreply();
+        let slot = slots.len();
+        let reply = !cmd.noreply();
         let verb = cmd.verb().info();
         match cmd.key() {
+            // Keyless commands (stats, version) go to the first ring
+            // member: per-node introspection through the router.
             None => {
-                // Keyless commands (stats, version) go to the first ring
-                // member: per-node introspection through the router.
-                let lane = round.lane(ring.nodes()[0]);
-                cmd.encode_into(&mut round.wires[lane]);
-                round.queues[lane].push_back((slots.len(), Role::Deliver));
+                round.push(ring.nodes()[0], &cmd, Some((slot, Role::Deliver)));
                 slots.push(SlotState::AwaitOne);
             }
             Some(key) if shared.replicated(key) && verb.fanout => {
@@ -570,344 +544,294 @@ fn build_plan(shared: &RouterShared, ring: &HashRing, cmds: Vec<Command>) -> Pla
                     shared.stats.replicated_writes.incr();
                 }
                 for (i, &ep) in eps.iter().enumerate() {
-                    let lane = round.lane(ep);
-                    cmd.encode_into(&mut round.wires[lane]);
-                    if !noreply {
-                        let role = if i == 0 { Role::AckPrimary } else { Role::Ack };
-                        round.queues[lane].push_back((slots.len(), role));
-                    }
+                    let role = if i == 0 { Role::AckPrimary } else { Role::Ack };
+                    round.push(ep, &cmd, reply.then_some((slot, role)));
                 }
-                if noreply {
-                    slots.push(SlotState::Ready(Vec::new()));
-                } else {
-                    slots.push(SlotState::AwaitWrite {
+                slots.push(if reply {
+                    SlotState::AwaitWrite {
                         pending: eps.len(),
                         failed: false,
                         bytes: None,
-                    });
-                }
+                    }
+                } else {
+                    SlotState::Ready(Vec::new())
+                });
             }
             Some(key) if shared.replicated(key) && !verb.write => {
-                route_read(shared, ring, &mut round, &mut slots, &cmd);
+                route_read(shared, ring, &mut round, &mut slots, cmd);
             }
+            // Non-replicated keys, plus conditional writes on replicated
+            // ones (the verb table's `fanout` column): the key's primary
+            // — `ring.primary` is `replicas(key, r)[0]`.
             Some(key) => {
-                // Non-replicated keys, plus conditional writes on
-                // replicated ones (the verb table's `fanout` column): the
-                // key's primary — `ring.primary` is `replicas(key, r)[0]`.
-                let ep = ring.primary(key);
-                let lane = round.lane(ep);
-                cmd.encode_into(&mut round.wires[lane]);
-                if noreply {
-                    slots.push(SlotState::Ready(Vec::new()));
+                round.push(
+                    ring.primary(key),
+                    &cmd,
+                    reply.then_some((slot, Role::Deliver)),
+                );
+                slots.push(if reply {
+                    SlotState::AwaitOne
                 } else {
-                    round.queues[lane].push_back((slots.len(), Role::Deliver));
-                    slots.push(SlotState::AwaitOne);
-                }
+                    SlotState::Ready(Vec::new())
+                });
             }
         }
     }
-    Plan {
-        state: BatchState {
-            slots,
-            repairs: Vec::new(),
-        },
-        first: round,
-        quit,
-    }
+    let state = BatchState {
+        slots,
+        repairs: Vec::new(),
+    };
+    (state, round, quit)
 }
 
-/// Ensures a pooled connection to `ep`, dialing on first use. A backend
-/// inside its failure cooldown is not dialed at all — the lane fails
-/// immediately and replicated reads fall straight over.
-fn ensure_conn(
-    shared: &Arc<RouterShared>,
-    pool: &Arc<Mutex<Pool>>,
-    ep: Endpoint,
-    now: Nanos,
-) -> ThreadM<Option<Arc<dyn Conn>>> {
-    if let Some(conn) = pool_get(pool, ep) {
-        return ThreadM::pure(Some(conn));
-    }
-    if shared.backend_down(ep, now) {
-        return ThreadM::pure(None);
-    }
-    let shared = Arc::clone(shared);
-    let pool = Arc::clone(pool);
-    shared.stack.connect(ep).map(move |dialed| match dialed {
-        Ok(conn) => {
-            pool.lock().push((ep, Arc::clone(&conn)));
-            Some(conn)
-        }
-        Err(_) => {
-            shared.stats.backend_errors.incr();
-            shared.mark_backend_down(ep, now);
-            None
-        }
-    })
-}
-
-/// What woke the fan-in `choose`.
-enum Wake {
-    Ready(usize),
-    Timeout,
-}
-
-/// One pending backend during fan-in.
+/// One backend whose replies the fan-in still waits for.
 struct PendingEp {
     ep: Endpoint,
     conn: Arc<dyn Conn>,
     framer: ReplyFramer,
-    jobs: VecDeque<(usize, Role)>,
+    jobs: VecDeque<Job>,
 }
 
-/// Fails everything a dead backend still owes and evicts it from the
-/// pool.
-fn fail_pending(
-    shared: &RouterShared,
-    pool: &Mutex<Pool>,
-    st: &Mutex<BatchState>,
-    p: &mut PendingEp,
-    now: Nanos,
-) {
-    shared.stats.backend_errors.incr();
-    shared.mark_backend_down(p.ep, now);
-    pool_remove(pool, p.ep);
-    let mut guard = st.lock();
-    while let Some((slot, role)) = p.jobs.pop_front() {
-        resolve_fail(&mut guard, shared, slot, role, p.ep);
-    }
+/// One batch in flight: what every monadic step of its rounds shares.
+struct Batch {
+    shared: Arc<RouterShared>,
+    pool: Arc<Mutex<Pool>>,
+    st: Mutex<BatchState>,
 }
 
-/// Applies every framed response already buffered for `p`; returns false
-/// if the backend sent garbage (protocol error → treated as dead).
-fn drain_framed(
-    shared: &RouterShared,
-    st: &Mutex<BatchState>,
-    p: &mut PendingEp,
-    chunk: Bytes,
-) -> bool {
-    if p.framer.feed(chunk).is_err() {
-        return false;
+impl Batch {
+    /// The one write-off path. For each failed backend: count the error,
+    /// start its cooldown, evict it from the pool and fail the jobs it
+    /// still owes; then close the connections, in order.
+    fn write_off(
+        &self,
+        dead: impl IntoIterator<Item = (Endpoint, VecDeque<Job>, Option<Arc<dyn Conn>>)>,
+        now: Nanos,
+    ) -> ThreadM<()> {
+        let mut conns = Vec::new();
+        for (ep, jobs, conn) in dead {
+            self.shared.stats.backend_errors.incr();
+            self.shared.mark_backend_down(ep, now);
+            self.pool.lock().retain(|(e, _)| *e != ep);
+            self.fail(ep, jobs);
+            conns.extend(conn);
+        }
+        for_each_m(conns, |conn| conn.close())
     }
-    let mut guard = st.lock();
-    while let Some(framed) = p.framer.pop() {
-        let Some((slot, role)) = p.jobs.pop_front() else {
-            // More replies than questions: protocol violation.
-            return false;
-        };
-        match role {
-            Role::Read => {
-                let BatchState { slots, repairs } = &mut *guard;
-                read_result(slots, repairs, shared, slot, p.ep, Some(framed));
+
+    /// Resolves every job in `jobs` as failed by `ep`.
+    fn fail(&self, ep: Endpoint, jobs: VecDeque<Job>) {
+        let mut st = self.st.lock();
+        for job in jobs {
+            st.resolve(&self.shared, job, ep, None);
+        }
+    }
+
+    /// Connects (a pooled connection, else a dial) and sends one lane. A
+    /// backend inside its cooldown is not dialed: its jobs fail at once,
+    /// so replicated reads fall straight over.
+    fn send_lane(self: Arc<Self>, lane: Lane, now: Nanos) -> ThreadM<Option<PendingEp>> {
+        let Lane { ep, wire, jobs } = lane;
+        let pooled = self
+            .pool
+            .lock()
+            .iter()
+            .find(|(e, _)| *e == ep)
+            .map(|(_, c)| Arc::clone(c));
+        let dialed = match pooled {
+            Some(conn) => ThreadM::pure(Ok(conn)),
+            None if self.shared.backend_down(ep, now) => {
+                self.fail(ep, jobs);
+                return ThreadM::pure(None);
             }
-            other => resolve_ok(&mut guard, shared, slot, other, framed),
-        }
+            None => {
+                let pool = Arc::clone(&self.pool);
+                self.shared.stack.connect(ep).map(move |dialed| {
+                    if let Ok(conn) = &dialed {
+                        pool.lock().push((ep, Arc::clone(conn)));
+                    }
+                    dialed
+                })
+            }
+        };
+        dialed.bind(move |dialed| match dialed {
+            Err(_) => self
+                .write_off(iter::once((ep, jobs, None)), now)
+                .map(|()| None),
+            Ok(conn) => send_all(&conn, Bytes::from(wire)).bind(move |sent| match sent {
+                Ok(()) => ThreadM::pure(Some(PendingEp {
+                    ep,
+                    conn,
+                    framer: ReplyFramer::new(),
+                    jobs,
+                })),
+                Err(_) => self
+                    .write_off(iter::once((ep, jobs, Some(conn))), now)
+                    .map(|()| None),
+            }),
+        })
     }
-    true
-}
 
-/// Folds one lane's receive result into the batch: drains framed
-/// replies on success, writes the backend off on EOF/error/garbage.
-fn settle_lane(
-    shared: Arc<RouterShared>,
-    pool: Arc<Mutex<Pool>>,
-    st: Arc<Mutex<BatchState>>,
-    mut pending: Vec<PendingEp>,
-    i: usize,
-    got: Result<Bytes, NetError>,
-    now: Nanos,
-) -> ThreadM<Loop<Vec<PendingEp>, ()>> {
-    let healthy = match got {
-        Ok(chunk) if !chunk.is_empty() => drain_framed(&shared, &st, &mut pending[i], chunk),
-        _ => false,
-    };
-    if healthy {
-        ThreadM::pure(Loop::Continue(pending))
-    } else {
-        fail_pending(&shared, &pool, &st, &mut pending[i], now);
-        let dead = pending.swap_remove(i);
-        // swap_remove perturbs lane order only among still-pending
-        // lanes of one batch — acceptable, and it keeps removal O(1).
-        dead.conn.close().map(move |()| Loop::Continue(pending))
-    }
-}
-
-/// The fan-in wait: one `choose` over every pending backend's readiness
-/// plus the inactivity timeout, until every job is resolved.
-fn fan_in(
-    shared: Arc<RouterShared>,
-    pool: Arc<Mutex<Pool>>,
-    st: Arc<Mutex<BatchState>>,
-    pending: Vec<PendingEp>,
-    now: Nanos,
-) -> ThreadM<()> {
-    loop_m(pending, move |mut pending| {
-        pending.retain(|p| !p.jobs.is_empty());
-        if pending.is_empty() {
-            return ThreadM::pure(Loop::Break(()));
+    /// Folds one lane's receive into the batch: resolves its framed
+    /// replies, or writes the backend off on EOF, error or garbage.
+    fn settle(
+        self: Arc<Self>,
+        mut pending: Vec<PendingEp>,
+        i: usize,
+        got: Option<Bytes>,
+        now: Nanos,
+    ) -> ThreadM<Loop<Vec<PendingEp>, ()>> {
+        let healthy = match got {
+            Some(chunk) if !chunk.is_empty() => self.drain(&mut pending[i], chunk),
+            _ => false,
+        };
+        if healthy {
+            return ThreadM::pure(Loop::Continue(pending));
         }
-        let shared = Arc::clone(&shared);
-        let pool = Arc::clone(&pool);
-        let st = Arc::clone(&st);
-        // Compose the wait: declaration order is the deterministic
-        // tie-break, so lane order (first-use order) decides races.
-        let mut evts = Vec::with_capacity(pending.len() + 1);
-        for (i, p) in pending.iter().enumerate() {
-            let Some(fd) = p.conn.readiness_fd() else {
-                // No descriptor, no way to wait on the lane: write the
-                // backend off like any other transport failure.
-                let err = NetError::Protocol("backend exposes no readiness descriptor".into());
-                return settle_lane(shared, pool, st, pending, i, Err(err), now);
+        // swap_remove perturbs lane order only among still-pending lanes
+        // of one batch — acceptable, and it keeps removal O(1).
+        let p = pending.swap_remove(i);
+        self.write_off(iter::once((p.ep, p.jobs, Some(p.conn))), now)
+            .map(move |()| Loop::Continue(pending))
+    }
+
+    /// Resolves every framed reply buffered for `p`; false if the backend
+    /// sent garbage or more replies than it was asked for.
+    fn drain(&self, p: &mut PendingEp, chunk: Bytes) -> bool {
+        if p.framer.feed(chunk).is_err() {
+            return false;
+        }
+        let mut st = self.st.lock();
+        while let Some(framed) = p.framer.pop() {
+            let Some(job) = p.jobs.pop_front() else {
+                return false;
             };
-            evts.push(readiness_evt(&fd, Interest::Read).wrap(move |()| Wake::Ready(i)));
+            st.resolve(&self.shared, job, p.ep, Some(framed));
         }
-        if shared.cfg.backend_timeout > 0 {
-            evts.push(timeout_evt(shared.cfg.backend_timeout).wrap(|()| Wake::Timeout));
-        }
-        sync(choose(evts)).bind(move |wake| match wake {
-            Wake::Timeout => {
+        true
+    }
+
+    /// The fan-in wait: one `choose` over every pending backend's
+    /// readiness plus the inactivity timeout, until every job is
+    /// resolved.
+    fn fan_in(self: Arc<Self>, pending: Vec<PendingEp>, now: Nanos) -> ThreadM<()> {
+        loop_m(pending, move |mut pending| {
+            pending.retain(|p| !p.jobs.is_empty());
+            if pending.is_empty() {
+                return ThreadM::pure(Loop::Break(()));
+            }
+            let batch = Arc::clone(&self);
+            // Compose the wait: declaration order is the deterministic
+            // tie-break, so lane order (first-use order) decides races.
+            // `None` is the timeout.
+            let mut evts = Vec::with_capacity(pending.len() + 1);
+            for (i, p) in pending.iter().enumerate() {
+                let Some(fd) = p.conn.readiness_fd() else {
+                    // No descriptor, no way to wait on the lane: write the
+                    // backend off like any other transport failure.
+                    return batch.settle(pending, i, None, now);
+                };
+                evts.push(readiness_evt(&fd, Interest::Read).wrap(move |()| Some(i)));
+            }
+            let deadline = batch.shared.cfg.backend_timeout;
+            if deadline > 0 {
+                evts.push(timeout_evt(deadline).wrap(|()| None));
+            }
+            sync(choose(evts)).bind(move |wake| match wake {
                 // Every still-pending backend is written off at once; the
                 // deadline is per-wait inactivity, not per-byte pacing.
-                let mut conns = Vec::with_capacity(pending.len());
-                for p in &mut pending {
-                    fail_pending(&shared, &pool, &st, p, now);
-                    conns.push(Arc::clone(&p.conn));
+                None => {
+                    let dead = pending.into_iter().map(|p| (p.ep, p.jobs, Some(p.conn)));
+                    batch.write_off(dead, now).map(|()| Loop::Break(()))
                 }
-                map_m(conns.len(), move |i| conns[i].close()).map(|_| Loop::Break(()))
-            }
-            Wake::Ready(i) => {
-                let conn = Arc::clone(&pending[i].conn);
-                let chunk_max = shared.cfg.recv_chunk;
-                conn.recv(chunk_max)
-                    .bind(move |got| settle_lane(shared, pool, st, pending, i, got, now))
-            }
+                Some(i) => {
+                    let conn = Arc::clone(&pending[i].conn);
+                    conn.recv(RECV_CHUNK)
+                        .bind(move |got| batch.settle(pending, i, got.ok(), now))
+                }
+            })
         })
-    })
-}
+    }
 
-/// Runs one round: connect + send per lane (sequential, lane order),
-/// then fan replies back in.
-fn run_round(
-    shared: Arc<RouterShared>,
-    pool: Arc<Mutex<Pool>>,
-    st: Arc<Mutex<BatchState>>,
-    round: Round,
-) -> ThreadM<()> {
-    let Round { eps, wires, queues } = round;
-    let wires: Vec<Bytes> = wires.into_iter().map(Bytes::from).collect();
-    let lanes = Arc::new(Mutex::new(
-        eps.iter()
-            .copied()
-            .zip(wires)
-            .zip(queues)
-            .map(|((ep, wire), jobs)| Some((ep, wire, jobs)))
-            .collect::<Vec<_>>(),
-    ));
-    let n = lanes.lock().len();
-    let sh = Arc::clone(&shared);
-    let pl = Arc::clone(&pool);
-    let stt = Arc::clone(&st);
-    let dial_lanes = Arc::clone(&lanes);
-    // One timestamp for the whole round: every cooldown decision in it
-    // (skip-or-dial, mark-on-failure) keys off the round's start, which
-    // is deterministic and costs a single clock read.
-    sys_time().bind(move |now| {
-        map_m(n, move |i| {
-            let (ep, wire, jobs) = dial_lanes.lock()[i].take().expect("lane visited once");
-            let shared = Arc::clone(&sh);
-            let pool = Arc::clone(&pl);
-            let st = Arc::clone(&stt);
-            ensure_conn(&shared, &pool, ep, now).bind(move |conn| {
-                let fail_all = move |shared: Arc<RouterShared>,
-                                     st: Arc<Mutex<BatchState>>,
-                                     jobs: VecDeque<(usize, Role)>| {
-                    let mut guard = st.lock();
-                    for (slot, role) in jobs {
-                        resolve_fail(&mut guard, &shared, slot, role, ep);
-                    }
-                };
-                match conn {
-                    None => {
-                        fail_all(shared, st, jobs);
-                        ThreadM::pure(None)
-                    }
-                    Some(conn) => send_all(&conn, wire).bind(move |sent| match sent {
-                        Ok(()) => ThreadM::pure(Some(PendingEp {
-                            ep,
-                            conn,
-                            framer: ReplyFramer::new(),
-                            jobs,
-                        })),
-                        Err(_) => {
-                            shared.stats.backend_errors.incr();
-                            shared.mark_backend_down(ep, now);
-                            pool_remove(&pool, ep);
-                            fail_all(shared, st, jobs);
-                            conn.close().map(|()| None)
-                        }
+    /// Runs one round: connect + send per lane (sequential, lane order),
+    /// then fan replies back in.
+    fn run_round(self: Arc<Self>, round: Round) -> ThreadM<()> {
+        // One timestamp for the whole round: every cooldown decision in it
+        // (skip-or-dial, mark-on-failure) keys off the round's start, which
+        // is deterministic and costs a single clock read.
+        sys_time().bind(move |now| {
+            let lanes = round.0.into_iter();
+            loop_m((lanes, Vec::new()), move |(mut lanes, mut pending)| {
+                let batch = Arc::clone(&self);
+                match lanes.next() {
+                    None => batch.fan_in(pending, now).map(Loop::Break),
+                    Some(lane) => batch.send_lane(lane, now).map(move |sent| {
+                        pending.extend(sent);
+                        Loop::Continue((lanes, pending))
                     }),
                 }
             })
         })
-        .bind(move |pending: Vec<Option<PendingEp>>| {
-            fan_in(
-                shared,
-                pool,
-                st,
-                pending.into_iter().flatten().collect(),
-                now,
-            )
+    }
+
+    /// Runs rounds until every slot is ready and all repairs are shipped.
+    fn execute(self: Arc<Self>, first: Round) -> ThreadM<()> {
+        loop_m(Some(first), move |round| {
+            let Some(round) = round else {
+                return ThreadM::pure(Loop::Break(()));
+            };
+            let batch = Arc::clone(&self);
+            Arc::clone(&self)
+                .run_round(round)
+                .map(move |()| Loop::Continue(batch.st.lock().next_round(&batch.shared)))
         })
-    })
+    }
 }
 
-/// The next round owed after `run_round`: retry lanes for replicated
-/// reads still working down their replica lists, then one final
-/// fire-and-forget lane set for scheduled read-repairs.
-fn build_next_round(shared: &RouterShared, st: &Mutex<BatchState>) -> Option<Round> {
-    let mut guard = st.lock();
-    let mut round = Round::new();
-    for (i, slot) in guard.slots.iter().enumerate() {
-        if let SlotState::AwaitRead {
-            wire, tries, next, ..
-        } = slot
-        {
-            shared.stats.read_retries.incr();
-            let lane = round.lane(tries[*next]);
-            round.wires[lane].extend_from_slice(wire);
-            round.queues[lane].push_back((i, Role::Read));
+/// Assembles the client reply from the settled slots, in command order.
+///
+/// A split multi-key get's `parts` slots each hold one sub-get's reply
+/// frames. They are stitched back into one response by dropping each
+/// part's last frame, its END, and emitting a single final END —
+/// sub-slots were pushed in key order, and a single node answers VALUEs
+/// in key order too, so the stitched bytes match the unsplit reply. Any
+/// part that did not end in END (e.g. SERVER_ERROR from an exhausted
+/// shard) fails the whole command: a routed miss must never masquerade as
+/// a store miss.
+fn stitch(slots: Vec<SlotState>) -> Vec<Bytes> {
+    let mut segs: Vec<Bytes> = Vec::new();
+    let mut slots = slots.into_iter();
+    while let Some(slot) = slots.next() {
+        match slot {
+            SlotState::Ready(bytes) => segs.extend(bytes),
+            SlotState::MultiHead { parts } => {
+                let mut body: Vec<Bytes> = Vec::new();
+                let mut dead = false;
+                for _ in 0..parts {
+                    match slots.next() {
+                        Some(SlotState::Ready(mut frames))
+                            if frames.last().is_some_and(|f| f[..] == *wire::END) =>
+                        {
+                            frames.pop();
+                            body.extend(frames);
+                        }
+                        _ => dead = true,
+                    }
+                }
+                if dead {
+                    segs.extend(server_error_bytes());
+                } else {
+                    segs.extend(body);
+                    segs.push(Bytes::from_static(wire::END));
+                }
+            }
+            // Unresolvable states were finalized by the rounds; anything
+            // else is a routing bug — answer SERVER_ERROR rather than
+            // desynchronize the client.
+            _ => segs.extend(server_error_bytes()),
         }
     }
-    if round.is_empty() {
-        // Reads settled: ship the read-repairs (noreply — no jobs, the
-        // fan-in has nothing to wait for).
-        for (ep, cmd) in guard.repairs.drain(..) {
-            let lane = round.lane(ep);
-            cmd.encode_into(&mut round.wires[lane]);
-        }
-    }
-    (!round.is_empty()).then_some(round)
-}
-
-/// Runs rounds until every slot is ready and all repairs are shipped.
-fn execute_batch(
-    shared: Arc<RouterShared>,
-    pool: Arc<Mutex<Pool>>,
-    st: Arc<Mutex<BatchState>>,
-    first: Round,
-) -> ThreadM<()> {
-    loop_m(Some(first), move |round| {
-        let Some(round) = round else {
-            return ThreadM::pure(Loop::Break(()));
-        };
-        let shared = Arc::clone(&shared);
-        let pool = Arc::clone(&pool);
-        let st = Arc::clone(&st);
-        let shared2 = Arc::clone(&shared);
-        let st2 = Arc::clone(&st);
-        run_round(shared, pool, st, round)
-            .map(move |()| Loop::Continue(build_next_round(&shared2, &st2)))
-    })
+    segs
 }
 
 /// The routing [`Service`]: thin glue between the framework's session
@@ -956,56 +880,15 @@ impl Service for RouterService {
             shared.stats.batches.incr();
         }
         let ring = shared.ring();
-        let Plan { state, first, quit } = build_plan(&shared, &ring, cmds);
-        let st = Arc::new(Mutex::new(state));
+        let (state, first, quit) = build_plan(&shared, &ring, cmds);
         let close_after = quit || trailing.is_some();
-        let shared2 = Arc::clone(&shared);
-        let st2 = Arc::clone(&st);
-        let pool2 = Arc::clone(&pool);
-        execute_batch(shared, Arc::clone(&pool), st, first).bind(move |()| {
-            let mut segs: Vec<Bytes> = Vec::new();
-            let drained: Vec<SlotState> = st2.lock().slots.drain(..).collect();
-            let mut slots = drained.into_iter();
-            while let Some(slot) = slots.next() {
-                match slot {
-                    SlotState::Ready(bytes) => segs.extend(bytes),
-                    // A split multi-key get: the next `parts` slots each
-                    // hold one sub-get's reply frames. Stitch them back
-                    // into one response by dropping each part's last
-                    // frame, its END, and emitting a single final END —
-                    // sub-slots were pushed in key order, and a single
-                    // node answers VALUEs in key order too, so the
-                    // stitched bytes match the unsplit reply. Any part
-                    // that did not end in END (e.g. SERVER_ERROR from an
-                    // exhausted shard) fails the whole command: a routed
-                    // miss must never masquerade as a store miss.
-                    SlotState::MultiHead { parts } => {
-                        let mut body: Vec<Bytes> = Vec::new();
-                        let mut dead = false;
-                        for _ in 0..parts {
-                            match slots.next() {
-                                Some(SlotState::Ready(mut frames))
-                                    if frames.last().is_some_and(|f| f[..] == *wire::END) =>
-                                {
-                                    frames.pop();
-                                    body.extend(frames);
-                                }
-                                _ => dead = true,
-                            }
-                        }
-                        if dead {
-                            segs.extend(server_error_bytes());
-                        } else {
-                            segs.extend(body);
-                            segs.push(Bytes::from_static(wire::END));
-                        }
-                    }
-                    // Unresolvable states were finalized by the rounds;
-                    // anything else is a routing bug — answer SERVER_ERROR
-                    // rather than desynchronize the client.
-                    _ => segs.extend(server_error_bytes()),
-                }
-            }
+        let batch = Arc::new(Batch {
+            shared,
+            pool,
+            st: Mutex::new(state),
+        });
+        Arc::clone(&batch).execute(first).bind(move |()| {
+            let mut segs = stitch(std::mem::take(&mut batch.st.lock().slots));
             if let Some(reply) = trailing {
                 let mut out = Vec::new();
                 reply.encode_into(&mut out);
@@ -1014,16 +897,16 @@ impl Service for RouterService {
             let sent = if segs.is_empty() {
                 ThreadM::pure(Ok(()))
             } else {
-                shared2.send_client(&conn, segs)
+                let replies = batch.shared.replies.get();
+                let replies = replies.expect("Server::new attaches the reply handle");
+                replies.send_vectored(&conn, segs)
             };
+            let pool = Arc::clone(&batch.pool);
             sent.bind(move |sent| {
                 if sent.is_err() || close_after {
-                    close_pool(pool2).map(|()| Step::Close)
+                    close_pool(pool).map(|()| Step::Close)
                 } else {
-                    ThreadM::pure(Step::Continue(RouterSession {
-                        parser,
-                        pool: pool2,
-                    }))
+                    ThreadM::pure(Step::Continue(RouterSession { parser, pool }))
                 }
             })
         })
@@ -1050,7 +933,7 @@ impl fmt::Debug for RouterService {
 /// connections the backends reap by their own idle/shutdown policies).
 fn close_pool(pool: Arc<Mutex<Pool>>) -> ThreadM<()> {
     let conns: Vec<Arc<dyn Conn>> = pool.lock().drain(..).map(|(_, c)| c).collect();
-    map_m(conns.len(), move |i| conns[i].close()).map(|_| ())
+    for_each_m(conns, |conn| conn.close())
 }
 
 /// The cluster router server: [`RouterService`] hosted on the generic
@@ -1068,7 +951,7 @@ impl Router {
     ///
     /// If `cfg.backends` is empty (the ring would be meaningless).
     pub fn new(stack: Arc<dyn NetStack>, cfg: RouterConfig) -> Arc<Router> {
-        let ring = HashRing::new(cfg.backends.clone(), cfg.vnodes);
+        let ring = HashRing::new(cfg.backends.clone(), VNODES);
         let shared = Arc::new(RouterShared {
             stack: Arc::clone(&stack),
             ring: Mutex::new(Arc::new(ring)),
@@ -1084,8 +967,8 @@ impl Router {
             },
             ServerConfig {
                 port: cfg.port,
-                recv_chunk: cfg.recv_chunk,
-                idle_timeout: cfg.idle_timeout,
+                recv_chunk: RECV_CHUNK,
+                idle_timeout: IDLE_TIMEOUT,
                 send_timeout: cfg.send_timeout,
             },
         );
@@ -1098,7 +981,7 @@ impl Router {
     /// cooldowns — new membership is the operator's word that the
     /// survivors are worth dialing again.
     pub fn set_ring(&self, backends: Vec<Endpoint>) {
-        let ring = HashRing::new(backends, self.shared.cfg.vnodes);
+        let ring = HashRing::new(backends, VNODES);
         *self.shared.ring.lock() = Arc::new(ring);
         self.shared.down.lock().clear();
     }

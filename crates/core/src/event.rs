@@ -75,8 +75,8 @@
 //! ```
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex as PlMutex;
 
@@ -234,26 +234,17 @@ impl fmt::Debug for Registration {
     }
 }
 
-/// The port a branch's waiter wakes through: latches the wake (the
-/// commit signal of [`readiness_evt`], set even when the thread was
-/// already woken elsewhere), reclassifies the park episode to the
-/// branch's wait class, then unparks inline or, with `relay`, forwards to
-/// the runtime's event port.
-struct BranchPort {
-    kind: WaitKind,
-    fired: AtomicBool,
-    relay: bool,
-}
+/// The port a branch's waiter wakes through: reclassifies the park
+/// episode to the branch's wait class, then unparks inline. It holds
+/// nothing but the class, so [`branch_waiter`] shares one port per
+/// [`WaitKind`], the way [`DirectPort::shared`](crate::reactor::DirectPort::shared)
+/// shares its one.
+struct BranchPort(WaitKind);
 
 impl EventPort for BranchPort {
     fn notify(&self, unparker: Unparker) {
-        self.fired.store(true, Ordering::SeqCst);
-        unparker.reclassify(self.kind);
-        if self.relay {
-            unparker.runtime_ctx().event_port().notify(unparker);
-        } else {
-            unparker.unpark();
-        }
+        unparker.reclassify(self.0);
+        unparker.unpark();
     }
 }
 
@@ -262,14 +253,56 @@ impl EventPort for BranchPort {
 /// `kind` and then unparks directly. Primitive authors use this inside
 /// `register` closures.
 pub fn branch_waiter(unparker: &Unparker, kind: WaitKind) -> Waiter {
-    Waiter::new(
-        unparker.clone(),
-        Arc::new(BranchPort {
-            kind,
-            fired: AtomicBool::new(false),
-            relay: false,
-        }),
-    )
+    const KINDS: [WaitKind; 3] = [WaitKind::Io, WaitKind::Lock, WaitKind::Timer];
+    static PORTS: OnceLock<[Arc<dyn EventPort>; 3]> = OnceLock::new();
+    let ports = PORTS.get_or_init(|| KINDS.map(|k| Arc::new(BranchPort(k)) as _));
+    let i = KINDS
+        .iter()
+        .position(|&k| k == kind)
+        .expect("every kind has a port");
+    Waiter::new(unparker.clone(), Arc::clone(&ports[i]))
+}
+
+/// The port of one [`readiness_evt`] sync, reused by every park round: it
+/// latches the device's wake as the branch's commit signal (even when the
+/// thread was already woken elsewhere), reclassifies the episode as I/O
+/// wait and relays the unparker to the runtime's event port.
+///
+/// A latch names the round it is for: `round` holds the id of the
+/// unparker of the round in flight (0 once that round is polled), `latch`
+/// the id of the unparker whose wake latched, and the branch commits only
+/// when the two agree. A wake that a device hands out late, after its
+/// round's re-poll, therefore commits no later round.
+struct ReadinessPort {
+    round: AtomicUsize,
+    latch: AtomicUsize,
+}
+
+impl ReadinessPort {
+    /// Starts the round parked on `u`: clears the latch, then names the
+    /// round.
+    fn arm(&self, u: &Unparker) {
+        self.latch.store(0, Ordering::SeqCst);
+        self.round.store(u.id(), Ordering::SeqCst);
+    }
+
+    /// Did the round in flight's own wake latch? Polling ends the round:
+    /// a wake after this belongs to no round.
+    fn fired(&self) -> bool {
+        let round = self.round.swap(0, Ordering::SeqCst);
+        round != 0 && self.latch.load(Ordering::SeqCst) == round
+    }
+}
+
+impl EventPort for ReadinessPort {
+    fn notify(&self, unparker: Unparker) {
+        let id = unparker.id();
+        if id == self.round.load(Ordering::SeqCst) {
+            self.latch.store(id, Ordering::SeqCst);
+        }
+        unparker.reclassify(WaitKind::Io);
+        unparker.runtime_ctx().event_port().notify(unparker);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -505,17 +538,17 @@ pub fn readiness_evt(fd: &Fd, interest: Interest) -> Event<()> {
         // Readiness has no synchronous probe; the port's latch turns the
         // device's wake (including the immediate wake `Pollable::register`
         // performs when the condition already holds) into a pollable
-        // commit. One port per sync, reused by every park round.
-        let port = Arc::new(BranchPort {
-            kind: WaitKind::Io,
-            fired: AtomicBool::new(false),
-            relay: true,
+        // commit. One port per sync, re-armed by every park round.
+        let port = Arc::new(ReadinessPort {
+            round: AtomicUsize::new(0),
+            latch: AtomicUsize::new(0),
         });
         let latch = Arc::clone(&port);
         out.push(Branch::new(
             WaitKind::Io,
-            move |_now| latch.fired.load(Ordering::SeqCst).then_some(()),
+            move |_now| latch.fired().then_some(()),
             move |u| {
+                port.arm(u);
                 let waiter = Waiter::new(u.clone(), Arc::clone(&port) as Arc<dyn EventPort>);
                 // A loser withdraws its entry. A win came through the
                 // entry's own wake, which removed it, so the winner takes
@@ -933,6 +966,79 @@ mod tests {
         let (v, fired) = nack_probe(&rt, Some(7));
         assert_eq!(v, Some(7));
         assert!(!fired, "a committed with_nack must not be nacked");
+        rt.shutdown();
+    }
+
+    /// A device that hands its first registration out as already taken,
+    /// its wake still to come, and queues every later one.
+    struct StaleWake {
+        st: PlMutex<StaleSt>,
+    }
+
+    struct StaleSt {
+        registrations: usize,
+        handed_out: WaitTable,
+        queued: WaitTable,
+    }
+
+    impl Pollable for StaleWake {
+        fn register(&self, _interest: Interest, waiter: Waiter) -> Option<WaitKey> {
+            let mut st = self.st.lock();
+            st.registrations += 1;
+            Some(if st.registrations == 1 {
+                st.handed_out.push(waiter)
+            } else {
+                st.queued.push(waiter)
+            })
+        }
+
+        fn deregister(&self, _interest: Interest, key: WaitKey) -> bool {
+            let mut st = self.st.lock();
+            st.registrations > 1 && st.queued.withdraw(key)
+        }
+    }
+
+    #[test]
+    fn a_stale_readiness_wake_commits_no_later_round() {
+        let rt = Runtime::builder().workers(1).build();
+        let dev = Arc::new(StaleWake {
+            st: PlMutex::new(StaleSt {
+                registrations: 0,
+                handed_out: WaitTable::new(),
+                queued: WaitTable::new(),
+            }),
+        });
+        let fd = Fd::new(Arc::clone(&dev) as Arc<dyn Pollable>);
+        let ch: Chan<u8> = Chan::new();
+        let done: Chan<Option<u8>> = Chan::new();
+        let (tx, stale, out) = (ch.clone(), Arc::clone(&dev), done.clone());
+        let got = rt.block_on(crate::do_m! {
+            sys_fork(sync(choose(vec![
+                readiness_evt(&fd, Interest::Read).wrap(|()| None),
+                ch.read_evt().wrap(Some),
+            ]))
+            .bind(move |v| out.write(v)));
+            // One worker and a FIFO ready queue: each yield lets the sync
+            // run until it parks again.
+            crate::syscall::sys_yield();
+            // Round 1: woken by a write whose item is taken back before
+            // the re-poll, so nothing commits and round 2 registers.
+            tx.write(1);
+            tx.read();
+            crate::syscall::sys_yield();
+            // Round 1's entry is delivered late, during round 2.
+            sys_nbio(move || stale.st.lock().handed_out.wake_all());
+            tx.write(2);
+            done.read()
+        });
+        let st = dev.st.lock();
+        assert_eq!(st.registrations, 2);
+        assert_eq!(
+            (got, st.queued.len()),
+            (Some(2), 0),
+            "the channel write commits round 2, whose entry is withdrawn"
+        );
+        drop(st);
         rt.shutdown();
     }
 

@@ -101,9 +101,10 @@ pub trait EventPort: Send + Sync {
 
 /// An [`EventPort`] that unparks inline, bypassing any event-loop queue —
 /// the route of STM `retry` waiters, and what unit tests hand to a
-/// [`Waiter`] they wake by hand. (A `choose`
-/// branch waiter, [`branch_waiter`](crate::event::branch_waiter), unparks
-/// inline too, without a port of its own.)
+/// [`Waiter`] they wake by hand. (A `choose` branch waiter,
+/// [`branch_waiter`](crate::event::branch_waiter), unparks inline too,
+/// through a port shared by every branch of its wait class, which first
+/// reclassifies the park episode.)
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DirectPort;
 
@@ -207,6 +208,12 @@ impl Unparker {
     /// otherwise only sees the unparker.
     pub fn runtime_ctx(&self) -> Arc<dyn RuntimeCtx> {
         Arc::clone(&self.inner.ctx)
+    }
+
+    /// Names this park: equal for the clones of one unparker, different
+    /// for any two alive at once.
+    pub(crate) fn id(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
     }
 
     /// Reclassifies the in-flight wait episode of the still-parked thread

@@ -784,3 +784,143 @@ fn a_router_fan_in_leaves_no_read_entry_on_a_backend_connection() {
     );
     assert_eq!(backend_entries(), vec![(1, 0), (2, 0), (3, 0)]);
 }
+
+#[test]
+fn a_read_that_hits_only_on_the_secondary_repairs_the_primary() {
+    // R=2 over two nodes; the key is stored on its secondary only,
+    // through a direct connection. The routed get misses on the primary,
+    // falls back to the secondary, forwards its hit and copies it back to
+    // the primary.
+    let sim = SimRuntime::new_default();
+    let fabric = SocketFabric::new(sim.clock(), LinkParams::ethernet_100mbps());
+    spawn_backends(
+        &sim,
+        (1..=2)
+            .map(|h| fabric.stack(HostId(h)) as Arc<dyn NetStack>)
+            .collect(),
+    );
+    let router = Router::new(
+        fabric.stack(HostId(10)),
+        RouterConfig {
+            port: ROUTER_PORT,
+            backends: (1..=2).map(backend).collect(),
+            replication: 2,
+            ..Default::default()
+        },
+    );
+    sim.spawn(router.run());
+    let ring = HashRing::new((1..=2).map(backend).collect(), 64);
+    let [primary, secondary] = ring.replicas(b"hot:r", 2)[..] else {
+        panic!("two replicas")
+    };
+    let client = fabric.stack(HostId(20));
+    let direct = |ep: Endpoint, wire: &'static [u8]| {
+        let client = Arc::clone(&client);
+        let got = sim
+            .block_on(do_m! {
+                let conn <- client.connect(ep);
+                pipelined(conn.unwrap(), Bytes::from_static(wire), 1, Vec::new())
+            })
+            .unwrap();
+        String::from_utf8(got).unwrap()
+    };
+    assert_eq!(
+        direct(secondary, b"set hot:r 5 0 2\r\nv1\r\n"),
+        "STORED\r\n"
+    );
+    assert_eq!(direct(primary, b"get hot:r\r\n"), "END\r\n");
+
+    let routed = sim
+        .block_on(do_m! {
+            let conn <- client.connect(Endpoint::new(HostId(10), ROUTER_PORT));
+            pipelined(conn.unwrap(), Bytes::from_static(b"get hot:r\r\n"), 1, Vec::new())
+        })
+        .unwrap();
+    assert_eq!(
+        String::from_utf8(routed).unwrap(),
+        "VALUE hot:r 5 2\r\nv1\r\nEND\r\n"
+    );
+    assert_eq!(router.stats().read_retries.get(), 1);
+    assert_eq!(router.stats().read_repairs.get(), 1);
+    assert_eq!(
+        direct(primary, b"get hot:r\r\n"),
+        "VALUE hot:r 5 2\r\nv1\r\nEND\r\n",
+        "the repair set reached the primary"
+    );
+}
+
+#[test]
+fn a_multi_key_get_across_a_partitioned_shard_fails_whole_and_stitches_after_the_heal() {
+    // App-level TCP, R=1 over three nodes, one key per node. While node 2
+    // is partitioned the whole command answers one SERVER_ERROR — never
+    // the other shards' VALUE runs closed by an END. After the heal the
+    // runs are stitched in key order under one END.
+    let sim = SimRuntime::new_default();
+    let net = SimNet::new(sim.clock(), LinkParams::ethernet_100mbps(), 13);
+    let stack = |h: u32| -> Arc<dyn NetStack> {
+        glue::tcp_host_over_simnet(sim.ctx(), &net, HostId(h), TcpConfig::default())
+    };
+    spawn_backends(&sim, (1..=3).map(stack).collect());
+    let router = Router::new(
+        stack(10),
+        RouterConfig {
+            port: ROUTER_PORT,
+            backends: (1..=3).map(backend).collect(),
+            backend_timeout: 50 * MILLIS,
+            ..Default::default()
+        },
+    );
+    sim.spawn(router.run());
+    let ring = HashRing::new((1..=3).map(backend).collect(), 64);
+    let key_on = |h: u32| {
+        (0..)
+            .map(|i| format!("m{i}"))
+            .find(|k| ring.primary(k.as_bytes()).host == HostId(h))
+            .unwrap()
+    };
+    let keys = [key_on(1), key_on(2), key_on(3)];
+
+    let client = stack(20);
+    let conn = sim
+        .block_on(do_m! {
+            let conn <- client.connect(Endpoint::new(HostId(10), ROUTER_PORT));
+            ThreadM::pure(conn.unwrap())
+        })
+        .unwrap();
+    let request = |wire: String, expected: usize| {
+        let got = sim
+            .block_on(pipelined(
+                Arc::clone(&conn),
+                Bytes::from(wire),
+                expected,
+                Vec::new(),
+            ))
+            .unwrap();
+        String::from_utf8(got).unwrap()
+    };
+    let sets: String = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| format!("set {k} 0 0 2\r\nv{i}\r\n"))
+        .collect();
+    assert_eq!(request(sets, 3), "STORED\r\n".repeat(3));
+    let multi_get = format!("get {} {} {}\r\n", keys[0], keys[1], keys[2]);
+
+    net.set_link_down(HostId(10), HostId(2));
+    net.set_link_down(HostId(2), HostId(10));
+    assert_eq!(
+        request(multi_get.clone(), 1),
+        "SERVER_ERROR backend unavailable\r\n",
+        "a partitioned shard fails the whole command"
+    );
+
+    net.set_link_up(HostId(10), HostId(2));
+    net.set_link_up(HostId(2), HostId(10));
+    let stitched: String = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| format!("VALUE {k} 0 2\r\nv{i}\r\n"))
+        .chain(["END\r\n".to_string()])
+        .collect();
+    assert_eq!(request(multi_get, 1), stitched);
+}
